@@ -12,9 +12,9 @@ simulator's arithmetic, event ordering, or the harness's steady-state
 machinery is caught at the last-bit level.
 
 Before writing, this script re-runs the whole battery once per fair-share
-solver (slowpath reference, incremental, vectorized) and diffs the raw
-per-rank matrices: the three solvers must agree on every float bit, or
-nothing is written.
+solver (slowpath reference, incremental) and diffs the raw per-rank
+matrices: the two solvers must agree on every float bit, or nothing is
+written.
 
 Regenerate (only when an intentional model change invalidates the data)::
 
@@ -31,9 +31,8 @@ from repro.hardware.machine import Machine, Mode
 #: solver label -> FlowNetwork.configure pins (explicit args are sticky
 #: across the harness's per-run refresh_config)
 SOLVER_KNOBS = {
-    "slowpath": {"incremental": False, "vectorized": False},
-    "incremental": {"incremental": True, "vectorized": False},
-    "vectorized": {"incremental": True, "vectorized": True},
+    "slowpath": {"incremental": False},
+    "incremental": {"incremental": True},
 }
 
 REFERENCE_PATH = (
@@ -124,8 +123,8 @@ def diff_solver_batteries(reference, other):
 def main():
     records = simulate_battery()
     # Solver equivalence gate: the reference must not depend on which
-    # fair-share kernel produced it.  Any bit-level disagreement between
-    # the three solvers is a solver bug, not a model change — refuse to
+    # fair-share solver produced it.  Any bit-level disagreement between
+    # the two solvers is a solver bug, not a model change — refuse to
     # record until it is fixed.
     for solver in sorted(SOLVER_KNOBS):
         diffs = diff_solver_batteries(records, simulate_battery(solver))

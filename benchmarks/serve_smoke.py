@@ -20,8 +20,7 @@ sanity check).  The script:
 7. runs the serve QPS benchmark in smoke mode (which itself refuses to
    record unless memoized >= 100x cold and all tiers are bit-identical)
    and gates the recorded entry with ``repro report --check-bench
-   --base ci-serve:cold --new ci-serve:memo --tolerance 0`` (and
-   ``:warm``).
+   --base ci-serve:cold --new ci-serve:memo --tolerance 0``.
 
 Run it from the repo root::
 
@@ -165,7 +164,9 @@ def main(argv=None) -> int:
         stats_run = _run(["serve", "--stats", address],
                          stdout=subprocess.PIPE)
         stats = json.loads(stats_run.stdout)
-        assert stats["tiers"]["cold"] == 1, stats["tiers"]
+        # Two computations: the first query and select's tree-shmem
+        # candidate, each on a fresh machine.
+        assert stats["tiers"]["cold"] == 2, stats["tiers"]
         assert stats["tiers"]["memo"] >= 2, stats["tiers"]
         assert stats["tiers"]["batch"] == 1, stats["tiers"]
         assert stats["disk"]["entries"] >= 2, stats["disk"]
@@ -217,9 +218,6 @@ def main(argv=None) -> int:
         )
         _run(["report", "--check-bench", bench_out,
               "--base", "ci-serve:cold", "--new", "ci-serve:memo",
-              "--tolerance", "0"])
-        _run(["report", "--check-bench", bench_out,
-              "--base", "ci-serve:cold", "--new", "ci-serve:warm",
               "--tolerance", "0"])
         with open(bench_out) as handle:
             entry = json.load(handle)["entries"]["ci-serve"]

@@ -22,7 +22,7 @@ HMAC authkey handshake for free):
 :class:`FarmWorker` (``repro farm work``)
     a pull-worker: lease a chunk, compute it with the shared chunk
     runner (:func:`~repro.bench.parallel._run_chunk` — same crash
-    isolation, same warm-machine cache), report completions.  A worker
+    isolation, a fresh machine per point), report completions.  A worker
     that cannot reach the server reconnects with bounded backoff, so it
     rides out a server restart; results it cannot deliver are simply
     recomputed when the lease expires.
@@ -117,7 +117,7 @@ def pickle_digest(obj) -> str:
     The byte-identity currency of the distributed layers: the farm
     digests journaled results with it, and the prediction service
     (:mod:`repro.serve`) stamps every answer with it so a client can
-    prove a memoized or warm-pool answer is bit-identical to a cold
+    prove a memoized or disk-cached answer is bit-identical to a cold
     serial run.  The pickle protocol is pinned (see ``_PICKLE_PROTOCOL``)
     so digests computed by different processes of the same object
     byte-compare.

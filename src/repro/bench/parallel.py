@@ -22,11 +22,9 @@ Determinism
 -----------
 
 * Results are merged by point index, never by completion order.
-* Workers keep a **warm machine per geometry** — reused across points
-  after :meth:`~repro.hardware.machine.Machine.rebase_time`, which
-  resets the clock origin so every point replays the exact float
-  arithmetic of a fresh machine (covered by
-  ``tests/test_parallel_executor.py``).
+* Every point builds its own :class:`~repro.hardware.machine.Machine`,
+  in the parent (serial) and in the workers alike, so no point can see
+  state another point left behind.
 * A worker exception fails only its point: the pool keeps draining the
   other points, and the failed spec is re-run serially in the parent so
   the exception surfaces with a real, debugger-usable traceback (the
@@ -60,8 +58,8 @@ The same point specs fan across machines through the sweep farm
 or the ``REPRO_FARM`` environment variable — submits the specs to a
 work-server and merges the journaled results with the identical
 index-ordered, byte-identical-to-serial guarantee.  The chunking
-(:func:`chunk_specs`), worker-side chunk runner (:func:`_run_chunk`,
-warm-machine cache included), and failure merge
+(:func:`chunk_specs`), worker-side chunk runner (:func:`_run_chunk`),
+and failure merge
 (:func:`merge_failures`) are shared between the local and farm
 backends.
 """
@@ -75,7 +73,6 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from repro.bench.warmpool import WarmMachinePool
 from repro.hardware.machine import Machine, Mode
 from repro.telemetry.runtime import (
     default_registry,
@@ -172,28 +169,6 @@ class WorkerPointError(RuntimeError):
 
 # -- worker side ---------------------------------------------------------
 
-#: per-worker-process warm-machine pool, keyed on geometry (the same
-#: bounded LRU the prediction service's warm tier uses — see
-#: :mod:`repro.bench.warmpool`)
-_POOL = WarmMachinePool()
-
-
-def warm_machine(dims: Sequence[int], mode: str = "QUAD",
-                 wrap: bool = True, network: str = "torus") -> Machine:
-    """A pristine machine of the given geometry, reused across points.
-
-    The first request per (dims, mode, wrap, network) builds the machine;
-    later requests rebase its clock to the origin and hand it back.  After
-    :meth:`Machine.rebase_time` a reused machine replays bit-identical
-    float arithmetic to a fresh one, so points sharing a geometry skip
-    reconstruction without perturbing results.  The cache behind it is
-    this process's :class:`~repro.bench.warmpool.WarmMachinePool` (LRU,
-    bounded size).
-    """
-    machine, _ = _POOL.checkout(dims, mode=mode, wrap=wrap, network=network)
-    return machine
-
-
 def run_point(spec: dict):
     """Worker task: measure one collective point described by ``spec``.
 
@@ -201,23 +176,17 @@ def run_point(spec: dict):
     ``dims``/``mode``/``wrap``/``network`` geometry and any keyword accepted by
     :func:`repro.bench.harness.run_collective` (``iters``, ``verify``,
     ``seed``, ``steady_state``, ``root``, ``window_caching``,
-    ``analytic``, ``working_set_override``).
-    ``fresh_machine=True`` opts out of the warm-machine cache (required
-    for points that mutate machine-global state beyond a collective run).
+    ``analytic``, ``working_set_override``); other keys are ignored.
+    Every call builds a fresh machine.
     """
     from repro.bench.harness import run_collective
 
-    dims = tuple(spec.get("dims", (2, 2, 2)))
-    mode = spec.get("mode", "QUAD")
-    wrap = bool(spec.get("wrap", True))
-    network = spec.get("network", "torus")
-    # A barrier installs no working set, so a cached machine would leak
-    # the previous point's memory regime into it: always build fresh.
-    if spec.get("fresh_machine") or spec["family"] == "barrier":
-        machine = Machine(torus_dims=dims, mode=Mode[mode], wrap=wrap,
-                          network=network)
-    else:
-        machine = warm_machine(dims, mode, wrap, network)
+    machine = Machine(
+        torus_dims=tuple(spec.get("dims", (2, 2, 2))),
+        mode=Mode[spec.get("mode", "QUAD")],
+        wrap=bool(spec.get("wrap", True)),
+        network=spec.get("network", "torus"),
+    )
     kwargs = {
         key: spec[key]
         for key in ("root", "iters", "verify", "window_caching", "seed",
@@ -244,7 +213,7 @@ def _run_chunk(task: Callable, chunk: List[Tuple[int, dict]]) -> List[tuple]:
     per point — an exception never takes down the chunk's siblings or the
     worker process.  Shared by the local pool workers and the farm
     workers (:mod:`repro.bench.farm`), so both get the same crash
-    isolation and the same warm-machine cache via :func:`run_point`.
+    isolation.
     """
     out = []
     for index, spec in chunk:
@@ -524,9 +493,8 @@ def execute_points(specs: Sequence[dict], jobs: Optional[int] = None,
                    trace_ctx: Optional[dict] = None) -> List[object]:
     """One-shot convenience: map ``task`` over ``specs`` with ``jobs`` workers.
 
-    Serial (``jobs=1``) runs inline with **fresh machines per point** —
-    exactly the historical driver behavior; parallel workers use the
-    warm-machine cache (bit-identical, see module docstring).
+    Serial (``jobs=1``) runs inline, exactly the historical driver
+    behavior; either way every point builds its own machine.
 
     ``farm`` (argument > the ``REPRO_FARM`` env var) routes the specs to
     a sweep-farm work-server instead of local processes: same tasks,
@@ -559,8 +527,6 @@ def execute_points(specs: Sequence[dict], jobs: Optional[int] = None,
     else:
         trace_span = None
     if resolved <= 1 or len(specs) <= 1:
-        if task in (run_point, run_point_timed):
-            specs = [{**spec, "fresh_machine": True} for spec in specs]
         if trace_span is None:
             return ParallelExecutor(1).map(task, specs, on_error=on_error)
         with trace_span:

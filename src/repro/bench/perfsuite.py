@@ -41,7 +41,7 @@ Every sweep record carries the solver mode its points actually ran under
 (``"solver"``, derived from the returned run manifests so it is correct
 across worker processes) and how many points the analytic fast path
 served (``"analytic_hits"``); the entry gets the union tag, e.g.
-``"vectorized"`` or ``"vectorized+analytic"``.  ``repro report
+``"incremental"`` or ``"incremental+analytic"``.  ``repro report
 --check-bench`` refuses to compare entries recorded under different
 solver tags unless ``--allow-cross-solver`` is passed.
 

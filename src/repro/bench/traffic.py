@@ -196,8 +196,6 @@ class MachineView:
                 f"rank out of range: {rank} (nprocs={self.nprocs})"
             )
 
-    _check_rank = check_rank
-
     # -- machine services (view-scoped) ------------------------------------
     def make_barrier(self, parties: Optional[int] = None) -> SimBarrier:
         n = parties if parties is not None else self.nprocs

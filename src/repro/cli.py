@@ -35,10 +35,10 @@ Commands
 ``serve``
     The prediction service (``docs/serving.md``): a long-running query
     server answering predict/select/sweep requests through tiered
-    caching — analytic fast path, warm machine pools, manifest-keyed
-    memoization (``--cache`` persists it across restarts), in-flight
-    coalescing.  ``serve --stats HOST:PORT`` prints a running server's
-    tier hit rates, pool occupancy and latency percentiles.
+    caching — analytic fast path, manifest-keyed memoization
+    (``--cache`` persists it across restarts), in-flight coalescing.
+    ``serve --stats HOST:PORT`` prints a running server's tier hit rates
+    and latency percentiles.
 ``query``
     The line-delimited-JSON client for ``serve``: one predict/select/
     sweep/stats/ping/shutdown request per invocation.
@@ -540,10 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-memory memoization entries (default 1024)",
     )
     p.add_argument(
-        "--pool", type=int, default=8,
-        help="warm machines kept per server (default 8; LRU-evicted)",
-    )
-    p.add_argument(
         "--analytic", action="store_true",
         help="opt every query into the closed-form fast path by default "
              "(answers then match the DES within probe tolerance, not "
@@ -552,8 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stats", default=None, metavar="HOST:PORT",
         help="instead of serving: print a running server's stats (tier "
-             "hit rates, pool occupancy, coalesced count, latency "
-             "percentiles)",
+             "hit rates, coalesced count, latency percentiles)",
     )
     p.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
@@ -1029,7 +1024,6 @@ def _cmd_serve(args) -> int:
     install_excepthook()
     service = PredictionService(
         max_memo=args.memo,
-        max_machines=args.pool,
         cache_path=args.cache,
         analytic_default=args.analytic,
     )

@@ -40,14 +40,10 @@ from repro.collectives.base import (
 )
 from repro.collectives.registry import (
     AlgorithmInfo,
-    allreduce_algorithm,
-    bcast_algorithm,
     families,
     get_algorithm,
     iter_algorithms,
     list_algorithms,
-    list_allreduce_algorithms,
-    list_bcast_algorithms,
     register,
     select_protocol,
 )
@@ -64,9 +60,4 @@ __all__ = [
     "list_algorithms",
     "register",
     "select_protocol",
-    # deprecated shims
-    "bcast_algorithm",
-    "allreduce_algorithm",
-    "list_bcast_algorithms",
-    "list_allreduce_algorithms",
 ]

@@ -18,17 +18,13 @@ order stays simple and ``import repro`` stays cheap.
 Protocol selection (the message-size policy of section V) lives in
 :mod:`repro.collectives.selection`; :func:`select_protocol` is re-exported
 here for convenience.
-
-The historical per-family helpers (``bcast_algorithm``,
-``list_bcast_algorithms``, ``select_bcast``, ...) survive as thin
-deprecated shims at the bottom of this module.
 """
 
 from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.collectives.selection import (
     next_fallback,
@@ -248,92 +244,3 @@ def iter_algorithms(family: Optional[str] = None) -> List[AlgorithmInfo]:
         out.extend(bucket[name] for name in sorted(bucket))
     return out
 
-
-# -- deprecated shims ---------------------------------------------------
-# The pre-registry public surface.  Each is a frozen 1:1 forwarding of the
-# old signature; new code should call get_algorithm / list_algorithms /
-# select_protocol directly.
-
-def bcast_algorithm(name: str) -> Type:
-    """Deprecated: use ``get_algorithm("bcast", name)``."""
-    return get_algorithm("bcast", name)
-
-
-def list_bcast_algorithms() -> List[str]:
-    """Deprecated: use ``list_algorithms("bcast")``."""
-    return list_algorithms("bcast")
-
-
-def allreduce_algorithm(name: str) -> type:
-    """Deprecated: use ``get_algorithm("allreduce", name)``."""
-    return get_algorithm("allreduce", name)
-
-
-def list_allreduce_algorithms() -> List[str]:
-    """Deprecated: use ``list_algorithms("allreduce")``."""
-    return list_algorithms("allreduce")
-
-
-def allgather_algorithm(name: str) -> type:
-    """Deprecated: use ``get_algorithm("allgather", name)``."""
-    return get_algorithm("allgather", name)
-
-
-def list_allgather_algorithms() -> List[str]:
-    """Deprecated: use ``list_algorithms("allgather")``."""
-    return list_algorithms("allgather")
-
-
-def alltoall_algorithm(name: str) -> type:
-    """Deprecated: use ``get_algorithm("alltoall", name)``."""
-    return get_algorithm("alltoall", name)
-
-
-def list_alltoall_algorithms() -> List[str]:
-    """Deprecated: use ``list_algorithms("alltoall")``."""
-    return list_algorithms("alltoall")
-
-
-def barrier_algorithm(name: str) -> type:
-    """Deprecated: use ``get_algorithm("barrier", name)``."""
-    return get_algorithm("barrier", name)
-
-
-def list_barrier_algorithms() -> List[str]:
-    """Deprecated: use ``list_algorithms("barrier")``."""
-    return list_algorithms("barrier")
-
-
-def gather_algorithm(name: str) -> type:
-    """Deprecated: use ``get_algorithm("gather", name)``."""
-    return get_algorithm("gather", name)
-
-
-def list_gather_algorithms() -> List[str]:
-    """Deprecated: use ``list_algorithms("gather")``."""
-    return list_algorithms("gather")
-
-
-def reduce_algorithm(name: str) -> type:
-    """Deprecated: use ``get_algorithm("reduce", name)``."""
-    return get_algorithm("reduce", name)
-
-
-def list_reduce_algorithms() -> List[str]:
-    """Deprecated: use ``list_algorithms("reduce")``."""
-    return list_algorithms("reduce")
-
-
-def scatter_algorithm(name: str) -> type:
-    """Deprecated: use ``get_algorithm("scatter", name)``."""
-    return get_algorithm("scatter", name)
-
-
-def list_scatter_algorithms() -> List[str]:
-    """Deprecated: use ``list_algorithms("scatter")``."""
-    return list_algorithms("scatter")
-
-
-def select_bcast(nbytes: int, ppn: int) -> str:
-    """Deprecated: use ``select_protocol("bcast", nbytes, ppn)``."""
-    return select_protocol("bcast", nbytes, ppn)

@@ -90,26 +90,6 @@ def degrade_torus_channels(machine: Machine, node: int, factor: float) -> None:
         channel.set_capacity(channel.capacity * factor)
 
 
-class DegradedMemoryMachine:
-    """Deprecated shim: persistent single-node memory degradation.
-
-    Kept for callers that predate the reapply-hook mechanism.  New code
-    should call :func:`degrade_node_memory` directly — its scaling already
-    survives :meth:`Machine.set_working_set` — or install a
-    :class:`~repro.hardware.fault_schedule.NodeSlowdown` window for
-    time-bounded degradation.  Wraps (does not subclass) a machine.
-    """
-
-    def __init__(self, machine: Machine, node: int, factor: float):
-        degrade_node_memory(machine, node, factor)
-        self.machine = machine
-        self.node = node
-        self.factor = factor
-
-    def __getattr__(self, name):
-        return getattr(self.machine, name)
-
-
 class JitterInjector:
     """OS-noise model: random extra delays charged to ranks' cores.
 

@@ -135,10 +135,6 @@ class Machine:
         if not 0 <= rank < self.nprocs:
             raise ValueError(f"rank out of range: {rank} (nprocs={self.nprocs})")
 
-    #: deprecated private spelling, kept for callers that predate the
-    #: public name
-    _check_rank = check_rank
-
     # -- configuration ----------------------------------------------------
     def set_working_set(self, nbytes: int) -> MemoryRegime:
         """Install the cache regime for an upcoming collective on all nodes.

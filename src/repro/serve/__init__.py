@@ -2,25 +2,26 @@
 
 The simulator answers "what does protocol P on geometry G at size S
 cost?"; this package productizes that answer behind a line-delimited-JSON
-server with four performance tiers (``docs/serving.md``):
+server with three performance tiers (``docs/serving.md``):
 
 * **tier 0 — analytic**: the validated closed-form laws of
   :mod:`repro.sim.analytic`, when a query opts in and its legality gate
   passes;
-* **tier 1 — warm pools**: per-(geometry, network, mode) reusable
-  machines (:mod:`repro.bench.warmpool`), bit-identical across reuse by
-  ``Machine.rebase_time``;
-* **tier 2 — memoization**: an LRU keyed on the full query identity,
+* **tier 1 — memoization**: an LRU keyed on the full query identity,
   values carrying :class:`~repro.telemetry.manifest.RunManifest` results,
   backed by an on-disk cache invalidated by git rev + spec hash so
-  restarts serve warm;
-* **tier 3 — coalescing + batching**: duplicate in-flight queries await
+  restarts serve from disk;
+* **tier 2 — coalescing + batching**: duplicate in-flight queries await
   one computation, and ``sweep`` batches fan through
   :func:`~repro.bench.parallel.execute_points` (``--jobs`` /
   ``REPRO_FARM``), so a sweep farm can back large backfills.
 
+Everything else computes cold: a full DES run on a freshly built
+machine, the same :func:`~repro.bench.parallel.run_point` call every
+sweep point makes.
+
 Entry points: ``repro serve`` (the server), ``repro query`` (the
-client), :mod:`repro.serve.bench` (the cold/warm/memoized/analytic
+client), :mod:`repro.serve.bench` (the cold/memoized/analytic
 queries-per-second benchmark behind the ``serve`` entry of
 ``BENCH_core.json``).
 """

@@ -3,19 +3,17 @@
 Measures the same three headline points (the section-V crossover
 protocols: ``tree-shaddr``, ``torus-shaddr``,
 ``allreduce-torus-shaddr``) through a **real loopback server** — socket,
-JSON framing and all — under four configurations:
+JSON framing and all — under three configurations:
 
-* **cold** — pools and memoization disabled: every query builds a fresh
-  machine and runs the DES (the serial-harness baseline);
-* **warm** — machine pool on, memoization off: the DES still runs, but
-  on a pooled machine (``rebase_time`` reuse);
-* **memo** — everything on: repeat queries are dictionary lookups;
+* **cold** — memoization disabled: every query builds a fresh machine
+  and runs the DES (the serial-harness baseline);
+* **memo** — memoization on: repeat queries are dictionary lookups;
 * **analytic** — memoization off, queries opt into the closed-form fast
   path; only points a validated law covers are recorded (the law's
   answers match the DES within probe tolerance, **not** bit-identically,
   so this sweep is never digest-compared against the others).
 
-The run **refuses to record** unless (a) every point's cold, warm and
+The run **refuses to record** unless (a) every point's cold and
 memoized digests are bit-identical — a served answer must be the serial
 answer, byte for byte — and (b) the memoized tier clears **100×** the
 cold queries/sec.  The recorded ``serve`` entry's tiers gate in CI via
@@ -53,7 +51,7 @@ POINTS: List[Tuple[str, str, str, int, int]] = [
 
 #: queries per point per tier (memo repeats dominate the qps signal; the
 #: expensive tiers get just enough repeats for a stable mean)
-REPEATS = {"cold": 2, "warm": 3, "memo": 200, "analytic": 5}
+REPEATS = {"cold": 2, "memo": 200, "analytic": 5}
 
 #: the headline acceptance bar: memoized answers at least this many
 #: times more queries/sec than cold simulation
@@ -82,10 +80,7 @@ def _measure_tier(tier: str, queries: List[dict], *,
     ``solver``/``analytic_hits``, plus qps riders) with each point's
     digest attached for the cross-tier identity gate.
     """
-    service = PredictionService(
-        use_pool=(tier != "cold"),
-        use_memo=(tier == "memo"),
-    )
+    service = PredictionService(use_memo=(tier == "memo"))
     repeats = REPEATS[tier]
     points = []
     solvers = set()
@@ -96,8 +91,8 @@ def _measure_tier(tier: str, queries: List[dict], *,
                 request = dict(query)
                 if analytic:
                     request["analytic"] = True
-                # Prime: pool construction / memo fill / analytic
-                # calibration happens here, outside the timed window.
+                # Prime: memo fill / analytic calibration happens here,
+                # outside the timed window.
                 if tier != "cold":
                     client.predict(**request)
                 start = time.perf_counter()
@@ -168,22 +163,20 @@ def run_benchmark(out: str, label: str, smoke: bool) -> Dict[str, dict]:
           f"3 points, repeats {REPEATS}")
     records = {
         "cold": _measure_tier("cold", queries),
-        "warm": _measure_tier("warm", queries),
         "memo": _measure_tier("memo", queries),
         "analytic": _measure_tier("analytic", queries, analytic=True),
     }
 
     # -- acceptance gates (refuse to record a lying entry) ----------------
     problems: List[str] = []
-    for cold_pt, warm_pt, memo_pt in zip(
-        records["cold"]["points"], records["warm"]["points"],
-        records["memo"]["points"],
+    for cold_pt, memo_pt in zip(
+        records["cold"]["points"], records["memo"]["points"],
     ):
-        digests = {cold_pt["digest"], warm_pt["digest"], memo_pt["digest"]}
-        if len(digests) != 1:
+        if cold_pt["digest"] != memo_pt["digest"]:
             problems.append(
-                f"{cold_pt['algorithm']} x={cold_pt['x']}: cold/warm/memo "
-                f"answers are not bit-identical ({sorted(digests)})"
+                f"{cold_pt['algorithm']} x={cold_pt['x']}: cold/memo "
+                f"answers are not bit-identical "
+                f"({cold_pt['digest']} vs {memo_pt['digest']})"
             )
     speedup = (
         records["memo"]["qps"] / records["cold"]["qps"]
@@ -203,7 +196,7 @@ def run_benchmark(out: str, label: str, smoke: bool) -> Dict[str, dict]:
 
     if not records["analytic"]["points"]:
         print("  (no analytic coverage at these sizes; entry records "
-              "cold/warm/memo only)")
+              "cold/memo only)")
         del records["analytic"]
 
     sweeps = {

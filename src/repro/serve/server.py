@@ -14,11 +14,13 @@ two concurrency tiers on top of the synchronous
   ``REPRO_FARM`` — the same executor/farm path every sweep driver uses,
   so a work-server full of pull-workers can back large backfills.
 
-All simulation happens on a **one-thread** executor: the warm machine
-pool is never touched by two computations at once, and the event loop
-stays free to answer ``stats``/``ping`` (and to coalesce) while a
-simulation runs.  Sweep batches run on that same thread; their worker
-processes (or the farm) provide the parallelism.
+All simulation happens on a **one-thread** executor.  The simulator is
+pure Python, so a second compute thread would only contend for the
+interpreter lock; one thread also means the memo and disk caches get at
+most one writer at a time.  The event loop stays free to answer
+``stats``/``ping`` (and to coalesce) while a simulation runs.  Sweep
+batches run on that same thread; their worker processes (or the farm)
+provide the parallelism.
 
 Protocol
 --------
@@ -87,8 +89,8 @@ class PredictionServer:
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopping: Optional[asyncio.Event] = None
-        # ONE compute thread: the warm pool is mutated by at most one
-        # simulation at a time, and results stay deterministic no matter
+        # ONE compute thread: pure-Python simulations gain nothing from
+        # more threads, and the caches see one writer at a time no matter
         # how many clients are connected.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-compute"

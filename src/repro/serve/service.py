@@ -14,15 +14,14 @@ possible, walking the tiers from cheapest to dearest:
 3. **analytic** — the validated closed-form laws of
    :mod:`repro.sim.analytic`, when the query opts in
    (``"analytic": true``) and the legality gate passes;
-4. **warm** — a full DES run on a pooled machine
-   (:class:`~repro.bench.warmpool.WarmMachinePool` — construction
-   amortized, results bit-identical to a fresh machine);
-5. **cold** — a full DES run on a freshly built machine.
+4. **cold** — a full DES run on a freshly built machine
+   (:func:`~repro.bench.parallel.run_point`, the same call every sweep
+   point goes through).
 
 Every served answer carries the SHA-256 of its pinned-protocol pickle
 (:func:`repro.bench.farm.pickle_digest`), so a client can prove that a
-memoized or warm-pool answer is **bit-identical** to a cold serial run —
-the same byte-identity currency the sweep farm journals.
+memoized or disk-cached answer is **bit-identical** to a cold serial
+run — the same byte-identity currency the sweep farm journals.
 
 Cache identity and invalidation
 -------------------------------
@@ -58,12 +57,12 @@ from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 from repro.bench.farm import pickle_digest
-from repro.bench.harness import FAMILY_SPECS, run_collective
-from repro.bench.warmpool import WarmMachinePool
+from repro.bench.harness import FAMILY_SPECS
+from repro.bench.parallel import run_point
 from repro.collectives.base import CollectiveResult
 from repro.collectives.registry import algorithm_info
 from repro.collectives.selection import select_protocol
-from repro.hardware.machine import Machine, Mode
+from repro.hardware.machine import Mode
 from repro.hardware.network import UnsupportedTopologyError, known_backends
 from repro.sim.config import resolve_solver_config
 from repro.telemetry.manifest import git_revision, spec_fingerprint
@@ -112,8 +111,7 @@ _SPEC_OPTIONAL = ("steady_state", "analytic")
 #: request fields the serving layer refuses (the service is timing-only
 #: and fault-free; these would silently change what "the same query"
 #: means or cannot cross the JSON boundary faithfully)
-_REFUSED_FIELDS = ("verify", "payload", "deadline_us", "working_set_override",
-                   "fresh_machine")
+_REFUSED_FIELDS = ("verify", "payload", "deadline_us", "working_set_override")
 
 _KNOWN_FIELDS = frozenset(
     ("family", "algorithm", "x", "faults")
@@ -230,8 +228,8 @@ def query_key(spec: dict) -> str:
     A :func:`spec_fingerprint` (the ``CampaignManifest`` identity,
     collapsed to one point) over the executable spec *plus* the resolved
     solver mode — two processes running different solver configurations
-    never share a key, so a cache can never serve a vectorized answer to
-    a slowpath client (they are bit-identical by construction, but the
+    never share a key, so a cache can never serve an incremental answer
+    to a slowpath client (they are bit-identical by construction, but the
     manifest's ``solver_mode`` attribution would lie).
     """
     keyed = dict(spec)
@@ -533,8 +531,7 @@ class ServiceStats:
     """
 
     tiers: Dict[str, int] = field(default_factory=lambda: {
-        "analytic": 0, "memo": 0, "disk": 0, "warm": 0, "cold": 0,
-        "batch": 0,
+        "analytic": 0, "memo": 0, "disk": 0, "cold": 0, "batch": 0,
     })
     coalesced: int = 0
     errors: int = 0
@@ -631,13 +628,12 @@ class ServiceStats:
 # -- the service ----------------------------------------------------------
 
 class PredictionService:
-    """Tier walker: memo -> disk -> (analytic | warm | cold) -> store.
+    """Tier walker: memo -> disk -> (analytic | cold) -> store.
 
-    ``use_pool=False`` builds a fresh machine per computation (the
-    benchmark's cold tier); ``max_memo``/``cache_path`` size the memo LRU
-    and enable the on-disk cache; ``analytic_default=True`` opts every
-    query into the analytic fast path unless it explicitly says
-    ``"analytic": false``.
+    ``max_memo``/``cache_path`` size the memo LRU and enable the on-disk
+    cache; ``use_memo=False`` turns both off (the benchmark's cold tier);
+    ``analytic_default=True`` opts every query into the analytic fast
+    path unless it explicitly says ``"analytic": false``.
 
     The service itself is synchronous and runs one simulation at a time;
     thread-safety of the *caches* is the caller's concern (the asyncio
@@ -648,19 +644,12 @@ class PredictionService:
         self,
         *,
         max_memo: int = 1024,
-        max_machines: Optional[int] = None,
         cache_path: Optional[str] = None,
-        use_pool: bool = True,
         use_memo: bool = True,
         analytic_default: bool = False,
     ):
         self.memo = MemoCache(max_memo)
         self.disk = DiskCache(cache_path) if cache_path else None
-        self.pool = (
-            WarmMachinePool(max_machines)
-            if use_pool and max_machines is not None
-            else (WarmMachinePool() if use_pool else None)
-        )
         self.use_memo = use_memo
         self.analytic_default = analytic_default
         # Per-instance registry (tests build many services; a process
@@ -693,35 +682,12 @@ class PredictionService:
 
     # -- compute (expensive; the server calls this off-loop) --------------
     def compute(self, spec: dict) -> Tuple[CachedAnswer, str]:
-        """Run the point through analytic/warm/cold; returns (answer, tier)."""
-        dims, mode = spec["dims"], spec["mode"]
-        wrap, network = spec["wrap"], spec["network"]
-        # A barrier installs no working set, so a pooled machine would
-        # leak the previous point's memory regime into it — always fresh
-        # (the same rule run_point applies).
-        if self.pool is not None and spec["family"] != "barrier":
-            machine, warm = self.pool.checkout(
-                dims, mode=mode, wrap=wrap, network=network,
-            )
-        else:
-            machine = Machine(
-                torus_dims=tuple(dims), mode=Mode[mode], wrap=wrap,
-                network=network,
-            )
-            warm = False
-        kwargs = {
-            key: spec[key]
-            for key in ("root", "iters", "seed", "window_caching",
-                        "steady_state", "analytic")
-            if key in spec
-        }
-        result = run_collective(
-            machine, spec["family"], spec["algorithm"], spec["x"], **kwargs
-        )
+        """Run the point through analytic/cold; returns (answer, tier)."""
+        result = run_point(spec)
         served_analytic = (
             result.manifest is not None and result.manifest.analytic
         )
-        tier = "analytic" if served_analytic else ("warm" if warm else "cold")
+        tier = "analytic" if served_analytic else "cold"
         answer = CachedAnswer(
             result=result, digest=pickle_digest(result), spec=spec,
         )
@@ -770,7 +736,6 @@ class PredictionService:
             "requests": snap["requests"],
             "memo": self.memo.stats() if self.use_memo else None,
             "disk": self.disk.stats() if self.disk is not None else None,
-            "pool": self.pool.stats() if self.pool is not None else None,
             "latency": _summarize_latencies(snap["latencies_s"]),
             "latency_by_tier": {
                 tier: _summarize_latencies(samples)
@@ -823,11 +788,6 @@ class PredictionService:
             reg.gauge(
                 "serve_disk_entries", "entries resident in the disk cache",
             ).set(len(self.disk))
-        if self.pool is not None:
-            pool = self.pool.stats()
-            reg.gauge(
-                "serve_pool_machines", "machines resident in the warm pool",
-            ).set(pool["machines"])
         reg.gauge(
             "serve_uptime_seconds", "seconds since service start",
         ).set(round(time.time() - self.started_at, 3))

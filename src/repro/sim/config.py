@@ -1,16 +1,14 @@
 """Solver-mode configuration, resolved at call time.
 
-The flow network has four solver altitudes (see ``docs/performance.md``):
+The flow network has three solver altitudes (see ``docs/performance.md``):
 the from-scratch **reference** traversal, the **incremental**
-component-cache fast path, the **vectorized** numpy fill kernel, and the
-**analytic** closed-form fast path that skips the DES entirely.  Three
-environment variables select between them:
+component-cache fast path, and the **analytic** closed-form fast path
+that skips the DES entirely.  Three environment variables select between
+them:
 
 * ``REPRO_SIM_SLOWPATH=1``  — reference traversal instead of incremental;
-* ``REPRO_SIM_VECTOR=0``    — scalar fill loop instead of the numpy kernel;
-* ``REPRO_SIM_DEBUG=1``     — cross-check accumulators, component caches,
-  and the vectorized kernel against from-scratch recomputation on every
-  resolve;
+* ``REPRO_SIM_DEBUG=1``     — cross-check accumulators and component
+  caches against from-scratch recomputation on every resolve;
 * ``REPRO_SIM_ANALYTIC=1``  — opt the measurement harness into the
   analytic steady-state model (:mod:`repro.sim.analytic`).
 
@@ -33,7 +31,6 @@ from typing import Optional
 #: environment variables, in one place
 ENV_SLOWPATH = "REPRO_SIM_SLOWPATH"
 ENV_DEBUG = "REPRO_SIM_DEBUG"
-ENV_VECTOR = "REPRO_SIM_VECTOR"
 ENV_ANALYTIC = "REPRO_SIM_ANALYTIC"
 
 
@@ -55,31 +52,26 @@ def env_flag(name: str, default: bool) -> bool:
 class SolverConfig:
     """Resolved solver modes plus which of them were explicitly pinned.
 
-    ``incremental``/``debug``/``vectorized`` are the effective modes; the
-    ``*_pinned`` flags record whether the value came from an explicit
-    argument (sticky across :func:`resolve_solver_config` refreshes) or
-    from the environment (re-read on every refresh).
+    ``incremental``/``debug`` are the effective modes; the ``*_pinned``
+    flags record whether the value came from an explicit argument (sticky
+    across :func:`resolve_solver_config` refreshes) or from the
+    environment (re-read on every refresh).
     """
 
     incremental: bool
     debug: bool
-    vectorized: bool
     incremental_pinned: bool = False
     debug_pinned: bool = False
-    vectorized_pinned: bool = False
 
     @property
     def mode(self) -> str:
         """The solver mode label recorded in manifests and BENCH entries."""
-        if not self.incremental:
-            return "slowpath"
-        return "vectorized" if self.vectorized else "incremental"
+        return "incremental" if self.incremental else "slowpath"
 
 
 def resolve_solver_config(
     incremental: Optional[bool] = None,
     debug: Optional[bool] = None,
-    vectorized: Optional[bool] = None,
     base: Optional[SolverConfig] = None,
 ) -> SolverConfig:
     """Resolve solver modes from explicit arguments and the environment.
@@ -87,7 +79,7 @@ def resolve_solver_config(
     Explicit (non-``None``) arguments win and become *pinned*.  ``None``
     falls back to a pinned value carried over from ``base`` (a previous
     resolution), else to the environment variable, else to the default
-    (incremental on, debug off, vectorized on).
+    (incremental on, debug off).
     """
 
     def pick(arg, pinned_value, env_name, default):
@@ -99,7 +91,6 @@ def resolve_solver_config(
 
     base_inc = base.incremental if base is not None and base.incremental_pinned else None
     base_dbg = base.debug if base is not None and base.debug_pinned else None
-    base_vec = base.vectorized if base is not None and base.vectorized_pinned else None
     # REPRO_SIM_SLOWPATH=1 means incremental OFF, hence the inversion.
     slow, inc_pinned = pick(
         None if incremental is None else (not incremental),
@@ -107,14 +98,11 @@ def resolve_solver_config(
         ENV_SLOWPATH, False,
     )
     dbg, dbg_pinned = pick(debug, base_dbg, ENV_DEBUG, False)
-    vec, vec_pinned = pick(vectorized, base_vec, ENV_VECTOR, True)
     return SolverConfig(
         incremental=not slow,
         debug=dbg,
-        vectorized=vec,
         incremental_pinned=inc_pinned,
         debug_pinned=dbg_pinned,
-        vectorized_pinned=vec_pinned,
     )
 
 

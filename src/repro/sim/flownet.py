@@ -38,18 +38,15 @@ component:
   graph traversal on every perturbation, exactly as the original solver
   did.
 
-Both paths feed identical progressive-filling code and produce
-bit-identical rates and completion times; the property suite asserts this
-on randomized flow graphs and on full collective scenarios.  The filling
-itself has two interchangeable kernels: the scalar loop and a vectorized
-numpy kernel over flat arrays (``_fill_vector``), dispatched for large
-components and disabled with ``REPRO_SIM_VECTOR=0`` — see
-:mod:`repro.sim.config` for how the mode flags resolve at call time.  Each
-resource additionally maintains running accumulators — ``load`` (weighted
-bytes/µs currently flowing) and the active weight sum — so per-event
-bookkeeping is O(1) instead of O(flows).  ``REPRO_SIM_DEBUG=1``
-cross-checks every accumulator against a from-scratch recomputation and
-runs both fill kernels on every component, demanding bit-exact agreement.
+Both paths feed the same progressive-filling loop (``_fill_scalar``) and
+produce bit-identical rates and completion times; the property suite
+asserts this on randomized flow graphs and on full collective scenarios.
+See :mod:`repro.sim.config` for how the mode flags resolve at call time.
+Each resource additionally maintains running accumulators — ``load``
+(weighted bytes/µs currently flowing) and the active weight sum — so
+per-event bookkeeping is O(1) instead of O(flows).  ``REPRO_SIM_DEBUG=1``
+cross-checks every accumulator and the component cache against a
+from-scratch recomputation on every fill.
 """
 
 from __future__ import annotations
@@ -62,39 +59,24 @@ from repro.sim.config import SolverConfig, resolve_solver_config
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event, Waitable
 
-try:  # numpy is a project dependency, but the core must degrade gracefully
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into the toolchain
-    _np = None
-
 _EPS_BYTES = 1e-6
 _EPS_RATE = 1e-9
-
-#: components smaller than this run the scalar fill loop even in
-#: vectorized mode — array setup costs more than it saves on tiny
-#: components (both paths are bit-identical, so this is purely a
-#: wall-clock dispatch threshold)
-_VECTOR_MIN_FLOWS = 512
 
 
 class FlowResource:
     """A capacity-constrained port/engine/link inside a :class:`FlowNetwork`."""
 
     __slots__ = (
-        "name", "capacity", "flows", "network", "component", "index",
+        "name", "capacity", "flows", "network", "component",
         "_busy_acc", "_busy_last", "_load", "_wsum",
         "_fill_slack", "_fill_wsum", "_fill_epoch", "_seen_epoch",
     )
 
-    def __init__(self, network: "FlowNetwork", name: str, capacity: float,
-                 index: int = 0):
+    def __init__(self, network: "FlowNetwork", name: str, capacity: float):
         if not capacity > 0:
             raise ValueError(f"resource {name!r}: capacity must be > 0")
         self.network = network
         self.name = name
-        #: position in ``network.resources`` — the stable id the vectorized
-        #: fill kernel uses to address flat per-resource arrays
-        self.index = index
         self.capacity = float(capacity)
         self.flows: Set["Flow"] = set()
         #: component-cache entry point (fast path); None when idle
@@ -189,8 +171,6 @@ class Flow(Waitable):
         "finished",
         "component",
         "seq",
-        "_ridx",
-        "_w",
     )
 
     def __init__(
@@ -219,11 +199,6 @@ class Flow(Waitable):
         self.generation = 0
         self.finished = False
         self.component: Optional["_Component"] = None
-        #: lazily built flat views of ``usage`` (resource indices, weights)
-        #: for the vectorized fill kernel; usage is frozen, so these never
-        #: need invalidation
-        self._ridx = None
-        self._w = None
 
     def subscribe(self, process) -> None:
         self.event.subscribe(process)
@@ -283,7 +258,6 @@ class FlowNetwork:
         engine: Engine,
         incremental: Optional[bool] = None,
         debug: Optional[bool] = None,
-        vectorized: Optional[bool] = None,
     ):
         self.engine = engine
         self.resources: List[FlowResource] = []
@@ -291,7 +265,7 @@ class FlowNetwork:
         self.bytes_completed = 0.0
         self.flows_completed = 0
         self.config: SolverConfig
-        self.configure(incremental, debug, vectorized)
+        self.configure(incremental, debug)
         self._fill_epoch = 0
         self._seen_epoch = 0
         self._flow_seq = 0
@@ -300,7 +274,6 @@ class FlowNetwork:
         self,
         incremental: Optional[bool] = None,
         debug: Optional[bool] = None,
-        vectorized: Optional[bool] = None,
     ) -> SolverConfig:
         """(Re-)resolve solver modes; explicit arguments pin, ``None`` tracks
         the environment (see :mod:`repro.sim.config`).
@@ -311,11 +284,10 @@ class FlowNetwork:
         """
         was_incremental = getattr(self, "incremental", None)
         self.config = resolve_solver_config(
-            incremental, debug, vectorized, base=getattr(self, "config", None)
+            incremental, debug, base=getattr(self, "config", None)
         )
         self.incremental = self.config.incremental
         self._debug = self.config.debug
-        self.vectorized = self.config.vectorized and _np is not None
         if self.incremental and was_incremental is False:
             seeds = [f for r in self.resources for f in r.flows]
             if seeds:
@@ -328,15 +300,13 @@ class FlowNetwork:
 
     @property
     def solver_mode(self) -> str:
-        """The effective solver label: slowpath / incremental / vectorized."""
-        if not self.incremental:
-            return "slowpath"
-        return "vectorized" if self.vectorized else "incremental"
+        """The effective solver label: slowpath / incremental."""
+        return self.config.mode
 
     # -- construction ---------------------------------------------------
     def add_resource(self, name: str, capacity: float) -> FlowResource:
         """Register a new resource (port, engine, or link)."""
-        resource = FlowResource(self, name, capacity, index=len(self.resources))
+        resource = FlowResource(self, name, capacity)
         self.resources.append(resource)
         return resource
 
@@ -575,13 +545,9 @@ class FlowNetwork:
         flows); the number of rounds is the number of distinct binding
         events, which is small in practice.
 
-        Two kernels implement the identical algorithm: the scalar loop
-        (:meth:`_fill_scalar`) and a flat-array numpy kernel
-        (:meth:`_fill_vector`) dispatched for components of at least
-        ``_VECTOR_MIN_FLOWS`` flows.  Every array operation maps 1:1 onto a
-        scalar IEEE operation in the same order, so the kernels are
-        bit-identical — debug mode runs both on *every* component and
-        asserts exact equality of all rates and loads.
+        The loop itself is :meth:`_fill_scalar`; this wrapper seeds its
+        per-fill scratch state and, in debug mode, checks the running
+        accumulators and the component cache first.
         """
         if not flows:
             return
@@ -597,43 +563,12 @@ class FlowNetwork:
                     resources.append(r)
         if self._debug:
             self._check_accumulators(flows, resources)
-            if self.vectorized:
-                # Dual-run cross-check on every component (no size gate):
-                # the vector kernel is pure, so run it first, let the
-                # scalar kernel write the canonical state, then demand
-                # bit-exact agreement.
-                rates, loads = self._fill_vector(flows, resources)
-                self._fill_scalar(flows, resources)
-                for index, flow in enumerate(flows):
-                    if flow.rate != rates[index]:
-                        raise SimulationError(
-                            f"vectorized fill diverged on flow "
-                            f"{flow.name!r}: scalar {flow.rate!r} "
-                            f"vs vector {rates[index]!r}"
-                        )
-                for index, r in enumerate(resources):
-                    if r._load != loads[index]:
-                        raise SimulationError(
-                            f"vectorized fill diverged on resource "
-                            f"{r.name!r} load: scalar {r._load!r} "
-                            f"vs vector {loads[index]!r}"
-                        )
-                return
-            self._fill_scalar(flows, resources)
-            return
-        if self.vectorized and len(flows) >= _VECTOR_MIN_FLOWS:
-            rates, loads = self._fill_vector(flows, resources)
-            for flow, rate in zip(flows, rates):
-                flow.rate = rate
-            for r, load in zip(resources, loads):
-                r._load = load
-            return
         self._fill_scalar(flows, resources)
 
     def _fill_scalar(
         self, flows: List[Flow], resources: List[FlowResource]
     ) -> None:
-        """Scalar progressive-filling kernel (the reference implementation).
+        """The progressive-filling loop for one component.
 
         Expects per-fill scratch (``_fill_slack``/``_fill_wsum``) already
         initialised by :meth:`_progressive_fill`.
@@ -702,131 +637,6 @@ class FlowNetwork:
             rate = flow.rate
             for r, w in flow.usage_items:
                 r._load += rate * w
-
-    def _fill_vector(
-        self, flows: List[Flow], resources: List[FlowResource]
-    ) -> Tuple[List[float], List[float]]:
-        """Vectorized progressive-filling kernel over flat numpy arrays.
-
-        Pure: reads capacities/weights/caps, returns ``(rates, loads)`` as
-        Python-float lists without touching flow or resource state — the
-        dispatcher writes results back (or, in debug mode, compares them
-        against the scalar kernel's).
-
-        Bit-exactness with :meth:`_fill_scalar` is by construction, not by
-        tolerance: every numpy operation below performs the *same* IEEE-754
-        double operations in the *same* order as the scalar loop —
-        elementwise divide/multiply/subtract map 1:1, ``np.min`` is exact
-        regardless of reduction order, saturation detection is a boolean
-        OR, and the two scatter-accumulations (``np.add.at``) process edges
-        in flow-major creation order, matching the scalar iteration, with
-        ``x + (-w)`` defined by IEEE to equal ``x - w`` exactly.
-        """
-        nf = len(flows)
-        nr = len(resources)
-        # Flat flow-major edge lists (flow._ridx/._w are cached per flow;
-        # usage is frozen after construction, so the caches never
-        # invalidate).  Plain-list extends + one np.array() beat
-        # concatenating hundreds of tiny per-flow arrays.
-        flat_r: List[int] = []
-        flat_w: List[float] = []
-        counts: List[int] = []
-        extend_r = flat_r.extend
-        extend_w = flat_w.extend
-        append_c = counts.append
-        for flow in flows:
-            ridx = flow._ridx
-            if ridx is None:
-                ridx = flow._ridx = [r.index for r in flow.usage]
-                flow._w = list(flow.usage.values())
-            extend_r(ridx)
-            extend_w(flow._w)
-            append_c(len(ridx))
-        if nr and flat_r:
-            edge_res_g = _np.array(flat_r, dtype=_np.intp)
-            edge_w = _np.array(flat_w, dtype=_np.float64)
-            edge_flow = _np.repeat(
-                _np.arange(nf, dtype=_np.intp),
-                _np.array(counts, dtype=_np.intp),
-            )
-            # Global resource indices -> positions in the local component
-            # arrays, via a scatter LUT (resource.index is its position in
-            # network.resources, unique by construction).
-            gidx = _np.fromiter(
-                (r.index for r in resources), dtype=_np.intp, count=nr
-            )
-            lut = _np.empty(int(gidx.max()) + 1, dtype=_np.intp)
-            lut[gidx] = _np.arange(nr, dtype=_np.intp)
-            edge_res = lut[edge_res_g]
-        else:
-            edge_res = _np.empty(0, dtype=_np.intp)
-            edge_w = _np.empty(0, dtype=_np.float64)
-            edge_flow = _np.empty(0, dtype=_np.intp)
-        slack = _np.fromiter(
-            (r.capacity for r in resources), dtype=_np.float64, count=nr
-        )
-        wsum = _np.fromiter(
-            (r._wsum for r in resources), dtype=_np.float64, count=nr
-        )
-        caps = _np.fromiter(
-            (f.cap for f in flows), dtype=_np.float64, count=nf
-        )
-        capse = caps - _EPS_RATE
-        rate = _np.zeros(nf, dtype=_np.float64)
-        active = _np.ones(nf, dtype=bool)
-        inf = math.inf
-        level = 0.0
-        while True:
-            live = wsum > _EPS_RATE
-            # Same per-element IEEE divide as the scalar loop; dead
-            # resources read as +inf and so never bind.
-            ratio = _np.divide(
-                slack, wsum, out=_np.full(nr, inf), where=live
-            )
-            alpha = float(ratio.min()) if nr else inf
-            min_cap = float(
-                _np.minimum.reduce(caps, where=active, initial=inf)
-            )
-            d = min_cap - level
-            if d < alpha:
-                alpha = d
-            if math.isinf(alpha):
-                names = ", ".join(
-                    flows[i].name for i in _np.flatnonzero(active)[:4]
-                )
-                raise SimulationError(
-                    f"unconstrained flows in component: {names}"
-                )
-            if alpha < 0.0:
-                alpha = 0.0
-            level += alpha
-            _np.subtract(slack, wsum * alpha, out=slack, where=live)
-            cap_frozen = active & (level >= capse)
-            if edge_res.size:
-                sat_edges = (slack <= _EPS_RATE)[edge_res]
-                flow_sat = (
-                    _np.bincount(edge_flow[sat_edges], minlength=nf) > 0
-                )
-                sat_frozen = active & ~cap_frozen & flow_sat
-            else:
-                sat_frozen = _np.zeros(nf, dtype=bool)
-            frozen = cap_frozen | sat_frozen
-            if not frozen.any():
-                raise SimulationError(
-                    "progressive filling failed to converge (numerical issue)"
-                )
-            rate[cap_frozen] = caps[cap_frozen]
-            rate[sat_frozen] = level
-            if edge_res.size:
-                fe = frozen[edge_flow]
-                _np.add.at(wsum, edge_res[fe], -edge_w[fe])
-            active &= ~frozen
-            if not active.any():
-                break
-        loads = _np.zeros(nr, dtype=_np.float64)
-        if edge_res.size:
-            _np.add.at(loads, edge_res, rate[edge_flow] * edge_w)
-        return rate.tolist(), loads.tolist()
 
     def _check_accumulators(
         self, flows: List[Flow], resources: List[FlowResource]

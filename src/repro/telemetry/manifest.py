@@ -71,9 +71,10 @@ class RunManifest:
     rollups: Dict[str, float] = field(default_factory=dict)
     #: filled on export (never during timed runs — see :func:`git_revision`)
     git_rev: Optional[str] = None
-    #: fair-share solver the run's flow network used
-    #: ("incremental" / "vectorized" / "slowpath"); defaulted so manifests
-    #: recorded before the field existed still load
+    #: fair-share solver the run's flow network used ("incremental" /
+    #: "slowpath"; manifests recorded while the numpy fill kernel existed
+    #: may say "vectorized"); defaulted so manifests recorded before the
+    #: field existed still load
     solver_mode: str = "incremental"
     #: True when the point was served by the closed-form fast path of
     #: :mod:`repro.sim.analytic` instead of the DES
@@ -280,7 +281,7 @@ def bench_entry_solver(entry: dict) -> str:
 
 #: synthetic sweep name used when a label narrows to one sweep — both
 #: sides of the comparison get it, so differently-named sweeps of the
-#: same points (the serve entry's cold/warm/memo tiers) compare pointwise
+#: same points (the serve entry's cold/memo tiers) compare pointwise
 _SWEEP_VIEW = "<sweep>"
 
 
@@ -336,11 +337,11 @@ def compare_bench(bench: dict, base_label: str, new_label: str,
     through this with ``tolerance=0``).
 
     Entries recorded under different solver configurations (incremental
-    vs vectorized vs slowpath, analytic fast path on or off) are refused
-    by default: a drift between them would be attributed to the code under
-    test when it may belong to the solver switch.  Deliberate cross-solver
-    gates — e.g. asserting the vectorized kernel is bit-identical to the
-    incremental baseline — pass ``allow_cross_solver=True``.
+    vs slowpath, analytic fast path on or off) are refused by default: a
+    drift between them would be attributed to the code under test when it
+    may belong to the solver switch.  Deliberate cross-solver gates — e.g.
+    asserting the incremental solver is bit-identical to the slowpath
+    reference — pass ``allow_cross_solver=True``.
     """
     entries = bench.get("entries", {})
     drifts: List[str] = []

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.bench import run_allgather
-from repro.collectives.registry import (
-    allgather_algorithm,
-    list_allgather_algorithms,
-)
+from repro.collectives.registry import get_algorithm, list_algorithms
 from repro.hardware import Machine, Mode
 
 ALGOS = ["allgather-ring-current", "allgather-ring-shaddr"]
@@ -55,9 +52,9 @@ class TestAllgatherCorrectness:
         assert len(result.iterations_us) == 3
 
     def test_registry(self):
-        assert list_allgather_algorithms() == sorted(ALGOS)
+        assert list_algorithms("allgather") == sorted(ALGOS)
         with pytest.raises(KeyError):
-            allgather_algorithm("nope")
+            get_algorithm("allgather", "nope")
 
 
 class TestAllgatherShape:

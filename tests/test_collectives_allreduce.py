@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.bench import run_allreduce
-from repro.collectives.registry import allreduce_algorithm
+from repro.collectives.registry import get_algorithm
 from repro.hardware import Machine, Mode
 
 ALGOS = ["allreduce-torus-current", "allreduce-torus-shaddr", "allreduce-tree"]
@@ -68,7 +68,7 @@ class TestAllreduceCorrectness:
 
     def test_unknown_algorithm(self):
         with pytest.raises(KeyError):
-            allreduce_algorithm("nope")
+            get_algorithm("allreduce", "nope")
 
 
 class TestAllreducePerformanceShape:

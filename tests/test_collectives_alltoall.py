@@ -3,10 +3,7 @@
 import pytest
 
 from repro.bench.harness import run_alltoall
-from repro.collectives.registry import (
-    alltoall_algorithm,
-    list_alltoall_algorithms,
-)
+from repro.collectives.registry import get_algorithm, list_algorithms
 from repro.hardware import Machine, Mode
 
 ALGOS = ["alltoall-shift-current", "alltoall-shift-shaddr"]
@@ -59,9 +56,9 @@ class TestAlltoallCorrectness:
         assert len(result.iterations_us) == 2
 
     def test_registry(self):
-        assert list_alltoall_algorithms() == sorted(ALGOS)
+        assert list_algorithms("alltoall") == sorted(ALGOS)
         with pytest.raises(KeyError):
-            alltoall_algorithm("nope")
+            get_algorithm("alltoall", "nope")
 
 
 class TestAlltoallShape:

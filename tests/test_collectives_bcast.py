@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.bench import run_bcast
-from repro.collectives.registry import bcast_algorithm, select_bcast
+from repro.collectives.registry import get_algorithm, select_protocol
 from repro.hardware import Machine, Mode
 
 QUAD_ALGOS = [
@@ -110,7 +110,7 @@ class TestBcastModeGuards:
 
     def test_unknown_algorithm(self):
         with pytest.raises(KeyError):
-            bcast_algorithm("nope")
+            get_algorithm("bcast", "nope")
 
 
 class TestBcastPerformanceShape:
@@ -182,14 +182,14 @@ class TestBcastPerformanceShape:
 
 class TestSelection:
     def test_short_messages_use_shmem_tree(self):
-        assert select_bcast(256, ppn=4) == "tree-shmem"
+        assert select_protocol("bcast", 256, 4) == "tree-shmem"
 
     def test_medium_messages_use_shaddr_tree(self):
-        assert select_bcast(128 * 1024, ppn=4) == "tree-shaddr"
+        assert select_protocol("bcast", 128 * 1024, 4) == "tree-shaddr"
 
     def test_large_messages_use_torus(self):
-        assert select_bcast(2 * 1024 * 1024, ppn=4) == "torus-shaddr"
+        assert select_protocol("bcast", 2 * 1024 * 1024, 4) == "torus-shaddr"
 
     def test_smp_mode_uses_hardware_protocols(self):
-        assert select_bcast(1024, ppn=1) == "tree-smp"
-        assert select_bcast(4 * 1024 * 1024, ppn=1) == "torus-direct-put-smp"
+        assert select_protocol("bcast", 1024, 1) == "tree-smp"
+        assert select_protocol("bcast", 4 * 1024 * 1024, 1) == "torus-direct-put-smp"

@@ -3,14 +3,7 @@
 import pytest
 
 from repro.bench.harness import run_barrier, run_reduce, run_scatter
-from repro.collectives.registry import (
-    barrier_algorithm,
-    list_barrier_algorithms,
-    list_reduce_algorithms,
-    list_scatter_algorithms,
-    reduce_algorithm,
-    scatter_algorithm,
-)
+from repro.collectives.registry import get_algorithm, list_algorithms
 from repro.hardware import Machine, Mode
 
 REDUCE_ALGOS = ["reduce-torus-current", "reduce-torus-shaddr"]
@@ -76,9 +69,9 @@ class TestReduce:
         assert reduce_t < allreduce_t
 
     def test_registry(self):
-        assert list_reduce_algorithms() == sorted(REDUCE_ALGOS)
+        assert list_algorithms("reduce") == sorted(REDUCE_ALGOS)
         with pytest.raises(KeyError):
-            reduce_algorithm("nope")
+            get_algorithm("reduce", "nope")
 
 
 class TestScatter:
@@ -108,9 +101,9 @@ class TestScatter:
         assert run_scatter(m, algorithm, block_bytes=0).elapsed_us >= 0
 
     def test_registry(self):
-        assert list_scatter_algorithms() == sorted(SCATTER_ALGOS)
+        assert list_algorithms("scatter") == sorted(SCATTER_ALGOS)
         with pytest.raises(KeyError):
-            scatter_algorithm("nope")
+            get_algorithm("scatter", "nope")
 
 
 class TestBarrier:
@@ -144,6 +137,6 @@ class TestBarrier:
         assert run_barrier(m, algorithm).elapsed_us > 0
 
     def test_registry(self):
-        assert list_barrier_algorithms() == sorted(BARRIER_ALGOS)
+        assert list_algorithms("barrier") == sorted(BARRIER_ALGOS)
         with pytest.raises(KeyError):
-            barrier_algorithm("nope")
+            get_algorithm("barrier", "nope")

@@ -3,10 +3,7 @@
 import pytest
 
 from repro.bench.harness import run_gather
-from repro.collectives.registry import (
-    gather_algorithm,
-    list_gather_algorithms,
-)
+from repro.collectives.registry import get_algorithm, list_algorithms
 from repro.hardware import Machine, Mode
 
 ALGOS = ["gather-ring-current", "gather-ring-shaddr"]
@@ -55,9 +52,9 @@ class TestGatherCorrectness:
         assert len(result.iterations_us) == 3
 
     def test_registry(self):
-        assert list_gather_algorithms() == sorted(ALGOS)
+        assert list_algorithms("gather") == sorted(ALGOS)
         with pytest.raises(KeyError):
-            gather_algorithm("nope")
+            get_algorithm("gather", "nope")
 
 
 class TestGatherShape:

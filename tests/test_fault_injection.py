@@ -14,7 +14,6 @@ from repro.hardware.fault_schedule import (
     WindowFault,
 )
 from repro.hardware.faults import (
-    DegradedMemoryMachine,
     JitterInjector,
     degrade_node_dma,
     degrade_node_memory,
@@ -157,12 +156,6 @@ class TestInjectorPersistence:
         assert m.nodes[1].mem.capacity == pytest.approx(0.5 * baseline)
         # Untouched nodes are reinstalled clean.
         assert m.nodes[0].mem.capacity == pytest.approx(baseline)
-
-    def test_degraded_memory_machine_shim_delegates(self):
-        m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        wrapped = DegradedMemoryMachine(m, node=0, factor=0.5)
-        assert wrapped.nnodes == m.nnodes
-        assert wrapped.machine is m
 
     def test_removed_hook_stops_reapplying(self):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)

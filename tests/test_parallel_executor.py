@@ -30,7 +30,6 @@ from repro.bench.parallel import (
     resolve_jobs,
     resolve_timeout,
     run_point,
-    warm_machine,
 )
 from repro.bench.sweep import run_sweep
 from repro.hardware.machine import Machine, Mode
@@ -77,33 +76,6 @@ class TestResolveJobs:
             resolve_jobs(None)
 
 
-# -- warm-machine reuse --------------------------------------------------
-
-class TestWarmMachine:
-    def test_reused_machine_is_bit_identical_to_fresh(self):
-        from repro.bench.harness import run_collective
-
-        fresh = run_collective(
-            Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD),
-            "bcast", "tree-shaddr", 16384, iters=3,
-        )
-        # Prime the cache with an unrelated point, then reuse.
-        warm = warm_machine((2, 2, 2))
-        run_collective(warm, "bcast", "torus-shaddr", 4096, iters=2)
-        reused = run_collective(
-            warm_machine((2, 2, 2)), "bcast", "tree-shaddr", 16384, iters=3,
-        )
-        assert reused.elapsed_us == fresh.elapsed_us
-        assert reused.iterations_us == fresh.iterations_us
-
-    def test_cache_is_keyed_on_geometry(self):
-        a = warm_machine((2, 2, 1))
-        b = warm_machine((2, 2, 1), mode="SMP")
-        c = warm_machine((2, 2, 1))
-        assert a is not b
-        assert a is c
-
-
 # -- byte-identical parallel sweeps --------------------------------------
 
 class TestParallelSweepEquivalence:
@@ -137,7 +109,7 @@ class TestParallelSweepEquivalence:
         # spawn-started interpreter and the result comes back intact.
         spec = {"family": "bcast", "algorithm": "tree-shaddr", "x": 4096,
                 "dims": (2, 2, 1), "mode": "QUAD", "iters": 1}
-        serial = run_point({**spec, "fresh_machine": True})
+        serial = run_point(spec)
         with ParallelExecutor(2, start_method="spawn") as executor:
             (remote,) = executor.map(run_point, [spec])
         assert remote.elapsed_us == serial.elapsed_us

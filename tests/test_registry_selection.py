@@ -88,19 +88,6 @@ class TestRegistryMetadata:
         with pytest.raises(KeyError):
             list_algorithms("scan")
 
-    def test_deprecated_shims_forward(self):
-        assert registry.bcast_algorithm("torus-shaddr") is get_algorithm(
-            "bcast", "torus-shaddr"
-        )
-        assert registry.list_bcast_algorithms() == list_algorithms("bcast")
-        assert registry.list_barrier_algorithms() == list_algorithms("barrier")
-        assert registry.reduce_algorithm(
-            "reduce-torus-current"
-        ) is get_algorithm("reduce", "reduce-torus-current")
-        assert registry.select_bcast(1024, 4) == select_protocol(
-            "bcast", 1024, 4
-        )
-
     def test_duplicate_registration_rejected(self):
         cls = get_algorithm("bcast", "torus-shaddr")
 
@@ -278,9 +265,3 @@ class TestMachineCheckRank:
         machine.check_rank(0)
         with pytest.raises(ValueError):
             machine.check_rank(machine.nprocs)
-
-    def test_deprecated_alias(self):
-        machine = Machine(**QUAD211)
-        assert Machine._check_rank is Machine.check_rank
-        with pytest.raises(ValueError):
-            machine._check_rank(-1)

@@ -200,13 +200,13 @@ class TestMetricsRegistry:
             4, tier="memo",
         )
         registry.counter("answers_total").inc(1, tier="cold")
-        registry.gauge("pool_machines", "warm pool size").set(3)
+        registry.gauge("memo_entries", "entries in the memo LRU").set(3)
         text = registry.dump_metrics()
         assert "# TYPE answers_total counter" in text
         assert "# HELP answers_total answers by tier" in text
         parsed = parse_prometheus(text)
         assert parsed["answers_total"] == {"tier=memo": 4.0, "tier=cold": 1.0}
-        assert parsed["pool_machines"][""] == 3.0
+        assert parsed["memo_entries"][""] == 3.0
 
     def test_set_total_syncs_external_tally(self):
         counter = MetricsRegistry().counter("synced_total")
@@ -349,7 +349,7 @@ class TestServiceStatsConcurrency:
     def test_no_lost_updates_under_contention(self):
         registry = MetricsRegistry()
         stats = ServiceStats(registry=registry)
-        tiers = ("memo", "cold", "warm", "analytic")
+        tiers = ("memo", "cold", "disk", "analytic")
         rounds = 200
 
         def hammer(tier):

@@ -2,8 +2,8 @@
 
 The invariants under test mirror ``docs/serving.md``:
 
-* **bit-identity** — a warm-pool, memoized, or disk-cached answer is
-  byte-for-byte the cold serial harness's answer (same pickle digest),
+* **bit-identity** — a cold, memoized, or disk-cached answer is
+  byte-for-byte the serial harness's answer (same pickle digest),
   across the three headline protocols;
 * **cache hygiene** — the on-disk cache refuses entries recorded at a
   different git revision or with a tampered spec/payload (stale results
@@ -11,8 +11,8 @@ The invariants under test mirror ``docs/serving.md``:
   write;
 * **coalescing** — concurrent duplicate queries provably collapse onto
   one simulation;
-* **observability** — tier hit counters, pool occupancy and latency
-  percentiles reflect what actually happened.
+* **observability** — tier hit counters and latency percentiles
+  reflect what actually happened.
 
 Everything runs in-process: servers bind ephemeral loopback ports and
 clients are threads, exactly like the farm tests.
@@ -29,7 +29,6 @@ import pytest
 
 from repro.bench.farm import pickle_digest
 from repro.bench.harness import run_collective
-from repro.bench.warmpool import WarmMachinePool
 from repro.hardware.machine import Machine, Mode
 from repro.serve.client import ServeClient, ServeRequestError, parse_address
 from repro.serve.server import start_background_server
@@ -61,59 +60,6 @@ def _direct_digest(query: dict) -> str:
         iters=query["iters"],
     )
     return pickle_digest(result)
-
-
-# -- warm machine pool ----------------------------------------------------
-
-class TestWarmMachinePool:
-    def test_checkout_reuses_per_geometry(self):
-        pool = WarmMachinePool()
-        first, warm_first = pool.checkout((2, 2, 2))
-        second, warm_second = pool.checkout((2, 2, 2))
-        assert not warm_first and warm_second
-        assert first is second
-        other, warm_other = pool.checkout((2, 2, 1))
-        assert not warm_other and other is not first
-
-    def test_keying_covers_mode_wrap_network(self):
-        pool = WarmMachinePool()
-        base, _ = pool.checkout((2, 2, 2))
-        assert pool.checkout((2, 2, 2), mode="SMP")[0] is not base
-        assert pool.checkout((2, 2, 2), wrap=False)[0] is not base
-        assert pool.checkout((2, 2, 2), network="fattree")[0] is not base
-        # Mode enum and its name are the same key.
-        assert pool.checkout((2, 2, 2), mode=Mode.QUAD)[0] is base
-
-    def test_lru_eviction_is_bounded(self):
-        pool = WarmMachinePool(max_machines=2)
-        a, _ = pool.checkout((2, 1, 1))
-        pool.checkout((2, 2, 1))
-        pool.checkout((2, 2, 2))  # evicts (2,1,1)
-        assert pool.occupancy() == 2
-        assert pool.evictions == 1
-        rebuilt, warm = pool.checkout((2, 1, 1))
-        assert not warm and rebuilt is not a
-
-    def test_stats_counters(self):
-        pool = WarmMachinePool()
-        pool.checkout((2, 2, 2))
-        pool.checkout((2, 2, 2))
-        stats = pool.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["machines"] == 1
-
-    def test_pooled_machine_results_bit_identical(self):
-        pool = WarmMachinePool()
-        query = HEADLINE[0]
-        machine, _ = pool.checkout((2, 2, 2))
-        run_collective(machine, "bcast", "tree-shaddr", 4096, iters=1)
-        reused, warm = pool.checkout((2, 2, 2))
-        assert warm
-        result = run_collective(
-            reused, query["family"], query["algorithm"], query["x"],
-            iters=query["iters"],
-        )
-        assert pickle_digest(result) == _direct_digest(query)
 
 
 # -- normalization and cache keys -----------------------------------------
@@ -193,21 +139,21 @@ class TestMemoCache:
 class TestTierBitIdentity:
     @pytest.mark.parametrize("query", HEADLINE,
                              ids=[q["algorithm"] for q in HEADLINE])
-    def test_cold_warm_memo_identical_to_serial_harness(self, query):
+    def test_cold_memo_identical_to_serial_harness(self, query):
         expected = _direct_digest(query)
 
-        cold = PredictionService(use_pool=False, use_memo=False)
+        cold = PredictionService(use_memo=False)
         cold_response = cold.serve(query)
         assert cold_response["tier"] == "cold"
         assert cold_response["digest"] == expected
 
-        warm = PredictionService(use_memo=False)
-        # Prime the pool with a *different* point of the same geometry so
-        # the measured query really runs on a reused machine.
-        warm.serve({**query, "x": query["x"] // 2})
-        warm_response = warm.serve(query)
-        assert warm_response["tier"] == "warm"
-        assert warm_response["digest"] == expected
+        # A service that has already computed a *different* point of the
+        # same geometry still builds a fresh machine for the next one.
+        primed = PredictionService(use_memo=False)
+        primed.serve({**query, "x": query["x"] // 2})
+        primed_response = primed.serve(query)
+        assert primed_response["tier"] == "cold"
+        assert primed_response["digest"] == expected
 
         memo = PredictionService()
         memo.serve(query)
@@ -238,9 +184,13 @@ class TestTierBitIdentity:
                        "x": 4096})
         response = service.serve({"family": "barrier",
                                   "algorithm": "barrier-gi", "x": 0})
-        # The pool holds a (2,2,2) machine, but a barrier must not reuse
-        # it (no working set installed) — it computes cold.
+        # A barrier installs no working set, so it must never run on a
+        # machine a previous point configured — it computes cold, with
+        # the answer of a barrier on a fresh machine.
         assert response["tier"] == "cold"
+        assert response["digest"] == _direct_digest(
+            {"family": "barrier", "algorithm": "barrier-gi", "x": 0,
+             "iters": 1})
 
 
 # -- the on-disk cache -----------------------------------------------------
@@ -491,7 +441,7 @@ class TestServer:
                 des = client.predict(family="bcast", algorithm="tree-shaddr",
                                      x=65536, iters=2, analytic=False)
         assert served["tier"] == "analytic"
-        assert des["tier"] in ("cold", "warm")
+        assert des["tier"] == "cold"
         assert served["elapsed_us"] == pytest.approx(
             des["elapsed_us"], rel=5e-3,
         )
@@ -541,13 +491,13 @@ class TestBenchSweepViews:
                   {"x": 8192, "elapsed_us": 200.0}]
         return {"entries": {"serve": {
             "smoke": False,
-            "solver": "vectorized",
+            "solver": "incremental",
             "sweeps": {
-                "cold": {"solver": "vectorized", "analytic_hits": 0,
+                "cold": {"solver": "incremental", "analytic_hits": 0,
                          "points": [dict(p) for p in points]},
-                "memo": {"solver": "vectorized", "analytic_hits": 0,
+                "memo": {"solver": "incremental", "analytic_hits": 0,
                          "points": [dict(p) for p in points]},
-                "analytic": {"solver": "vectorized", "analytic_hits": 2,
+                "analytic": {"solver": "incremental", "analytic_hits": 2,
                              "points": [dict(p) for p in points]},
             },
         }}}

@@ -16,14 +16,13 @@ from repro.sim.config import (
     ENV_ANALYTIC,
     ENV_DEBUG,
     ENV_SLOWPATH,
-    ENV_VECTOR,
     SolverConfig,
     analytic_enabled,
     env_flag,
     resolve_solver_config,
 )
 
-ALL_ENV = (ENV_SLOWPATH, ENV_DEBUG, ENV_VECTOR, ENV_ANALYTIC)
+ALL_ENV = (ENV_SLOWPATH, ENV_DEBUG, ENV_ANALYTIC)
 
 
 @pytest.fixture(autouse=True)
@@ -37,75 +36,67 @@ def _clean_env(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_env_flag_parses_only_zero_and_one(monkeypatch):
-    assert env_flag(ENV_VECTOR, True) is True
-    assert env_flag(ENV_VECTOR, False) is False
-    monkeypatch.setenv(ENV_VECTOR, "1")
-    assert env_flag(ENV_VECTOR, False) is True
-    monkeypatch.setenv(ENV_VECTOR, "0")
-    assert env_flag(ENV_VECTOR, True) is False
+    assert env_flag(ENV_DEBUG, True) is True
+    assert env_flag(ENV_DEBUG, False) is False
+    monkeypatch.setenv(ENV_DEBUG, "1")
+    assert env_flag(ENV_DEBUG, False) is True
+    monkeypatch.setenv(ENV_DEBUG, "0")
+    assert env_flag(ENV_DEBUG, True) is False
     # stray values keep the documented default instead of guessing
-    monkeypatch.setenv(ENV_VECTOR, "yes")
-    assert env_flag(ENV_VECTOR, True) is True
-    assert env_flag(ENV_VECTOR, False) is False
+    monkeypatch.setenv(ENV_DEBUG, "yes")
+    assert env_flag(ENV_DEBUG, True) is True
+    assert env_flag(ENV_DEBUG, False) is False
 
 
 # ---------------------------------------------------------------------------
 # resolve_solver_config: defaults, env, pinning
 # ---------------------------------------------------------------------------
 
-def test_defaults_are_incremental_vectorized_no_debug():
+def test_defaults_are_incremental_no_debug():
     config = resolve_solver_config()
-    assert (config.incremental, config.debug, config.vectorized) == (
-        True, False, True,
-    )
-    assert not (
-        config.incremental_pinned
-        or config.debug_pinned
-        or config.vectorized_pinned
-    )
-    assert config.mode == "vectorized"
+    assert (config.incremental, config.debug) == (True, False)
+    assert not (config.incremental_pinned or config.debug_pinned)
+    assert config.mode == "incremental"
 
 
 def test_mode_labels():
-    assert SolverConfig(False, False, False).mode == "slowpath"
-    assert SolverConfig(True, False, False).mode == "incremental"
-    assert SolverConfig(True, False, True).mode == "vectorized"
-    # slowpath wins the label even if the vector knob is nominally on
-    assert SolverConfig(False, False, True).mode == "slowpath"
+    assert SolverConfig(False, False).mode == "slowpath"
+    assert SolverConfig(True, False).mode == "incremental"
+    # debug cross-checks never change the label
+    assert SolverConfig(True, True).mode == "incremental"
+    assert SolverConfig(False, True).mode == "slowpath"
 
 
 def test_env_variables_steer_unpinned_fields(monkeypatch):
     monkeypatch.setenv(ENV_SLOWPATH, "1")
-    monkeypatch.setenv(ENV_VECTOR, "0")
     monkeypatch.setenv(ENV_DEBUG, "1")
     config = resolve_solver_config()
     assert config.mode == "slowpath"
     assert config.debug is True
-    assert config.vectorized is False
 
 
 def test_explicit_arguments_pin_across_refreshes(monkeypatch):
-    pinned = resolve_solver_config(incremental=False, vectorized=False)
+    pinned = resolve_solver_config(incremental=False, debug=False)
     assert pinned.mode == "slowpath"
-    assert pinned.incremental_pinned and pinned.vectorized_pinned
-    # Environment now says the opposite; the pins must win on refresh...
+    assert pinned.incremental_pinned and pinned.debug_pinned
+    # Environment now says the opposite; the pins must win on refresh.
     monkeypatch.setenv(ENV_SLOWPATH, "0")
-    monkeypatch.setenv(ENV_VECTOR, "1")
+    monkeypatch.setenv(ENV_DEBUG, "1")
     refreshed = resolve_solver_config(base=pinned)
     assert refreshed.mode == "slowpath"
-    assert refreshed.vectorized is False
-    # ...while the unpinned debug field keeps tracking the environment.
-    monkeypatch.setenv(ENV_DEBUG, "1")
-    assert resolve_solver_config(base=pinned).debug is True
+    assert refreshed.debug is False
 
 
 def test_unpinned_fields_track_environment_between_refreshes(monkeypatch):
-    base = resolve_solver_config()
-    assert base.vectorized is True
-    monkeypatch.setenv(ENV_VECTOR, "0")
-    assert resolve_solver_config(base=base).vectorized is False
-    monkeypatch.delenv(ENV_VECTOR)
-    assert resolve_solver_config(base=base).vectorized is True
+    base = resolve_solver_config(incremental=True)
+    assert base.debug is False
+    monkeypatch.setenv(ENV_DEBUG, "1")
+    assert resolve_solver_config(base=base).debug is True
+    monkeypatch.delenv(ENV_DEBUG)
+    assert resolve_solver_config(base=base).debug is False
+    # the pinned field ignores the environment throughout
+    monkeypatch.setenv(ENV_SLOWPATH, "1")
+    assert resolve_solver_config(base=base).incremental is True
 
 
 # ---------------------------------------------------------------------------
@@ -114,19 +105,19 @@ def test_unpinned_fields_track_environment_between_refreshes(monkeypatch):
 
 def test_flownet_refresh_sees_env_change_after_construction(monkeypatch):
     net = FlowNetwork(Engine())
-    assert net.solver_mode == "vectorized"
+    assert net.solver_mode == "incremental"
     monkeypatch.setenv(ENV_SLOWPATH, "1")
     # Construction-time snapshot would miss this; refresh must not.
     net.refresh_config()
     assert net.solver_mode == "slowpath"
     monkeypatch.delenv(ENV_SLOWPATH)
     net.refresh_config()
-    assert net.solver_mode == "vectorized"
+    assert net.solver_mode == "incremental"
 
 
 def test_flownet_explicit_configure_survives_refresh(monkeypatch):
     net = FlowNetwork(Engine())
-    net.configure(incremental=False, vectorized=False)
+    net.configure(incremental=False)
     assert net.solver_mode == "slowpath"
     monkeypatch.setenv(ENV_SLOWPATH, "0")
     net.refresh_config()
@@ -169,12 +160,11 @@ def test_harness_rereads_env_per_run(monkeypatch):
     construction must steer the very next run (manifest records it)."""
     machine = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
     result = run_collective(machine, "bcast", "tree-shaddr", 4096)
-    assert result.manifest.solver_mode == "vectorized"
+    assert result.manifest.solver_mode == "incremental"
     monkeypatch.setenv(ENV_SLOWPATH, "1")
     result = run_collective(machine, "bcast", "tree-shaddr", 4096)
     assert result.manifest.solver_mode == "slowpath"
     monkeypatch.delenv(ENV_SLOWPATH)
-    monkeypatch.setenv(ENV_VECTOR, "0")
     result = run_collective(machine, "bcast", "tree-shaddr", 4096)
     assert result.manifest.solver_mode == "incremental"
 

@@ -1,26 +1,18 @@
-"""Three-way solver equivalence: slowpath / incremental / vectorized.
+"""Two-way solver equivalence: slowpath / incremental.
 
-The fair-share solver has three altitudes (``docs/performance.md``): the
-from-scratch reference traversal, the component-cache incremental path,
-and the numpy fill kernel on top of it.  These tests pin the contract
-that all three produce bit-identical results — on randomized flow graphs,
-and through real collectives with mid-window capacity faults — and that
-``compare_bench`` refuses to diff BENCH entries recorded under different
-solvers unless explicitly allowed.
-
-The vector kernel only engages on components with at least
-``_VECTOR_MIN_FLOWS`` flows, so these tests drop the threshold to zero
-(``vector_kernel_forced``) — otherwise every 2x2x2 graph would silently
-take the scalar path and the "vectorized" leg would test nothing.
+The fair-share solver has two DES altitudes (``docs/performance.md``):
+the from-scratch reference traversal and the component-cache incremental
+path.  These tests pin the contract that both produce bit-identical
+results — on randomized flow graphs, and through real collectives with
+mid-window capacity faults — and that ``compare_bench`` refuses to diff
+BENCH entries recorded under different solvers unless explicitly
+allowed.
 """
-
-import contextlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.sim.flownet as flownet_mod
 from repro.bench.harness import run_collective
 from repro.hardware.fault_schedule import (
     FaultSchedule,
@@ -35,21 +27,9 @@ from repro.telemetry import bench_entry_solver, compare_bench
 #: solver label -> FlowNetwork.configure pins (explicit, so they survive
 #: the harness's per-run refresh_config)
 SOLVERS = {
-    "slowpath": {"incremental": False, "vectorized": False},
-    "incremental": {"incremental": True, "vectorized": False},
-    "vectorized": {"incremental": True, "vectorized": True},
+    "slowpath": {"incremental": False},
+    "incremental": {"incremental": True},
 }
-
-
-@contextlib.contextmanager
-def vector_kernel_forced():
-    """Drop the vector-kernel size threshold so tiny graphs exercise it."""
-    old = flownet_mod._VECTOR_MIN_FLOWS
-    flownet_mod._VECTOR_MIN_FLOWS = 0
-    try:
-        yield
-    finally:
-        flownet_mod._VECTOR_MIN_FLOWS = old
 
 
 # ---------------------------------------------------------------------------
@@ -105,45 +85,44 @@ def flow_schedules(draw):
 
 
 def _simulate(capacities, flows, change, knobs):
-    with vector_kernel_forced():
-        engine = Engine()
-        # debug=True makes the vectorized leg dual-run every fill against
-        # the scalar kernel (and checks accumulators on the others).
-        net = FlowNetwork(engine, debug=True, **knobs)
-        resources = [
-            net.add_resource(f"r{i}", capacity)
-            for i, capacity in enumerate(capacities)
-        ]
-        completions = {}
+    engine = Engine()
+    # debug=True checks the accumulators (and, on the incremental leg,
+    # the component cache) against a from-scratch recompute every fill.
+    net = FlowNetwork(engine, debug=True, **knobs)
+    resources = [
+        net.add_resource(f"r{i}", capacity)
+        for i, capacity in enumerate(capacities)
+    ]
+    completions = {}
 
-        def proc(index, start, nbytes, cap, usage):
-            if start > 0:
-                yield engine.timeout(start)
-            yield net.transfer(
-                {resources[r]: w for r, w in usage.items()},
-                nbytes,
-                cap=cap,
-                name=f"f{index}",
-            )
-            completions[index] = engine.now
+    def proc(index, start, nbytes, cap, usage):
+        if start > 0:
+            yield engine.timeout(start)
+        yield net.transfer(
+            {resources[r]: w for r, w in usage.items()},
+            nbytes,
+            cap=cap,
+            name=f"f{index}",
+        )
+        completions[index] = engine.now
 
-        for index, (start, nbytes, cap, usage) in enumerate(flows):
-            engine.spawn(proc(index, start, nbytes, cap, usage))
-        if change is not None:
-            when, r_index, new_capacity = change
+    for index, (start, nbytes, cap, usage) in enumerate(flows):
+        engine.spawn(proc(index, start, nbytes, cap, usage))
+    if change is not None:
+        when, r_index, new_capacity = change
 
-            def reconfigure():
-                yield engine.timeout(float(when))
-                resources[r_index].set_capacity(float(new_capacity))
+        def reconfigure():
+            yield engine.timeout(float(when))
+            resources[r_index].set_capacity(float(new_capacity))
 
-            engine.spawn(reconfigure())
-        engine.run()
-        return completions
+        engine.spawn(reconfigure())
+    engine.run()
+    return completions
 
 
 @settings(max_examples=50, deadline=None)
 @given(flow_schedules())
-def test_three_solvers_agree_on_random_graphs(schedule):
+def test_solvers_agree_on_random_graphs(schedule):
     capacities, flows, change = schedule
     results = {
         name: _simulate(capacities, flows, change, knobs)
@@ -151,7 +130,6 @@ def test_three_solvers_agree_on_random_graphs(schedule):
     }
     # exact float equality, per-flow completion times
     assert results["slowpath"] == results["incremental"]
-    assert results["slowpath"] == results["vectorized"]
 
 
 # ---------------------------------------------------------------------------
@@ -166,15 +144,14 @@ CAPACITY_FAULTS = [
 
 
 def _collective_run(family, algorithm, x, knobs, faults):
-    with vector_kernel_forced():
-        machine = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-        machine.flownet.configure(debug=True, **knobs)
-        if faults:
-            FaultSchedule(list(faults)).install(machine)
-        result = run_collective(
-            machine, family, algorithm, x, iters=2, steady_state=False
-        )
-        return result.elapsed_us, tuple(result.iterations_us)
+    machine = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
+    machine.flownet.configure(debug=True, **knobs)
+    if faults:
+        FaultSchedule(list(faults)).install(machine)
+    result = run_collective(
+        machine, family, algorithm, x, iters=2, steady_state=False
+    )
+    return result.elapsed_us, tuple(result.iterations_us)
 
 
 @pytest.mark.parametrize(
@@ -189,7 +166,6 @@ def test_solvers_agree_under_capacity_faults(family, algorithm, x):
         for name, knobs in SOLVERS.items()
     }
     assert results["slowpath"] == results["incremental"]
-    assert results["slowpath"] == results["vectorized"]
     # Guard against vacuity: the fault windows must actually perturb the
     # timing, or the equivalence above proved nothing.
     clean = _collective_run(family, algorithm, x, SOLVERS["slowpath"], None)
@@ -218,7 +194,7 @@ def _entry(solver=None, elapsed=100.0, **extra):
 
 
 def test_compare_bench_refuses_cross_solver_entries():
-    bench = _bench(_entry(solver="incremental"), _entry(solver="vectorized"))
+    bench = _bench(_entry(solver="slowpath"), _entry(solver="incremental"))
     drifts = compare_bench(bench, "base", "new")
     assert len(drifts) == 1
     assert "different solvers" in drifts[0]
@@ -228,31 +204,31 @@ def test_compare_bench_refuses_cross_solver_entries():
 def test_compare_bench_allow_cross_solver_compares_points():
     bench = _bench(
         _entry(solver="incremental", elapsed=100.0),
-        _entry(solver="vectorized+analytic", elapsed=100.0),
+        _entry(solver="incremental+analytic", elapsed=100.0),
     )
     assert compare_bench(bench, "base", "new", allow_cross_solver=True) == []
     bench = _bench(
-        _entry(solver="incremental", elapsed=100.0),
-        _entry(solver="vectorized", elapsed=200.0),
+        _entry(solver="slowpath", elapsed=100.0),
+        _entry(solver="incremental", elapsed=200.0),
     )
     drifts = compare_bench(bench, "base", "new", allow_cross_solver=True)
     assert drifts and "elapsed_us" in drifts[0]
 
 
 def test_compare_bench_same_solver_unaffected():
-    bench = _bench(_entry(solver="vectorized"), _entry(solver="vectorized"))
+    bench = _bench(_entry(solver="incremental"), _entry(solver="incremental"))
     assert compare_bench(bench, "base", "new") == []
 
 
 def test_bench_entry_solver_legacy_derivation():
     """Entries recorded before the solver tag derive it from the legacy
     slowpath boolean, so old BENCH files keep comparing."""
-    assert bench_entry_solver({"solver": "vectorized"}) == "vectorized"
+    assert bench_entry_solver({"solver": "incremental"}) == "incremental"
     assert bench_entry_solver({"slowpath": True}) == "slowpath"
     assert bench_entry_solver({"slowpath": False}) == "incremental"
     assert bench_entry_solver({}) == "incremental"
     legacy = _entry()
     legacy["slowpath"] = True
-    bench = _bench(legacy, _entry(solver="vectorized"))
+    bench = _bench(legacy, _entry(solver="incremental"))
     drifts = compare_bench(bench, "base", "new")
-    assert drifts and "slowpath vs vectorized" in drifts[0]
+    assert drifts and "slowpath vs incremental" in drifts[0]
