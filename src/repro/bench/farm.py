@@ -1458,13 +1458,12 @@ def record_farm_bench_entry(path: str, label: str, status: dict, *,
                 "points": points,
                 "wall_s": 0.0,
                 "solver": "farm",
-                "analytic_hits": 0,
             },
         },
     }
     # The registry snapshot rides along ungated: compare_bench reads
-    # only smoke/solver/sweeps, so entries with and without a metrics
-    # key gate identically and committed baselines keep their bytes.
+    # only smoke/sweeps, so entries with and without a metrics key gate
+    # identically and committed baselines keep their bytes.
     if status.get("metrics") is not None:
         entry["metrics"] = status["metrics"]
     try:

@@ -62,7 +62,6 @@ from repro.collectives.base import CollectiveResult, InvocationBase
 from repro.collectives.registry import get_algorithm, select_protocol
 from repro.hardware.network import UnsupportedTopologyError
 from repro.hardware.machine import Machine
-from repro.sim.config import analytic_enabled
 from repro.sim.engine import TransientFaultError
 from repro.telemetry.manifest import RunManifest
 
@@ -316,8 +315,6 @@ def run_collective(
     steady_state: Optional[bool] = None,
     deadline_us: Optional[float] = None,
     payload: Optional[np.ndarray] = None,
-    analytic: Optional[bool] = None,
-    working_set_override: Optional[int] = None,
 ) -> CollectiveResult:
     """Measure one collective of ``family`` with the Fig-5 loop.
 
@@ -333,20 +330,6 @@ def run_collective(
     attempts, skipping an O(x) regeneration per attempt.
     ``deadline_us`` (see :func:`_measure`) makes a stalled run raise
     :class:`TransientFaultError` instead of hanging in simulated time.
-
-    ``analytic`` opts this run into the closed-form steady-state fast
-    path of :mod:`repro.sim.analytic` (None: follow ``REPRO_SIM_ANALYTIC``;
-    default off).  It only ever engages when the algorithm registered a
-    validated law *and* the run passes every fault-free-steady-state gate
-    (:func:`repro.sim.analytic.gate_reason`) *and* the law covers this
-    size; otherwise the DES runs exactly as before.  A served point is
-    bit-equal across iterations by construction and matches the DES
-    within the law's probe tolerance.
-
-    ``working_set_override`` installs that working set (bytes) instead of
-    the family's natural ``spec.working_set(machine, x)`` — the analytic
-    calibrator uses it to pin anchor runs into the target size's memory
-    regime.
     """
     if family not in FAMILY_SPECS:
         raise KeyError(
@@ -384,46 +367,21 @@ def run_collective(
         )
     elif payload is None:
         payload = spec.payload(machine, x, np.random.default_rng(seed))
-    # Solver env knobs (REPRO_SIM_SLOWPATH / _VECTOR / _DEBUG) are re-read
-    # at every entry, so a test or sweep can flip them between runs.
+    # Solver env knobs (REPRO_SIM_SLOWPATH / _DEBUG) are re-read at every
+    # entry, so a test or sweep can flip them between runs.
     machine.flownet.refresh_config()
-    if working_set_override is not None:
-        machine.set_working_set(working_set_override)
-    elif spec.working_set is not None:
+    if spec.working_set is not None:
         machine.set_working_set(spec.working_set(machine, x))
 
-    prediction = None
-    if analytic_enabled(analytic):
-        from repro.sim import analytic as analytic_mod
+    def make_invocation(_iteration: int):
+        return spec.build(cls, machine, x, payload, root, window_caching)
 
-        info = getattr(cls, "capabilities", None)
-        if analytic_mod.gate_reason(
-            machine, info, verify=verify, payload=payload,
-            deadline_us=deadline_us, steady_state=steady_state,
-        ) is None:
-            prediction = analytic_mod.predict(
-                machine, family, info, x,
-                root=root, window_caching=window_caching,
-            )
-
-    if prediction is not None:
-        per_iter = (
-            [prediction.cold_us] + [prediction.warm_us] * (iters - 1)
-        )
-        retries = 0
-    else:
-
-        def make_invocation(_iteration: int):
-            return spec.build(cls, machine, x, payload, root,
-                              window_caching)
-
-        retries_before = machine.faults.window_retries
-        times = _measure(
-            machine, make_invocation, iters, verify, steady_state,
-            deadline_us,
-        )
-        per_iter = [max(row) for row in times]
-        retries = machine.faults.window_retries - retries_before
+    retries_before = machine.faults.window_retries
+    times = _measure(
+        machine, make_invocation, iters, verify, steady_state, deadline_us,
+    )
+    per_iter = [max(row) for row in times]
+    retries = machine.faults.window_retries - retries_before
     result = CollectiveResult(
         algorithm=cls.name,
         nbytes=spec.nbytes(machine, x),
@@ -453,7 +411,6 @@ def run_collective(
         bandwidth_mbs=result.bandwidth_mbs,
         rollups=recorder.rollups() if recorder is not None else {},
         solver_mode=machine.flownet.solver_mode,
-        analytic=prediction is not None,
     )
     return result
 

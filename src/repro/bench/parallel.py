@@ -175,8 +175,8 @@ def run_point(spec: dict):
     ``spec`` keys: ``family``, ``algorithm``, ``x`` plus the optional
     ``dims``/``mode``/``wrap``/``network`` geometry and any keyword accepted by
     :func:`repro.bench.harness.run_collective` (``iters``, ``verify``,
-    ``seed``, ``steady_state``, ``root``, ``window_caching``,
-    ``analytic``, ``working_set_override``); other keys are ignored.
+    ``seed``, ``steady_state``, ``deadline_us``, ``root``,
+    ``window_caching``); other keys are ignored.
     Every call builds a fresh machine.
     """
     from repro.bench.harness import run_collective
@@ -190,8 +190,7 @@ def run_point(spec: dict):
     kwargs = {
         key: spec[key]
         for key in ("root", "iters", "verify", "window_caching", "seed",
-                    "steady_state", "deadline_us", "analytic",
-                    "working_set_override")
+                    "steady_state", "deadline_us")
         if key in spec
     }
     return run_collective(

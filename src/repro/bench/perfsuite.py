@@ -34,16 +34,12 @@ CLI::
 
 ``--slow`` runs with ``REPRO_SIM_SLOWPATH=1`` (the reference from-scratch
 solver) — the configuration used to record the pre-optimisation baseline.
-``--analytic`` opts into the closed-form steady-state fast path
-(:mod:`repro.sim.analytic`) for points covered by a validated law.
 
 Every sweep record carries the solver mode its points actually ran under
 (``"solver"``, derived from the returned run manifests so it is correct
-across worker processes) and how many points the analytic fast path
-served (``"analytic_hits"``); the entry gets the union tag, e.g.
-``"incremental"`` or ``"incremental+analytic"``.  ``repro report
---check-bench`` refuses to compare entries recorded under different
-solver tags unless ``--allow-cross-solver`` is passed.
+across worker processes); the entry gets the union tag.  The tag is a
+record only: both solvers give bit-identical results, so ``repro report
+--check-bench`` gates a ``--slow`` entry against a default one directly.
 
 ``--jobs N`` fans every point of every sweep across ``N`` worker
 processes (see :mod:`repro.bench.parallel`); the simulated microseconds
@@ -119,8 +115,7 @@ SMOKE_SWEEPS = {
     },
 }
 
-def _point_specs(spec: dict, steady_state: Optional[bool],
-                 analytic: bool = False) -> List[dict]:
+def _point_specs(spec: dict, steady_state: Optional[bool]) -> List[dict]:
     """The sweep's x values as independent executor point specs."""
     specs = []
     for x in spec["xs"]:
@@ -134,10 +129,6 @@ def _point_specs(spec: dict, steady_state: Optional[bool],
         }
         if steady_state is not None:
             point["steady_state"] = steady_state
-        if analytic:
-            # Carried in the spec (not the environment) so it survives the
-            # process boundary under any multiprocessing start method.
-            point["analytic"] = True
         specs.append(point)
     return specs
 
@@ -164,18 +155,16 @@ def _sweep_record(spec: dict, timed_points: List[tuple]) -> dict:
         # the end-to-end wall clock lives on the suite entry.
         "wall_s": round(sum(p["wall_s"] for p in points), 4),
         "solver": "+".join(modes) if modes else "unknown",
-        "analytic_hits": sum(1 for m in manifests if m.analytic),
         "points": points,
     }
 
 
 def run_sweep_timed(spec: dict, steady_state: Optional[bool] = None,
                     jobs: Optional[int] = None,
-                    analytic: bool = False,
                     farm: Optional[str] = None) -> dict:
     """Run one sweep; returns wall-clock and simulated-time records."""
     timed = execute_points(
-        _point_specs(spec, steady_state, analytic), jobs,
+        _point_specs(spec, steady_state), jobs,
         task=run_point_timed, farm=farm,
     )
     return _sweep_record(spec, timed)
@@ -183,8 +172,7 @@ def run_sweep_timed(spec: dict, steady_state: Optional[bool] = None,
 
 def run_suite(
     smoke: bool = False, steady_state: Optional[bool] = None,
-    jobs: Optional[int] = None, analytic: bool = False,
-    farm: Optional[str] = None,
+    jobs: Optional[int] = None, farm: Optional[str] = None,
 ) -> Dict[str, dict]:
     """Run every sweep of the suite; returns ``{sweep_name: record}``.
 
@@ -204,7 +192,7 @@ def run_suite(
     all_specs: List[dict] = []
     slices: Dict[str, tuple] = {}
     for name, spec in sweeps.items():
-        points = _point_specs(spec, steady_state, analytic)
+        points = _point_specs(spec, steady_state)
         slices[name] = (len(all_specs), len(points))
         all_specs.extend(points)
     timed = execute_points(all_specs, jobs, task=run_point_timed, farm=farm)
@@ -213,16 +201,12 @@ def run_suite(
         offset, count = slices[name]
         record = _sweep_record(spec, timed[offset:offset + count])
         out[name] = record
-        hits = record["analytic_hits"]
-        tag = f" [{record['solver']}" + (
-            f", {hits}/{len(record['points'])} analytic]" if hits else "]"
-        )
         print(
             f"{name:18s} {record['wall_s']:8.2f}s busy  "
             + "  ".join(
                 f"{p['x']}B:{p['elapsed_us']:.1f}us" for p in record["points"]
             )
-            + tag
+            + f" [{record['solver']}]"
         )
     out["__meta__"] = {
         "recorded_at": recorded_at,
@@ -262,10 +246,7 @@ def save_entry(path: str, label: str, sweeps: Dict[str, dict], smoke: bool) -> d
         "cpus": os.cpu_count(),
     }
     # Entry-level solver attribution: the union of the sweep records'
-    # manifest-derived modes, tagged "+analytic" when the fast path
-    # actually served points.  ``repro report --check-bench`` refuses to
-    # compare entries whose solver tags differ (see
-    # :func:`repro.telemetry.manifest.bench_entry_solver`).
+    # manifest-derived modes.
     modes = sorted({
         record.get("solver") for record in sweeps.values()
         if isinstance(record, dict) and record.get("solver")
@@ -274,11 +255,6 @@ def save_entry(path: str, label: str, sweeps: Dict[str, dict], smoke: bool) -> d
         "slowpath" if os.environ.get("REPRO_SIM_SLOWPATH", "") == "1"
         else "incremental"
     )
-    if any(
-        record.get("analytic_hits") for record in sweeps.values()
-        if isinstance(record, dict)
-    ):
-        solver += "+analytic"
     results = load_results(path)
     results.setdefault("entries", {})[label] = {
         **meta,
@@ -342,11 +318,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="use the reference from-scratch solver (REPRO_SIM_SLOWPATH=1)",
     )
     parser.add_argument(
-        "--analytic", action="store_true",
-        help="opt into the closed-form steady-state fast path "
-             "(repro.sim.analytic) where a validated law covers a point",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=None,
         help="worker processes for the point grid (default: REPRO_JOBS or "
              "serial; 0 = one per CPU)",
@@ -361,7 +332,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.environ["REPRO_SIM_SLOWPATH"] = "1"
     steady = False if args.no_steady else None
     sweeps = run_suite(smoke=args.smoke, steady_state=steady, jobs=args.jobs,
-                       analytic=args.analytic, farm=args.farm)
+                       farm=args.farm)
     meta = sweeps.get("__meta__", {})
     if meta:
         print(

@@ -113,10 +113,6 @@ def run_sweep(config: dict, jobs: Optional[int] = None,
     :class:`SweepResult` is identical whatever the job count.  ``farm``
     routes the grid to a sweep-farm work-server instead
     (:mod:`repro.bench.farm`) with the same deterministic merge.
-
-    ``"analytic": true`` in the config opts every point into the
-    closed-form steady-state fast path (:mod:`repro.sim.analytic`);
-    points without a validated law run the full simulation as usual.
     """
     _validate_config(config)
     kind = config["kind"]
@@ -126,7 +122,6 @@ def run_sweep(config: dict, jobs: Optional[int] = None,
     wrap = bool(machine_cfg.get("wrap", True))
     network = machine_cfg.get("network", "torus")
     iters = int(config.get("iters", 1))
-    analytic = bool(config.get("analytic", False))
     x_values = [parse_size(s) for s in config["sizes"]]
     result = SweepResult(
         name=config.get("name", f"{kind}-sweep"),
@@ -140,7 +135,6 @@ def run_sweep(config: dict, jobs: Optional[int] = None,
             "family": kind, "algorithm": algorithm, "x": x,
             "dims": dims, "mode": mode.name, "wrap": wrap, "iters": iters,
             **({"network": network} if network != "torus" else {}),
-            **({"analytic": True} if analytic else {}),
         }
         for algorithm in config["algorithms"]
         for x in x_values

@@ -366,7 +366,7 @@ def traffic_point(spec: dict):
         view = MachineView(machine, job["node_start"], job["node_count"])
         result = run_collective(
             view, job["family"], job["algorithm"], job["x"],
-            iters=1, verify=True, seed=job["payload_seed"], analytic=False,
+            iters=1, verify=True, seed=job["payload_seed"],
         )
         return {
             "elapsed_us": result.elapsed_us,
@@ -488,10 +488,7 @@ def record_bench_entry(path: str, label: str, report: dict) -> dict:
     solver = report["meta"].get("solver", "incremental")
 
     def sweep(points: List[Dict[str, float]]) -> dict:
-        return {
-            "points": points, "wall_s": 0.0,
-            "solver": solver, "analytic_hits": 0,
-        }
+        return {"points": points, "wall_s": 0.0, "solver": solver}
 
     sweeps = {
         "multitenant": sweep([

@@ -35,8 +35,8 @@ Commands
 ``serve``
     The prediction service (``docs/serving.md``): a long-running query
     server answering predict/select/sweep requests through tiered
-    caching — analytic fast path, manifest-keyed memoization
-    (``--cache`` persists it across restarts), in-flight coalescing.
+    caching — manifest-keyed memoization (``--cache`` persists it
+    across restarts), in-flight coalescing — in front of the DES.
     ``serve --stats HOST:PORT`` prints a running server's tier hit rates
     and latency percentiles.
 ``query``
@@ -162,12 +162,6 @@ def _add_machine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verify", action="store_true",
         help="carry real payload bytes and check bit-exact delivery",
-    )
-    parser.add_argument(
-        "--analytic", action="store_true",
-        help="serve the point from the validated closed-form steady-state "
-             "law (repro.sim.analytic) when one covers it; falls back to "
-             "the full simulation otherwise",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -375,12 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="relative drift tolerance for the gates (default: the "
              "baseline file's, else 0.10)",
     )
-    p.add_argument(
-        "--allow-cross-solver", action="store_true",
-        help="let --check-bench compare entries recorded under different "
-             "solver configurations (refused by default so solver-switch "
-             "drift is never misattributed to the code under test)",
-    )
     _add_machine_args(p)
 
     p = sub.add_parser(
@@ -540,12 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-memory memoization entries (default 1024)",
     )
     p.add_argument(
-        "--analytic", action="store_true",
-        help="opt every query into the closed-form fast path by default "
-             "(answers then match the DES within probe tolerance, not "
-             "bit-identically)",
-    )
-    p.add_argument(
         "--stats", default=None, metavar="HOST:PORT",
         help="instead of serving: print a running server's stats (tier "
              "hit rates, coalesced count, latency percentiles)",
@@ -595,10 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Fig-5 measurement iterations (default 1)")
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--root", type=int, default=0)
-    p.add_argument(
-        "--analytic", action="store_true",
-        help="opt this query into the closed-form fast path",
-    )
     p.add_argument(
         "--candidates", default=None,
         help="select: comma-separated algorithms to measure (default: "
@@ -695,14 +673,8 @@ def _cmd_measure(args) -> int:
     result = run_collective(
         machine, family, args.algorithm, x,
         root=getattr(args, "root", 0), iters=args.iters, verify=args.verify,
-        analytic=True if getattr(args, "analytic", False) else None,
     )
     _finish(args, machine, result)
-    if getattr(args, "analytic", False):
-        served = result.manifest is not None and result.manifest.analytic
-        print("analytic fast path: "
-              + ("served this point" if served else "no law covers this "
-                 "point; full simulation ran"))
     return 0
 
 
@@ -826,7 +798,6 @@ def _cmd_report(args) -> int:
         tolerance = args.tolerance if args.tolerance is not None else 0.10
         drifts = compare_bench(
             bench, args.base, args.new_label, tolerance=tolerance,
-            allow_cross_solver=args.allow_cross_solver,
         )
         if drifts:
             print(f"BENCH gate FAILED ({len(drifts)} drift(s)):")
@@ -1025,7 +996,6 @@ def _cmd_serve(args) -> int:
     service = PredictionService(
         max_memo=args.memo,
         cache_path=args.cache,
-        analytic_default=args.analytic,
     )
     server = PredictionServer(
         service, host=args.host, port=args.port,
@@ -1046,8 +1016,6 @@ def _cmd_serve(args) -> int:
             extras = []
             if args.cache:
                 extras.append(f"cache {args.cache}")
-            if args.analytic:
-                extras.append("analytic default on")
             if metrics_addr:
                 extras.append(f"metrics http://{metrics_addr}/metrics")
             suffix = f" ({', '.join(extras)})" if extras else ""
@@ -1090,8 +1058,6 @@ def _cmd_query(args) -> int:
             "seed": args.seed,
             "root": args.root,
         }
-        if args.analytic:
-            payload["analytic"] = True
         if args.op == "predict":
             payload["algorithm"] = args.algorithm
         else:  # select

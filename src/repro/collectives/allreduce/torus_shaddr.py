@@ -33,7 +33,7 @@ from repro.sim.sync import SimCounter
 from repro.telemetry.recorder import ROLE_PROTOCOL, reduce_core_role
 
 
-@register("allreduce", modes=(4,), shared_address=True, analytic="allreduce-m0")
+@register("allreduce", modes=(4,), shared_address=True)
 class TorusShaddrAllreduce(AllreduceInvocation):
     """Core-specialized shared-address allreduce (the 'New' column)."""
 

@@ -34,7 +34,7 @@ from repro.sim.sync import SimCounter
 from repro.telemetry.recorder import ROLE_COPIER, ROLE_PROTOCOL
 
 
-@register("bcast", shared_address=True, analytic="torus-color-lattice")
+@register("bcast", shared_address=True)
 class TorusShaddrBcast(BcastInvocation):
     """Quad-mode broadcast over shared address space + message counters."""
 

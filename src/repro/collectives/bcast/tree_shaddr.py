@@ -32,7 +32,7 @@ from repro.telemetry.recorder import (
 )
 
 
-@register("bcast", modes=(4,), shared_address=True, analytic="tree-lattice")
+@register("bcast", modes=(4,), shared_address=True)
 class TreeShaddrBcast(BcastInvocation):
     """Quad-mode core-specialized broadcast over mapped application buffers."""
 

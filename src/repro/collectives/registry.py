@@ -84,10 +84,6 @@ class AlgorithmInfo:
     #: classes ("fault", "dma", "network", "tree", "copy", "other");
     #: consumed by :mod:`repro.sim.tracing` for chrome-trace row assignment
     trace_rows: Tuple[Tuple[str, str], ...] = ()
-    #: name of the validated closed-form steady-state cost law in
-    #: :mod:`repro.sim.analytic` (None = no analytic fast path; only
-    #: protocols whose law is probe-validated against the DES opt in)
-    analytic: Optional[str] = None
 
     def supports_ppn(self, ppn: int) -> bool:
         return ppn in self.modes
@@ -102,7 +98,6 @@ def register(
     modes: Sequence[int] = ALL_MODES,
     data_carrying: bool = True,
     shared_address: bool = False,
-    analytic: Optional[str] = None,
 ):
     """Class decorator: add an invocation class to the registry.
 
@@ -110,10 +105,7 @@ def register(
     ``modes`` lists the ppn values its constructor accepts;
     ``shared_address`` marks schemes that map peer windows (and thus
     benefit from the Fig-8 caching session); ``data_carrying=False``
-    marks synchronisation-only collectives (barrier); ``analytic`` names
-    the protocol's validated steady-state cost law in
-    :mod:`repro.sim.analytic` (omit it unless the law is probe-validated
-    point-for-point against the DES).
+    marks synchronisation-only collectives (barrier).
     """
     if family not in _FAMILY_MODULES:
         raise ValueError(
@@ -149,7 +141,6 @@ def register(
                 (str(sub), str(row))
                 for sub, row in getattr(cls, "trace_rows", ())
             ),
-            analytic=analytic,
         )
         bucket = _REGISTRY.setdefault(family, {})
         previous = bucket.get(name)

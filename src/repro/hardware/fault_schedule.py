@@ -204,17 +204,6 @@ class ActiveFaults:
         self.window_failures = 0
         #: counter publishes that hit an active stall
         self.counter_stalls_hit = 0
-        #: fault windows ever armed on this machine (any family).  Unlike
-        #: ``_window_faults``/``_counter_stalls`` this also counts capacity
-        #: faults (LinkFlap, NodeSlowdown, TreePortFlap), which act through
-        #: engine callbacks rather than the query lists — it is the one
-        #: signal "this machine's timing may deviate from the fault-free
-        #: model" that the analytic fast path checks before engaging.
-        self.armed = 0
-
-    def any_armed(self) -> bool:
-        """True once any fault window was ever installed on this machine."""
-        return self.armed > 0
 
     # -- installation (used by FaultSchedule) ---------------------------
     def add_window_fault(
@@ -327,7 +316,6 @@ class FaultSchedule:
                 continue  # window fully in the past
             start = max(0.0, start)
             self._arm(machine, fault, start, end)
-            machine.faults.armed += 1
             installed += 1
         return installed
 

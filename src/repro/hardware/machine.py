@@ -100,10 +100,10 @@ class Machine:
         """The torus backend, when this machine has one.
 
         Torus-only code paths (the rectangle schedules, deposit-bit line
-        broadcasts, the analytic laws) reach the interconnect through this
-        property; on a non-torus backend it raises
-        :class:`UnsupportedTopologyError` instead of silently handing out
-        an object without ``line_broadcast``.
+        broadcasts) reach the interconnect through this property; on a
+        non-torus backend it raises :class:`UnsupportedTopologyError`
+        instead of silently handing out an object without
+        ``line_broadcast``.
         """
         if isinstance(self.network, TorusNetwork):
             return self.network

@@ -2,11 +2,8 @@
 
 The simulator answers "what does protocol P on geometry G at size S
 cost?"; this package productizes that answer behind a line-delimited-JSON
-server with three performance tiers (``docs/serving.md``):
+server with two performance tiers (``docs/serving.md``):
 
-* **tier 0 — analytic**: the validated closed-form laws of
-  :mod:`repro.sim.analytic`, when a query opts in and its legality gate
-  passes;
 * **tier 1 — memoization**: an LRU keyed on the full query identity,
   values carrying :class:`~repro.telemetry.manifest.RunManifest` results,
   backed by an on-disk cache invalidated by git rev + spec hash so
@@ -21,7 +18,7 @@ machine, the same :func:`~repro.bench.parallel.run_point` call every
 sweep point makes.
 
 Entry points: ``repro serve`` (the server), ``repro query`` (the
-client), :mod:`repro.serve.bench` (the cold/memoized/analytic
+client), :mod:`repro.serve.bench` (the cold/memoized
 queries-per-second benchmark behind the ``serve`` entry of
 ``BENCH_core.json``).
 """

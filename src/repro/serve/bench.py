@@ -3,15 +3,11 @@
 Measures the same three headline points (the section-V crossover
 protocols: ``tree-shaddr``, ``torus-shaddr``,
 ``allreduce-torus-shaddr``) through a **real loopback server** — socket,
-JSON framing and all — under three configurations:
+JSON framing and all — under two configurations:
 
 * **cold** — memoization disabled: every query builds a fresh machine
   and runs the DES (the serial-harness baseline);
-* **memo** — memoization on: repeat queries are dictionary lookups;
-* **analytic** — memoization off, queries opt into the closed-form fast
-  path; only points a validated law covers are recorded (the law's
-  answers match the DES within probe tolerance, **not** bit-identically,
-  so this sweep is never digest-compared against the others).
+* **memo** — memoization on: repeat queries are dictionary lookups.
 
 The run **refuses to record** unless (a) every point's cold and
 memoized digests are bit-identical — a served answer must be the serial
@@ -50,8 +46,8 @@ POINTS: List[Tuple[str, str, str, int, int]] = [
 ]
 
 #: queries per point per tier (memo repeats dominate the qps signal; the
-#: expensive tiers get just enough repeats for a stable mean)
-REPEATS = {"cold": 2, "memo": 200, "analytic": 5}
+#: cold tier gets just enough repeats for a stable mean)
+REPEATS = {"cold": 2, "memo": 200}
 
 #: the headline acceptance bar: memoized answers at least this many
 #: times more queries/sec than cold simulation
@@ -72,44 +68,29 @@ def _point_queries(smoke: bool) -> List[dict]:
     ]
 
 
-def _measure_tier(tier: str, queries: List[dict], *,
-                  analytic: bool = False) -> dict:
+def _measure_tier(tier: str, queries: List[dict]) -> dict:
     """Run one tier's configuration through a fresh loopback server.
 
     Returns a sweep record (perfsuite shape: ``points``/``wall_s``/
-    ``solver``/``analytic_hits``, plus qps riders) with each point's
-    digest attached for the cross-tier identity gate.
+    ``solver``, plus qps riders) with each point's digest attached for
+    the cross-tier identity gate.
     """
     service = PredictionService(use_memo=(tier == "memo"))
     repeats = REPEATS[tier]
     points = []
     solvers = set()
-    analytic_hits = 0
     with start_background_server(service) as background:
         with ServeClient(background.address) as client:
             for query in queries:
-                request = dict(query)
-                if analytic:
-                    request["analytic"] = True
-                # Prime: memo fill / analytic calibration happens here,
-                # outside the timed window.
+                # Prime: the memo fill happens here, outside the timed
+                # window.
                 if tier != "cold":
-                    client.predict(**request)
+                    client.predict(**query)
                 start = time.perf_counter()
                 for _ in range(repeats):
-                    response = client.predict(**request)
+                    response = client.predict(**query)
                 wall = time.perf_counter() - start
                 served_tier = response["tier"]
-                if analytic and served_tier != "analytic":
-                    # No validated law covers this point: nothing to
-                    # record for the analytic sweep (never silently
-                    # substitute a DES timing).
-                    print(f"  [{tier}] {query['algorithm']} x={query['x']}: "
-                          f"no analytic coverage (served {served_tier}); "
-                          f"skipped")
-                    continue
-                if analytic:
-                    analytic_hits += repeats
                 manifest = response.get("manifest") or {}
                 if manifest.get("solver_mode"):
                     solvers.add(manifest["solver_mode"])
@@ -133,7 +114,6 @@ def _measure_tier(tier: str, queries: List[dict], *,
     return {
         "wall_s": round(wall_total, 4),
         "solver": "+".join(sorted(solvers)) if solvers else "unknown",
-        "analytic_hits": analytic_hits,
         "queries": queries_total,
         "qps": round(queries_total / wall_total, 2) if wall_total else 0.0,
         "points": points,
@@ -164,7 +144,6 @@ def run_benchmark(out: str, label: str, smoke: bool) -> Dict[str, dict]:
     records = {
         "cold": _measure_tier("cold", queries),
         "memo": _measure_tier("memo", queries),
-        "analytic": _measure_tier("analytic", queries, analytic=True),
     }
 
     # -- acceptance gates (refuse to record a lying entry) ----------------
@@ -193,11 +172,6 @@ def run_benchmark(out: str, label: str, smoke: bool) -> Dict[str, dict]:
         for problem in problems:
             print(f"  - {problem}", file=sys.stderr)
         raise SystemExit(1)
-
-    if not records["analytic"]["points"]:
-        print("  (no analytic coverage at these sizes; entry records "
-              "cold/memo only)")
-        del records["analytic"]
 
     sweeps = {
         name: _strip_gate_only_fields(record)

@@ -273,8 +273,7 @@ class PredictionServer:
         base = {
             fld: request[fld]
             for fld in ("family", "x", "dims", "mode", "wrap", "network",
-                        "iters", "seed", "root", "window_caching",
-                        "analytic")
+                        "iters", "seed", "root", "window_caching")
             if fld in request
         }
         # The table's choice: resolve "auto" through section-V policy.
@@ -371,21 +370,15 @@ class PredictionServer:
                     )
                 for (key, spec), answer in zip(to_compute, batch):
                     self.service.store(key, answer)
-                    manifest = answer.result.manifest
-                    tier = (
-                        "analytic"
-                        if manifest is not None and manifest.analytic
-                        else "batch"
-                    )
                     future = self._inflight.pop(key, None)
                     if future is not None and not future.done():
-                        future.set_result((answer, tier))
+                        future.set_result((answer, "batch"))
                     # One computation, one tier tick — duplicate positions
                     # inside the sweep share it.
-                    self.service.stats.record_tier(tier)
+                    self.service.stats.record_tier("batch")
                     for position in members[key]:
                         responses[position] = answer_response(
-                            answer, tier, key,
+                            answer, "batch", key,
                         )
         except Exception as exc:
             for key, _ in to_compute:

@@ -7,14 +7,11 @@ possible, walking the tiers from cheapest to dearest:
 
 1. **memo** — an in-memory LRU (:class:`MemoCache`) keyed on the full
    query identity ``(family, protocol, geometry, network, mode, size,
-   iters, seed, root, window caching, steady-state, analytic, faults,
-   solver mode)``;
+   iters, seed, root, window caching, steady-state, faults, solver
+   mode)``;
 2. **disk** — the same entries persisted by :class:`DiskCache`, so a
    restarted server answers repeat queries without re-simulating;
-3. **analytic** — the validated closed-form laws of
-   :mod:`repro.sim.analytic`, when the query opts in
-   (``"analytic": true``) and the legality gate passes;
-4. **cold** — a full DES run on a freshly built machine
+3. **cold** — a full DES run on a freshly built machine
    (:func:`~repro.bench.parallel.run_point`, the same call every sweep
    point goes through).
 
@@ -106,12 +103,12 @@ _SPEC_DEFAULTS = {
 }
 
 #: optional fields forwarded only when the client sets them
-_SPEC_OPTIONAL = ("steady_state", "analytic")
+_SPEC_OPTIONAL = ("steady_state",)
 
 #: request fields the serving layer refuses (the service is timing-only
 #: and fault-free; these would silently change what "the same query"
 #: means or cannot cross the JSON boundary faithfully)
-_REFUSED_FIELDS = ("verify", "payload", "deadline_us", "working_set_override")
+_REFUSED_FIELDS = ("verify", "payload", "deadline_us")
 
 _KNOWN_FIELDS = frozenset(
     ("family", "algorithm", "x", "faults")
@@ -531,7 +528,7 @@ class ServiceStats:
     """
 
     tiers: Dict[str, int] = field(default_factory=lambda: {
-        "analytic": 0, "memo": 0, "disk": 0, "cold": 0, "batch": 0,
+        "memo": 0, "disk": 0, "cold": 0, "batch": 0,
     })
     coalesced: int = 0
     errors: int = 0
@@ -628,12 +625,10 @@ class ServiceStats:
 # -- the service ----------------------------------------------------------
 
 class PredictionService:
-    """Tier walker: memo -> disk -> (analytic | cold) -> store.
+    """Tier walker: memo -> disk -> cold -> store.
 
     ``max_memo``/``cache_path`` size the memo LRU and enable the on-disk
-    cache; ``use_memo=False`` turns both off (the benchmark's cold tier);
-    ``analytic_default=True`` opts every query into the analytic fast
-    path unless it explicitly says ``"analytic": false``.
+    cache; ``use_memo=False`` turns both off (the benchmark's cold tier).
 
     The service itself is synchronous and runs one simulation at a time;
     thread-safety of the *caches* is the caller's concern (the asyncio
@@ -646,12 +641,10 @@ class PredictionService:
         max_memo: int = 1024,
         cache_path: Optional[str] = None,
         use_memo: bool = True,
-        analytic_default: bool = False,
     ):
         self.memo = MemoCache(max_memo)
         self.disk = DiskCache(cache_path) if cache_path else None
         self.use_memo = use_memo
-        self.analytic_default = analytic_default
         # Per-instance registry (tests build many services; a process
         # global would blend their counts and break exposition == stats).
         self.registry = MetricsRegistry()
@@ -661,8 +654,6 @@ class PredictionService:
     # -- lookup (cheap; safe on the event-loop thread) --------------------
     def normalize(self, request: dict) -> Tuple[dict, str]:
         spec = normalize_query(request)
-        if self.analytic_default and "analytic" not in spec:
-            spec["analytic"] = True
         return spec, query_key(spec)
 
     def lookup(self, key: str) -> Optional[Tuple[CachedAnswer, str]]:
@@ -682,16 +673,12 @@ class PredictionService:
 
     # -- compute (expensive; the server calls this off-loop) --------------
     def compute(self, spec: dict) -> Tuple[CachedAnswer, str]:
-        """Run the point through analytic/cold; returns (answer, tier)."""
+        """Run the point cold; returns (answer, tier)."""
         result = run_point(spec)
-        served_analytic = (
-            result.manifest is not None and result.manifest.analytic
-        )
-        tier = "analytic" if served_analytic else "cold"
         answer = CachedAnswer(
             result=result, digest=pickle_digest(result), spec=spec,
         )
-        return answer, tier
+        return answer, "cold"
 
     def store(self, key: str, answer: CachedAnswer) -> None:
         if not self.use_memo:

@@ -1,18 +1,15 @@
 """Solver-mode configuration, resolved at call time.
 
-The flow network has three solver altitudes (see ``docs/performance.md``):
-the from-scratch **reference** traversal, the **incremental**
-component-cache fast path, and the **analytic** closed-form fast path
-that skips the DES entirely.  Three environment variables select between
-them:
+The flow network has two solver altitudes (see ``docs/performance.md``):
+the from-scratch **reference** traversal and the **incremental**
+component-cache fast path.  They give bit-identical results.  Two
+environment variables select between them:
 
 * ``REPRO_SIM_SLOWPATH=1``  — reference traversal instead of incremental;
 * ``REPRO_SIM_DEBUG=1``     — cross-check accumulators and component
-  caches against from-scratch recomputation on every resolve;
-* ``REPRO_SIM_ANALYTIC=1``  — opt the measurement harness into the
-  analytic steady-state model (:mod:`repro.sim.analytic`).
+  caches against from-scratch recomputation on every resolve.
 
-Historically ``FlowNetwork`` snapshotted the first two at *construction*
+Historically ``FlowNetwork`` snapshotted both at *construction*
 (``sim/flownet.py``), so flipping an environment variable between runs
 silently did nothing until every machine was rebuilt.  This module is the
 one place the variables are read, and it is read at **call time**:
@@ -31,7 +28,6 @@ from typing import Optional
 #: environment variables, in one place
 ENV_SLOWPATH = "REPRO_SIM_SLOWPATH"
 ENV_DEBUG = "REPRO_SIM_DEBUG"
-ENV_ANALYTIC = "REPRO_SIM_ANALYTIC"
 
 
 def env_flag(name: str, default: bool) -> bool:
@@ -104,15 +100,3 @@ def resolve_solver_config(
         incremental_pinned=inc_pinned,
         debug_pinned=dbg_pinned,
     )
-
-
-def analytic_enabled(explicit: Optional[bool] = None) -> bool:
-    """Is the analytic steady-state fast path requested?
-
-    Opt-in: an explicit argument wins, else ``REPRO_SIM_ANALYTIC=1``.
-    The default is off so every default run still exercises (and stays
-    bit-identical to) the DES.
-    """
-    if explicit is not None:
-        return bool(explicit)
-    return env_flag(ENV_ANALYTIC, False)

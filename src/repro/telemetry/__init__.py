@@ -11,7 +11,6 @@ from repro.telemetry.manifest import (
     DEFAULT_TOLERANCE,
     CampaignManifest,
     RunManifest,
-    bench_entry_solver,
     compare_bench,
     compare_manifests,
     compare_with_baseline_file,
@@ -62,7 +61,6 @@ __all__ = [
     "SpanStore",
     "TelemetryRecorder",
     "ThreadTelemetry",
-    "bench_entry_solver",
     "compare_bench",
     "compare_manifests",
     "compare_with_baseline_file",

@@ -76,9 +76,6 @@ class RunManifest:
     #: may say "vectorized"); defaulted so manifests recorded before the
     #: field existed still load
     solver_mode: str = "incremental"
-    #: True when the point was served by the closed-form fast path of
-    #: :mod:`repro.sim.analytic` instead of the DES
-    analytic: bool = False
     #: network backend the machine ran on; defaulted so manifests recorded
     #: before the pluggable-backend layer existed still load
     network: str = "torus"
@@ -107,6 +104,9 @@ class RunManifest:
     def from_dict(cls, data: dict) -> "RunManifest":
         data = dict(data)
         data["dims"] = tuple(data["dims"])
+        # Manifests written while the closed-form fast path existed carry
+        # its flag, which no longer has a field.
+        data.pop("analytic", None)
         return cls(**data)
 
     def stamped(self) -> "RunManifest":
@@ -264,21 +264,6 @@ def compare_with_baseline_file(
     return compare_manifests(current, RunManifest.from_dict(entry), tol)
 
 
-def bench_entry_solver(entry: dict) -> str:
-    """The solver configuration a ``BENCH_core.json`` entry ran under.
-
-    Modern entries record it directly (``"solver"``, with ``"+analytic"``
-    appended when the fast path was enabled); entries written before the
-    field existed are derived from the historical ``"slowpath"`` flag —
-    the only solver knob that existed then (the vectorized kernel
-    postdates every such entry).
-    """
-    solver = entry.get("solver")
-    if solver is not None:
-        return solver
-    return "slowpath" if entry.get("slowpath") else "incremental"
-
-
 #: synthetic sweep name used when a label narrows to one sweep — both
 #: sides of the comparison get it, so differently-named sweeps of the
 #: same points (the serve entry's cold/memo tiers) compare pointwise
@@ -293,10 +278,7 @@ def _bench_view(entries: dict, label: str) -> Tuple[Optional[dict],
     sweep of an entry, re-keyed under a synthetic common name — this is
     how the serve benchmark gates its tiers against each other
     (``--base serve:cold --new serve:memo``): same points, different
-    sweep names, recorded in one entry.  A sweep view's solver comes
-    from the sweep record itself (``"+analytic"`` appended when the fast
-    path served points there), so e.g. ``serve:analytic`` still refuses
-    to silently compare against a DES tier.
+    sweep names, recorded in one entry.
     """
     if label in entries:
         return entries[label], None
@@ -309,12 +291,8 @@ def _bench_view(entries: dict, label: str) -> Tuple[Optional[dict],
                 f"entry {entry_label!r} has no sweep {sweep!r} "
                 f"(have: {sorted(entry.get('sweeps', {})) or 'none'})"
             )
-        solver = record.get("solver") or bench_entry_solver(entry)
-        if record.get("analytic_hits"):
-            solver += "+analytic"
         view = {key: value for key, value in entry.items()
                 if key != "sweeps"}
-        view["solver"] = solver
         view["sweeps"] = {_SWEEP_VIEW: record}
         return view, None
     return None, (
@@ -323,8 +301,7 @@ def _bench_view(entries: dict, label: str) -> Tuple[Optional[dict],
 
 
 def compare_bench(bench: dict, base_label: str, new_label: str,
-                  tolerance: float = DEFAULT_TOLERANCE,
-                  allow_cross_solver: bool = False) -> List[str]:
+                  tolerance: float = DEFAULT_TOLERANCE) -> List[str]:
     """Tolerance-gate two labelled ``BENCH_core.json`` entries.
 
     Compares the *simulated* microseconds of every shared sweep point
@@ -336,12 +313,10 @@ def compare_bench(bench: dict, base_label: str, new_label: str,
     benchmark's ``serve:cold`` vs ``serve:memo`` bit-identity gate runs
     through this with ``tolerance=0``).
 
-    Entries recorded under different solver configurations (incremental
-    vs slowpath, analytic fast path on or off) are refused by default: a
-    drift between them would be attributed to the code under test when it
-    may belong to the solver switch.  Deliberate cross-solver gates — e.g.
-    asserting the incremental solver is bit-identical to the slowpath
-    reference — pass ``allow_cross_solver=True``.
+    Entries' ``solver`` tags are not read: the slowpath and incremental
+    solvers give bit-identical results, so entries recorded under either
+    gate against each other directly (at ``tolerance=0`` that gate
+    checks the bit-identity itself).
     """
     entries = bench.get("entries", {})
     drifts: List[str] = []
@@ -359,14 +334,6 @@ def compare_bench(bench: dict, base_label: str, new_label: str,
         return [
             f"entries {base_label!r}/{new_label!r} recorded at different "
             "sizes (smoke vs full suite); not comparable"
-        ]
-    base_solver = bench_entry_solver(base)
-    new_solver = bench_entry_solver(new)
-    if base_solver != new_solver and not allow_cross_solver:
-        return [
-            f"entries {base_label!r}/{new_label!r} recorded under "
-            f"different solvers ({base_solver} vs {new_solver}); pass "
-            "--allow-cross-solver to compare anyway"
         ]
     for sweep, record in base.get("sweeps", {}).items():
         other = new.get("sweeps", {}).get(sweep)

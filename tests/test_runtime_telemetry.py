@@ -349,7 +349,7 @@ class TestServiceStatsConcurrency:
     def test_no_lost_updates_under_contention(self):
         registry = MetricsRegistry()
         stats = ServiceStats(registry=registry)
-        tiers = ("memo", "cold", "disk", "analytic")
+        tiers = ("memo", "cold", "disk", "batch")
         rounds = 200
 
         def hammer(tier):

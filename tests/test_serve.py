@@ -97,7 +97,8 @@ class TestNormalizeQuery:
         for refused in (
             {"verify": True}, {"deadline_us": 100.0},
             {"faults": [{"kind": "x"}]}, {"fresh_machine": True},
-            {"bogus": 1},
+            {"bogus": 1}, {"analytic": True}, {"analytic": False},
+            {"working_set_override": 1 << 20},
         ):
             with pytest.raises(QueryError):
                 normalize_query({**base, **refused})
@@ -430,22 +431,6 @@ class TestServer:
             False, True, True,
         ]
 
-    def test_analytic_tier_opt_in(self):
-        service = PredictionService(analytic_default=True, use_memo=False)
-        with start_background_server(service) as background:
-            with ServeClient(background.address) as client:
-                served = client.predict(family="bcast",
-                                        algorithm="tree-shaddr",
-                                        x=65536, iters=2)
-                # An explicit opt-out must override the server default.
-                des = client.predict(family="bcast", algorithm="tree-shaddr",
-                                     x=65536, iters=2, analytic=False)
-        assert served["tier"] == "analytic"
-        assert des["tier"] == "cold"
-        assert served["elapsed_us"] == pytest.approx(
-            des["elapsed_us"], rel=5e-3,
-        )
-
 
 # -- client ----------------------------------------------------------------
 
@@ -493,12 +478,10 @@ class TestBenchSweepViews:
             "smoke": False,
             "solver": "incremental",
             "sweeps": {
-                "cold": {"solver": "incremental", "analytic_hits": 0,
+                "cold": {"solver": "incremental",
                          "points": [dict(p) for p in points]},
-                "memo": {"solver": "incremental", "analytic_hits": 0,
+                "memo": {"solver": "incremental",
                          "points": [dict(p) for p in points]},
-                "analytic": {"solver": "incremental", "analytic_hits": 2,
-                             "points": [dict(p) for p in points]},
             },
         }}}
 
@@ -513,13 +496,6 @@ class TestBenchSweepViews:
         drifts = compare_bench(bench, "serve:cold", "serve:memo",
                                tolerance=0.0)
         assert len(drifts) == 1 and "x=8192" in drifts[0]
-
-    def test_analytic_sweep_refused_without_cross_solver(self):
-        drifts = compare_bench(self._bench(), "serve:cold", "serve:analytic",
-                               tolerance=0.0)
-        assert drifts and "different solvers" in drifts[0]
-        assert compare_bench(self._bench(), "serve:cold", "serve:analytic",
-                             tolerance=0.0, allow_cross_solver=True) == []
 
     def test_unknown_sweep_label_is_an_error(self):
         drifts = compare_bench(self._bench(), "serve:cold", "serve:nope")

@@ -13,16 +13,14 @@ from repro.bench.harness import run_collective
 from repro.hardware.machine import Machine, Mode
 from repro.sim import Engine, FlowNetwork
 from repro.sim.config import (
-    ENV_ANALYTIC,
     ENV_DEBUG,
     ENV_SLOWPATH,
     SolverConfig,
-    analytic_enabled,
     env_flag,
     resolve_solver_config,
 )
 
-ALL_ENV = (ENV_SLOWPATH, ENV_DEBUG, ENV_ANALYTIC)
+ALL_ENV = (ENV_SLOWPATH, ENV_DEBUG)
 
 
 @pytest.fixture(autouse=True)
@@ -167,17 +165,3 @@ def test_harness_rereads_env_per_run(monkeypatch):
     monkeypatch.delenv(ENV_SLOWPATH)
     result = run_collective(machine, "bcast", "tree-shaddr", 4096)
     assert result.manifest.solver_mode == "incremental"
-
-
-# ---------------------------------------------------------------------------
-# analytic_enabled
-# ---------------------------------------------------------------------------
-
-def test_analytic_enabled_is_opt_in(monkeypatch):
-    assert analytic_enabled() is False
-    monkeypatch.setenv(ENV_ANALYTIC, "1")
-    assert analytic_enabled() is True
-    # explicit argument beats the environment in both directions
-    assert analytic_enabled(False) is False
-    monkeypatch.delenv(ENV_ANALYTIC)
-    assert analytic_enabled(True) is True

@@ -4,9 +4,8 @@ The fair-share solver has two DES altitudes (``docs/performance.md``):
 the from-scratch reference traversal and the component-cache incremental
 path.  These tests pin the contract that both produce bit-identical
 results — on randomized flow graphs, and through real collectives with
-mid-window capacity faults — and that ``compare_bench`` refuses to diff
-BENCH entries recorded under different solvers unless explicitly
-allowed.
+mid-window capacity faults — and that ``compare_bench`` therefore gates
+BENCH entries recorded under either solver on their points alone.
 """
 
 import pytest
@@ -22,7 +21,7 @@ from repro.hardware.fault_schedule import (
 )
 from repro.hardware.machine import Machine, Mode
 from repro.sim import Engine, FlowNetwork
-from repro.telemetry import bench_entry_solver, compare_bench
+from repro.telemetry import compare_bench
 
 #: solver label -> FlowNetwork.configure pins (explicit, so they survive
 #: the harness's per-run refresh_config)
@@ -173,7 +172,7 @@ def test_solvers_agree_under_capacity_faults(family, algorithm, x):
 
 
 # ---------------------------------------------------------------------------
-# compare_bench refuses cross-solver diffs
+# compare_bench gates across solver tags
 # ---------------------------------------------------------------------------
 
 def _bench(base_entry, new_entry):
@@ -193,42 +192,24 @@ def _entry(solver=None, elapsed=100.0, **extra):
     return entry
 
 
-def test_compare_bench_refuses_cross_solver_entries():
-    bench = _bench(_entry(solver="slowpath"), _entry(solver="incremental"))
-    drifts = compare_bench(bench, "base", "new")
-    assert len(drifts) == 1
-    assert "different solvers" in drifts[0]
-    assert "--allow-cross-solver" in drifts[0]
-
-
-def test_compare_bench_allow_cross_solver_compares_points():
-    bench = _bench(
-        _entry(solver="incremental", elapsed=100.0),
-        _entry(solver="incremental+analytic", elapsed=100.0),
-    )
-    assert compare_bench(bench, "base", "new", allow_cross_solver=True) == []
-    bench = _bench(
-        _entry(solver="slowpath", elapsed=100.0),
-        _entry(solver="incremental", elapsed=200.0),
-    )
-    drifts = compare_bench(bench, "base", "new", allow_cross_solver=True)
-    assert drifts and "elapsed_us" in drifts[0]
+def test_compare_bench_gates_across_solver_tags():
+    """Solver tags are a record, not a gate input: entries tagged by any
+    configuration, or carrying only the legacy slowpath flag, gate on
+    their points."""
+    tags = ({"solver": "slowpath"}, {"solver": "incremental"},
+            {"solver": "vectorized+analytic"}, {"slowpath": True})
+    for base_tag in tags:
+        for new_tag in tags:
+            bench = _bench(_entry(elapsed=100.0, **base_tag),
+                           _entry(elapsed=100.0, **new_tag))
+            assert compare_bench(bench, "base", "new", tolerance=0.0) == []
+            bench = _bench(_entry(elapsed=100.0, **base_tag),
+                           _entry(elapsed=200.0, **new_tag))
+            drifts = compare_bench(bench, "base", "new", tolerance=0.0)
+            assert len(drifts) == 1 and "elapsed_us" in drifts[0]
 
 
 def test_compare_bench_same_solver_unaffected():
     bench = _bench(_entry(solver="incremental"), _entry(solver="incremental"))
     assert compare_bench(bench, "base", "new") == []
 
-
-def test_bench_entry_solver_legacy_derivation():
-    """Entries recorded before the solver tag derive it from the legacy
-    slowpath boolean, so old BENCH files keep comparing."""
-    assert bench_entry_solver({"solver": "incremental"}) == "incremental"
-    assert bench_entry_solver({"slowpath": True}) == "slowpath"
-    assert bench_entry_solver({"slowpath": False}) == "incremental"
-    assert bench_entry_solver({}) == "incremental"
-    legacy = _entry()
-    legacy["slowpath"] = True
-    bench = _bench(legacy, _entry(solver="incremental"))
-    drifts = compare_bench(bench, "base", "new")
-    assert drifts and "slowpath vs incremental" in drifts[0]
