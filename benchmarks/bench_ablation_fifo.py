@@ -9,7 +9,7 @@ stops being the constraint.
 from conftest import publish
 
 from repro.bench.experiments import ExperimentResult
-from repro.bench.harness import run_bcast
+from repro.bench.harness import run_collective
 from repro.bench.report import Series
 from repro.hardware import BGPParams, Machine, Mode
 from repro.util.units import KIB, MIB
@@ -24,12 +24,14 @@ def run_fifo_ablation() -> ExperimentResult:
     for slot in SLOT_SIZES:
         params = BGPParams(fifo_slot_bytes=slot, fifo_slots=16)
         machine = Machine(torus_dims=(4, 4, 4), mode=Mode.QUAD, params=params)
-        by_slot.add(run_bcast(machine, "torus-fifo", MESSAGE).bandwidth_mbs)
+        result = run_collective(machine, "bcast", "torus-fifo", MESSAGE)
+        by_slot.add(result.bandwidth_mbs)
     by_depth = Series("vary depth (8K slots)")
     for depth in DEPTHS:
         params = BGPParams(fifo_slot_bytes=8 * KIB, fifo_slots=depth)
         machine = Machine(torus_dims=(4, 4, 4), mode=Mode.QUAD, params=params)
-        by_depth.add(run_bcast(machine, "torus-fifo", MESSAGE).bandwidth_mbs)
+        result = run_collective(machine, "bcast", "torus-fifo", MESSAGE)
+        by_depth.add(result.bandwidth_mbs)
     return ExperimentResult(
         "ablation_fifo",
         "index (see series captions)",

@@ -10,7 +10,7 @@ there is a broad sweet spot around the default 64 KB.
 from conftest import publish
 
 from repro.bench.experiments import ExperimentResult
-from repro.bench.harness import run_bcast
+from repro.bench.harness import run_collective
 from repro.bench.report import Series
 from repro.hardware import BGPParams, Machine, Mode
 from repro.util.units import KIB, MIB
@@ -24,7 +24,8 @@ def run_pwidth_ablation() -> ExperimentResult:
     for width in WIDTHS:
         params = BGPParams(pipeline_width=width)
         machine = Machine(torus_dims=(4, 4, 4), mode=Mode.QUAD, params=params)
-        series.add(run_bcast(machine, "torus-shaddr", MESSAGE).bandwidth_mbs)
+        result = run_collective(machine, "bcast", "torus-shaddr", MESSAGE)
+        series.add(result.bandwidth_mbs)
     best = max(series.values)
     default_index = WIDTHS.index(64 * KIB)
     return ExperimentResult(

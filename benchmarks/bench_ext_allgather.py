@@ -10,7 +10,7 @@ network.
 from conftest import publish
 
 from repro.bench.experiments import ExperimentResult
-from repro.bench.harness import run_allgather
+from repro.bench.harness import run_collective
 from repro.bench.report import Series
 from repro.hardware import Machine, Mode
 from repro.util.units import KIB
@@ -27,7 +27,8 @@ def run_allgather_extension() -> ExperimentResult:
     for block in BLOCKS:
         for s, name in zip(series, names):
             machine = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-            s.add(run_allgather(machine, name, block).bandwidth_mbs)
+            result = run_collective(machine, "allgather", name, block)
+            s.add(result.bandwidth_mbs)
     ratios = [
         a / b for a, b in zip(series[0].values, series[1].values)
     ]

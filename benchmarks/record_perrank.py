@@ -70,16 +70,6 @@ def simulate_battery(solver=None):
     its run (None: whatever the environment selects — the configuration
     the committed reference was recorded under).
     """
-    runners = {
-        "bcast": harness.run_bcast,
-        "allreduce": harness.run_allreduce,
-        "allgather": harness.run_allgather,
-        "alltoall": harness.run_alltoall,
-        "gather": harness.run_gather,
-        "scatter": harness.run_scatter,
-        "reduce": harness.run_reduce,
-        "barrier": harness.run_barrier,
-    }
     captured = []
     original = harness._measure
 
@@ -97,10 +87,10 @@ def simulate_battery(solver=None):
             machine = Machine(torus_dims=(2, 2, 2), mode=Mode[mode])
             if solver is not None:
                 machine.flownet.configure(**SOLVER_KNOBS[solver])
-            if kind == "barrier":
-                result = runners[kind](machine, algorithm, iters=iters)
-            else:
-                result = runners[kind](machine, algorithm, x, iters=iters)
+            # Barrier ignores x (0 in its scenarios).
+            result = harness.run_collective(
+                machine, kind, algorithm, x, iters=iters
+            )
             out[scenario_id] = {
                 "times": captured[0],
                 "elapsed_us": result.elapsed_us,

@@ -18,7 +18,7 @@ Run:  python examples/bottleneck_profile.py
 
 from repro import Machine, Mode
 from repro.analysis import predict_torus_bcast
-from repro.bench import format_report, run_bcast, utilization_report
+from repro.bench import format_report, run_collective, utilization_report
 from repro.hardware import BGPParams
 from repro.util.units import MIB
 
@@ -42,7 +42,7 @@ def main() -> None:
         print("analytic bounds:")
         print(prediction)
         machine = Machine(torus_dims=DIMS, mode=mode, params=params)
-        result = run_bcast(machine, algorithm, MESSAGE)
+        result = run_collective(machine, "bcast", algorithm, MESSAGE)
         print(f"measured: {result.bandwidth_mbs:.1f} MB/s "
               f"(ceiling {prediction.value:.1f}, "
               f"{result.bandwidth_mbs / prediction.value:.0%} of it)")

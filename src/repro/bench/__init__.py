@@ -1,11 +1,6 @@
 """Benchmark harness: the Fig-5 microbenchmark and per-figure experiments."""
 
-from repro.bench.harness import (
-    run_allgather,
-    run_allreduce,
-    run_bcast,
-    run_collective,
-)
+from repro.bench.harness import run_collective
 from repro.bench.parallel import ParallelExecutor, execute_points, resolve_jobs
 from repro.bench.profile import UtilizationReport, format_report, utilization_report
 from repro.bench.report import Series, format_table, speedup
@@ -25,9 +20,6 @@ __all__ = [
     "execute_points",
     "resolve_jobs",
     "run_collective",
-    "run_bcast",
-    "run_allreduce",
-    "run_allgather",
     "run_suite",
     "speedup_table",
     "Series",

@@ -23,8 +23,6 @@ Every collective family is measured by the same driver,
 payload is built, how the invocation constructor is spelled, what the
 reported byte count and the node-local working set are — is captured in a
 small :class:`FamilySpec` adapter, one per family in :data:`FAMILY_SPECS`.
-The historical per-family entry points (``run_bcast``, ``run_allreduce``,
-...) survive as thin wrappers.
 
 Window services (shared-address mapping caches) persist across iterations
 through an :class:`~repro.collectives.base.InvocationSession`, so with
@@ -46,8 +44,8 @@ The detection is exact equality, so it is inherently safe under injected
 jitter or mid-run degradation: perturbed iterations never compare equal
 and the full loop runs.  It is *not* safe when the caller mutates the
 machine from outside between iterations in a way that happens to first
-bite on a later iteration; pass ``steady_state=False`` (the opt-out on
-every entry point) in that case.  ``verify=True`` also disables it by
+bite on a later iteration; pass ``steady_state=False`` to
+:func:`run_collective` in that case.  ``verify=True`` also disables it by
 default so the payload actually travels through every iteration.
 """
 
@@ -229,6 +227,8 @@ class FamilySpec:
     payload: Optional[Callable[[Machine, int, object], np.ndarray]] = None
     #: byte size fed to the protocol-selection table for algorithm="auto"
     select_nbytes: Optional[Callable[[Machine, int], int]] = None
+    #: the adapter forwards ``root``; every other family runs at root 0
+    takes_root: bool = False
 
 
 #: the adapter table: every family the harness can measure
@@ -242,6 +242,7 @@ FAMILY_SPECS: Dict[str, FamilySpec] = {
         working_set=lambda machine, x: x * machine.ppn,
         payload=_bcast_payload,
         select_nbytes=lambda machine, x: x,
+        takes_root=True,
     ),
     # Every local process's send and receive partitions are touched.
     "allreduce": FamilySpec(
@@ -321,9 +322,11 @@ def run_collective(
     ``algorithm`` is a registry name, ``"auto"`` (resolved through the
     section-V selection table when the family has one), or an invocation
     class.  ``x`` is the family's natural size argument — see
-    :class:`FamilySpec`.  ``verify=True`` carries a pseudo-random payload
-    through the simulated machine and asserts every rank received the
-    correct bytes (slower; meant for tests and small configurations).
+    :class:`FamilySpec`.  ``root`` applies only to bcast; every other
+    family runs at root 0 and raises :class:`ValueError` on any other
+    root.  ``verify=True`` carries a pseudo-random payload through the
+    simulated machine and asserts every rank received the correct bytes
+    (slower; meant for tests and small configurations).
     ``payload`` supplies that verification payload directly instead of
     generating it from ``seed`` — callers that retry the same collective
     (the chaos fallback ladder) build it once and reuse it across
@@ -337,6 +340,11 @@ def run_collective(
             f"known: {sorted(FAMILY_SPECS)}"
         )
     spec = FAMILY_SPECS[family]
+    if root != 0 and not spec.takes_root:
+        raise ValueError(
+            f"family {family!r} takes no root (it runs at root 0); "
+            f"got root={root}"
+        )
     if isinstance(algorithm, str):
         if algorithm == "auto":
             if spec.select_nbytes is None:
@@ -429,144 +437,3 @@ def build_payload(machine: Machine, family: str, x: int,
     if spec.payload is None:
         raise ValueError(f"family {family!r} carries no payload")
     return spec.payload(machine, x, np.random.default_rng(seed))
-
-
-# -- per-family entry points (thin wrappers) ----------------------------
-
-def run_bcast(
-    machine: Machine,
-    algorithm: Union[str, type],
-    nbytes: int,
-    root: int = 0,
-    iters: int = 1,
-    verify: bool = False,
-    window_caching: bool = True,
-    seed: int = 1234,
-    steady_state: Optional[bool] = None,
-) -> CollectiveResult:
-    """Measure ``MPI_Bcast`` with the given algorithm on ``machine``."""
-    return run_collective(
-        machine, "bcast", algorithm, nbytes, root=root, iters=iters,
-        verify=verify, window_caching=window_caching, seed=seed,
-        steady_state=steady_state,
-    )
-
-
-def run_allreduce(
-    machine: Machine,
-    algorithm: Union[str, type],
-    count: int,
-    root: int = 0,
-    iters: int = 1,
-    verify: bool = False,
-    window_caching: bool = True,
-    seed: int = 1234,
-    steady_state: Optional[bool] = None,
-) -> CollectiveResult:
-    """Measure ``MPI_Allreduce`` (sum of ``count`` doubles) on ``machine``."""
-    return run_collective(
-        machine, "allreduce", algorithm, count, iters=iters, verify=verify,
-        window_caching=window_caching, seed=seed, steady_state=steady_state,
-    )
-
-
-def run_allgather(
-    machine: Machine,
-    algorithm: Union[str, type],
-    block_bytes: int,
-    iters: int = 1,
-    verify: bool = False,
-    window_caching: bool = True,
-    seed: int = 1234,
-    steady_state: Optional[bool] = None,
-) -> CollectiveResult:
-    """Measure an ``MPI_Allgather`` with per-rank blocks of ``block_bytes``."""
-    return run_collective(
-        machine, "allgather", algorithm, block_bytes, iters=iters,
-        verify=verify, window_caching=window_caching, seed=seed,
-        steady_state=steady_state,
-    )
-
-
-def run_alltoall(
-    machine: Machine,
-    algorithm: Union[str, type],
-    block_bytes: int,
-    iters: int = 1,
-    verify: bool = False,
-    window_caching: bool = True,
-    seed: int = 1234,
-    steady_state: Optional[bool] = None,
-) -> CollectiveResult:
-    """Measure an ``MPI_Alltoall`` with per-pair blocks of ``block_bytes``."""
-    return run_collective(
-        machine, "alltoall", algorithm, block_bytes, iters=iters,
-        verify=verify, window_caching=window_caching, seed=seed,
-        steady_state=steady_state,
-    )
-
-
-def run_barrier(
-    machine: Machine,
-    algorithm: Union[str, type] = "barrier-gi",
-    iters: int = 1,
-    steady_state: Optional[bool] = None,
-) -> CollectiveResult:
-    """Measure an ``MPI_Barrier`` (latency in µs; bandwidth is meaningless)."""
-    return run_collective(
-        machine, "barrier", algorithm, iters=iters,
-        steady_state=steady_state,
-    )
-
-
-def run_scatter(
-    machine: Machine,
-    algorithm: Union[str, type],
-    block_bytes: int,
-    iters: int = 1,
-    verify: bool = False,
-    window_caching: bool = True,
-    seed: int = 1234,
-    steady_state: Optional[bool] = None,
-) -> CollectiveResult:
-    """Measure an ``MPI_Scatter`` (root 0) with per-rank blocks."""
-    return run_collective(
-        machine, "scatter", algorithm, block_bytes, iters=iters,
-        verify=verify, window_caching=window_caching, seed=seed,
-        steady_state=steady_state,
-    )
-
-
-def run_reduce(
-    machine: Machine,
-    algorithm: Union[str, type],
-    count: int,
-    iters: int = 1,
-    verify: bool = False,
-    window_caching: bool = True,
-    seed: int = 1234,
-    steady_state: Optional[bool] = None,
-) -> CollectiveResult:
-    """Measure an ``MPI_Reduce`` (sum of ``count`` doubles to rank 0)."""
-    return run_collective(
-        machine, "reduce", algorithm, count, iters=iters, verify=verify,
-        window_caching=window_caching, seed=seed, steady_state=steady_state,
-    )
-
-
-def run_gather(
-    machine: Machine,
-    algorithm: Union[str, type],
-    block_bytes: int,
-    iters: int = 1,
-    verify: bool = False,
-    window_caching: bool = True,
-    seed: int = 1234,
-    steady_state: Optional[bool] = None,
-) -> CollectiveResult:
-    """Measure an ``MPI_Gather`` (root = rank 0) with per-rank blocks."""
-    return run_collective(
-        machine, "gather", algorithm, block_bytes, iters=iters,
-        verify=verify, window_caching=window_caching, seed=seed,
-        steady_state=steady_state,
-    )

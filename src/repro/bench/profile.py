@@ -9,10 +9,11 @@ shared-address scheme flips that.
 Typical use::
 
     machine = Machine(torus_dims=(4, 4, 4), mode=Mode.QUAD)
-    result = run_bcast(machine, "torus-direct-put", nbytes="2M")
+    result = run_collective(machine, "bcast", "torus-direct-put",
+                            2 * 1024 * 1024)
     report = utilization_report(machine)
     print(format_report(report))
-    report.group("dma").mean      # ~1.0 for the DMA-bound baseline
+    report.group("dma").mean      # ~0.86: the DMA-bound baseline
 
 Utilization is averaged over the full simulated time span of the machine,
 so profile a *fresh* machine per measurement (the harness idiom throughout

@@ -199,6 +199,11 @@ def normalize_query(request: dict) -> dict:
         raise QueryError("iters, seed and root must be integers")
     if spec["iters"] < 1:
         raise QueryError(f"iters must be >= 1, got {spec['iters']}")
+    if spec["root"] != 0 and not FAMILY_SPECS[family].takes_root:
+        raise QueryError(
+            f"family {family!r} takes no root (it runs at root 0); "
+            f"got root={spec['root']}"
+        )
     spec["window_caching"] = bool(spec["window_caching"])
 
     if spec["algorithm"] == "auto":

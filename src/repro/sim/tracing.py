@@ -7,7 +7,7 @@ constructing the machine's engine and dump after a run::
 
     engine = Engine(trace=True)
     machine = Machine(torus_dims=(2, 2, 2), engine=engine)
-    run_bcast(machine, "torus-shaddr", nbytes="1M")
+    run_collective(machine, "bcast", "torus-shaddr", 1024 * 1024)
     write_chrome_trace(engine, "trace.json")
 
 When a :class:`~repro.telemetry.recorder.TelemetryRecorder` is passed

@@ -12,7 +12,7 @@ from repro.analysis import (
     predict_tree_bcast,
     predict_tree_latency,
 )
-from repro.bench import run_bcast
+from repro.bench import run_collective
 from repro.hardware import BGPParams, Machine, Mode
 from repro.util.units import MIB
 
@@ -60,7 +60,9 @@ class TestTorusBandwidthCrossValidation:
     def test_simulation_within_analytic_ceiling(self, algorithm, mode):
         params = BGPParams()
         machine = Machine(torus_dims=DIMS, mode=mode, params=params)
-        measured = run_bcast(machine, algorithm, 2 * MIB).bandwidth_mbs
+        measured = run_collective(
+            machine, "bcast", algorithm, 2 * MIB
+        ).bandwidth_mbs
         predicted = predict_torus_bcast(
             params, algorithm, DIMS, 2 * MIB, ppn=mode.processes_per_node
         ).value
@@ -104,7 +106,9 @@ class TestTreeBandwidthCrossValidation:
     def test_simulation_within_analytic_ceiling(self, algorithm, mode):
         params = BGPParams()
         machine = Machine(torus_dims=(2, 2, 2), mode=mode, params=params)
-        measured = run_bcast(machine, algorithm, 2 * MIB).bandwidth_mbs
+        measured = run_collective(
+            machine, "bcast", algorithm, 2 * MIB
+        ).bandwidth_mbs
         predicted = predict_tree_bcast(
             params, algorithm, 2 * MIB, ppn=mode.processes_per_node
         ).value
@@ -130,7 +134,9 @@ class TestTreeLatencyCrossValidation:
     def test_latency_model_matches_simulation(self, algorithm, mode):
         params = BGPParams()
         machine = Machine(torus_dims=(4, 4, 4), mode=mode, params=params)
-        measured = run_bcast(machine, algorithm, 8, iters=2).elapsed_us
+        measured = run_collective(
+            machine, "bcast", algorithm, 8, iters=2
+        ).elapsed_us
         predicted = predict_tree_latency(params, 64, 8, algorithm)
         assert measured == pytest.approx(predicted, rel=0.15)
 

@@ -3,7 +3,7 @@ bottleneck claims, asserted directly from utilization counters."""
 
 import pytest
 
-from repro.bench import run_allreduce, run_bcast, utilization_report
+from repro.bench import run_collective, utilization_report
 from repro.bench.profile import format_report
 from repro.hardware import Machine, Mode
 from repro.sim import Engine, FlowNetwork
@@ -59,7 +59,7 @@ class TestBusyIntegrals:
 class TestMachineReports:
     def test_report_groups_present(self):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        run_bcast(m, "torus-shaddr", nbytes=64 * 1024)
+        run_collective(m, "bcast", "torus-shaddr", 64 * 1024)
         report = utilization_report(m)
         for group in ("mem", "dma", "tree_up", "tree_down", "links"):
             assert group in report.groups
@@ -67,13 +67,13 @@ class TestMachineReports:
 
     def test_unknown_group_raises(self):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        run_bcast(m, "torus-shaddr", nbytes=1024)
+        run_collective(m, "bcast", "torus-shaddr", 1024)
         with pytest.raises(KeyError):
             utilization_report(m).group("gpu")
 
     def test_format_report_renders(self):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        run_bcast(m, "torus-shaddr", nbytes=64 * 1024)
+        run_collective(m, "bcast", "torus-shaddr", 64 * 1024)
         text = format_report(utilization_report(m))
         assert "dma" in text and "%" in text
 
@@ -83,7 +83,7 @@ class TestPaperBottleneckClaims:
 
     def _profile(self, algorithm, mode=Mode.QUAD):
         m = Machine(torus_dims=(2, 2, 2), mode=mode)
-        run_bcast(m, algorithm, nbytes=1024 * 1024)
+        run_collective(m, "bcast", algorithm, 1024 * 1024)
         return utilization_report(m)
 
     def test_direct_put_is_dma_bound(self):
@@ -115,7 +115,7 @@ class TestPaperBottleneckClaims:
         least one copy of the payload on every node."""
         nbytes = 512 * 1024
         m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-        run_bcast(m, "tree-shaddr", nbytes=nbytes)
+        run_collective(m, "bcast", "tree-shaddr", nbytes)
         report = utilization_report(m)
         assert report.group("tree_down").bytes_served >= nbytes
         assert report.group("mem").bytes_served >= nbytes * m.nnodes
@@ -128,7 +128,7 @@ class TestPaperBottleneckClaims:
             m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
             if attach:
                 m.attach_telemetry()
-            run_bcast(m, "tree-shaddr", nbytes=256 * 1024)
+            run_collective(m, "bcast", "tree-shaddr", 256 * 1024)
             return utilization_report(m)
 
         bare, recorded = profile(False), profile(True)
@@ -145,7 +145,7 @@ class TestAllreduceProfiles:
 
     def _profile(self, algorithm, count=96 * 1024):
         m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-        run_allreduce(m, algorithm, count)
+        run_collective(m, "allreduce", algorithm, count)
         return m, utilization_report(m)
 
     def test_current_allreduce_report_groups(self):

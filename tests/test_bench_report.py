@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import Series, format_table, run_bcast, speedup
+from repro.bench import Series, format_table, run_collective, speedup
 from repro.bench.experiments import ExperimentResult
 from repro.hardware import Machine, Mode
 
@@ -61,13 +61,13 @@ class TestHarness:
         for _ in range(2):
             m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
             results.append(
-                run_bcast(m, "torus-shaddr", nbytes=100_000, iters=2)
+                run_collective(m, "bcast", "torus-shaddr", 100_000, iters=2)
             )
         assert results[0].iterations_us == results[1].iterations_us
 
     def test_iterations_recorded(self):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        r = run_bcast(m, "torus-fifo", nbytes=10_000, iters=3)
+        r = run_collective(m, "bcast", "torus-fifo", 10_000, iters=3)
         assert len(r.iterations_us) == 3
         assert r.elapsed_us == pytest.approx(
             sum(r.iterations_us) / 3
@@ -75,13 +75,13 @@ class TestHarness:
 
     def test_result_str_contains_algorithm(self):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        r = run_bcast(m, "torus-shaddr", nbytes=1000)
+        r = run_collective(m, "bcast", "torus-shaddr", 1000)
         assert "torus-shaddr" in str(r)
         assert r.bandwidth_mbs > 0
 
     def test_machine_reuse_across_measurements(self):
         """One machine object supports repeated independent measurements."""
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        r1 = run_bcast(m, "torus-shaddr", nbytes=50_000)
-        r2 = run_bcast(m, "torus-shaddr", nbytes=50_000)
+        r1 = run_collective(m, "bcast", "torus-shaddr", 50_000)
+        r2 = run_collective(m, "bcast", "torus-shaddr", 50_000)
         assert r1.elapsed_us == pytest.approx(r2.elapsed_us, rel=1e-9)

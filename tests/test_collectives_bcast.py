@@ -8,7 +8,7 @@ delivery at every rank.
 import numpy as np
 import pytest
 
-from repro.bench import run_bcast
+from repro.bench import run_collective
 from repro.collectives.registry import get_algorithm, select_protocol
 from repro.hardware import Machine, Mode
 
@@ -33,37 +33,39 @@ class TestBcastCorrectness:
     @pytest.mark.parametrize("algorithm", QUAD_ALGOS + SMP_ALGOS)
     def test_payload_delivered_everywhere(self, algorithm):
         m = machine_for(algorithm)
-        result = run_bcast(m, algorithm, nbytes=60_000, iters=1, verify=True)
+        result = run_collective(
+            m, "bcast", algorithm, 60_000, iters=1, verify=True
+        )
         assert result.elapsed_us > 0
 
     @pytest.mark.parametrize("algorithm", QUAD_ALGOS + SMP_ALGOS)
     def test_odd_sizes(self, algorithm):
         # Not a multiple of chunk, slot, or color counts.
         m = machine_for(algorithm)
-        run_bcast(m, algorithm, nbytes=70_001, iters=1, verify=True)
+        run_collective(m, "bcast", algorithm, 70_001, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", QUAD_ALGOS + SMP_ALGOS)
     def test_tiny_message(self, algorithm):
         m = machine_for(algorithm)
-        run_bcast(m, algorithm, nbytes=8, iters=1, verify=True)
+        run_collective(m, "bcast", algorithm, 8, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", QUAD_ALGOS + SMP_ALGOS)
     def test_zero_bytes(self, algorithm):
         m = machine_for(algorithm)
-        result = run_bcast(m, algorithm, nbytes=0, iters=1)
+        result = run_collective(m, "bcast", algorithm, 0, iters=1)
         assert result.elapsed_us >= 0
 
     @pytest.mark.parametrize("algorithm", ["torus-shaddr", "torus-fifo",
                                            "torus-direct-put"])
     def test_asymmetric_torus(self, algorithm):
         m = machine_for(algorithm, dims=(3, 2, 1))
-        run_bcast(m, algorithm, nbytes=50_000, iters=1, verify=True)
+        run_collective(m, "bcast", algorithm, 50_000, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", ["torus-shaddr", "torus-fifo"])
     def test_single_node(self, algorithm):
         # Pure intra-node broadcast (all phases degenerate).
         m = machine_for(algorithm, dims=(1, 1, 1))
-        run_bcast(m, algorithm, nbytes=30_000, iters=1, verify=True)
+        run_collective(m, "bcast", algorithm, 30_000, iters=1, verify=True)
 
     @pytest.mark.parametrize(
         "algorithm", ["torus-direct-put", "torus-fifo", "torus-shaddr"]
@@ -72,12 +74,14 @@ class TestBcastCorrectness:
         m = machine_for(algorithm, dims=(2, 2, 1))
         # Root on a different node; local rank 0 (the torus algorithms
         # designate the root process as that node's master).
-        run_bcast(m, algorithm, nbytes=40_000, root=4, iters=1, verify=True)
+        run_collective(
+            m, "bcast", algorithm, 40_000, root=4, iters=1, verify=True
+        )
 
     def test_multiple_iterations_all_verified(self):
         m = machine_for("torus-shaddr")
-        result = run_bcast(
-            m, "torus-shaddr", nbytes=30_000, iters=3, verify=True
+        result = run_collective(
+            m, "bcast", "torus-shaddr", 30_000, iters=3, verify=True
         )
         assert len(result.iterations_us) == 3
         # Later iterations benefit from cached window mappings.
@@ -87,8 +91,8 @@ class TestBcastCorrectness:
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.DUAL)
         for algorithm in ["torus-direct-put", "torus-fifo", "torus-shaddr",
                           "tree-dma-fifo", "tree-shmem"]:
-            run_bcast(m := Machine(torus_dims=(2, 2, 1), mode=Mode.DUAL),
-                      algorithm, nbytes=20_000, iters=1, verify=True)
+            run_collective(m := Machine(torus_dims=(2, 2, 1), mode=Mode.DUAL),
+                           "bcast", algorithm, 20_000, iters=1, verify=True)
 
 
 class TestBcastModeGuards:
@@ -96,17 +100,17 @@ class TestBcastModeGuards:
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
         for algorithm in SMP_ALGOS:
             with pytest.raises(ValueError):
-                run_bcast(m, algorithm, nbytes=1024, iters=1)
+                run_collective(m, "bcast", algorithm, 1024, iters=1)
 
     def test_tree_shaddr_requires_quad(self):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.DUAL)
         with pytest.raises(ValueError):
-            run_bcast(m, "tree-shaddr", nbytes=1024, iters=1)
+            run_collective(m, "bcast", "tree-shaddr", 1024, iters=1)
 
     def test_tree_shaddr_requires_root_local_zero(self):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
         with pytest.raises(ValueError):
-            run_bcast(m, "tree-shaddr", nbytes=1024, root=1, iters=1)
+            run_collective(m, "bcast", "tree-shaddr", 1024, root=1, iters=1)
 
     def test_unknown_algorithm(self):
         with pytest.raises(KeyError):
@@ -117,13 +121,13 @@ class TestBcastPerformanceShape:
     """Coarse ordering invariants the model must always satisfy."""
 
     def test_quad_direct_put_slower_than_smp(self):
-        smp = run_bcast(
+        smp = run_collective(
             Machine(torus_dims=(2, 2, 2), mode=Mode.SMP),
-            "torus-direct-put-smp", nbytes=512 * 1024,
+            "bcast", "torus-direct-put-smp", 512 * 1024,
         )
-        quad = run_bcast(
+        quad = run_collective(
             Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD),
-            "torus-direct-put", nbytes=512 * 1024,
+            "bcast", "torus-direct-put", 512 * 1024,
         )
         assert quad.bandwidth_mbs < smp.bandwidth_mbs
 
@@ -131,8 +135,8 @@ class TestBcastPerformanceShape:
         results = {}
         for algorithm in ["torus-direct-put", "torus-fifo", "torus-shaddr"]:
             m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-            results[algorithm] = run_bcast(
-                m, algorithm, nbytes=1024 * 1024
+            results[algorithm] = run_collective(
+                m, "bcast", algorithm, 1024 * 1024
             ).bandwidth_mbs
         assert (
             results["torus-shaddr"]
@@ -145,37 +149,38 @@ class TestBcastPerformanceShape:
         for algorithm in ["tree-shaddr", "tree-dma-fifo",
                           "tree-dma-direct-put"]:
             m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-            results[algorithm] = run_bcast(
-                m, algorithm, nbytes=128 * 1024
+            results[algorithm] = run_collective(
+                m, "bcast", algorithm, 128 * 1024
             ).bandwidth_mbs
         assert results["tree-shaddr"] > results["tree-dma-fifo"]
         assert results["tree-shaddr"] > results["tree-dma-direct-put"]
 
     def test_shmem_latency_close_to_smp(self):
-        smp = run_bcast(
-            Machine(torus_dims=(2, 2, 2), mode=Mode.SMP), "tree-smp",
-            nbytes=16,
+        smp = run_collective(
+            Machine(torus_dims=(2, 2, 2), mode=Mode.SMP),
+            "bcast", "tree-smp", 16,
         )
-        shmem = run_bcast(
-            Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD), "tree-shmem",
-            nbytes=16,
+        shmem = run_collective(
+            Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD),
+            "bcast", "tree-shmem", 16,
         )
-        fifo = run_bcast(
-            Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD), "tree-dma-fifo",
-            nbytes=16,
+        fifo = run_collective(
+            Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD),
+            "bcast", "tree-dma-fifo", 16,
         )
         overhead = shmem.elapsed_us - smp.elapsed_us
         assert 0 < overhead < 1.0  # sub-microsecond (paper: 0.42 us)
         assert fifo.elapsed_us > shmem.elapsed_us
 
     def test_window_caching_helps_shaddr(self):
-        cached = run_bcast(
-            Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD), "torus-shaddr",
-            nbytes=128 * 1024, iters=4, window_caching=True,
+        cached = run_collective(
+            Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD),
+            "bcast", "torus-shaddr", 128 * 1024, iters=4, window_caching=True,
         )
-        uncached = run_bcast(
-            Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD), "torus-shaddr",
-            nbytes=128 * 1024, iters=4, window_caching=False,
+        uncached = run_collective(
+            Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD),
+            "bcast", "torus-shaddr", 128 * 1024, iters=4,
+            window_caching=False,
         )
         assert uncached.elapsed_us > cached.elapsed_us
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import run_barrier, run_reduce, run_scatter
+from repro.bench.harness import run_collective
 from repro.collectives.registry import get_algorithm, list_algorithms
 from repro.hardware import Machine, Mode
 
@@ -15,40 +15,42 @@ class TestReduce:
     @pytest.mark.parametrize("algorithm", REDUCE_ALGOS)
     def test_exact_sum_at_root(self, algorithm):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
-        result = run_reduce(m, algorithm, count=5000, iters=1, verify=True)
+        result = run_collective(
+            m, "reduce", algorithm, 5000, iters=1, verify=True
+        )
         assert result.elapsed_us > 0
 
     @pytest.mark.parametrize("algorithm", REDUCE_ALGOS)
     def test_odd_count(self, algorithm):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
-        run_reduce(m, algorithm, count=3331, iters=1, verify=True)
+        run_collective(m, "reduce", algorithm, 3331, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", REDUCE_ALGOS)
     def test_single_node(self, algorithm):
         m = Machine(torus_dims=(1, 1, 1), mode=Mode.QUAD)
-        run_reduce(m, algorithm, count=2000, iters=1, verify=True)
+        run_collective(m, "reduce", algorithm, 2000, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", REDUCE_ALGOS)
     def test_zero_count(self, algorithm):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        assert run_reduce(m, algorithm, count=0).elapsed_us >= 0
+        assert run_collective(m, "reduce", algorithm, 0).elapsed_us >= 0
 
     def test_current_works_smp(self):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.SMP)
-        run_reduce(m, "reduce-torus-current", count=4000, iters=1,
-                   verify=True)
+        run_collective(m, "reduce", "reduce-torus-current", 4000, iters=1,
+                       verify=True)
 
     def test_shaddr_requires_quad(self):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.DUAL)
         with pytest.raises(ValueError):
-            run_reduce(m, "reduce-torus-shaddr", count=100)
+            run_collective(m, "reduce", "reduce-torus-shaddr", 100)
 
     def test_shaddr_beats_current(self):
         results = {}
         for algorithm in REDUCE_ALGOS:
             m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-            results[algorithm] = run_reduce(
-                m, algorithm, count=128 * 1024
+            results[algorithm] = run_collective(
+                m, "reduce", algorithm, 128 * 1024
             ).elapsed_us
         assert (
             results["reduce-torus-shaddr"]
@@ -56,15 +58,13 @@ class TestReduce:
         )
 
     def test_reduce_cheaper_than_allreduce(self):
-        from repro.bench import run_allreduce
-
         m1 = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-        reduce_t = run_reduce(
-            m1, "reduce-torus-shaddr", count=64 * 1024
+        reduce_t = run_collective(
+            m1, "reduce", "reduce-torus-shaddr", 64 * 1024
         ).elapsed_us
         m2 = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-        allreduce_t = run_allreduce(
-            m2, "allreduce-torus-shaddr", count=64 * 1024
+        allreduce_t = run_collective(
+            m2, "allreduce", "allreduce-torus-shaddr", 64 * 1024
         ).elapsed_us
         assert reduce_t < allreduce_t
 
@@ -78,27 +78,27 @@ class TestScatter:
     @pytest.mark.parametrize("algorithm", SCATTER_ALGOS)
     def test_each_rank_gets_its_block(self, algorithm):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
-        run_scatter(m, algorithm, block_bytes=4096, iters=1, verify=True)
+        run_collective(m, "scatter", algorithm, 4096, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", SCATTER_ALGOS)
     def test_odd_block(self, algorithm):
         m = Machine(torus_dims=(3, 2, 1), mode=Mode.QUAD)
-        run_scatter(m, algorithm, block_bytes=1025, iters=1, verify=True)
+        run_collective(m, "scatter", algorithm, 1025, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", SCATTER_ALGOS)
     def test_single_node(self, algorithm):
         m = Machine(torus_dims=(1, 1, 1), mode=Mode.QUAD)
-        run_scatter(m, algorithm, block_bytes=2048, iters=1, verify=True)
+        run_collective(m, "scatter", algorithm, 2048, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", SCATTER_ALGOS)
     def test_smp_mode(self, algorithm):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.SMP)
-        run_scatter(m, algorithm, block_bytes=4096, iters=1, verify=True)
+        run_collective(m, "scatter", algorithm, 4096, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", SCATTER_ALGOS)
     def test_zero_block(self, algorithm):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        assert run_scatter(m, algorithm, block_bytes=0).elapsed_us >= 0
+        assert run_collective(m, "scatter", algorithm, 0).elapsed_us >= 0
 
     def test_registry(self):
         assert list_algorithms("scatter") == sorted(SCATTER_ALGOS)
@@ -110,7 +110,7 @@ class TestBarrier:
     @pytest.mark.parametrize("algorithm", BARRIER_ALGOS)
     def test_completes_with_positive_latency(self, algorithm):
         m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-        result = run_barrier(m, algorithm, iters=2)
+        result = run_collective(m, "barrier", algorithm, iters=2)
         assert result.elapsed_us > 0
         assert result.nbytes == 0
 
@@ -118,23 +118,27 @@ class TestBarrier:
         latencies = {}
         for algorithm in BARRIER_ALGOS:
             m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-            latencies[algorithm] = run_barrier(m, algorithm).elapsed_us
+            latencies[algorithm] = run_collective(
+                m, "barrier", algorithm
+            ).elapsed_us
         assert latencies["barrier-gi"] < latencies["barrier-tree"]
         assert latencies["barrier-gi"] < latencies["barrier-torus"]
 
     def test_software_barrier_latency_grows_with_machine(self):
-        small = run_barrier(
-            Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD), "barrier-torus"
+        small = run_collective(
+            Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD),
+            "barrier", "barrier-torus",
         ).elapsed_us
-        large = run_barrier(
-            Machine(torus_dims=(4, 4, 4), mode=Mode.QUAD), "barrier-torus"
+        large = run_collective(
+            Machine(torus_dims=(4, 4, 4), mode=Mode.QUAD),
+            "barrier", "barrier-torus",
         ).elapsed_us
         assert large > small
 
     @pytest.mark.parametrize("algorithm", BARRIER_ALGOS)
     def test_single_node(self, algorithm):
         m = Machine(torus_dims=(1, 1, 1), mode=Mode.QUAD)
-        assert run_barrier(m, algorithm).elapsed_us > 0
+        assert run_collective(m, "barrier", algorithm).elapsed_us > 0
 
     def test_registry(self):
         assert list_algorithms("barrier") == sorted(BARRIER_ALGOS)

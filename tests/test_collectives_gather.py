@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.harness import run_gather
+from repro.bench.harness import run_collective
 from repro.collectives.registry import get_algorithm, list_algorithms
 from repro.hardware import Machine, Mode
 
@@ -13,41 +13,41 @@ class TestGatherCorrectness:
     @pytest.mark.parametrize("algorithm", ALGOS)
     def test_root_assembles_all_blocks(self, algorithm):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
-        result = run_gather(
-            m, algorithm, block_bytes=4096, iters=1, verify=True
+        result = run_collective(
+            m, "gather", algorithm, 4096, iters=1, verify=True
         )
         assert result.nbytes == 4096 * m.nprocs
 
     @pytest.mark.parametrize("algorithm", ALGOS)
     def test_odd_block(self, algorithm):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
-        run_gather(m, algorithm, block_bytes=2049, iters=1, verify=True)
+        run_collective(m, "gather", algorithm, 2049, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", ALGOS)
     def test_single_node(self, algorithm):
         m = Machine(torus_dims=(1, 1, 1), mode=Mode.QUAD)
-        run_gather(m, algorithm, block_bytes=1024, iters=1, verify=True)
+        run_collective(m, "gather", algorithm, 1024, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", ALGOS)
     def test_smp_mode(self, algorithm):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.SMP)
-        run_gather(m, algorithm, block_bytes=4096, iters=1, verify=True)
+        run_collective(m, "gather", algorithm, 4096, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", ALGOS)
     def test_asymmetric_torus(self, algorithm):
         m = Machine(torus_dims=(3, 2, 1), mode=Mode.QUAD)
-        run_gather(m, algorithm, block_bytes=1000, iters=1, verify=True)
+        run_collective(m, "gather", algorithm, 1000, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", ALGOS)
     def test_zero_block(self, algorithm):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        result = run_gather(m, algorithm, block_bytes=0, iters=1)
+        result = run_collective(m, "gather", algorithm, 0, iters=1)
         assert result.elapsed_us >= 0
 
     def test_iterations(self):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        result = run_gather(
-            m, "gather-ring-shaddr", block_bytes=1024, iters=3, verify=True
+        result = run_collective(
+            m, "gather", "gather-ring-shaddr", 1024, iters=3, verify=True
         )
         assert len(result.iterations_us) == 3
 
@@ -62,8 +62,8 @@ class TestGatherShape:
         results = {}
         for algorithm in ALGOS:
             m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-            results[algorithm] = run_gather(
-                m, algorithm, block_bytes=64 * 1024
+            results[algorithm] = run_collective(
+                m, "gather", algorithm, 64 * 1024
             ).elapsed_us
         assert (
             results["gather-ring-shaddr"]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.bench import run_allreduce, run_bcast
+from repro.bench import run_collective
 from repro.hardware import Machine, Mode
 
 small_dims = st.sampled_from([(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1)])
@@ -23,8 +23,9 @@ class TestBcastEndToEnd:
         # Torus algorithms designate the root process as its node's master.
         root_node = data.draw(st.integers(0, machine.nnodes - 1))
         root = machine.node_ranks(root_node)[0]
-        run_bcast(
-            machine, "torus-shaddr", nbytes, root=root, iters=1, verify=True
+        run_collective(
+            machine, "bcast", "torus-shaddr", nbytes, root=root, iters=1,
+            verify=True
         )
 
     @given(dims=small_dims, nbytes=sizes)
@@ -35,7 +36,9 @@ class TestBcastEndToEnd:
     )
     def test_fifo_delivers_any_configuration(self, dims, nbytes):
         machine = Machine(torus_dims=dims, mode=Mode.QUAD)
-        run_bcast(machine, "torus-fifo", nbytes, iters=1, verify=True)
+        run_collective(
+            machine, "bcast", "torus-fifo", nbytes, iters=1, verify=True
+        )
 
 
 class TestAllreduceEndToEnd:
@@ -50,8 +53,9 @@ class TestAllreduceEndToEnd:
     )
     def test_shaddr_sums_any_configuration(self, dims, count):
         machine = Machine(torus_dims=dims, mode=Mode.QUAD)
-        run_allreduce(
-            machine, "allreduce-torus-shaddr", count, iters=1, verify=True
+        run_collective(
+            machine, "allreduce", "allreduce-torus-shaddr", count, iters=1,
+            verify=True
         )
 
 
@@ -71,6 +75,10 @@ class TestDualMode:
         kind, algorithm = runner_algorithm
         machine = Machine(torus_dims=(2, 2, 1), mode=Mode.DUAL)
         if kind == "bcast":
-            run_bcast(machine, algorithm, 20_000, iters=1, verify=True)
+            run_collective(
+                machine, "bcast", algorithm, 20_000, iters=1, verify=True
+            )
         else:
-            run_allreduce(machine, algorithm, 2500, iters=1, verify=True)
+            run_collective(
+                machine, "allreduce", algorithm, 2500, iters=1, verify=True
+            )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import run_bcast
+from repro.bench import run_collective
 from repro.hardware import Machine, Mode
 from repro.hardware.fault_schedule import (
     CounterStall,
@@ -25,27 +25,31 @@ from repro.hardware.faults import (
 
 class TestDegradedDma:
     def test_correct_and_slower(self):
-        healthy = run_bcast(
+        healthy = run_collective(
             Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD),
-            "torus-direct-put", 256 * 1024,
+            "bcast", "torus-direct-put", 256 * 1024,
         )
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
         degrade_node_dma(m, node=2, factor=0.25)
-        degraded = run_bcast(m, "torus-direct-put", 256 * 1024, verify=True)
+        degraded = run_collective(
+            m, "bcast", "torus-direct-put", 256 * 1024, verify=True
+        )
         assert degraded.elapsed_us > healthy.elapsed_us
 
     def test_shaddr_less_sensitive_to_dma_loss(self):
         """The shared-address scheme barely uses the DMA intra-node, so a
         degraded engine hurts it less than the baseline."""
         def slowdown(algorithm):
-            healthy = run_bcast(
+            healthy = run_collective(
                 Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD),
-                algorithm, 512 * 1024,
+                "bcast", algorithm, 512 * 1024,
             ).elapsed_us
             m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
             for node in range(m.nnodes):
                 degrade_node_dma(m, node, factor=0.5)
-            degraded = run_bcast(m, algorithm, 512 * 1024).elapsed_us
+            degraded = run_collective(
+                m, "bcast", algorithm, 512 * 1024
+            ).elapsed_us
             return degraded / healthy
 
         assert slowdown("torus-shaddr") < slowdown("torus-direct-put")
@@ -53,23 +57,27 @@ class TestDegradedDma:
 
 class TestStragglerBackpressure:
     def test_one_slow_drain_port_slows_the_whole_tree(self):
-        healthy = run_bcast(
+        healthy = run_collective(
             Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD),
-            "tree-shaddr", 512 * 1024,
+            "bcast", "tree-shaddr", 512 * 1024,
         )
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
         degrade_tree_port(m, node=3, factor=0.3, direction="down")
-        degraded = run_bcast(m, "tree-shaddr", 512 * 1024, verify=True)
+        degraded = run_collective(
+            m, "bcast", "tree-shaddr", 512 * 1024, verify=True
+        )
         # Not just node 3: the window backpressures everyone.
         assert degraded.elapsed_us > 1.5 * healthy.elapsed_us
 
     def test_degraded_up_port_slows_injection(self):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
         degrade_tree_port(m, node=1, factor=0.3, direction="up")
-        degraded = run_bcast(m, "tree-shaddr", 512 * 1024, verify=True)
-        healthy = run_bcast(
+        degraded = run_collective(
+            m, "bcast", "tree-shaddr", 512 * 1024, verify=True
+        )
+        healthy = run_collective(
             Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD),
-            "tree-shaddr", 512 * 1024,
+            "bcast", "tree-shaddr", 512 * 1024,
         )
         assert degraded.elapsed_us > healthy.elapsed_us
 
@@ -77,9 +85,11 @@ class TestStragglerBackpressure:
 class TestDegradedLinks:
     def test_degrading_channels_after_first_run_slows_second(self):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
-        first = run_bcast(m, "torus-shaddr", 512 * 1024)
+        first = run_collective(m, "bcast", "torus-shaddr", 512 * 1024)
         degrade_torus_channels(m, node=0, factor=0.4)
-        second = run_bcast(m, "torus-shaddr", 512 * 1024, verify=True)
+        second = run_collective(
+            m, "bcast", "torus-shaddr", 512 * 1024, verify=True
+        )
         assert second.elapsed_us > first.elapsed_us
 
 
@@ -173,7 +183,8 @@ class TestTorusChannelApi:
 
     def test_channels_touching_matches_iteration(self):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
-        run_bcast(m, "torus-shaddr", 64 * 1024)  # lazily creates channels
+        # Lazily creates the channels.
+        run_collective(m, "bcast", "torus-shaddr", 64 * 1024)
         assert len(list(m.torus.iter_channels())) > 0
         touched = m.torus.channels_touching(0)
         assert touched
@@ -187,7 +198,7 @@ class TestTorusChannelApi:
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
         created = []
         m.torus.add_channel_hook(lambda key, ch: created.append(key))
-        run_bcast(m, "torus-shaddr", 64 * 1024)
+        run_collective(m, "bcast", "torus-shaddr", 64 * 1024)
         assert created  # channels are created lazily, during the run
         m.torus.remove_channel_hook(created.append)  # absent hook: no-op
 
@@ -198,8 +209,8 @@ class TestFaultSchedule:
             m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
             if schedule is not None:
                 schedule.install(m)
-            return run_bcast(
-                m, "torus-shaddr", 512 * 1024, verify=True
+            return run_collective(
+                m, "bcast", "torus-shaddr", 512 * 1024, verify=True
             ).elapsed_us, m
 
         healthy, _ = measure(None)
@@ -210,7 +221,7 @@ class TestFaultSchedule:
         assert flapped > healthy
         # After the window closed every channel is back at full capacity:
         # an identical second run on the same machine matches healthy.
-        again = run_bcast(m, "torus-shaddr", 512 * 1024)
+        again = run_collective(m, "bcast", "torus-shaddr", 512 * 1024)
         assert again.elapsed_us == pytest.approx(healthy, rel=1e-6)
 
     def test_expired_window_is_skipped_on_install(self):

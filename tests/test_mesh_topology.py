@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench import run_bcast
+from repro.bench import run_collective
 from repro.collectives.bcast.torus_common import TorusBcastNetwork
 from repro.hardware import Machine, Mode
 from repro.msg import RectangleSchedule, torus_colors
@@ -83,21 +83,25 @@ class TestMeshCollectives:
         "algorithm", ["torus-shaddr", "torus-fifo", "torus-direct-put"]
     )
     def test_mesh_bcast_verifies(self, algorithm):
-        result = run_bcast(mesh(), algorithm, 50_000, iters=1, verify=True)
+        result = run_collective(
+            mesh(), "bcast", algorithm, 50_000, iters=1, verify=True
+        )
         assert result.elapsed_us > 0
 
     def test_mesh_bcast_with_interior_root(self):
         m = mesh(dims=(3, 3, 1))
         root = m.node_ranks(4)[0]  # centre of the mesh
-        run_bcast(m, "torus-shaddr", 30_000, root=root, iters=1, verify=True)
+        run_collective(
+            m, "bcast", "torus-shaddr", 30_000, root=root, iters=1, verify=True
+        )
 
     def test_mesh_slower_than_torus_at_peak(self):
-        torus_bw = run_bcast(
+        torus_bw = run_collective(
             Machine(torus_dims=(4, 4, 4), mode=Mode.QUAD),
-            "torus-shaddr", 2 * MIB,
+            "bcast", "torus-shaddr", 2 * MIB,
         ).bandwidth_mbs
-        mesh_bw = run_bcast(
+        mesh_bw = run_collective(
             Machine(torus_dims=(4, 4, 4), mode=Mode.QUAD, wrap=False),
-            "torus-shaddr", 2 * MIB,
+            "bcast", "torus-shaddr", 2 * MIB,
         ).bandwidth_mbs
         assert mesh_bw < torus_bw

@@ -141,13 +141,13 @@ def test_incremental_solver_handles_component_splits():
 # ---------------------------------------------------------------------------
 
 def _traced_run():
-    from repro.bench.harness import run_bcast
+    from repro.bench.harness import run_collective
     from repro.hardware.machine import Machine, Mode
 
     machine = Machine(
         torus_dims=(2, 2, 2), mode=Mode.QUAD, engine=Engine(trace=True)
     )
-    run_bcast(machine, "torus-shaddr", 16384, iters=2)
+    run_collective(machine, "bcast", "torus-shaddr", 16384, iters=2)
     return machine.engine.trace_log
 
 

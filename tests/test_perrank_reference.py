@@ -71,9 +71,8 @@ def _measure_matrix(kind, algorithm, x, iters, steady_state):
     harness._measure = capture
     try:
         machine = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-        runner = getattr(harness, f"run_{kind}")
-        result = runner(
-            machine, algorithm, x, iters=iters, steady_state=steady_state
+        result = harness.run_collective(
+            machine, kind, algorithm, x, iters=iters, steady_state=steady_state
         )
     finally:
         harness._measure = original

@@ -3,13 +3,12 @@
 Covers the capability metadata of every registered algorithm, the exact
 crossover boundaries of the section-V selection policy (8 KiB / 256 KiB
 for bcast, 64 KiB for allreduce, 8 KiB blocks for allgather), the SMP
-fallbacks, the deprecated per-family shims, and the generic
-``run_collective`` driver.
+fallbacks, and the generic ``run_collective`` driver.
 """
 
 import pytest
 
-from repro.bench.harness import FAMILY_SPECS, run_bcast, run_collective
+from repro.bench.harness import FAMILY_SPECS, run_collective
 from repro.collectives import registry
 from repro.collectives.base import CollectiveResult, InvocationBase
 from repro.collectives.registry import (
@@ -213,12 +212,23 @@ class TestSelectionBoundaries:
 
 
 class TestGenericDriver:
-    def test_wrapper_equivalence(self):
-        """run_bcast is a strict thin wrapper over run_collective."""
-        a = run_bcast(Machine(**QUAD211), "torus-fifo", 32 * KIB, iters=2)
-        b = run_collective(Machine(**QUAD211), "bcast", "torus-fifo",
-                           32 * KIB, iters=2)
-        assert a == b
+    @pytest.mark.parametrize("family, algorithm", [
+        ("allreduce", "allreduce-tree"),
+        ("reduce", "reduce-torus-shaddr"),
+        ("allgather", "allgather-ring-shaddr"),
+        ("alltoall", "alltoall-shift-shaddr"),
+        ("gather", "gather-ring-shaddr"),
+        ("scatter", "scatter-ring-shaddr"),
+        ("barrier", "barrier-gi"),
+    ])
+    def test_root_is_refused_where_the_family_takes_none(self, family,
+                                                          algorithm):
+        with pytest.raises(ValueError, match="takes no root"):
+            run_collective(Machine(**QUAD211), family, algorithm, 64,
+                           root=1)
+        result = run_collective(Machine(**QUAD211), family, algorithm, 64,
+                                root=0)
+        assert result.elapsed_us > 0
 
     def test_unknown_family(self):
         with pytest.raises(KeyError):

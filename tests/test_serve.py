@@ -103,6 +103,16 @@ class TestNormalizeQuery:
             with pytest.raises(QueryError):
                 normalize_query({**base, **refused})
 
+    def test_root_only_where_the_family_takes_one(self):
+        base = {"family": "allreduce", "algorithm": "allreduce-tree",
+                "x": 64}
+        with pytest.raises(QueryError, match="takes no root"):
+            normalize_query({**base, "root": 1})
+        assert normalize_query(base)["root"] == 0
+        bcast = normalize_query({"family": "bcast", "algorithm": "torus-fifo",
+                                 "x": 4096, "root": 1})
+        assert bcast["root"] == 1
+
     def test_refuses_unknown_family_and_bad_geometry(self):
         with pytest.raises(QueryError):
             normalize_query({"family": "nope", "x": 1})

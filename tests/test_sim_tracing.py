@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.bench import run_bcast
+from repro.bench import run_collective
 from repro.hardware import Machine, Mode
 from repro.sim import Engine
 from repro.sim.tracing import (
@@ -20,7 +20,7 @@ from repro.sim.tracing import (
 def traced_run():
     engine = Engine(trace=True)
     machine = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD, engine=engine)
-    run_bcast(machine, "torus-shaddr", nbytes=64 * 1024)
+    run_collective(machine, "bcast", "torus-shaddr", 64 * 1024)
     return engine
 
 
@@ -67,7 +67,7 @@ class TestChromeTrace:
     def test_untraced_engine_yields_empty(self):
         engine = Engine()  # tracing off
         machine = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD, engine=engine)
-        run_bcast(machine, "torus-shaddr", nbytes=1024)
+        run_collective(machine, "bcast", "torus-shaddr", 1024)
         assert collect_flow_events(engine) == []
 
 
@@ -99,7 +99,7 @@ class TestIncompleteFlows:
         engine = Engine(trace=True)
         machine = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD,
                           engine=engine)
-        run_bcast(machine, "torus-shaddr", nbytes=64 * 1024)
+        run_collective(machine, "bcast", "torus-shaddr", 64 * 1024)
         doc = chrome_trace(engine)
         assert doc["otherData"]["incomplete_flows"] == 0
 
@@ -141,7 +141,7 @@ class TestTelemetryEvents:
         machine = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD,
                           engine=engine)
         recorder = machine.attach_telemetry()
-        run_bcast(machine, "tree-shaddr", nbytes=64 * 1024)
+        run_collective(machine, "bcast", "tree-shaddr", 64 * 1024)
         return engine, machine, recorder
 
     def test_role_rows_and_counter_tracks(self):

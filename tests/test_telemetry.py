@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from repro.bench import run_allreduce, run_bcast
+from repro.bench import run_collective
 from repro.cli import main
 from repro.hardware import Machine, Mode
 from repro.telemetry import (
@@ -37,10 +37,7 @@ def recorded_run(family="bcast", algorithm="tree-shaddr", x=256 * 1024,
                  dims=(2, 2, 2), **kwargs):
     machine = quad_machine(dims)
     recorder = machine.attach_telemetry()
-    if family == "bcast":
-        result = run_bcast(machine, algorithm, x, **kwargs)
-    else:
-        result = run_allreduce(machine, algorithm, x, **kwargs)
+    result = run_collective(machine, family, algorithm, x, **kwargs)
     return machine, recorder, result
 
 
@@ -115,10 +112,10 @@ class TestBitIdentical:
 
     @pytest.mark.parametrize("algorithm", BCASTS)
     def test_bcast_elapsed_identical(self, algorithm):
-        bare = run_bcast(quad_machine(), algorithm, 128 * 1024)
+        bare = run_collective(quad_machine(), "bcast", algorithm, 128 * 1024)
         machine = quad_machine()
         machine.attach_telemetry()
-        recorded = run_bcast(machine, algorithm, 128 * 1024)
+        recorded = run_collective(machine, "bcast", algorithm, 128 * 1024)
         assert recorded.elapsed_us == bare.elapsed_us
         assert recorded.iterations_us == bare.iterations_us
 
@@ -126,17 +123,19 @@ class TestBitIdentical:
         "algorithm", ["allreduce-torus-shaddr", "allreduce-torus-current"]
     )
     def test_allreduce_elapsed_identical(self, algorithm):
-        bare = run_allreduce(quad_machine(), algorithm, 24 * 1024)
+        bare = run_collective(
+            quad_machine(), "allreduce", algorithm, 24 * 1024
+        )
         machine = quad_machine()
         machine.attach_telemetry()
-        recorded = run_allreduce(machine, algorithm, 24 * 1024)
+        recorded = run_collective(machine, "allreduce", algorithm, 24 * 1024)
         assert recorded.elapsed_us == bare.elapsed_us
 
     def test_detach_restores_silence(self):
         machine = quad_machine()
         recorder = machine.attach_telemetry()
         assert machine.detach_telemetry() is recorder
-        run_bcast(machine, "tree-shaddr", 64 * 1024)
+        run_collective(machine, "bcast", "tree-shaddr", 64 * 1024)
         assert recorder.rollups() == {}
 
 
@@ -166,7 +165,9 @@ class TestRunManifest:
         assert manifest.stamped().git_rev is not None
 
     def test_no_recorder_empty_rollups(self):
-        result = run_bcast(quad_machine(), "tree-shaddr", 64 * 1024)
+        result = run_collective(
+            quad_machine(), "bcast", "tree-shaddr", 64 * 1024
+        )
         assert result.manifest.rollups == {}
 
     def test_spec_key(self):
