@@ -47,6 +47,31 @@ Each resource additionally maintains running accumulators — ``load``
 per-event bookkeeping is O(1) instead of O(flows).  ``REPRO_SIM_DEBUG=1``
 cross-checks every accumulator and the component cache against a
 from-scratch recomputation on every fill.
+
+Pipelined collectives re-solve the same component states over and over
+(every chunk of a torus broadcast rebuilds the same flows on the same
+DMA, memory and link resources), so the incremental path memoizes the
+fill of any component of ``_MEMO_MIN_FLOWS`` (8) or more flows:
+
+* the **key** is the tuple of the component's per-flow *shape ids* in
+  creation order.  A shape id interns ``(cap, ((resource, weight), ...))``,
+  everything the fill reads of one flow, including the order in which
+  it discovers resources.  ``FlowResource.set_capacity`` empties
+  the memo, so every entry was solved under the current capacities;
+* a **hit** replays the stored rates and loads after checking each
+  resource's running weight sum against the stored one.  The sum is the
+  one fill input the shapes do not fix bit for bit: float weights carry
+  residue from the add/remove history (``0.1 + 0.2 - 0.1 != 0.2``), and
+  a mismatch falls back to a normal fill;
+* the **bound** is ``_MEMO_MAX_ENTRIES`` (8192) entries per network;
+  once full, new fills are not stored, so a cyclic pattern longer than
+  the bound still hits on the entries it has.
+
+Smaller fills (the tree broadcast's 1-4 flows) cost less than their key
+and are never memoized.  The reference slow path never consults the
+memo, so it stays the oracle the memo is tested against, and under
+``REPRO_SIM_DEBUG=1`` every hit also runs the fill and must match the
+stored entry bit for bit.
 """
 
 from __future__ import annotations
@@ -62,6 +87,12 @@ from repro.sim.events import Event, Waitable
 _EPS_BYTES = 1e-6
 _EPS_RATE = 1e-9
 
+#: smallest component whose fill is memoized: smaller fills cost less
+#: than building their key
+_MEMO_MIN_FLOWS = 8
+#: memo entries per network; once full, new fills are not stored
+_MEMO_MAX_ENTRIES = 8192
+
 
 class FlowResource:
     """A capacity-constrained port/engine/link inside a :class:`FlowNetwork`."""
@@ -69,7 +100,7 @@ class FlowResource:
     __slots__ = (
         "name", "capacity", "flows", "network", "component",
         "_busy_acc", "_busy_last", "_load", "_wsum",
-        "_fill_slack", "_fill_wsum", "_fill_epoch", "_seen_epoch",
+        "_fill_slack", "_fill_wsum", "_fill_epoch",
     )
 
     def __init__(self, network: "FlowNetwork", name: str, capacity: float):
@@ -94,7 +125,6 @@ class FlowResource:
         self._fill_slack = 0.0
         self._fill_wsum = 0.0
         self._fill_epoch = 0
-        self._seen_epoch = 0
 
     def set_capacity(self, capacity: float) -> None:
         """Reconfigure capacity; re-solves the affected component immediately.
@@ -106,6 +136,8 @@ class FlowResource:
             raise ValueError(f"resource {self.name!r}: capacity must be > 0")
         self.integrate(self.network.engine.now)
         self.capacity = float(capacity)
+        # Every memoized fill read the old capacities.
+        self.network._memo.clear()
         self.network._resolve_component_of_resources([self])
 
     @property
@@ -171,6 +203,7 @@ class Flow(Waitable):
         "finished",
         "component",
         "seq",
+        "shape",
     )
 
     def __init__(
@@ -199,6 +232,9 @@ class Flow(Waitable):
         self.generation = 0
         self.finished = False
         self.component: Optional["_Component"] = None
+        #: interned id of ``(cap, usage)``; 0 until the flow first joins a
+        #: component large enough for the fill memo
+        self.shape = 0
 
     def subscribe(self, process) -> None:
         self.event.subscribe(process)
@@ -231,6 +267,35 @@ class _Component:
 
 #: canonical solver ordering — creation order (C-level getter, hot sort key)
 _flow_seq_key = attrgetter("seq")
+
+
+def _memo_entry(flows: List[Flow], resources: List[FlowResource]) -> tuple:
+    """What a fill of ``flows`` read and set, as the fill memo stores it:
+    (resources in discovery order, their weight sums, their loads, the
+    flow rates)."""
+    return (
+        tuple(resources),
+        tuple([r._wsum for r in resources]),
+        tuple([r._load for r in resources]),
+        tuple([flow.rate for flow in flows]),
+    )
+
+
+def _check_memo_entry(entry: tuple, fresh: tuple) -> None:
+    """Debug-mode guard: a memo entry the replay would serve matches the
+    fill that just ran (``fresh``), bit for bit."""
+    if fresh[0] != entry[0]:
+        raise SimulationError(
+            "fill memo entry disagrees with a fresh fill on the "
+            "component's resources or their order"
+        )
+    if fresh[1] != entry[1]:
+        return  # the replay would have refused this entry
+    if fresh != entry:
+        raise SimulationError(
+            "fill memo entry disagrees with a fresh fill on the rates or "
+            "the loads"
+        )
 
 
 def _find(component: _Component) -> _Component:
@@ -267,8 +332,12 @@ class FlowNetwork:
         self.config: SolverConfig
         self.configure(incremental, debug)
         self._fill_epoch = 0
-        self._seen_epoch = 0
         self._flow_seq = 0
+        #: fill memo: shape ids in seq order -> (resources in discovery
+        #: order, their _wsum, their load, flow rates); see _resolve
+        self._memo: Dict[Tuple[int, ...], tuple] = {}
+        #: (cap, ((resource, weight), ...)) -> shape id (from 1)
+        self._shapes: Dict[tuple, int] = {}
 
     def configure(
         self,
@@ -499,43 +568,113 @@ class FlowNetwork:
         the fast and reference paths, so event tie-breaking (and therefore
         the whole simulation) is independent of how the component was
         discovered and of interpreter memory layout.
+
+        On the incremental path a component of at least
+        ``_MEMO_MIN_FLOWS`` flows first consults the fill memo (see the
+        module docstring); a hit replays the stored rates and loads
+        instead of filling.
         """
         flows.sort(key=_flow_seq_key)
         now = self.engine.now
-        epoch = self._seen_epoch = self._seen_epoch + 1
         old_rates: List[float] = []
-        for flow in flows:
+        key = entry = None
+        if self.incremental and len(flows) >= _MEMO_MIN_FLOWS:
+            key = tuple(
+                [flow.shape or self._intern_shape(flow) for flow in flows]
+            )
+            entry = self._memo.get(key)
+        # A debug-mode hit fills as well, and checks the entry below.
+        if (
+            entry is None
+            or self._debug
+            or not self._replay(entry, flows, now, old_rates)
+        ):
+            # One pass: advance each flow at its old rate, fold each
+            # resource's pre-change load into its busy integral
+            # (resource.integrate, inlined for the hot path) and seed the
+            # fill's scratch state.
+            epoch = self._fill_epoch = self._fill_epoch + 1
+            resources: List[FlowResource] = []
+            for flow in flows:
+                if now > flow.last_update:
+                    flow.remaining -= flow.rate * (now - flow.last_update)
+                flow.last_update = now
+                old_rates.append(flow.rate)
+                for r in flow.usage:
+                    if r._fill_epoch != epoch:
+                        r._fill_epoch = epoch
+                        if now > r._busy_last:
+                            r._busy_acc += r._load * (now - r._busy_last)
+                            r._busy_last = now
+                        r._fill_slack = r.capacity
+                        r._fill_wsum = r._wsum
+                        resources.append(r)
+            if self._debug:
+                self._check_accumulators(flows, resources)
+            self._fill_scalar(flows, resources)
+            if entry is None:
+                if key is not None and len(self._memo) < _MEMO_MAX_ENTRIES:
+                    self._memo[key] = _memo_entry(flows, resources)
+            elif self._debug:
+                _check_memo_entry(entry, _memo_entry(flows, resources))
+        for flow, old in zip(flows, old_rates):
+            rate = flow.rate
+            if rate != old:
+                # Tolerant comparison: re-solving a component whose
+                # membership changed elsewhere can produce meaningless
+                # last-bit jitter.
+                tol = rate if rate > old else old
+                if tol < 1.0:
+                    tol = 1.0
+                delta = rate - old
+                if delta > 1e-12 * tol or -delta > 1e-12 * tol:
+                    self._schedule_completion(flow)
+                    continue
+            if flow.remaining <= _EPS_BYTES:
+                self._schedule_completion(flow)
+
+    def _intern_shape(self, flow: Flow) -> int:
+        """Set and return the flow's shape id, which interns all the fill
+        reads of the flow: its cap and its (resource, weight) pairs in
+        usage order."""
+        shape = (flow.cap, tuple(flow.usage_items))
+        flow.shape = self._shapes.setdefault(shape, len(self._shapes) + 1)
+        return flow.shape
+
+    def _replay(
+        self,
+        entry: tuple,
+        flows: List[Flow],
+        now: float,
+        old_rates: List[float],
+    ) -> bool:
+        """Serve a memo hit: the same state as a fill, without filling.
+
+        Returns False, having changed nothing the fill would not set
+        itself, when a resource's weight sum differs from the stored one
+        (float residue from a different add/remove history).
+        """
+        resources, wsums, loads, rates = entry
+        for r, wsum, load in zip(resources, wsums, loads):
+            if r._wsum != wsum:
+                return False
+            # Folded before the load changes; a fill after a refusal finds
+            # these resources already folded to ``now``.
+            if now > r._busy_last:
+                r._busy_acc += r._load * (now - r._busy_last)
+                r._busy_last = now
+            r._load = load
+        for flow, rate in zip(flows, rates):
             if now > flow.last_update:
                 flow.remaining -= flow.rate * (now - flow.last_update)
             flow.last_update = now
             old_rates.append(flow.rate)
-            for resource in flow.usage:
-                if resource._seen_epoch != epoch:
-                    resource._seen_epoch = epoch
-                    # Fold the pre-change load into the busy integral
-                    # (resource.integrate, inlined for the hot path).
-                    if now > resource._busy_last:
-                        resource._busy_acc += resource._load * (
-                            now - resource._busy_last
-                        )
-                        resource._busy_last = now
-        self._progressive_fill(flows)
-        for index, flow in enumerate(flows):
-            old = old_rates[index]
-            # Tolerant comparison: re-solving a component whose membership
-            # changed elsewhere can produce meaningless last-bit jitter.
-            tol = flow.rate if flow.rate > old else old
-            if tol < 1.0:
-                tol = 1.0
-            delta = flow.rate - old
-            if (
-                delta > 1e-12 * tol
-                or -delta > 1e-12 * tol
-                or flow.remaining <= _EPS_BYTES
-            ):
-                self._schedule_completion(flow)
+            flow.rate = rate
+        return True
 
-    def _progressive_fill(self, flows: List[Flow]) -> None:
+    def _fill_scalar(
+        self, flows: List[Flow], resources: List[FlowResource]
+    ) -> None:
         """Weighted max-min fair allocation for one component.
 
         Level-based progressive filling: all unfrozen flows share a common
@@ -545,33 +684,9 @@ class FlowNetwork:
         flows); the number of rounds is the number of distinct binding
         events, which is small in practice.
 
-        The loop itself is :meth:`_fill_scalar`; this wrapper seeds its
-        per-fill scratch state and, in debug mode, checks the running
-        accumulators and the component cache first.
-        """
-        if not flows:
-            return
-        epoch = self._fill_epoch = self._fill_epoch + 1
-        resources: List[FlowResource] = []
-        for flow in flows:
-            flow.rate = 0.0
-            for r in flow.usage:
-                if r._fill_epoch != epoch:
-                    r._fill_epoch = epoch
-                    r._fill_slack = r.capacity
-                    r._fill_wsum = r._wsum
-                    resources.append(r)
-        if self._debug:
-            self._check_accumulators(flows, resources)
-        self._fill_scalar(flows, resources)
-
-    def _fill_scalar(
-        self, flows: List[Flow], resources: List[FlowResource]
-    ) -> None:
-        """The progressive-filling loop for one component.
-
-        Expects per-fill scratch (``_fill_slack``/``_fill_wsum``) already
-        initialised by :meth:`_progressive_fill`.
+        Sets every flow's rate and every resource's load.  Expects the
+        per-fill scratch (``_fill_slack``/``_fill_wsum``) seeded by
+        :meth:`_resolve`.
         """
         active = list(flows)
         live = resources  # resources whose active weight sum is still > 0
@@ -626,6 +741,8 @@ class FlowNetwork:
                 raise SimulationError(
                     "progressive filling failed to converge (numerical issue)"
                 )
+            if not still:
+                break  # the next fill re-seeds the scratch weight sums
             for flow in frozen:
                 for r, w in flow.usage_items:
                     r._fill_wsum -= w
