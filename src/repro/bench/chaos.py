@@ -260,23 +260,6 @@ def chaos_point(spec: dict) -> dict:
     return record
 
 
-def _ladder_scenarios(dims: Tuple[int, int, int],
-                      jobs: Optional[int] = None,
-                      network: str = "torus") -> List[dict]:
-    """Deterministic full-ladder walks: Shaddr -> FIFO -> DMA, forced."""
-    specs = [
-        {"scenario": "ladder", "family": family, "algorithm": algorithm,
-         "x": x, "dims": dims, "mode": Mode.QUAD.name,
-         "deadline_us": DEFAULT_DEADLINE_US,
-         **({"network": network} if network != "torus" else {})}
-        for family, algorithm, x in _ladder_cases(network)
-    ]
-    records = execute_points(specs, jobs, task=chaos_point)
-    for record in records:
-        record.pop("summary_line", None)
-    return records
-
-
 def chaos_campaign(
     *,
     seed: int = 0,

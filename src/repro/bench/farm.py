@@ -93,7 +93,6 @@ from repro.telemetry.runtime import (
     default_registry,
     dump_flight_record,
     new_span_id,
-    runtime_enabled,
     runtime_log,
     span_store,
 )
@@ -586,7 +585,7 @@ class FarmServer:
         self.stop()
 
     def _log(self, message: str, event: str = "log", **fields) -> None:
-        self._logger.info(event, message, legacy=True, **fields)
+        self._logger.info(event, message, **fields)
 
     # -- connection handling ---------------------------------------------
     def _accept_loop(self) -> None:
@@ -685,7 +684,7 @@ class FarmServer:
                 f"warning: journal {self.journal_path!r} was "
                 f"recorded at git rev {manifest.git_rev}, resuming at "
                 f"{git_revision()} — results may not be byte-identical",
-                legacy=True, journal=self.journal_path,
+                journal=self.journal_path,
                 recorded_rev=manifest.git_rev, running_rev=git_revision(),
             )
         self._log(
@@ -1116,7 +1115,7 @@ class FarmWorker:
         )
 
     def _log(self, message: str, event: str = "log", **fields) -> None:
-        self._logger.info(event, message, legacy=True, **fields)
+        self._logger.info(event, message, **fields)
 
     def run(self, *, max_chunks: Optional[int] = None,
             stop: Optional[threading.Event] = None) -> int:
@@ -1191,7 +1190,7 @@ class FarmWorker:
         ).inc(len(points))
         spans = None
         trace = grant.get("trace")
-        if isinstance(trace, dict) and runtime_enabled():
+        if isinstance(trace, dict):
             # The span id was minted server-side with the lease, so a
             # re-leased chunk reports a distinct span under one trace id;
             # wall-clock start/end lets the driver line this span up
@@ -1250,8 +1249,8 @@ class FarmWorker:
 
 # -- driver --------------------------------------------------------------
 
-#: the driver's logger: its one legacy line (the local-fallback notice)
-#: always printed, so it is warning-level under the "[farm]" prefix
+#: logger of :func:`farm_execute_points`: its one line (the local-fallback
+#: notice) always prints, so it is warning-level under the "[farm]" prefix
 _driver_log = runtime_log("farm.driver", prefix="farm")
 
 
@@ -1333,7 +1332,7 @@ def farm_execute_points(specs: Sequence[dict], *, farm: str,
     # Trace context rides beside the campaign, never inside it: the
     # manifest (and so the spec hash, the journal identity, and every
     # journaled result byte) is computed from the bare specs above.
-    if trace_ctx is not None and runtime_enabled():
+    if trace_ctx is not None:
         submit_payload["trace"] = {
             "trace_id": trace_ctx.get("trace_id"),
             "span_id": trace_ctx.get("span_id"),
@@ -1347,7 +1346,7 @@ def farm_execute_points(specs: Sequence[dict], *, farm: str,
             "farm_local_fallback",
             f"server {farm} unreachable; falling back to the local "
             f"executor (jobs={resolve_jobs(jobs)})",
-            legacy=True, farm=farm, jobs=resolve_jobs(jobs),
+            farm=farm, jobs=resolve_jobs(jobs),
         )
         return execute_points(specs, jobs, task=task, on_error=on_error,
                               farm="", timeout_s=timeout_s,
@@ -1373,7 +1372,7 @@ def farm_execute_points(specs: Sequence[dict], *, farm: str,
                     f"{farm} and resumable from its journal."
                 )
         time.sleep(poll_s)
-    if runtime_enabled() and payload.get("spans"):
+    if payload.get("spans"):
         # Chunk spans computed by remote workers land in this process's
         # span store so one `repro trace --runtime` export shows the
         # query fanning into farm chunks.

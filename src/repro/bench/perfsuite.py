@@ -159,17 +159,6 @@ def _sweep_record(spec: dict, timed_points: List[tuple]) -> dict:
     }
 
 
-def run_sweep_timed(spec: dict, steady_state: Optional[bool] = None,
-                    jobs: Optional[int] = None,
-                    farm: Optional[str] = None) -> dict:
-    """Run one sweep; returns wall-clock and simulated-time records."""
-    timed = execute_points(
-        _point_specs(spec, steady_state), jobs,
-        task=run_point_timed, farm=farm,
-    )
-    return _sweep_record(spec, timed)
-
-
 def run_suite(
     smoke: bool = False, steady_state: Optional[bool] = None,
     jobs: Optional[int] = None, farm: Optional[str] = None,

@@ -21,10 +21,12 @@ Simulation granularity: the FIFO operates at slot granularity (default
 8 KB); for efficiency the simulation issues one staging-copy flow per
 network pipeline chunk and charges the per-slot bookkeeping (fetch-and-
 increment on Tail, consumer-counter initialisation, completion flag) as an
-aggregate cost for the slots the chunk packetizes into.  The
-slot-granularity behaviour itself is exercised directly by the unit tests
-of :class:`repro.kernel.shmem.SimBcastFifo` and of the thread-executable
-:class:`repro.structures.bcast_fifo.BcastFifo`.
+aggregate cost for the slots the chunk packetizes into.  This module is
+the simulator's only Bcast FIFO; the slot-level algorithm lives in the
+thread-executable :class:`repro.structures.bcast_fifo.BcastFifo`.  The
+full-FIFO path (the master waiting for the last reader to retire a slot)
+is checked by ``TestBcastFifoBackpressure`` in
+``tests/test_collectives_bcast.py``.
 """
 
 from __future__ import annotations

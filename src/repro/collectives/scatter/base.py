@@ -40,11 +40,6 @@ class ScatterInvocation(InvocationBase):
             }
         self.setup()
 
-    def rank_block(self, rank: int) -> Optional[np.ndarray]:
-        if not self.carry_data:
-            return None
-        return self.blocks[rank]
-
     def deliver(self, rank: int) -> None:
         """Record that ``rank``'s block landed in its receive buffer."""
         if self.carry_data:

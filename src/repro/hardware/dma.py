@@ -10,13 +10,14 @@ node along with the network transfers".  The budget is the node's ``dma``
 flow resource; this module adds the *semantics* around it:
 
 * ``post`` — the descriptor-injection cost paid by the posting core;
-* ``local_copy`` / ``direct_put_local`` — a DMA-driven node-local copy
-  (2 raw bytes/byte on both the DMA and the memory port), completion
-  observable through a :class:`DmaCounter`;
-* ``fifo_deliver`` — delivery into a reception memory FIFO: the DMA writes
-  packets into a staging FIFO (1 write byte/byte) and the *receiving core*
-  must then copy payload out to the application buffer (modelled by the
-  caller as a core copy), plus per-chunk FIFO bookkeeping latency.
+* ``local_copy_flow`` — a DMA-driven node-local copy (direct put to a
+  local buffer): ``dma_local_copy_weight`` raw bytes/byte on the DMA and
+  2 on the memory port;
+* ``fifo_deliver_flow`` — delivery into a reception memory FIFO: the DMA
+  writes packets into a staging FIFO (1 write byte/byte) and the
+  *receiving core* must then copy payload out to the application buffer
+  (modelled by the caller as a core copy), plus per-chunk FIFO
+  bookkeeping latency.
 
 Byte counters mirror the hardware: a counter is allocated per operation,
 decremented (we count *up* for convenience) as bytes land, and polled by
@@ -94,18 +95,6 @@ class DmaEngine:
             name=f"n{self.node.index}.{name}",
         )
 
-    def local_copy(self, nbytes: int, counter: DmaCounter | None = None,
-                   name: str = "dma-copy"):
-        """Sub-generator: wait for a DMA local copy; bumps ``counter`` if given.
-
-        Note the *waiting* process is not doing the work — the DMA is — but
-        generators are the cheapest way to sequence; callers that want
-        overlap keep the flow (`local_copy_flow`) and wait later.
-        """
-        yield self.local_copy_flow(nbytes, name=name)
-        if counter is not None:
-            counter.add(nbytes)
-
     def fifo_deliver_flow(self, nbytes: int, name: str = "dma-fifo") -> Flow:
         """Start DMA delivery of ``nbytes`` into a reception memory FIFO.
 
@@ -120,10 +109,6 @@ class DmaEngine:
             nbytes,
             name=f"n{self.node.index}.{name}",
         )
-
-    def fifo_overhead(self):
-        """Sub-generator: per-chunk FIFO pointer/packet-header bookkeeping."""
-        yield self.node.machine.engine.timeout(self.params.dma_fifo_overhead)
 
     def make_counter(self, name: str = "dma-counter") -> DmaCounter:
         """Allocate a fresh byte counter bound to this node."""

@@ -131,17 +131,9 @@ class TreeOperation:
         yield node.tree_inject_flow(self.chunks[k], name=f"tree-inj{k}")
         self._inject_done[k].add(1)
 
-    def available(self, k: int) -> Event:
-        """Event: combined chunk ``k`` has arrived at every node's FIFO."""
-        return self._available[k]
-
     def receive(self, node_index: int, k: int):
         """Sub-generator: node's core drains chunk ``k`` from the tree FIFO."""
         yield self._available[k]
         node = self.machine.nodes[node_index]
         yield node.tree_receive_flow(self.chunks[k], name=f"tree-rcv{k}")
-        self._drained[k].add(1)
-
-    def mark_drained(self, k: int) -> None:
-        """Alternative to :meth:`receive` for callers that drain manually."""
         self._drained[k].add(1)

@@ -12,18 +12,18 @@ This subpackage models:
   per-mapping syscall costs, and the mapping cache whose effect Figure 8
   measures;
 * :mod:`repro.kernel.shmem` — mutually shared staging segments (the
-  "shared memory" methods) including the *simulated* Bcast FIFO used by the
-  ``Torus + FIFO`` algorithm (its thread-executable twin lives in
-  :mod:`repro.structures`).
+  "shared memory" methods).
+
+The simulator has no FIFO twin: ``Torus + FIFO`` models the Bcast FIFO at
+chunk granularity inside :mod:`repro.collectives.bcast.torus_fifo`, and
+the slot-level algorithm lives only in :mod:`repro.structures`.
 """
 
 from repro.kernel.windows import ProcessWindows, WindowMapping
-from repro.kernel.shmem import SharedSegment, SimBcastFifo, SimPtPFifo
+from repro.kernel.shmem import SharedSegment
 
 __all__ = [
     "ProcessWindows",
     "WindowMapping",
     "SharedSegment",
-    "SimBcastFifo",
-    "SimPtPFifo",
 ]

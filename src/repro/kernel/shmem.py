@@ -1,32 +1,24 @@
-"""Shared-memory staging structures (simulated twins).
+"""Shared-memory staging segments.
 
-These are the *simulation-time* counterparts of the concurrent data
-structures in :mod:`repro.structures`:
+:class:`SharedSegment` is the mutually shared staging buffer of the
+"shared memory" methods (``tree-shmem``).
 
-* the data-structure logic (slot reservation through fetch-and-increment,
-  space checks against ``head``, per-slot consumer counters, head retirement
-  by the last consumer) is the same algorithm as the thread-executable
-  versions — the test suite cross-checks the two;
-* every shared-memory operation charges its modelled cost: atomic ops,
-  flag writes, per-chunk staging overhead, and the actual staging copies as
-  core-driven memory flows.
-
-Payloads are real ``numpy`` byte arrays, so collectives built on these
-structures deliver bit-exact data and the tests can verify it.
+The simulator has no FIFO twin.  ``torus-fifo``
+(:mod:`repro.collectives.bcast.torus_fifo`) models the Bcast FIFO at
+chunk granularity inline, and the slot-level algorithm of section IV
+lives only in the thread-executable :mod:`repro.structures`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim.events import Event
 from repro.sim.sync import SimCounter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.machine import Machine
-    from repro.hardware.node import Node
 
 
 class SharedSegment:
@@ -46,192 +38,3 @@ class SharedSegment:
         self.buffer = np.zeros(nbytes, dtype=np.uint8)
         #: bytes staged so far by the producer (monotonic within one op)
         self.staged = SimCounter(machine.engine, name=f"{name}.staged")
-
-
-class _Message:
-    """One enqueued FIFO element (payload + metadata + consumer counter)."""
-
-    __slots__ = ("payload", "meta", "consumers_left", "write_done")
-
-    def __init__(self, engine, payload: np.ndarray, meta: Any, consumers: int):
-        self.payload = payload
-        self.meta = meta
-        self.consumers_left = consumers
-        self.write_done = Event(engine)
-
-
-class SimPtPFifo:
-    """Simulated point-to-point FIFO (section IV-A).
-
-    Multiple producers may enqueue (each reserving a unique slot with a
-    fetch-and-increment on Tail); exactly one consumer dequeues, in
-    enqueue order.
-    """
-
-    def __init__(self, machine: "Machine", slots: int, slot_bytes: int,
-                 name: str = "ptpfifo"):
-        if slots < 1 or slot_bytes < 1:
-            raise ValueError("slots and slot_bytes must be >= 1")
-        self.machine = machine
-        self.slots = slots
-        self.slot_bytes = slot_bytes
-        self.name = name
-        self._tail_reserved = 0  # fetch-and-increment target
-        self._head = SimCounter(machine.engine, name=f"{name}.head")
-        self._visible = SimCounter(machine.engine, name=f"{name}.tail")
-        self._messages: Dict[int, _Message] = {}
-        self._next_read = 0
-
-    def enqueue(self, node: "Node", payload: np.ndarray, meta: Any = None):
-        """Sub-generator: producer core enqueues one message."""
-        if payload.nbytes > self.slot_bytes:
-            raise ValueError(
-                f"payload of {payload.nbytes} B exceeds slot size "
-                f"{self.slot_bytes}"
-            )
-        params = self.machine.params
-        engine = self.machine.engine
-        yield engine.timeout(params.atomic_op_cost)  # fetch-and-inc Tail
-        myslot = self._tail_reserved
-        self._tail_reserved += 1
-        # Space check: (myslot - Head) < fifoSize, waiting if full.
-        contended = myslot - self._head.value >= self.slots
-        tel = engine.telemetry
-        if tel is not None:
-            tel.fifo_fai(engine.now, self.name, node.index, myslot, contended)
-        if contended:
-            stall_start = engine.now
-            yield self._head.wait_for(myslot - self.slots + 1)
-            if tel is not None:
-                tel.stall(stall_start, engine.now, None, node.index,
-                          "waiting-on-slot")
-        message = _Message(engine, np.array(payload, copy=True), meta, 1)
-        self._messages[myslot] = message
-        yield engine.timeout(params.shmem_chunk_overhead)
-        yield from node.fifo_copy(payload.nbytes, name=f"{self.name}.in")
-        yield engine.timeout(params.flag_cost)  # write-completion flag
-        message.write_done.trigger(None)
-        self._visible.add(1)
-        if tel is not None:
-            tel.fifo_depth(engine.now, self.name, node.index,
-                           self._visible.value - self._head.value)
-
-    def dequeue(self, node: "Node"):
-        """Sub-generator: the single consumer core dequeues the next message.
-
-        Returns ``(payload, meta)``.
-        """
-        params = self.machine.params
-        engine = self.machine.engine
-        seq = self._next_read
-        self._next_read += 1
-        if self._visible.value <= seq:
-            yield self._visible.wait_for(seq + 1)
-        message = self._messages[seq]
-        yield message.write_done
-        yield from node.fifo_copy(message.payload.nbytes, name=f"{self.name}.out")
-        yield engine.timeout(params.atomic_op_cost)  # increment Head
-        del self._messages[seq]
-        self._head.add(1)
-        tel = engine.telemetry
-        if tel is not None:
-            tel.fifo_depth(engine.now, self.name, node.index,
-                           self._visible.value - self._head.value)
-        return message.payload, message.meta
-
-
-class SimBcastFifo:
-    """Simulated broadcast FIFO (section IV-B, Fig 1).
-
-    Enqueue works like the point-to-point FIFO; dequeue differs: *every*
-    process except the producer must read each element.  A per-slot atomic
-    counter starts at ``n - 1``; each reader decrements it after copying,
-    and the last reader retires the element by incrementing Head.
-
-    Consumers call :meth:`dequeue` with their own message sequence number —
-    the real structure keeps this as a per-consumer cursor.
-    """
-
-    def __init__(self, machine: "Machine", slots: int, slot_bytes: int,
-                 consumers: int, name: str = "bcastfifo"):
-        if slots < 1 or slot_bytes < 1:
-            raise ValueError("slots and slot_bytes must be >= 1")
-        if consumers < 1:
-            raise ValueError(f"consumers must be >= 1, got {consumers}")
-        self.machine = machine
-        self.slots = slots
-        self.slot_bytes = slot_bytes
-        self.consumers = consumers
-        self.name = name
-        self._tail_reserved = 0
-        self._head = SimCounter(machine.engine, name=f"{name}.head")
-        self._visible = SimCounter(machine.engine, name=f"{name}.tail")
-        self._messages: Dict[int, _Message] = {}
-
-    @property
-    def retired(self) -> float:
-        """Number of fully consumed (retired) messages."""
-        return self._head.value
-
-    def enqueue(self, node: "Node", payload: np.ndarray, meta: Any = None):
-        """Sub-generator: producer core enqueues one message for all readers."""
-        if payload.nbytes > self.slot_bytes:
-            raise ValueError(
-                f"payload of {payload.nbytes} B exceeds slot size "
-                f"{self.slot_bytes}"
-            )
-        params = self.machine.params
-        engine = self.machine.engine
-        yield engine.timeout(params.atomic_op_cost)  # fetch-and-inc Tail
-        myslot = self._tail_reserved
-        self._tail_reserved += 1
-        contended = myslot - self._head.value >= self.slots
-        tel = engine.telemetry
-        if tel is not None:
-            tel.fifo_fai(engine.now, self.name, node.index, myslot, contended)
-        if contended:
-            stall_start = engine.now
-            yield self._head.wait_for(myslot - self.slots + 1)
-            if tel is not None:
-                tel.stall(stall_start, engine.now, None, node.index,
-                          "waiting-on-slot")
-        message = _Message(
-            engine, np.array(payload, copy=True), meta, self.consumers
-        )
-        self._messages[myslot] = message
-        yield engine.timeout(params.shmem_chunk_overhead)
-        yield from node.fifo_copy(payload.nbytes, name=f"{self.name}.in")
-        # Initialise the per-slot consumer counter and completion flag.
-        yield engine.timeout(params.atomic_op_cost + params.flag_cost)
-        message.write_done.trigger(None)
-        self._visible.add(1)
-        if tel is not None:
-            tel.fifo_depth(engine.now, self.name, node.index,
-                           self._visible.value - self._head.value)
-        return myslot
-
-    def dequeue(self, node: "Node", seq: int):
-        """Sub-generator: one consumer reads message ``seq``.
-
-        Returns ``(payload, meta)``.  The payload copy out of the FIFO slot
-        is charged to the consumer's core; the last consumer additionally
-        pays the Head retirement.
-        """
-        params = self.machine.params
-        engine = self.machine.engine
-        if self._visible.value <= seq:
-            yield self._visible.wait_for(seq + 1)
-        message = self._messages[seq]
-        yield message.write_done
-        yield from node.fifo_copy(message.payload.nbytes, name=f"{self.name}.out")
-        yield engine.timeout(params.atomic_op_cost)  # decrement slot counter
-        message.consumers_left -= 1
-        if message.consumers_left == 0:
-            yield engine.timeout(params.atomic_op_cost)  # increment Head
-            del self._messages[seq]
-            self._head.add(1)
-            tel = engine.telemetry
-            if tel is not None:
-                tel.fifo_depth(engine.now, self.name, node.index,
-                               self._visible.value - self._head.value)
-        return message.payload, message.meta

@@ -343,7 +343,7 @@ class DiskCache:
                 "cache_header_unreadable",
                 f"serve cache {self.path}: unreadable header; refusing "
                 f"the whole file",
-                legacy=True, path=self.path, dropped=len(lines),
+                path=self.path, dropped=len(lines),
             )
             self.dropped += len(lines)
             return
@@ -353,7 +353,7 @@ class DiskCache:
                 f"serve cache {self.path}: version "
                 f"{header.get('version')!r} != {DISK_CACHE_VERSION}; "
                 f"refusing the whole file",
-                legacy=True, path=self.path,
+                path=self.path,
                 found=header.get("version"), expected=DISK_CACHE_VERSION,
             )
             self.dropped += len(lines) - 1
@@ -369,7 +369,7 @@ class DiskCache:
                 f"serve cache {self.path}: recorded at git rev "
                 f"{self.stale_git_rev!r}, running {rev!r}; refusing "
                 f"{len(lines) - 1} stale entr(ies)",
-                legacy=True, path=self.path,
+                path=self.path,
                 recorded_rev=self.stale_git_rev, running_rev=rev,
                 dropped=len(lines) - 1,
             )
@@ -594,22 +594,6 @@ class ServiceStats:
         server records request latency separately at the dispatch loop)."""
         with self._lock:
             self._observe_tier(seconds, tier)
-
-    def latency_summary(self) -> Dict[str, float]:
-        with self._lock:
-            samples = list(self.latencies_s)
-        return _summarize_latencies(samples)
-
-    def latency_by_tier(self) -> Dict[str, Dict[str, float]]:
-        with self._lock:
-            windows = {
-                tier: list(ring)
-                for tier, ring in self.tier_latencies_s.items()
-            }
-        return {
-            tier: _summarize_latencies(samples)
-            for tier, samples in sorted(windows.items())
-        }
 
     def snapshot(self) -> dict:
         """A consistent copy of every counter under one lock acquisition."""

@@ -8,10 +8,11 @@ exactly the primitives the BG/P models need:
 * :class:`~repro.sim.engine.Process` — a generator-based cooperative process.
 * Waitables — :class:`~repro.sim.events.Timeout`,
   :class:`~repro.sim.events.Event`, and joining another ``Process``.
-* Resources — :class:`~repro.sim.resources.Server` (FCFS queueing server),
-  :class:`~repro.sim.resources.FairSharePipe` (processor-sharing bandwidth
-  with per-flow caps; used for memory systems and DMA engines) and
-  :class:`~repro.sim.resources.Store` (bounded FIFO of items).
+* Bandwidth — :class:`~repro.sim.flownet.FlowNetwork`, the max-min fair
+  flow network: every bandwidth-sharing resource (torus links, DMA
+  engines, memory ports, tree ports) is one of its
+  :class:`~repro.sim.flownet.FlowResource` objects.
+* Items — :class:`~repro.sim.resources.Store` (bounded FIFO of items).
 * Synchronisation — :class:`~repro.sim.sync.SimBarrier`,
   :class:`~repro.sim.sync.SimCounter` (waitable monotonic counter; the
   software *message counter* of the paper is built on it).
@@ -28,7 +29,7 @@ broken by a monotonically increasing sequence number.
 from repro.sim.engine import Engine, Process, SimulationError
 from repro.sim.events import AllOf, AnyOf, Event, Timeout, Waitable
 from repro.sim.flownet import Flow, FlowNetwork, FlowResource
-from repro.sim.resources import FairSharePipe, Server, Store
+from repro.sim.resources import Store
 from repro.sim.sync import SimBarrier, SimCounter
 
 __all__ = [
@@ -40,8 +41,6 @@ __all__ = [
     "Waitable",
     "AnyOf",
     "AllOf",
-    "Server",
-    "FairSharePipe",
     "Store",
     "SimBarrier",
     "SimCounter",

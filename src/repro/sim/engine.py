@@ -58,11 +58,6 @@ class Process(Waitable):
     def subscribe(self, process: "Process") -> None:
         self._done_event.subscribe(process)
 
-    @property
-    def done_event(self) -> Event:
-        """Event triggered with the process result upon termination."""
-        return self._done_event
-
     # -- execution ------------------------------------------------------
     def resume(self, value: Any = None) -> None:
         """Advance the generator by one step; called by waitables."""

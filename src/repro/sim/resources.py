@@ -1,241 +1,20 @@
-"""Queueing resources for the DES kernel.
+"""Item-passing resource for the DES kernel.
 
-Three resource flavours cover every piece of BG/P hardware we model:
-
-``Server``
-    A FIFO queueing server with integer capacity.  Torus links and the tree
-    network's per-link stages are Servers: packets serialize, contention shows
-    up as queueing delay.
-
-``FairSharePipe``
-    A processor-sharing bandwidth resource with optional per-flow rate caps.
-    The memory subsystem and the DMA engine are FairSharePipes: N concurrent
-    transfers each progress at ``min(flow_cap, fair share of total rate)``,
-    recomputed (water-filling) whenever a flow starts or finishes.  This is
-    the standard fluid model for shared buses/engines and is what makes the
-    paper's headline effect — the DMA being over-committed when it must move
-    both network and intra-node data — fall out naturally.
-
-``Store``
-    A bounded FIFO of Python objects with blocking put/get, used for DMA
-    memory FIFOs and other mailbox-style channels.
+``Store`` is a bounded FIFO of Python objects with blocking put/get: the
+arrival mailboxes and hand-off queues of the collectives.  Bandwidth is
+not modelled here.  Every bandwidth-sharing resource (torus links, the
+DMA engine, the memory port, tree ports) is a
+:class:`~repro.sim.flownet.FlowResource` of the max-min fair
+:class:`~repro.sim.flownet.FlowNetwork` in :mod:`repro.sim.flownet`.
 """
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import Engine
 from repro.sim.events import Event
-
-#: Bytes below this remainder are considered fully transferred (float slack).
-_EPSILON_BYTES = 1e-6
-
-
-class Grant:
-    """Token proving ownership of one unit of a :class:`Server`."""
-
-    __slots__ = ("server", "released")
-
-    def __init__(self, server: "Server"):
-        self.server = server
-        self.released = False
-
-
-class Server:
-    """FCFS queueing server with ``capacity`` concurrent holders."""
-
-    def __init__(self, engine: Engine, capacity: int = 1, name: str = "server"):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.engine = engine
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._queue: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        """Number of grants currently held."""
-        return self._in_use
-
-    @property
-    def queue_length(self) -> int:
-        """Number of acquirers waiting."""
-        return len(self._queue)
-
-    def acquire(self) -> Event:
-        """Return an event that fires (with a :class:`Grant`) when capacity frees."""
-        event = Event(self.engine)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.trigger(Grant(self))
-        else:
-            self._queue.append(event)
-        return event
-
-    def release(self, grant: Grant) -> None:
-        """Return a grant; wakes the next queued acquirer if any."""
-        if grant.server is not self or grant.released:
-            raise SimulationError(f"invalid release on server {self.name!r}")
-        grant.released = True
-        if self._queue:
-            event = self._queue.popleft()
-            event.trigger(Grant(self))
-        else:
-            self._in_use -= 1
-
-    def use(self, duration: float):
-        """Sub-generator: hold the server exclusively for ``duration`` µs.
-
-        Usage inside a process: ``yield from server.use(3.0)``.
-        """
-        grant = yield self.acquire()
-        try:
-            yield self.engine.timeout(duration)
-        finally:
-            self.release(grant)
-
-
-class _Flow:
-    """Internal bookkeeping for one active FairSharePipe transfer."""
-
-    __slots__ = ("nbytes", "remaining", "cap", "event", "rate")
-
-    def __init__(self, nbytes: float, cap: float, event: Event):
-        self.nbytes = float(nbytes)
-        self.remaining = float(nbytes)
-        self.cap = cap
-        self.event = event
-        self.rate = 0.0
-
-
-class FairSharePipe:
-    """Processor-sharing bandwidth resource with per-flow caps.
-
-    Rates are in **bytes per microsecond** (numerically equal to MB/s with
-    1 MB = 1e6 bytes).  At every membership change the pipe water-fills the
-    total rate across active flows: flows whose cap is below the equal share
-    get their cap, and the surplus is redistributed among the rest.
-    """
-
-    def __init__(
-        self,
-        engine: Engine,
-        total_rate: float,
-        per_flow_cap: Optional[float] = None,
-        name: str = "pipe",
-    ):
-        if not total_rate > 0:
-            raise ValueError(f"total_rate must be > 0, got {total_rate}")
-        if per_flow_cap is not None and not per_flow_cap > 0:
-            raise ValueError(f"per_flow_cap must be > 0, got {per_flow_cap}")
-        self.engine = engine
-        self.total_rate = float(total_rate)
-        self.per_flow_cap = per_flow_cap
-        self.name = name
-        self._flows: Dict[int, _Flow] = {}
-        self._next_id = 0
-        self._last_update = 0.0
-        self._generation = 0
-        #: cumulative bytes completed through this pipe (for utilisation stats)
-        self.bytes_transferred = 0.0
-
-    # -- public API -----------------------------------------------------
-    def transfer(self, nbytes: float, cap: Optional[float] = None) -> Event:
-        """Start a transfer of ``nbytes``; returns the completion event.
-
-        ``cap`` optionally limits this flow's rate below the pipe-wide
-        per-flow cap (e.g. a core-driven copy can be slower than the memory
-        system allows).
-        """
-        if nbytes < 0:
-            raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-        event = Event(self.engine)
-        if nbytes == 0:
-            event.trigger(0.0)
-            return event
-        effective_cap = self._effective_cap(cap)
-        self._advance()
-        flow_id = self._next_id
-        self._next_id += 1
-        self._flows[flow_id] = _Flow(nbytes, effective_cap, event)
-        self._reschedule()
-        return event
-
-    @property
-    def active_flows(self) -> int:
-        """Number of in-flight transfers."""
-        return len(self._flows)
-
-    # -- internals ----------------------------------------------------------
-    def _effective_cap(self, cap: Optional[float]) -> float:
-        caps = [c for c in (cap, self.per_flow_cap) if c is not None]
-        return min(caps) if caps else math.inf
-
-    def _water_fill(self) -> None:
-        """Assign each flow ``min(cap, fair share)``, redistributing surplus."""
-        pending = list(self._flows.values())
-        budget = self.total_rate
-        # Flows with small caps saturate first; handle them in cap order.
-        pending.sort(key=lambda f: f.cap)
-        n = len(pending)
-        for i, flow in enumerate(pending):
-            share = budget / (n - i)
-            flow.rate = min(flow.cap, share)
-            budget -= flow.rate
-
-    def _advance(self) -> None:
-        """Progress all flows from the last update time to now."""
-        now = self.engine.now
-        dt = now - self._last_update
-        if dt > 0:
-            for flow in self._flows.values():
-                flow.remaining -= flow.rate * dt
-        self._last_update = now
-
-    def _reschedule(self) -> None:
-        """Recompute rates and schedule the next completion callback."""
-        self._generation += 1
-        if not self._flows:
-            return
-        self._water_fill()
-        next_finish = math.inf
-        for flow in self._flows.values():
-            if flow.rate <= 0:
-                raise SimulationError(
-                    f"pipe {self.name!r}: flow starved (rate=0); "
-                    "check total_rate and caps"
-                )
-            finish = flow.remaining / flow.rate
-            if finish < next_finish:
-                next_finish = finish
-        generation = self._generation
-        self.engine.call_after(
-            max(next_finish, 0.0), self._on_completion, generation
-        )
-
-    def _on_completion(self, generation: int) -> None:
-        if generation != self._generation:
-            return  # stale wake-up: membership changed since scheduling
-        self._advance()
-        finished = [
-            (fid, flow)
-            for fid, flow in self._flows.items()
-            if flow.remaining <= _EPSILON_BYTES
-        ]
-        if not finished:
-            # Numerical slack: reschedule the tail.
-            self._reschedule()
-            return
-        for fid, flow in finished:
-            del self._flows[fid]
-            self.bytes_transferred += flow.nbytes
-        for _fid, flow in finished:
-            flow.event.trigger(self.engine.now)
-        self._reschedule()
 
 
 class Store:

@@ -22,9 +22,9 @@ renderings of section IV:
   a producer advances and consumers watch; plus the completion counter used
   to return buffer ownership to the master.
 
-The simulator uses timing-annotated twins of these structures
-(:mod:`repro.kernel.shmem`); the test suite checks both implementations
-against the same invariants.
+The simulator has no twin of these structures.  ``torus-fifo``
+(:mod:`repro.collectives.bcast.torus_fifo`) models the Bcast FIFO at
+chunk granularity; the slot-level algorithm lives only here.
 """
 
 from repro.structures.atomic import AtomicCounter

@@ -39,7 +39,6 @@ from repro.telemetry.runtime import (
     dump_flight_record,
     parse_prometheus,
     record_span,
-    runtime_enabled,
     runtime_log,
     span,
     span_store,
@@ -72,7 +71,6 @@ __all__ = [
     "parse_prometheus",
     "record_span",
     "reduce_core_role",
-    "runtime_enabled",
     "runtime_log",
     "save_baseline",
     "span",

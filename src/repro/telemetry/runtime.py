@@ -12,9 +12,7 @@ parallel executor (:mod:`repro.bench.parallel`).  Three pillars:
     (``[farm] message``, ``[worker-id] message``, bare cache warnings),
     so adopting the logger changes nothing a human or a log scraper
     sees; ``REPRO_RUNTIME_LOG=json`` switches to newline-JSON events
-    (``{"ts", "component", "level", "event", ...fields}``), and
-    ``REPRO_RUNTIME_LOG=0`` restores today's behavior exactly — legacy
-    lines still print, everything else (rings, spans, JSON) is off.
+    (``{"ts", "component", "level", "event", ...fields}``).
     ``REPRO_LOG_LEVEL`` (debug/info/warning/error) filters globally;
     per-logger levels (the farm's ``--quiet``) override it.
 
@@ -64,8 +62,7 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-#: "0"/"off" disables the runtime plane (legacy stderr lines still
-#: print); "json" emits newline-JSON events; anything else = console
+#: "json" emits newline-JSON events; anything else (or unset) = console
 ENV_RUNTIME_LOG = "REPRO_RUNTIME_LOG"
 
 #: global minimum level (debug/info/warning/error; default info)
@@ -76,22 +73,13 @@ ENV_FLIGHT_DIR = "REPRO_FLIGHT_DIR"
 
 _LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
 
-_OFF_VALUES = frozenset(("0", "off", "false", "no", "disabled"))
-
 
 def runtime_log_mode() -> str:
-    """The resolved log mode: ``"off"``, ``"console"`` or ``"json"``."""
+    """The resolved log mode: ``"console"`` or ``"json"``."""
     raw = os.environ.get(ENV_RUNTIME_LOG, "").strip().lower()
-    if raw in _OFF_VALUES:
-        return "off"
     if raw == "json":
         return "json"
     return "console"
-
-
-def runtime_enabled() -> bool:
-    """True unless ``REPRO_RUNTIME_LOG=0`` turned the plane off."""
-    return runtime_log_mode() != "off"
 
 
 def global_log_level() -> int:
@@ -133,13 +121,10 @@ def dump_flight_record(reason: str, *, component: Optional[str] = None,
                        path: Optional[str] = None) -> Optional[str]:
     """Dump the flight-recorder ring to a JSONL artifact; returns its path.
 
-    No-op (returns ``None``) when the runtime plane is off, or when
-    neither an explicit ``path`` nor ``REPRO_FLIGHT_DIR`` names a
-    destination — a test suite full of deliberate point failures must
-    not litter the working directory.
+    No-op (returns ``None``) when neither an explicit ``path`` nor
+    ``REPRO_FLIGHT_DIR`` names a destination — a test suite full of
+    deliberate point failures must not litter the working directory.
     """
-    if not runtime_enabled():
-        return None
     if path is None:
         directory = os.environ.get(ENV_FLIGHT_DIR, "").strip()
         if not directory:
@@ -201,11 +186,6 @@ class RuntimeLogger:
     (a name from debug/info/warning/error) overrides the global
     ``REPRO_LOG_LEVEL`` threshold for this logger — the farm maps its
     ``--quiet`` flag here.
-
-    ``legacy=True`` marks a call site that printed to stderr before the
-    runtime plane existed: with ``REPRO_RUNTIME_LOG=0`` those lines (and
-    only those) still print, byte-identical to the historical output.
-    New, purely structured events stay silent under ``=0``.
     """
 
     __slots__ = ("component", "prefix", "_threshold")
@@ -222,17 +202,10 @@ class RuntimeLogger:
         return message
 
     def log(self, level: str, event: str, message: Optional[str] = None,
-            *, legacy: bool = False, **fields) -> None:
+            **fields) -> None:
         severity = _LEVELS.get(level, _LEVELS["info"])
         threshold = (self._threshold if self._threshold is not None
                      else global_log_level())
-        mode = runtime_log_mode()
-        if mode == "off":
-            # Exact historical behavior: only the lines that always
-            # printed, printed the way they always were.
-            if legacy and message is not None and severity >= threshold:
-                print(self._line(message), file=sys.stderr, flush=True)
-            return
         record = {
             "ts": round(time.time(), 6),
             "component": self.component,
@@ -246,7 +219,7 @@ class RuntimeLogger:
         _flight_append(self.component, record)
         if severity < threshold:
             return
-        if mode == "json":
+        if runtime_log_mode() == "json":
             print(json.dumps(record, sort_keys=True, default=str),
                   file=sys.stderr, flush=True)
             return
@@ -689,14 +662,8 @@ def span(name: str, component: str, *,
     """Record one span around a block; yields an :class:`ActiveSpan`.
 
     A ``parent`` context chains the new span under it (same trace,
-    fresh span id); ``parent=None`` mints a new trace.  With the
-    runtime plane off the block runs untouched and the yielded handle
-    carries the parent context through unchanged — call sites never
-    branch on the kill switch.
+    fresh span id); ``parent=None`` mints a new trace.
     """
-    if not runtime_enabled():
-        yield ActiveSpan(parent, {})
-        return
     ctx = {
         "trace_id": (parent or {}).get("trace_id") or new_trace_id(),
         "span_id": new_span_id(),
@@ -729,10 +696,9 @@ def record_span(name: str, component: str, start_s: float, end_s: float, *,
 
     Used where the work ran somewhere a context manager cannot wrap —
     a pool future, a farm worker's chunk.  Returns the recorded span
-    (or ``None`` when the plane is off or there is no parent context
-    to attach to).
+    (or ``None`` when there is no parent context to attach to).
     """
-    if not runtime_enabled() or parent is None:
+    if parent is None:
         return None
     span_dict = {
         "trace_id": parent["trace_id"],
@@ -860,7 +826,6 @@ __all__ = [
     "new_trace_id",
     "parse_prometheus",
     "record_span",
-    "runtime_enabled",
     "runtime_log",
     "runtime_log_mode",
     "runtime_trace_document",

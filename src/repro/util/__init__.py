@@ -17,14 +17,6 @@ from repro.util.units import (
     bandwidth_mbs,
 )
 from repro.util.buffers import same_bytes
-from repro.util.validation import (
-    check_positive,
-    check_non_negative,
-    check_in_range,
-    check_type,
-    check_power_of_two,
-)
-from repro.util.stats import RunningStats, summarize
 
 __all__ = [
     "KIB",
@@ -38,11 +30,4 @@ __all__ = [
     "parse_size",
     "bandwidth_mbs",
     "same_bytes",
-    "check_positive",
-    "check_non_negative",
-    "check_in_range",
-    "check_type",
-    "check_power_of_two",
-    "RunningStats",
-    "summarize",
 ]

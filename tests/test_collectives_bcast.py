@@ -11,6 +11,7 @@ import pytest
 from repro.bench import run_collective
 from repro.collectives.registry import get_algorithm, select_protocol
 from repro.hardware import Machine, Mode
+from repro.telemetry.recorder import ROLE_PROTOCOL
 
 QUAD_ALGOS = [
     "torus-direct-put",
@@ -93,6 +94,34 @@ class TestBcastCorrectness:
                           "tree-dma-fifo", "tree-shmem"]:
             run_collective(m := Machine(torus_dims=(2, 2, 1), mode=Mode.DUAL),
                            "bcast", algorithm, 20_000, iters=1, verify=True)
+
+
+class TestBcastFifoBackpressure:
+    """Torus + FIFO's full-FIFO path (section IV-B): the master waits for
+    the last reader to retire a slot before it reuses it."""
+
+    def test_full_fifo_stalls_master_and_delivers(self):
+        m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
+        recorder = m.attach_telemetry()
+        # verify=True asserts bit-exact delivery at every rank.
+        run_collective(m, "bcast", "torus-fifo", 1 << 20, verify=True)
+        slot_stalls = [
+            (rank, node)
+            for _start, _end, rank, node, kind in recorder.stall_events
+            if kind == "waiting-on-slot"
+        ]
+        assert slot_stalls
+        assert all(recorder.roles[rank] == ROLE_PROTOCOL
+                   for rank, _node in slot_stalls)
+        params = m.params
+        capacity = (params.fifo_slots * params.fifo_slot_bytes
+                    // params.pipeline_width)
+        occupancy = [
+            depth
+            for _ts, _name, _node, kind, _seq, depth in recorder.fifo_events
+            if kind == "depth"
+        ]
+        assert occupancy and max(occupancy) <= capacity
 
 
 class TestBcastModeGuards:

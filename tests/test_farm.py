@@ -51,7 +51,7 @@ from repro.bench.farm import (
 from repro.bench.parallel import PointFailure, WorkerPointError, execute_points
 from repro.hardware.fault_schedule import RetryPolicy
 from repro.telemetry.manifest import CampaignManifest, spec_fingerprint
-from repro.telemetry.runtime import ENV_RUNTIME_LOG, mint_trace
+from repro.telemetry.runtime import mint_trace
 
 #: near-zero backoffs so retry paths run at test speed
 FAST_RETRY = RetryPolicy(max_attempts=3, base_backoff_us=1e3,
@@ -914,12 +914,3 @@ class TestRuntimeSpans:
             )
         finally:
             resumed.stop()
-
-    def test_kill_switch_keeps_spans_off_the_wire(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_RUNTIME_LOG, "0")
-        with _server(tmp_path, chunk_size=1) as server:
-            _submit_traced(server, _specs(1), mint_trace())
-            FarmWorker(server.address, worker_id="w",
-                       reconnect=FAST_RECONNECT).run(max_chunks=1)
-            assert rpc(server.address, "trace")["count"] == 0

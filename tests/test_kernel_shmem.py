@@ -1,10 +1,10 @@
-"""Unit tests for simulated shared-memory structures (the DES twins)."""
+"""Unit tests for the shared staging segment."""
 
 import numpy as np
 import pytest
 
 from repro.hardware import Machine, Mode
-from repro.kernel.shmem import SharedSegment, SimBcastFifo, SimPtPFifo
+from repro.kernel.shmem import SharedSegment
 
 
 def machine():
@@ -23,143 +23,3 @@ class TestSharedSegment:
     def test_invalid_size(self):
         with pytest.raises(ValueError):
             SharedSegment(machine(), 0)
-
-
-class TestSimPtPFifo:
-    def test_order_and_content(self):
-        m = machine()
-        fifo = SimPtPFifo(m, slots=2, slot_bytes=64)
-        node = m.nodes[0]
-        got = []
-
-        def producer():
-            for i in range(5):
-                payload = np.full(8, i, dtype=np.uint8)
-                yield from fifo.enqueue(node, payload, meta=i)
-
-        def consumer():
-            for _ in range(5):
-                payload, meta = yield from fifo.dequeue(node)
-                got.append((bytes(payload), meta, m.engine.now))
-
-        p1 = m.spawn(producer())
-        p2 = m.spawn(consumer())
-        m.engine.run_until_processes_finish([p1, p2])
-        assert [meta for _b, meta, _t in got] == list(range(5))
-        assert got[0][0] == b"\x00" * 8
-
-    def test_backpressure_blocks_producer(self):
-        m = machine()
-        fifo = SimPtPFifo(m, slots=1, slot_bytes=16)
-        node = m.nodes[0]
-        timeline = {}
-
-        def producer():
-            yield from fifo.enqueue(node, np.zeros(4, dtype=np.uint8))
-            timeline["first"] = m.engine.now
-            yield from fifo.enqueue(node, np.zeros(4, dtype=np.uint8))
-            timeline["second"] = m.engine.now
-
-        def consumer():
-            yield m.engine.timeout(100.0)
-            yield from fifo.dequeue(node)
-            yield from fifo.dequeue(node)
-
-        p1 = m.spawn(producer())
-        p2 = m.spawn(consumer())
-        m.engine.run_until_processes_finish([p1, p2])
-        # The second enqueue had to wait for the consumer's first dequeue.
-        assert timeline["second"] > 100.0
-
-    def test_oversized_rejected(self):
-        m = machine()
-        fifo = SimPtPFifo(m, slots=1, slot_bytes=4)
-
-        def p():
-            yield from fifo.enqueue(m.nodes[0], np.zeros(8, dtype=np.uint8))
-
-        m.spawn(p())
-        with pytest.raises(Exception):
-            m.engine.run()
-
-
-class TestSimBcastFifo:
-    def test_all_consumers_see_all_messages(self):
-        m = machine()
-        fifo = SimBcastFifo(m, slots=2, slot_bytes=64, consumers=3)
-        node = m.nodes[0]
-        got = [[] for _ in range(3)]
-
-        def producer():
-            for i in range(6):
-                payload = np.full(16, i, dtype=np.uint8)
-                yield from fifo.enqueue(node, payload, meta=("conn", i))
-
-        def consumer(idx):
-            for seq in range(6):
-                payload, meta = yield from fifo.dequeue(node, seq)
-                got[idx].append((bytes(payload), meta))
-
-        procs = [m.spawn(producer())] + [
-            m.spawn(consumer(i)) for i in range(3)
-        ]
-        m.engine.run_until_processes_finish(procs)
-        for i in range(3):
-            assert [meta for _b, meta in got[i]] == [
-                ("conn", k) for k in range(6)
-            ]
-            assert got[i][2][0] == bytes([2]) * 16
-
-    def test_retirement_requires_all_consumers(self):
-        m = machine()
-        fifo = SimBcastFifo(m, slots=1, slot_bytes=16, consumers=2)
-        node = m.nodes[0]
-        timeline = {}
-
-        def producer():
-            yield from fifo.enqueue(node, np.zeros(4, dtype=np.uint8))
-            yield from fifo.enqueue(node, np.ones(4, dtype=np.uint8))
-            timeline["second_enqueued"] = m.engine.now
-
-        def fast_consumer():
-            yield from fifo.dequeue(node, 0)
-            timeline["fast_read"] = m.engine.now
-            yield from fifo.dequeue(node, 1)
-
-        def slow_consumer():
-            yield m.engine.timeout(500.0)
-            yield from fifo.dequeue(node, 0)
-            yield from fifo.dequeue(node, 1)
-
-        procs = [
-            m.spawn(producer()),
-            m.spawn(fast_consumer()),
-            m.spawn(slow_consumer()),
-        ]
-        m.engine.run_until_processes_finish(procs)
-        # The slot is only retired once the slow consumer read message 0.
-        assert timeline["second_enqueued"] > 500.0
-        assert fifo.retired == 2
-
-    def test_costs_accrue_simulated_time(self):
-        m = machine()
-        fifo = SimBcastFifo(m, slots=4, slot_bytes=4096, consumers=1)
-        node = m.nodes[0]
-
-        def producer():
-            yield from fifo.enqueue(node, np.zeros(4096, dtype=np.uint8))
-
-        def consumer():
-            yield from fifo.dequeue(node, 0)
-
-        procs = [m.spawn(producer()), m.spawn(consumer())]
-        m.engine.run_until_processes_finish(procs)
-        # At minimum: two staging copies of 4096 B at the FIFO copy rate.
-        min_time = 2 * 4096 / m.params.fifo_copy_bw_l3
-        assert m.engine.now >= min_time
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            SimBcastFifo(machine(), slots=0, slot_bytes=1, consumers=1)
-        with pytest.raises(ValueError):
-            SimBcastFifo(machine(), slots=1, slot_bytes=1, consumers=0)

@@ -4,16 +4,12 @@ The invariants under test mirror docs/observability.md ("Runtime
 observability"):
 
 * **console compatibility** — the default console format reproduces the
-  historical stderr shapes (``[prefix] message`` / bare messages), and
-  ``REPRO_RUNTIME_LOG=0`` restores today's behavior exactly: legacy
-  lines still print byte-identically, new structured events are silent;
+  historical stderr shapes (``[prefix] message`` / bare messages);
 * **metrics discipline** — counters are monotonic, histograms use the
   fixed bucket bounds, the Prometheus exposition round-trips through
   :func:`parse_prometheus`, and a name cannot change kind;
 * **span model** — a child span shares its parent's trace id, carries a
-  fresh span id, and points ``parent_id`` at the parent span; with the
-  plane off the context manager passes the parent through untouched and
-  records nothing;
+  fresh span id, and points ``parent_id`` at the parent span;
 * **flight recorder** — every structured event lands in the ring, and
   dumps only happen when a destination is configured;
 * **stats thread-safety** — concurrent ``record_*`` calls on
@@ -27,7 +23,7 @@ import urllib.request
 
 import pytest
 
-from repro.serve.service import ServiceStats
+from repro.serve.service import PredictionService, ServiceStats
 from repro.telemetry.runtime import (
     DEFAULT_BUCKETS,
     ENV_FLIGHT_DIR,
@@ -41,7 +37,6 @@ from repro.telemetry.runtime import (
     mint_trace,
     parse_prometheus,
     record_span,
-    runtime_enabled,
     runtime_log,
     runtime_log_mode,
     runtime_trace_document,
@@ -63,13 +58,13 @@ def _clean_env(monkeypatch):
 class TestRuntimeLogger:
     def test_console_prefix_shape(self, capsys):
         runtime_log("farm.server", prefix="farm").info(
-            "lease", "leased chunk 3", legacy=True,
+            "lease", "leased chunk 3",
         )
         assert capsys.readouterr().err == "[farm] leased chunk 3\n"
 
     def test_console_bare_message(self, capsys):
         runtime_log("serve.cache").warning(
-            "cache_stale", "serve cache: skipping stale entry", legacy=True,
+            "cache_stale", "serve cache: skipping stale entry",
         )
         assert capsys.readouterr().err == (
             "serve cache: skipping stale entry\n"
@@ -97,20 +92,6 @@ class TestRuntimeLogger:
         assert record["chunk"] == 2 and record["points"] == 8
         assert isinstance(record["ts"], float)
 
-    def test_off_mode_keeps_legacy_lines_byte_identical(
-            self, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_RUNTIME_LOG, "0")
-        assert not runtime_enabled()
-        logger = runtime_log("farm.server", prefix="farm")
-        logger.info("resume", "resuming campaign abc123", legacy=True)
-        logger.info("lease_expired", worker="w-1")  # new event: silent
-        assert capsys.readouterr().err == "[farm] resuming campaign abc123\n"
-
-    @pytest.mark.parametrize("value", ["0", "off", "false", "no", "OFF"])
-    def test_off_spellings(self, value, monkeypatch):
-        monkeypatch.setenv(ENV_RUNTIME_LOG, value)
-        assert runtime_log_mode() == "off"
-
     def test_global_level_filters(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_LOG_LEVEL, "warning")
         logger = runtime_log("serve")
@@ -121,17 +102,9 @@ class TestRuntimeLogger:
     def test_logger_level_overrides_global(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_LOG_LEVEL, "debug")
         quiet = runtime_log("farm.server", prefix="farm", level="warning")
-        quiet.info("lease", "progress line", legacy=True)
-        quiet.warning("bad", "warning line", legacy=True)
+        quiet.info("lease", "progress line")
+        quiet.warning("bad", "warning line")
         assert capsys.readouterr().err == "[farm] warning line\n"
-
-    def test_off_mode_still_respects_levels(self, capsys, monkeypatch):
-        # --quiet farm servers never printed progress lines; =0 must not
-        # resurrect them.
-        monkeypatch.setenv(ENV_RUNTIME_LOG, "0")
-        quiet = runtime_log("farm.server", prefix="farm", level="warning")
-        quiet.info("lease", "progress line", legacy=True)
-        assert capsys.readouterr().err == ""
 
     def test_filtered_events_still_reach_flight_ring(self, monkeypatch):
         monkeypatch.setenv(ENV_LOG_LEVEL, "error")
@@ -251,18 +224,6 @@ class TestSpans:
         assert inner_span["attrs"] == {"points": 3}
         assert outer_span["end_s"] >= outer_span["start_s"]
 
-    def test_disabled_passes_parent_through_and_records_nothing(
-            self, monkeypatch):
-        monkeypatch.setenv(ENV_RUNTIME_LOG, "0")
-        store = SpanStore()
-        parent = mint_trace()
-        with span("outer", "serve", parent=parent, store=store) as active:
-            assert active.ctx is parent
-            active.set(tier="memo")  # must not raise
-        assert len(store) == 0
-        assert record_span("w", "farm", 0.0, 1.0, parent=parent,
-                           store=store) is None
-
     def test_record_span_requires_parent(self):
         store = SpanStore()
         assert record_span("w", "farm", 0.0, 1.0, parent=None,
@@ -337,11 +298,6 @@ class TestFlightRecorder:
         runtime_log("test.flight.noop").error("boom")
         assert dump_flight_record("x", component="test.flight.noop") is None
 
-    def test_dump_is_noop_when_disabled(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(ENV_RUNTIME_LOG, "0")
-        monkeypatch.setenv(ENV_FLIGHT_DIR, str(tmp_path))
-        assert dump_flight_record("x") is None
-
 
 # -- ServiceStats thread-safety -------------------------------------------
 
@@ -381,11 +337,11 @@ class TestServiceStatsConcurrency:
             assert by_tier.summary(tier=tier)["count"] == rounds
 
     def test_per_tier_windows_separate_fast_from_slow(self):
-        stats = ServiceStats()
+        service = PredictionService()
         for _ in range(10):
-            stats.record_latency(0.001, tier="memo")
-        stats.record_latency(0.5, tier="cold")
-        by_tier = stats.latency_by_tier()
+            service.stats.record_latency(0.001, tier="memo")
+        service.stats.record_latency(0.5, tier="cold")
+        by_tier = service.stats_snapshot()["latency_by_tier"]
         assert by_tier["memo"]["count"] == 10
         assert by_tier["cold"]["count"] == 1
         assert by_tier["cold"]["p50_ms"] > by_tier["memo"]["p50_ms"]

@@ -1,151 +1,8 @@
-"""Unit tests for Server, FairSharePipe, Store, SimBarrier, SimCounter."""
+"""Unit tests for Store, SimBarrier, SimCounter."""
 
 import pytest
 
-from repro.sim import (
-    Engine,
-    FairSharePipe,
-    Server,
-    SimBarrier,
-    SimCounter,
-    SimulationError,
-    Store,
-)
-
-
-class TestServer:
-    def test_fcfs_ordering(self):
-        eng = Engine()
-        srv = Server(eng, capacity=1)
-        log = []
-
-        def user(i):
-            yield from srv.use(5.0)
-            log.append((i, eng.now))
-
-        for i in range(3):
-            eng.spawn(user(i))
-        eng.run()
-        assert log == [(0, 5.0), (1, 10.0), (2, 15.0)]
-
-    def test_capacity_two_overlaps(self):
-        eng = Engine()
-        srv = Server(eng, capacity=2)
-        log = []
-
-        def user(i):
-            yield from srv.use(5.0)
-            log.append((i, eng.now))
-
-        for i in range(4):
-            eng.spawn(user(i))
-        eng.run()
-        assert log == [(0, 5.0), (1, 5.0), (2, 10.0), (3, 10.0)]
-
-    def test_double_release_raises(self):
-        eng = Engine()
-        srv = Server(eng)
-
-        def p():
-            grant = yield srv.acquire()
-            srv.release(grant)
-            srv.release(grant)
-
-        eng.spawn(p())
-        with pytest.raises(SimulationError):
-            eng.run()
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Server(Engine(), capacity=0)
-
-    def test_queue_length_visible(self):
-        eng = Engine()
-        srv = Server(eng, capacity=1)
-
-        def holder():
-            yield from srv.use(10.0)
-
-        def waiter():
-            yield from srv.use(1.0)
-
-        eng.spawn(holder())
-        eng.spawn(waiter())
-        eng.run(until=5.0)
-        assert srv.in_use == 1
-        assert srv.queue_length == 1
-
-
-class TestFairSharePipe:
-    def test_single_flow_respects_cap(self):
-        eng = Engine()
-        pipe = FairSharePipe(eng, total_rate=100.0, per_flow_cap=40.0)
-        done = []
-
-        def p():
-            yield pipe.transfer(400.0)
-            done.append(eng.now)
-
-        eng.spawn(p())
-        eng.run()
-        assert done == [pytest.approx(10.0)]
-
-    def test_two_flows_share_equally(self):
-        eng = Engine()
-        pipe = FairSharePipe(eng, total_rate=100.0)
-        done = {}
-
-        def p(name, nbytes):
-            yield pipe.transfer(nbytes)
-            done[name] = eng.now
-
-        eng.spawn(p("a", 5000.0))
-        eng.spawn(p("b", 5000.0))
-        eng.run()
-        # 50 each -> both done at 100
-        assert done["a"] == pytest.approx(100.0)
-        assert done["b"] == pytest.approx(100.0)
-
-    def test_departure_speeds_up_remaining(self):
-        eng = Engine()
-        pipe = FairSharePipe(eng, total_rate=100.0, per_flow_cap=80.0)
-        done = {}
-
-        def p(name, nbytes):
-            yield pipe.transfer(nbytes)
-            done[name] = eng.now
-
-        eng.spawn(p("short", 5000.0))
-        eng.spawn(p("long", 8000.0))
-        eng.run()
-        # Shared at 50/50 until t=100; long has 3000 left at cap 80.
-        assert done["short"] == pytest.approx(100.0)
-        assert done["long"] == pytest.approx(100.0 + 3000.0 / 80.0)
-
-    def test_zero_bytes_completes_now(self):
-        eng = Engine()
-        pipe = FairSharePipe(eng, total_rate=10.0)
-        done = []
-
-        def p():
-            yield pipe.transfer(0)
-            done.append(eng.now)
-
-        eng.spawn(p())
-        eng.run()
-        assert done == [0.0]
-
-    def test_bytes_transferred_accounting(self):
-        eng = Engine()
-        pipe = FairSharePipe(eng, total_rate=10.0)
-
-        def p():
-            yield pipe.transfer(30.0)
-            yield pipe.transfer(20.0)
-
-        eng.spawn(p())
-        eng.run()
-        assert pipe.bytes_transferred == pytest.approx(50.0)
+from repro.sim import Engine, SimBarrier, SimCounter, Store
 
 
 class TestStore:
