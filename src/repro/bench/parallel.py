@@ -169,6 +169,55 @@ class WorkerPointError(RuntimeError):
 
 # -- worker side ---------------------------------------------------------
 
+def _folded_root(spec: dict, dims: tuple, ppn: int) -> Optional[int]:
+    """The root on a 2-node stand-in for ``spec``'s machine, or None.
+
+    A point on the collective (``tree``) or global-interrupt (``gi``)
+    network runs exactly on 2 nodes built at the full machine's tree
+    depth.  On those networks nodes meet only at global counters (a
+    :class:`~repro.hardware.tree.TreeOperation` waits for every node's
+    injection and drain) and at the barrier, whose latency is a
+    constant; every node but the root's runs the same flows on its own
+    ports, and machine size enters only through
+    :attr:`~repro.hardware.tree.CollectiveNetwork.depth`.  One node of
+    the pair is the root's node and the other stands for all the rest:
+    the root keeps its local rank and moves from node ``k > 0`` to node
+    1, so every error the full run raises comes out of the folded run
+    with the same message.
+
+    None (run the full machine) unless every condition holds: a
+    registered tree/GI algorithm (``auto`` is resolved on the full
+    machine), the torus backend (the only one with a ``tree`` wire),
+    more than 2 nodes, no ``verify`` (every rank's bytes are checked),
+    no ``deadline_us``, and a valid root the family accepts.
+    """
+    from repro.bench.harness import FAMILY_SPECS
+    from repro.collectives.registry import algorithm_info
+
+    family, algorithm = spec.get("family"), spec.get("algorithm")
+    if (
+        spec.get("network", "torus") != "torus"
+        or spec.get("verify")
+        or spec.get("deadline_us") is not None
+        or not isinstance(algorithm, str)
+        or len(dims) != 3
+        or not all(isinstance(d, int) and d >= 1 for d in dims)
+    ):
+        return None
+    try:
+        if algorithm_info(family, algorithm).network not in ("tree", "gi"):
+            return None
+    except KeyError:
+        return None
+    nnodes = dims[0] * dims[1] * dims[2]
+    root = spec.get("root", 0)
+    if nnodes <= 2 or not 0 <= root < nnodes * ppn:
+        return None
+    if root != 0 and not FAMILY_SPECS[family].takes_root:
+        return None
+    return root if root < ppn else ppn + root % ppn
+
+
 def run_point(spec: dict):
     """Worker task: measure one collective point described by ``spec``.
 
@@ -177,25 +226,43 @@ def run_point(spec: dict):
     :func:`repro.bench.harness.run_collective` (``iters``, ``verify``,
     ``seed``, ``steady_state``, ``deadline_us``, ``root``,
     ``window_caching``); other keys are ignored.
-    Every call builds a fresh machine.
+
+    Every call builds one fresh machine.  A collective-network point
+    (see :func:`_folded_root`) builds a 2-node machine at the full
+    machine's tree depth and returns the full machine's answer:
+    ``nprocs`` and the manifest's ``dims``/``nprocs`` are restored, and
+    the pickled result is byte-identical to :func:`run_collective` on
+    the full machine (``tests/test_tree_fold.py``).  Every other point
+    runs on the machine it names.
     """
     from repro.bench.harness import run_collective
 
-    machine = Machine(
-        torus_dims=tuple(spec.get("dims", (2, 2, 2))),
-        mode=Mode[spec.get("mode", "QUAD")],
-        wrap=bool(spec.get("wrap", True)),
-        network=spec.get("network", "torus"),
-    )
+    dims = tuple(spec.get("dims", (2, 2, 2)))
+    mode = Mode[spec.get("mode", "QUAD")]
+    wrap = bool(spec.get("wrap", True))
     kwargs = {
         key: spec[key]
         for key in ("root", "iters", "verify", "window_caching", "seed",
                     "steady_state", "deadline_us")
         if key in spec
     }
-    return run_collective(
+    root = _folded_root(spec, dims, mode.processes_per_node)
+    if root is None:
+        machine = Machine(
+            torus_dims=dims, mode=mode, wrap=wrap,
+            network=spec.get("network", "torus"),
+        )
+    else:
+        nnodes = dims[0] * dims[1] * dims[2]
+        machine = Machine((2, 1, 1), mode, wrap=wrap, tree_depth_nodes=nnodes)
+        kwargs["root"] = root
+    result = run_collective(
         machine, spec["family"], spec["algorithm"], spec.get("x", 0), **kwargs
     )
+    if root is not None:
+        result.nprocs = result.manifest.nprocs = nnodes * machine.ppn
+        result.manifest.dims = dims
+    return result
 
 
 def run_point_timed(spec: dict) -> Tuple[float, object]:

@@ -60,6 +60,7 @@ class Machine:
         wrap: bool = True,
         network: str = "torus",
         network_params: Optional[dict] = None,
+        tree_depth_nodes: Optional[int] = None,
     ):
         self.params = params if params is not None else BGPParams()
         self.mode = mode
@@ -78,7 +79,10 @@ class Machine:
             Node(self, i, self.network.coords(i)) for i in range(self.nnodes)
         ]
         self.dma: List[DmaEngine] = [DmaEngine(node) for node in self.nodes]
-        self.tree = CollectiveNetwork(self)
+        # ``tree_depth_nodes``: the node count the collective network's
+        # depth (its only size-dependent latency) is computed from; None
+        # means this machine's own.  A folded run passes the full one's.
+        self.tree = CollectiveNetwork(self, tree_depth_nodes)
         self.ppn = mode.processes_per_node
         self.nprocs = self.nnodes * self.ppn
         #: registry of active transient-fault windows (queried at protocol

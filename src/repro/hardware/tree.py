@@ -33,7 +33,7 @@ entire machine.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.sim.events import Event
 from repro.sim.sync import SimCounter
@@ -60,14 +60,24 @@ def split_chunks(nbytes: int, chunk_bytes: int) -> List[int]:
 class CollectiveNetwork:
     """The tree network shared by all nodes of a machine."""
 
-    def __init__(self, machine: "Machine"):
+    def __init__(self, machine: "Machine", depth_nodes: Optional[int] = None):
         self.machine = machine
         self.nnodes = machine.nnodes
+        #: node count the tree depth is computed from: the machine's own,
+        #: or the full machine's when a 2-node run stands in for it
+        self.depth_nodes = self.nnodes if depth_nodes is None else depth_nodes
 
     @property
     def depth(self) -> int:
-        """Tree depth used for latency: ``ceil(log2(nnodes))`` (min 1)."""
-        return max(1, math.ceil(math.log2(max(2, self.nnodes))))
+        """Tree depth used for latency: ``ceil(log2(depth_nodes))`` (min 1).
+
+        ``depth_nodes`` is the machine's node count unless the machine was
+        built with ``tree_depth_nodes``: a folded collective-network run
+        (:func:`repro.bench.parallel.run_point`) simulates 2 nodes at the
+        full machine's depth.  Depth is the only place machine size enters
+        a tree operation's timing.
+        """
+        return max(1, math.ceil(math.log2(max(2, self.depth_nodes))))
 
     @property
     def traversal_latency(self) -> float:
