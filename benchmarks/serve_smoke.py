@@ -13,8 +13,8 @@ sanity check).  The script:
 4. checks ``repro serve --stats`` reports the tier counters;
 5. scrapes the ``--metrics-port`` Prometheus endpoint mid-drill and
    asserts the ``serve_tier_answers_total`` counters equal the
-   ``--stats`` snapshot exactly (exposition and stats are synced from
-   one locked snapshot — see docs/observability.md);
+   ``--stats`` snapshot exactly (``--stats`` reads its counts from the
+   same registry counters — see docs/observability.md);
 6. SIGTERMs the server, restarts it on the same cache, and asserts the
    repeat query is served from **disk** without re-simulating;
 7. runs the serve QPS benchmark in smoke mode (which itself refuses to

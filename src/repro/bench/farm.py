@@ -76,7 +76,7 @@ import socket
 import threading
 import time
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from multiprocessing.connection import Client, Listener
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -90,7 +90,6 @@ from repro.hardware.fault_schedule import RetryPolicy
 from repro.telemetry.manifest import CampaignManifest
 from repro.telemetry.runtime import (
     MetricsRegistry,
-    default_registry,
     dump_flight_record,
     new_span_id,
     runtime_log,
@@ -431,22 +430,22 @@ class ProgressJournal:
 
 # -- server --------------------------------------------------------------
 
-@dataclass
-class FarmStats:
-    """Robustness rollups of one server's life (see ``repro farm status``)."""
-
-    leases_issued: int = 0
-    leases_expired: int = 0
-    heartbeats: int = 0
-    chunks_completed: int = 0
-    chunks_retried: int = 0
-    chunks_quarantined: int = 0
-    points_completed: int = 0
-    duplicate_completions: int = 0
-    digest_mismatches: int = 0
-    workers_lost: int = 0
-    resumes: int = 0
-    torn_records: int = 0
+#: robustness rollups of one server's life: ``farm status`` stats key ->
+#: help text of the ``farm_<key>_total`` counter that stores it
+FARM_STATS = {
+    "leases_issued": "chunk leases granted to workers",
+    "leases_expired": "leases lost to missed heartbeats",
+    "heartbeats": "lease heartbeats received",
+    "chunks_completed": "chunks fully settled",
+    "chunks_retried": "chunks re-queued under the retry budget",
+    "chunks_quarantined": "poison chunks quarantined",
+    "points_completed": "points journaled complete",
+    "duplicate_completions": "duplicate completions discarded",
+    "digest_mismatches": "determinism violations on duplicates",
+    "workers_lost": "workers that lost a lease",
+    "resumes": "journal resumes across server restarts",
+    "torn_records": "torn journal records dropped on replay",
+}
 
 
 @dataclass
@@ -487,6 +486,13 @@ class FarmServer:
             level="info" if verbose else "warning",
         )
         self.registry = MetricsRegistry()
+        #: FARM_STATS key -> its counter in the registry (the only store)
+        self._stats = {
+            key: self.registry.counter(f"farm_{key}_total", help_text)
+            for key, help_text in FARM_STATS.items()
+        }
+        for counter in self._stats.values():
+            counter.inc(0)
         #: the submitting driver's trace context (journaled with the
         #: campaign header; lease grants chain chunk spans under it)
         self._trace: Optional[dict] = None
@@ -498,7 +504,6 @@ class FarmServer:
         self._stop = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
 
-        self.stats = FarmStats()
         self.manifest: Optional[CampaignManifest] = None
         self._specs: List[dict] = []
         self._task: Optional[str] = None
@@ -567,6 +572,12 @@ class FarmServer:
         self._stop.set()
         listener, self._listener = self._listener, None
         if listener is not None:
+            # Closing a Listener does not wake a thread blocked in accept();
+            # a bare connection does (a Client could hang on the handshake).
+            try:
+                socket.create_connection(listener.address, timeout=1.0).close()
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:  # pragma: no cover - already torn down
@@ -663,13 +674,13 @@ class FarmServer:
         self._install_campaign(
             manifest, header["specs"], header["task"], header.get("chunk"),
         )
-        self.stats.resumes = state.resumes + 1
-        self.stats.torn_records = state.torn_records
-        self.stats.points_completed = len(self._results)
+        self._stats["resumes"].inc(state.resumes + 1)
+        self._stats["torn_records"].inc(state.torn_records)
+        self._stats["points_completed"].inc(len(self._results))
         # Lease expiries are journaled, so the campaign-lifetime
         # robustness story (lost workers included) survives restarts.
-        self.stats.leases_expired = state.lease_expiries
-        self.stats.workers_lost = len(state.lost_workers)
+        self._stats["leases_expired"].inc(state.lease_expiries)
+        self._stats["workers_lost"].inc(len(state.lost_workers))
         self._lost_workers = set(state.lost_workers)
         from repro.telemetry.manifest import git_revision
 
@@ -719,10 +730,10 @@ class FarmServer:
             if lease.deadline > now:
                 continue
             del self._leases[chunk_id]
-            self.stats.leases_expired += 1
+            self._stats["leases_expired"].inc()
             if lease.worker not in self._lost_workers:
                 self._lost_workers.add(lease.worker)
-                self.stats.workers_lost += 1
+                self._stats["workers_lost"].inc()
             self._journal.append({
                 "kind": "expire", "chunk": chunk_id, "worker": lease.worker,
             })
@@ -745,7 +756,7 @@ class FarmServer:
         if attempt >= self.chunk_retry.max_attempts:
             self._quarantine(chunk_id, quarantine_tb)
             return
-        self.stats.chunks_retried += 1
+        self._stats["chunks_retried"].inc()
         ready_at = time.monotonic() + self.chunk_retry.backoff_s(attempt)
         heapq.heappush(self._ready, (ready_at, chunk_id))
 
@@ -755,7 +766,7 @@ class FarmServer:
             return
         for index in indices:
             self._failures[index] = traceback_text
-        self.stats.chunks_quarantined += 1
+        self._stats["chunks_quarantined"].inc()
         self._journal.append({
             "kind": "quarantine",
             "chunk": chunk_id,
@@ -774,42 +785,9 @@ class FarmServer:
         )
 
     # -- metrics ---------------------------------------------------------
-
-    #: FarmStats field -> (counter name, help): synced at exposition time
-    #: from the authoritative stats so a scrape always equals ``status``
-    _STAT_COUNTERS = {
-        "leases_issued": ("farm_leases_issued_total",
-                          "chunk leases granted to workers"),
-        "leases_expired": ("farm_leases_expired_total",
-                           "leases lost to missed heartbeats"),
-        "heartbeats": ("farm_heartbeats_total",
-                       "lease heartbeats received"),
-        "chunks_completed": ("farm_chunks_completed_total",
-                             "chunks fully settled"),
-        "chunks_retried": ("farm_chunks_retried_total",
-                           "chunks re-queued under the retry budget"),
-        "chunks_quarantined": ("farm_chunks_quarantined_total",
-                               "poison chunks quarantined"),
-        "points_completed": ("farm_points_completed_total",
-                             "points journaled complete"),
-        "duplicate_completions": ("farm_duplicate_completions_total",
-                                  "duplicate completions discarded"),
-        "digest_mismatches": ("farm_digest_mismatches_total",
-                              "determinism violations on duplicates"),
-        "workers_lost": ("farm_workers_lost_total",
-                         "workers that lost a lease"),
-        "resumes": ("farm_resumes_total",
-                    "journal resumes across server restarts"),
-        "torn_records": ("farm_torn_records_total",
-                         "torn journal records dropped on replay"),
-    }
-
     def _sync_registry(self) -> None:
-        """Sync counters/gauges to the stats struct (lock held)."""
+        """Set the gauges of live campaign state (lock held)."""
         reg = self.registry
-        for fld, value in asdict(self.stats).items():
-            name, help_text = self._STAT_COUNTERS[fld]
-            reg.counter(name, help_text).set_total(value)
         reg.gauge(
             "farm_chunks_leased", "chunks currently leased out",
         ).set(len(self._leases))
@@ -890,7 +868,7 @@ class FarmServer:
                 self._leases[chunk_id] = _Lease(
                     worker=worker, deadline=now + self.lease_s
                 )
-                self.stats.leases_issued += 1
+                self._stats["leases_issued"].inc()
                 grant = {
                     "chunk": chunk_id,
                     "task": self._task,
@@ -914,7 +892,7 @@ class FarmServer:
 
     def _op_heartbeat(self, worker: str, chunk: int) -> dict:
         with self._lock:
-            self.stats.heartbeats += 1
+            self._stats["heartbeats"].inc()
             lease = self._leases.get(chunk)
             if lease is None or lease.worker != worker:
                 return {"ok": False}  # stale: chunk was re-leased or done
@@ -954,7 +932,7 @@ class FarmServer:
                 if known is not None:
                     duplicates += 1
                     if data != known:
-                        self.stats.digest_mismatches += 1
+                        self._stats["digest_mismatches"].inc()
                         self._log(
                             f"digest mismatch on duplicate completion of "
                             f"point {index} (worker {worker}) — "
@@ -971,10 +949,9 @@ class FarmServer:
                     "digest": hashlib.sha256(data).hexdigest(),
                     "data": base64.b64encode(data).decode("ascii"),
                 })
-                self.stats.points_completed += 1
                 fresh += 1
-            if duplicates:
-                self.stats.duplicate_completions += duplicates
+            self._stats["points_completed"].inc(fresh)
+            self._stats["duplicate_completions"].inc(duplicates)
             requeued = False
             if errors and owns:
                 tb = errors[-1][1]
@@ -992,7 +969,7 @@ class FarmServer:
                     f"{chunk} from {worker} (not the lease holder)"
                 )
             elif fresh or not duplicates:
-                self.stats.chunks_completed += 1
+                self._stats["chunks_completed"].inc()
             if self._campaign_done():
                 self._log("campaign complete")
             return {
@@ -1025,7 +1002,10 @@ class FarmServer:
                 },
                 "workers": sorted(self._workers),
                 "journal": self.journal_path,
-                "stats": asdict(self.stats),
+                "stats": {
+                    key: int(counter.value())
+                    for key, counter in self._stats.items()
+                },
             }
 
     def _op_fetch(self, worker: Optional[str] = None) -> dict:
@@ -1057,7 +1037,7 @@ class FarmServer:
             }
 
     def _op_metrics(self, worker: Optional[str] = None) -> dict:
-        """The synced metrics registry: structured + Prometheus text."""
+        """The metrics registry: structured + Prometheus text."""
         with self._lock:
             self._reap()
             self._sync_registry()
@@ -1181,13 +1161,6 @@ class FarmWorker:
             heartbeat.join(timeout=5.0)
         self.chunks_computed += 1
         self.points_computed += len(points)
-        registry = default_registry()
-        registry.counter(
-            "farm_worker_chunks_total", "chunks computed by this worker",
-        ).inc()
-        registry.counter(
-            "farm_worker_points_total", "points computed by this worker",
-        ).inc(len(points))
         spans = None
         trace = grant.get("trace")
         if isinstance(trace, dict):

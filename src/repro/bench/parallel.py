@@ -74,12 +74,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.hardware.machine import Machine, Mode
-from repro.telemetry.runtime import (
-    default_registry,
-    dump_flight_record,
-    record_span,
-    span,
-)
+from repro.telemetry.runtime import dump_flight_record, record_span, span
 
 #: environment variable consulted when no explicit job count is given
 ENV_JOBS = "REPRO_JOBS"
@@ -333,11 +328,6 @@ def merge_failures(results: List[object],
     distributed failures surface identically.
     """
     if failures:
-        registry = default_registry()
-        registry.counter(
-            "parallel_point_failures_total",
-            "points that failed in a worker (before any serial re-run)",
-        ).inc(len(failures))
         dump_flight_record("point-failure", component="parallel")
     for index, worker_tb, rerunnable in sorted(failures):
         if on_error == "return":
@@ -352,10 +342,6 @@ def merge_failures(results: List[object],
             )
         # Serial re-run: reproduces the failure with a real traceback
         # (or recovers the point if the failure does not reproduce).
-        default_registry().counter(
-            "parallel_serial_reruns_total",
-            "failed points re-run serially in the parent",
-        ).inc()
         try:
             results[index] = task(specs[index])
         except Exception as exc:
@@ -473,7 +459,6 @@ class ParallelExecutor:
         timeout = resolve_timeout(timeout_s) if timeout_s is not None \
             else self.timeout_s
         pool = self._ensure_pool()
-        registry = default_registry()
         results: List[object] = [None] * len(specs)
         failures: List[Tuple[int, str, bool]] = []
         chunk_of = {}
@@ -490,10 +475,6 @@ class ParallelExecutor:
             if not done:
                 # No chunk finished within the window: the pool is wedged.
                 # Fail every outstanding point and put the pool down.
-                registry.counter(
-                    "parallel_chunk_timeouts_total",
-                    "chunks abandoned by the wall-clock stall timeout",
-                ).inc(len(pending))
                 for future in pending:
                     future.cancel()
                     for index, spec in chunk_of[future]:
@@ -516,14 +497,6 @@ class ParallelExecutor:
                     else:
                         failures.append((index, value, True))
                 position, submitted_s = chunk_meta[future]
-                registry.counter(
-                    "parallel_chunks_completed_total",
-                    "chunks returned by local pool workers",
-                ).inc()
-                registry.counter(
-                    "parallel_points_completed_total",
-                    "points completed by local pool workers",
-                ).inc(chunk_ok)
                 # Chunk spans are timed parent-side (submit -> result):
                 # they bound queueing plus worker execution — the only
                 # window this process can observe without perturbing the

@@ -421,7 +421,7 @@ class PredictionServer:
         return snapshot
 
     async def _op_metrics(self, request: dict) -> dict:
-        """The synced metrics registry: structured + Prometheus text."""
+        """The metrics registry: structured + Prometheus text."""
         return {
             "metrics": self.service.metrics_snapshot(),
             "exposition": self.service.metrics_text(),

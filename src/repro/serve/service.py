@@ -49,7 +49,7 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
@@ -252,24 +252,31 @@ class CachedAnswer:
 
 
 class MemoCache:
-    """A bounded LRU of :class:`CachedAnswer` keyed by query fingerprint."""
+    """A bounded LRU of :class:`CachedAnswer` keyed by query fingerprint,
+    counting its hits and misses in ``registry`` (the service's)."""
 
-    def __init__(self, max_entries: int = 1024):
+    def __init__(self, max_entries: int = 1024,
+                 registry: Optional[MetricsRegistry] = None):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._entries: "OrderedDict[str, CachedAnswer]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
+        registry = registry if registry is not None else MetricsRegistry()
+        self._hits = registry.counter("serve_memo_hits_total", "memo LRU hits")
+        self._misses = registry.counter(
+            "serve_memo_misses_total", "memo LRU misses",
+        )
+        self._hits.inc(0)
+        self._misses.inc(0)
         self.evictions = 0
 
     def get(self, key: str) -> Optional[CachedAnswer]:
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
+            self._misses.inc()
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        self._hits.inc()
         return entry
 
     def put(self, key: str, answer: CachedAnswer) -> None:
@@ -286,8 +293,8 @@ class MemoCache:
         return {
             "entries": len(self._entries),
             "max_entries": self.max_entries,
-            "hits": self.hits,
-            "misses": self.misses,
+            "hits": int(self._hits.value()),
+            "misses": int(self._misses.value()),
             "evictions": self.evictions,
         }
 
@@ -515,53 +522,55 @@ def _summarize_latencies(samples: List[float]) -> Dict[str, float]:
     }
 
 
-@dataclass
 class ServiceStats:
     """Observable behaviour of the service: tier hits and latencies.
 
-    Mutators are written from the server's compute worker thread while
-    ``stats_snapshot`` reads on the asyncio thread, so every mutation
-    and every read goes through one lock.  Callers mutate via the
-    ``record_*`` methods only — never touch the fields directly.
-
-    Besides the global latency ring, each tier keeps its own window
-    (``tier_latencies_s``): a memo hit and a cold DES run differ by
-    orders of magnitude, and one shared ring hides that behind a
-    meaningless blended p95.  When a :class:`MetricsRegistry` is
-    attached, latencies are also observed into histograms live (ring
-    buffers forget; histograms don't).
+    Every count is a counter in ``registry``, the one store that both
+    :meth:`snapshot` and the ``metrics`` op read; callers count via the
+    ``record_*`` methods only.  The latency rings give ``--stats`` its
+    exact percentiles.  Besides the global ring, each tier keeps its own
+    window (``tier_latencies_s``): a memo hit and a cold DES run differ
+    by orders of magnitude, and one shared ring hides that behind a
+    meaningless blended p95.  The server's compute thread writes the
+    rings while the asyncio thread reads them, so one lock guards them.
+    Latencies also feed registry histograms live (ring buffers forget;
+    histograms don't).
     """
 
-    tiers: Dict[str, int] = field(default_factory=lambda: {
-        "memo": 0, "disk": 0, "cold": 0, "batch": 0,
-    })
-    coalesced: int = 0
-    errors: int = 0
-    requests: Dict[str, int] = field(default_factory=dict)
-    latencies_s: List[float] = field(default_factory=list)
-    tier_latencies_s: Dict[str, List[float]] = field(default_factory=dict)
-    registry: Optional[MetricsRegistry] = field(
-        default=None, repr=False, compare=False,
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False,
-    )
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+        self.latencies_s: List[float] = []
+        self.tier_latencies_s: Dict[str, List[float]] = {}
+        self._lock = threading.Lock()
+        self._tiers = registry.counter(
+            "serve_tier_answers_total", "answers served, split by tier",
+        )
+        for tier in ("memo", "disk", "cold", "batch"):  # listed at 0 first
+            self._tiers.inc(0, tier=tier)
+        self._requests = registry.counter(
+            "serve_requests_total", "requests received, split by op",
+        )
+        self._coalesced = registry.counter(
+            "serve_coalesced_total",
+            "duplicate in-flight queries coalesced onto one computation",
+        )
+        self._errors = registry.counter(
+            "serve_errors_total", "requests answered with an error",
+        )
+        self._coalesced.inc(0)
+        self._errors.inc(0)
 
     def record_tier(self, tier: str) -> None:
-        with self._lock:
-            self.tiers[tier] = self.tiers.get(tier, 0) + 1
+        self._tiers.inc(tier=tier)
 
     def record_request(self, op: str, n: int = 1) -> None:
-        with self._lock:
-            self.requests[op] = self.requests.get(op, 0) + n
+        self._requests.inc(n, op=op)
 
     def record_coalesced(self) -> None:
-        with self._lock:
-            self.coalesced += 1
+        self._coalesced.inc()
 
     def record_error(self) -> None:
-        with self._lock:
-            self.errors += 1
+        self._errors.inc()
 
     def _observe_tier(self, seconds: float, tier: Optional[str]) -> None:
         # Caller holds the lock.
@@ -570,16 +579,15 @@ class ServiceStats:
             ring.append(seconds)
             if len(ring) > _LATENCY_WINDOW:
                 del ring[: len(ring) - _LATENCY_WINDOW]
-        if self.registry is not None:
+        self.registry.histogram(
+            "serve_request_latency_seconds",
+            "end-to-end serve latency per request",
+        ).observe(seconds)
+        if tier is not None:
             self.registry.histogram(
-                "serve_request_latency_seconds",
-                "end-to-end serve latency per request",
-            ).observe(seconds)
-            if tier is not None:
-                self.registry.histogram(
-                    "serve_tier_latency_seconds",
-                    "serve latency split by answering tier",
-                ).observe(seconds, tier=tier)
+                "serve_tier_latency_seconds",
+                "serve latency split by answering tier",
+            ).observe(seconds, tier=tier)
 
     def record_latency(self, seconds: float,
                        tier: Optional[str] = None) -> None:
@@ -596,13 +604,13 @@ class ServiceStats:
             self._observe_tier(seconds, tier)
 
     def snapshot(self) -> dict:
-        """A consistent copy of every counter under one lock acquisition."""
+        """A copy of every count (as integers) and every latency ring."""
         with self._lock:
             return {
-                "tiers": dict(self.tiers),
-                "coalesced": self.coalesced,
-                "errors": self.errors,
-                "requests": dict(self.requests),
+                "tiers": self._tiers.by_label("tier"),
+                "coalesced": int(self._coalesced.value()),
+                "errors": int(self._errors.value()),
+                "requests": self._requests.by_label("op"),
                 "latencies_s": list(self.latencies_s),
                 "tier_latencies_s": {
                     tier: list(ring)
@@ -631,12 +639,12 @@ class PredictionService:
         cache_path: Optional[str] = None,
         use_memo: bool = True,
     ):
-        self.memo = MemoCache(max_memo)
-        self.disk = DiskCache(cache_path) if cache_path else None
-        self.use_memo = use_memo
         # Per-instance registry (tests build many services; a process
         # global would blend their counts and break exposition == stats).
         self.registry = MetricsRegistry()
+        self.memo = MemoCache(max_memo, registry=self.registry)
+        self.disk = DiskCache(cache_path) if cache_path else None
+        self.use_memo = use_memo
         self.stats = ServiceStats(registry=self.registry)
         self.started_at = time.time()
 
@@ -724,42 +732,12 @@ class PredictionService:
 
     # -- metrics ----------------------------------------------------------
     def _sync_metrics(self) -> None:
-        """Sync the registry's counters/gauges to the authoritative stats.
-
-        Latency histograms are observed live; everything countable is
-        synced here at exposition time from one locked stats snapshot,
-        so a scrape can never disagree with ``stats_snapshot``.
-        """
-        snap = self.stats.snapshot()
+        """Set the gauges of live state; every count is current already."""
         reg = self.registry
-        tier_answers = reg.counter(
-            "serve_tier_answers_total", "answers served, split by tier",
-        )
-        for tier, count in snap["tiers"].items():
-            tier_answers.set_total(count, tier=tier)
-        requests = reg.counter(
-            "serve_requests_total", "requests received, split by op",
-        )
-        for op, count in snap["requests"].items():
-            requests.set_total(count, op=op)
-        reg.counter(
-            "serve_coalesced_total",
-            "duplicate in-flight queries coalesced onto one computation",
-        ).set_total(snap["coalesced"])
-        reg.counter(
-            "serve_errors_total", "requests answered with an error",
-        ).set_total(snap["errors"])
         if self.use_memo:
-            memo = self.memo.stats()
-            reg.counter(
-                "serve_memo_hits_total", "memo LRU hits",
-            ).set_total(memo["hits"])
-            reg.counter(
-                "serve_memo_misses_total", "memo LRU misses",
-            ).set_total(memo["misses"])
             reg.gauge(
                 "serve_memo_entries", "entries resident in the memo LRU",
-            ).set(memo["entries"])
+            ).set(len(self.memo))
         if self.disk is not None:
             reg.gauge(
                 "serve_disk_entries", "entries resident in the disk cache",
@@ -773,7 +751,7 @@ class PredictionService:
         return self.registry.snapshot()
 
     def metrics_text(self) -> str:
-        """Prometheus text exposition of the synced registry."""
+        """Prometheus text exposition of the registry."""
         self._sync_metrics()
         return self.registry.dump_metrics()
 

@@ -35,7 +35,6 @@ from repro.telemetry.runtime import (
     MetricsRegistry,
     RuntimeLogger,
     SpanStore,
-    default_registry,
     dump_flight_record,
     parse_prometheus,
     record_span,
@@ -63,7 +62,6 @@ __all__ = [
     "compare_bench",
     "compare_manifests",
     "compare_with_baseline_file",
-    "default_registry",
     "dump_flight_record",
     "format_report",
     "git_revision",

@@ -22,10 +22,11 @@ parallel executor (:mod:`repro.bench.parallel`).  Three pillars:
     wall-clock timestamps — so snapshots are portable and diffable.
     :meth:`MetricsRegistry.dump_metrics` renders Prometheus text
     exposition; :func:`serve_metrics_http` serves it over HTTP
-    (``repro serve --metrics-port``).  The serve and farm servers keep
-    their own instances (synced from their authoritative stats under
-    the stats lock, so exposition always matches ``--stats`` /
-    ``farm status``); the executor shares :func:`default_registry`.
+    (``repro serve --metrics-port``).  Each serve and farm server owns
+    one instance, and it is the only store of that server's counts:
+    ``--stats`` and ``farm status`` read their numbers back from it, so
+    an exposition always matches them.  Only gauges of live state
+    (occupancy, uptime) are set at read time.
 
 **Trace spans** (:func:`span`, :class:`SpanStore`)
     ``trace_id``/``span_id`` pairs minted where a query enters the
@@ -308,21 +309,18 @@ class Counter:
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def set_total(self, value: float, **labels) -> None:
-        """Sync the counter to an externally tallied monotonic total.
-
-        Used by the serve/farm servers, whose authoritative counts live
-        in their stats structs: syncing at exposition time (under the
-        stats lock) guarantees the scraped number equals the ``--stats``
-        / ``farm status`` number.
-        """
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = float(value)
-
     def value(self, **labels) -> float:
         with self._lock:
             return self._values.get(_label_key(labels), 0.0)
+
+    def by_label(self, label: str) -> Dict[str, int]:
+        """Integer counts keyed by ``label``'s value, in first-seen order
+        (for a counter labelled by that one label, such as ``tier``)."""
+        with self._lock:
+            return {
+                dict(key)[label]: int(value)
+                for key, value in self._values.items()
+            }
 
 
 class Gauge:
@@ -502,15 +500,6 @@ class MetricsRegistry:
                             f"{_format_value(series[-1])}"
                         )
         return "\n".join(lines) + "\n"
-
-
-_DEFAULT_REGISTRY = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry (used by the parallel executor and
-    farm workers; the serve/farm servers keep their own instances)."""
-    return _DEFAULT_REGISTRY
 
 
 def parse_prometheus(text: str) -> Dict[str, Dict[str, float]]:
@@ -817,7 +806,6 @@ __all__ = [
     "RUNTIME_TRACE_PID",
     "RuntimeLogger",
     "SpanStore",
-    "default_registry",
     "dump_flight_record",
     "flight_snapshot",
     "install_excepthook",

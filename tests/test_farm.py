@@ -27,6 +27,7 @@ import pickle
 import random
 import threading
 import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -102,11 +103,21 @@ def _server(tmp_path, **kwargs):
     return server
 
 
-def _worker_thread(address, **kwargs):
-    worker = FarmWorker(address, reconnect=FAST_RECONNECT, **kwargs)
-    thread = threading.Thread(target=worker.run, daemon=True)
-    thread.start()
-    return worker, thread
+@contextmanager
+def _workers(address, *worker_ids):
+    """Pull-workers on threads for the body of a ``with``, joined at its
+    end.  Each exits on its first lease after the campaign is done; one
+    still polling when its server stops would fail to reach it."""
+    threads = []
+    for worker_id in worker_ids:
+        worker = FarmWorker(address, worker_id=worker_id,
+                            reconnect=FAST_RECONNECT)
+        threads.append(threading.Thread(target=worker.run, daemon=True))
+        threads[-1].start()
+    yield
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
 
 
 def _submit(server, specs, task="square", chunk_size=1):
@@ -147,6 +158,16 @@ class TestPlumbing:
         with pytest.raises(FarmUnreachableError, match="unreachable"):
             rpc_retry("127.0.0.1:9", "status", policy=FAST_RECONNECT)
 
+    def test_stop_returns_promptly(self, tmp_path):
+        """Closing the listener alone leaves the accept thread blocked;
+        stop() must wake it rather than wait out its join timeout."""
+        server = _server(tmp_path)
+        start = time.monotonic()
+        server.stop()
+        assert time.monotonic() - start < 1.0
+        with pytest.raises(FarmUnreachableError):
+            rpc_retry(server.address, "status", policy=FAST_RECONNECT)
+
 
 # -- campaign manifests --------------------------------------------------
 
@@ -185,10 +206,9 @@ class TestFarmExecution:
     def test_two_workers_merge_identical_to_local(self, tmp_path):
         specs = _specs(11)
         with _server(tmp_path, chunk_size=2) as server:
-            for i in range(2):
-                _worker_thread(server.address, worker_id=f"w{i}")
-            out = farm_execute_points(specs, farm=server.address,
-                                      task=_square, poll_s=0.05)
+            with _workers(server.address, "w0", "w1"):
+                out = farm_execute_points(specs, farm=server.address,
+                                          task=_square, poll_s=0.05)
             status = rpc(server.address, "status")
         assert out == execute_points(specs, jobs=1, task=_square)
         assert status["done"] is True
@@ -203,9 +223,9 @@ class TestFarmExecution:
         ]
         serial = execute_points(specs, jobs=1)
         with _server(tmp_path, chunk_size=1) as server:
-            _worker_thread(server.address, worker_id="sim")
-            farmed = farm_execute_points(specs, farm=server.address,
-                                         poll_s=0.05)
+            with _workers(server.address, "sim"):
+                farmed = farm_execute_points(specs, farm=server.address,
+                                             poll_s=0.05)
         for mine, theirs in zip(farmed, serial):
             assert pickle.dumps(mine, protocol=4) == \
                 pickle.dumps(theirs, protocol=4)
@@ -213,19 +233,19 @@ class TestFarmExecution:
     def test_env_routing_reaches_the_farm(self, tmp_path, monkeypatch):
         specs = _specs(4)
         with _server(tmp_path, chunk_size=2) as server:
-            _worker_thread(server.address, worker_id="env")
-            monkeypatch.setenv("REPRO_FARM", server.address)
-            monkeypatch.setenv("REPRO_FARM_CHUNK", "2")
-            out = execute_points(specs, task=_square)
+            with _workers(server.address, "env"):
+                monkeypatch.setenv("REPRO_FARM", server.address)
+                monkeypatch.setenv("REPRO_FARM_CHUNK", "2")
+                out = execute_points(specs, task=_square)
         assert out == [0, 1, 4, 9]
 
     def test_on_error_return_yields_point_failures(self, tmp_path):
         with _server(tmp_path, chunk_size=1) as server:
-            _worker_thread(server.address, worker_id="w")
-            out = farm_execute_points(
-                _specs(9), farm=server.address, task=_fails_on_seven,
-                on_error="return", poll_s=0.05,
-            )
+            with _workers(server.address, "w"):
+                out = farm_execute_points(
+                    _specs(9), farm=server.address, task=_fails_on_seven,
+                    on_error="return", poll_s=0.05,
+                )
         assert out[:7] == [x ** 2 for x in range(7)]
         assert isinstance(out[7], PointFailure)
         assert out[7].spec == {"x": 7}
@@ -235,12 +255,12 @@ class TestFarmExecution:
     def test_on_error_raise_reruns_serially_with_worker_traceback(
             self, tmp_path):
         with _server(tmp_path, chunk_size=1) as server:
-            _worker_thread(server.address, worker_id="w")
-            with pytest.raises(WorkerPointError) as excinfo:
-                farm_execute_points(
-                    [{"x": 7}, {"x": 2}], farm=server.address,
-                    task=_fails_on_seven, poll_s=0.05,
-                )
+            with _workers(server.address, "w"):
+                with pytest.raises(WorkerPointError) as excinfo:
+                    farm_execute_points(
+                        [{"x": 7}, {"x": 2}], farm=server.address,
+                        task=_fails_on_seven, poll_s=0.05,
+                    )
         assert isinstance(excinfo.value.__cause__, ValueError)
         assert "unlucky point 7" in excinfo.value.worker_traceback
 
@@ -248,6 +268,24 @@ class TestFarmExecution:
 # -- leases, retries, quarantine -----------------------------------------
 
 class TestLeases:
+    def test_registry_counts_leases_without_a_scrape(self, tmp_path):
+        with _server(tmp_path) as server:
+            _submit(server, _specs(2))
+            assert "chunk" in rpc(server.address, "lease", worker="w")
+            # No status or metrics op ran: the count is already current
+            # in the registry, the one store `farm status` reads.
+            assert server.registry.counter(
+                "farm_leases_issued_total").value() == 1
+            stats = rpc(server.address, "status")["stats"]
+        assert list(stats) == [
+            "leases_issued", "leases_expired", "heartbeats",
+            "chunks_completed", "chunks_retried", "chunks_quarantined",
+            "points_completed", "duplicate_completions",
+            "digest_mismatches", "workers_lost", "resumes", "torn_records",
+        ]
+        assert stats["leases_issued"] == 1
+        assert all(type(count) is int for count in stats.values())
+
     def test_expired_lease_is_requeued_and_worker_counted_lost(
             self, tmp_path):
         with _server(tmp_path, lease_s=0.15, chunk_size=4) as server:
@@ -287,11 +325,11 @@ class TestLeases:
 
     def test_poison_chunk_is_quarantined_after_retry_budget(self, tmp_path):
         with _server(tmp_path, chunk_size=1) as server:
-            _worker_thread(server.address, worker_id="w")
-            out = farm_execute_points(
-                [{"x": 1}, {"x": 2}], farm=server.address,
-                task=_always_fails, on_error="return", poll_s=0.05,
-            )
+            with _workers(server.address, "w"):
+                out = farm_execute_points(
+                    [{"x": 1}, {"x": 2}], farm=server.address,
+                    task=_always_fails, on_error="return", poll_s=0.05,
+                )
             status = rpc(server.address, "status")
         assert all(isinstance(p, PointFailure) for p in out)
         assert all("poison point" in p.traceback for p in out)
@@ -511,10 +549,10 @@ class TestResume:
 
         resumed = _server(tmp_path, journal_path=path, chunk_size=1,
                           resume=True)
-        _worker_thread(resumed.address, worker_id="late")
-        out = farm_execute_points(specs, farm=resumed.address,
-                                  task=_square_logged, poll_s=0.05,
-                                  reconnect=FAST_RECONNECT)
+        with _workers(resumed.address, "late"):
+            out = farm_execute_points(specs, farm=resumed.address,
+                                      task=_square_logged, poll_s=0.05,
+                                      reconnect=FAST_RECONNECT)
         status = rpc(resumed.address, "status")
         resumed.stop()
         assert out == [x ** 2 for x in range(8)]
@@ -537,10 +575,10 @@ class TestResume:
             handle.truncate()
         resumed = _server(tmp_path, journal_path=path, chunk_size=1,
                           resume=True)
-        _worker_thread(resumed.address, worker_id="late")
-        out = farm_execute_points(specs, farm=resumed.address,
-                                  task=_square, poll_s=0.05,
-                                  reconnect=FAST_RECONNECT)
+        with _workers(resumed.address, "late"):
+            out = farm_execute_points(specs, farm=resumed.address,
+                                      task=_square, poll_s=0.05,
+                                      reconnect=FAST_RECONNECT)
         status = rpc(resumed.address, "status")
         resumed.stop()
         assert out == [x ** 2 for x in range(6)]
@@ -581,10 +619,10 @@ class TestResume:
                           resume=True)
         # Not done: point 2 is still uncovered after the replay.
         assert rpc(resumed.address, "status")["done"] is False
-        _worker_thread(resumed.address, worker_id="drain")
-        out = farm_execute_points(specs, farm=resumed.address,
-                                  task=_square, on_error="return",
-                                  poll_s=0.05, reconnect=FAST_RECONNECT)
+        with _workers(resumed.address, "drain"):
+            out = farm_execute_points(specs, farm=resumed.address,
+                                      task=_square, on_error="return",
+                                      poll_s=0.05, reconnect=FAST_RECONNECT)
         status = rpc(resumed.address, "status")
         resumed.stop()
         assert out[0] == 0 and out[2] == 4
@@ -620,10 +658,10 @@ class TestResume:
 
         final = _server(tmp_path, journal_path=path, chunk_size=1,
                         resume=True)
-        _worker_thread(final.address, worker_id="w2")
-        out = farm_execute_points(specs, farm=final.address,
-                                  task=_square_logged, poll_s=0.05,
-                                  reconnect=FAST_RECONNECT)
+        with _workers(final.address, "w2"):
+            out = farm_execute_points(specs, farm=final.address,
+                                      task=_square_logged, poll_s=0.05,
+                                      reconnect=FAST_RECONNECT)
         status = rpc(final.address, "status")
         final.stop()
         assert out == [x ** 2 for x in range(6)]
@@ -677,11 +715,10 @@ class TestResume:
         # Phase 3: resume and drain with fresh workers.
         resumed = _server(tmp_path, journal_path=path, lease_s=1.0,
                           chunk_size=1, resume=True)
-        for index in range(2):
-            _worker_thread(resumed.address, worker_id=f"drain{index}")
-        out = farm_execute_points(specs, farm=resumed.address,
-                                  task=_square, poll_s=0.05,
-                                  reconnect=FAST_RECONNECT)
+        with _workers(resumed.address, "drain0", "drain1"):
+            out = farm_execute_points(specs, farm=resumed.address,
+                                      task=_square, poll_s=0.05,
+                                      reconnect=FAST_RECONNECT)
         status = rpc(resumed.address, "status")
         resumed.stop()
 
@@ -733,10 +770,10 @@ class TestDegradation:
             # The campaign survives the driver's exit: a worker can
             # still drain it and a patient driver gets the results.
             monkeypatch.delenv("REPRO_CHUNK_TIMEOUT_S")
-            _worker_thread(server.address, worker_id="late")
-            out = farm_execute_points(_specs(2), farm=server.address,
-                                      task=_square, poll_s=0.02,
-                                      reconnect=FAST_RECONNECT)
+            with _workers(server.address, "late"):
+                out = farm_execute_points(_specs(2), farm=server.address,
+                                          task=_square, poll_s=0.02,
+                                          reconnect=FAST_RECONNECT)
         assert out == [0, 1]
 
     def test_nonloopback_bind_requires_explicit_authkey(
@@ -783,8 +820,8 @@ class TestDegradation:
         out = farm_execute_points(specs, farm=resumed.address,
                                   task=_square, poll_s=0.05,
                                   reconnect=FAST_RECONNECT)
+        thread.join(timeout=10.0)  # before stop: it exits on "done"
         resumed.stop()
-        thread.join(timeout=10.0)
         assert out == [x ** 2 for x in range(6)]
         assert not thread.is_alive()
 
@@ -794,9 +831,9 @@ class TestDegradation:
 class TestBenchEntry:
     def test_rollups_and_entry_shape(self, tmp_path):
         with _server(tmp_path, chunk_size=2) as server:
-            _worker_thread(server.address, worker_id="w")
-            farm_execute_points(_specs(4), farm=server.address,
-                                task=_square, poll_s=0.05)
+            with _workers(server.address, "w"):
+                farm_execute_points(_specs(4), farm=server.address,
+                                    task=_square, poll_s=0.05)
             status = rpc(server.address, "status")
         rollups = farm_rollups(status)
         assert rollups["total_points"] == 4.0
@@ -821,9 +858,9 @@ class TestBenchEntry:
         from repro.telemetry.manifest import compare_bench
 
         with _server(tmp_path, chunk_size=2) as server:
-            _worker_thread(server.address, worker_id="w")
-            farm_execute_points(_specs(4), farm=server.address,
-                                task=_square, poll_s=0.05)
+            with _workers(server.address, "w"):
+                farm_execute_points(_specs(4), farm=server.address,
+                                    task=_square, poll_s=0.05)
             status = rpc(server.address, "status")
         path = str(tmp_path / "bench.json")
         record_farm_bench_entry(path, "base", status)

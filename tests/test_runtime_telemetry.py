@@ -181,12 +181,6 @@ class TestMetricsRegistry:
         assert parsed["answers_total"] == {"tier=memo": 4.0, "tier=cold": 1.0}
         assert parsed["memo_entries"][""] == 3.0
 
-    def test_set_total_syncs_external_tally(self):
-        counter = MetricsRegistry().counter("synced_total")
-        counter.set_total(41, op="sweep")
-        counter.set_total(42, op="sweep")
-        assert counter.value(op="sweep") == 42
-
     def test_metrics_http_endpoint(self):
         registry = MetricsRegistry()
         registry.counter("scraped_total").inc(9)

@@ -336,8 +336,8 @@ class TestServer:
                 stats = client.stats()
                 metrics = client.request({"op": "metrics"})
                 trace = client.request({"op": "trace"})
-        # The registry is synced from the same locked stats snapshot the
-        # stats op reads, so the two views must agree exactly.
+        # The stats op reads its counts from the registry's counters, so
+        # the two views must agree exactly.
         counters = metrics["metrics"]["counters"]
         tier_counts = counters["serve_tier_answers_total"]
         for tier, count in stats["tiers"].items():
@@ -368,6 +368,30 @@ class TestServer:
             and batch["trace_id"] == sweep["trace_id"]
             for sweep in sweeps for batch in batches
         )
+
+    def test_registry_is_the_store_without_a_scrape(self):
+        service = PredictionService()
+        with start_background_server(service) as background:
+            with ServeClient(background.address) as client:
+                client.predict(**HEADLINE[0])
+                client.predict(**HEADLINE[0])  # memo hit
+        # No stats or metrics op ran: every count is already current in
+        # the service's registry, the one store --stats reads.
+        registry = service.registry
+        assert registry.counter("serve_requests_total").value(
+            op="predict") == 2
+        answers = registry.counter("serve_tier_answers_total")
+        assert answers.value(tier="cold") == 1
+        assert answers.value(tier="memo") == 1
+        assert registry.counter("serve_memo_hits_total").value() == 1
+        assert registry.counter("serve_memo_misses_total").value() == 1
+        stats = service.stats_snapshot()
+        assert stats["tiers"] == {"memo": 1, "disk": 0, "cold": 1,
+                                  "batch": 0}
+        counts = [*stats["tiers"].values(), stats["requests"]["predict"],
+                  stats["coalesced"], stats["errors"],
+                  stats["memo"]["hits"], stats["memo"]["misses"]]
+        assert all(type(count) is int for count in counts)
 
     def test_sweep_batch_answers_bit_identical(self):
         with start_background_server() as background:
