@@ -15,8 +15,12 @@ sanity check).  The script:
    asserts the ``serve_tier_answers_total`` counters equal the
    ``--stats`` snapshot exactly (``--stats`` reads its counts from the
    same registry counters — see docs/observability.md);
-6. SIGTERMs the server, restarts it on the same cache, and asserts the
-   repeat query is served from **disk** without re-simulating;
+6. SIGTERMs the server, tears the cache file's tail (a crash
+   mid-store), restarts it on the same cache, and asserts the repeat
+   query is served from **disk** without re-simulating; then stores a
+   new point, restarts once more, and asserts that point too comes
+   from disk (the torn tail was cut before the store, not merged into
+   it);
 7. runs the serve QPS benchmark in smoke mode (which itself refuses to
    record unless memoized >= 100x cold and all tiers are bit-identical)
    and gates the recorded entry with ``repro report --check-bench
@@ -49,6 +53,9 @@ QUERY_ARGS = ["--family", "bcast", "--algorithm", "tree-shaddr",
               "--size", "64K", "--iters", "2"]
 QUERY_JSON = {"op": "predict", "family": "bcast",
               "algorithm": "tree-shaddr", "x": 65536, "iters": 2}
+#: a point no earlier step computes: stored after the torn tail
+FRESH_ARGS = ["--family", "bcast", "--algorithm", "tree-shaddr",
+              "--size", "16K", "--iters", "2"]
 
 
 def _env():
@@ -149,9 +156,9 @@ def main(argv=None) -> int:
 
         print("[3/7] served digest is byte-identical to the serial "
               "harness ...")
-        from repro.bench.farm import pickle_digest
         from repro.bench.harness import run_collective
         from repro.hardware.machine import Machine, Mode
+        from repro.util.records import pickle_digest
 
         machine = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
         serial = run_collective(machine, "bcast", "tree-shaddr", 65536,
@@ -191,23 +198,43 @@ def main(argv=None) -> int:
             stats["requests"]["predict"]
         ), scraped.get("serve_requests_total")
 
-        print("[6/7] SIGTERM the server; restart serves warm from the "
-              "cache ...")
-        server = procs[-1]
-        server.send_signal(signal.SIGTERM)
-        server.wait(timeout=30)
-        serve()
-        _wait_for_server(address)
+        print("[6/7] SIGTERM the server and tear the cache's tail; "
+              "restarts serve warm from the cache ...")
+
+        def restart(tear=False):
+            server = procs[-1]
+            server.send_signal(signal.SIGTERM)
+            server.wait(timeout=30)
+            if tear:  # a crash mid-store leaves a newline-less fragment
+                with open(cache, "a") as handle:
+                    handle.write('{"kind": "result", "key": "torn')
+            serve()
+            _wait_for_server(address)
+
+        def assert_nothing_recomputed():
+            stats_run = _run(["serve", "--stats", address],
+                             stdout=subprocess.PIPE)
+            stats = json.loads(stats_run.stdout)
+            assert stats["tiers"]["cold"] == 0, (
+                "restart re-simulated a cached point: "
+                + repr(stats["tiers"])
+            )
+
+        restart(tear=True)
         warm_restart = _query(QUERY_ARGS, address)
         assert warm_restart["tier"] in ("disk", "memo"), warm_restart["tier"]
         assert warm_restart["digest"] == digest, (
             "restarted server changed the answer's bytes"
         )
-        stats_run = _run(["serve", "--stats", address],
-                         stdout=subprocess.PIPE)
-        stats = json.loads(stats_run.stdout)
-        assert stats["tiers"]["cold"] == 0, (
-            "restart re-simulated a cached point: " + repr(stats["tiers"])
+        assert_nothing_recomputed()
+        fresh = _query(FRESH_ARGS, address)
+        assert fresh["tier"] == "cold", fresh["tier"]
+        restart()
+        stored = _query(FRESH_ARGS, address)
+        assert_nothing_recomputed()
+        assert stored["tier"] == "disk", stored["tier"]
+        assert stored["digest"] == fresh["digest"], (
+            "restarted server changed the answer's bytes"
         )
 
         print("[7/7] qps benchmark records and gates the serve entry ...")

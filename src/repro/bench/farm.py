@@ -42,14 +42,15 @@ Every completed point is appended to the journal as one fsynced JSON
 line — ``{"kind": "point", "index": i, "digest": sha256(pickle),
 "data": base64(pickle)}`` — under a header keyed by a
 :class:`~repro.telemetry.manifest.CampaignManifest` (git rev + spec
-hash).  ``repro farm serve --resume`` reloads the journal: journaled
-points are **never re-run**, torn trailing records (a crash mid-write)
-are detected by digest and dropped, and a driver that re-submits the
-same campaign (same spec hash) attaches to the loaded state instead of
-starting over.  Duplicate completions — a slow worker finishing a chunk
-that was re-leased after its lease expired — are detected, digest-
-verified against the journaled bytes (a mismatch is counted as a
-determinism violation), and discarded.
+hash).  ``repro farm serve --resume`` reloads the journal, a
+:class:`~repro.util.records.RecordLog`: journaled points are **never
+re-run**, torn trailing records (a crash mid-write) are detected by
+digest, dropped, and cut off before any server's first append, and a
+driver that re-submits the same campaign (same spec hash) attaches to
+the loaded state instead of starting over.  Duplicate completions — a
+slow worker finishing a chunk that was re-leased after its lease
+expired — are detected, digest-verified against the journaled bytes (a
+mismatch is counted as a determinism violation), and discarded.
 
 Security note: the wire protocol is ``multiprocessing.connection``
 pickle, and **unpickling is code execution** — the task-name allowlist
@@ -65,7 +66,6 @@ does not encrypt.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import heapq
 import importlib
@@ -95,6 +95,7 @@ from repro.telemetry.runtime import (
     runtime_log,
     span_store,
 )
+from repro.util.records import PICKLE_PROTOCOL, RecordLog, pack, unpack
 
 #: shared-secret authkey for every farm connection
 ENV_AUTHKEY = "REPRO_FARM_AUTHKEY"
@@ -104,25 +105,6 @@ ENV_FARM_CHUNK = "REPRO_FARM_CHUNK"
 
 #: "1" lets a driver fall back to the local executor when no server answers
 ENV_FARM_FALLBACK = "REPRO_FARM_FALLBACK"
-
-#: pinned so worker- and server-side pickles of one result byte-compare
-_PICKLE_PROTOCOL = 4
-
-
-def pickle_digest(obj) -> str:
-    """SHA-256 over the pinned-protocol pickle of ``obj``.
-
-    The byte-identity currency of the distributed layers: the farm
-    digests journaled results with it, and the prediction service
-    (:mod:`repro.serve`) stamps every answer with it so a client can
-    prove a memoized or disk-cached answer is bit-identical to a cold
-    serial run.  The pickle protocol is pinned (see ``_PICKLE_PROTOCOL``)
-    so digests computed by different processes of the same object
-    byte-compare.
-    """
-    return hashlib.sha256(
-        pickle.dumps(obj, protocol=_PICKLE_PROTOCOL)
-    ).hexdigest()
 
 #: a lease not heartbeated for this long is considered worker-lost
 DEFAULT_LEASE_S = 30.0
@@ -296,7 +278,7 @@ class JournalState:
     valid_bytes: int = 0
 
 
-class ProgressJournal:
+class ProgressJournal(RecordLog):
     """Append-only fsynced JSONL of campaign progress.
 
     One line per event: a ``campaign`` header (manifest + specs + task),
@@ -308,123 +290,44 @@ class ProgressJournal:
     a digest mismatch) and drops, counting it in ``torn_records``.
     """
 
-    def __init__(self, path: str):
-        self.path = path
-        self._handle = None
-
-    def open(self) -> None:
-        if self._handle is not None:
-            return
-        # Never append onto a torn final line: a record concatenated to
-        # a partial write becomes one unparsable line, and load() would
-        # end every later replay at the merge point.  A trailing newline
-        # keeps the torn fragment isolated as its own (dropped) line;
-        # resumes additionally truncate it away first (see repair()).
-        torn = False
-        try:
-            with open(self.path, "rb") as existing:
-                existing.seek(-1, os.SEEK_END)
-                torn = existing.read(1) != b"\n"
-        except (OSError, ValueError):
-            pass  # missing or empty file: nothing to isolate
-        self._handle = open(self.path, "a", encoding="utf-8")
-        if torn:
-            self._handle.write("\n")
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-
-    def repair(self, valid_bytes: int) -> None:
-        """Truncate everything past the last fully-valid record.
-
-        Called on resume, *before* the first append: a crash mid-write
-        leaves a partial final line, and any record appended after it
-        would otherwise postdate untrusted bytes.  ``valid_bytes`` comes
-        from :attr:`JournalState.valid_bytes` of the replay that decided
-        what to trust.
-        """
-        if self._handle is not None:
-            raise FarmError("repair the journal before opening for append")
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return
-        if size <= valid_bytes:
-            return
-        with open(self.path, "rb+") as handle:
-            handle.truncate(valid_bytes)
-            handle.flush()
-            os.fsync(handle.fileno())
-
-    def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
-
-    def append(self, record: dict) -> None:
-        self.open()
-        self._handle.write(json.dumps(record, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
     @staticmethod
     def load(path: str) -> JournalState:
         """Replay a journal, tolerating a torn tail.
 
-        The first unparsable, digest-mismatched, or newline-less line
-        ends the replay: appends are strictly ordered, so everything
-        after a torn record postdates the crash that tore it and is
-        untrusted.  (A final line without its newline is torn even when
-        it parses — only ``record + "\\n"`` is ever written atomically,
-        so a missing terminator means the write was cut short.)
-        ``state.valid_bytes`` marks where the trusted prefix ends, for
-        :meth:`repair`.
+        The first torn, unparsable, or digest-mismatched record ends the
+        replay (see :meth:`RecordLog.replay`).  ``state.valid_bytes``
+        marks where the trusted prefix ends, for :meth:`repair`.
         """
         state = JournalState()
-        try:
-            handle = open(path, "rb")
-        except FileNotFoundError:
-            return state
-        with handle:
-            for line in handle:
-                if not line.endswith(b"\n"):
-                    state.torn_records += 1
-                    break
-                if not line.strip():
-                    state.valid_bytes += len(line)
-                    continue
-                try:
-                    record = json.loads(line)
-                    kind = record["kind"]
-                    if kind == "campaign":
-                        if state.header is None:
-                            state.header = record
-                            state.trace = record.get("trace")
-                    elif kind == "span":
-                        if isinstance(record.get("span"), dict):
-                            state.spans.append(record["span"])
-                    elif kind == "point":
-                        data = base64.b64decode(record["data"])
-                        if hashlib.sha256(data).hexdigest() != record["digest"]:
-                            raise ValueError("digest mismatch")
-                        index = int(record["index"])
-                        state.results[index] = data
-                        # A late honest completion beats an earlier
-                        # quarantine verdict (mirrors _op_complete): an
-                        # index must never sit in both maps, or resumed
-                        # campaigns double-count coverage.
-                        state.failures.pop(index, None)
-                    elif kind == "quarantine":
-                        for index in record["indices"]:
-                            state.failures[int(index)] = record["traceback"]
-                    elif kind == "expire":
-                        state.lease_expiries += 1
-                        state.lost_workers.add(record["worker"])
-                    elif kind == "resume":
-                        state.resumes += 1
-                except (ValueError, KeyError, TypeError):
-                    state.torn_records += 1
-                    break
-                state.valid_bytes += len(line)
+
+        def apply(record: dict) -> None:
+            kind = record["kind"]
+            if kind == "campaign":
+                if state.header is None:
+                    state.header = record
+                    state.trace = record.get("trace")
+            elif kind == "span":
+                if isinstance(record.get("span"), dict):
+                    state.spans.append(record["span"])
+            elif kind == "point":
+                data = unpack(record)
+                index = int(record["index"])
+                state.results[index] = data
+                # A late honest completion beats an earlier quarantine
+                # verdict (mirrors _op_complete): an index must never sit
+                # in both maps, or resumed campaigns double-count coverage.
+                state.failures.pop(index, None)
+            elif kind == "quarantine":
+                for index in record["indices"]:
+                    state.failures[int(index)] = record["traceback"]
+            elif kind == "expire":
+                state.lease_expiries += 1
+                state.lost_workers.add(record["worker"])
+            elif kind == "resume":
+                state.resumes += 1
+
+        state.valid_bytes, torn = ProgressJournal(path).replay(apply)
+        state.torn_records = int(torn)
         return state
 
 
@@ -524,11 +427,12 @@ class FarmServer:
                 f"{state.header['manifest']['spec_hash']!r}; pass "
                 f"--resume to continue it (or point at a fresh journal)"
             )
-        if resume and state.header is not None:
-            # Drop the torn tail before the resume marker is appended,
-            # so every post-resume record stays replayable by a *second*
-            # resume (a partial line must never prefix fresh appends).
-            self._journal.repair(state.valid_bytes)
+        # Drop the torn tail before anything is appended, resumed or
+        # not: a record written after untrusted bytes is lost to every
+        # later replay (a journal torn during its first header write
+        # would otherwise never replay its campaign).
+        self._journal.repair(state.valid_bytes)
+        if state.header is not None:
             self._load_state(state)
 
     # -- lifecycle -------------------------------------------------------
@@ -927,7 +831,7 @@ class FarmServer:
                 if status != "ok":
                     errors.append((index, value))
                     continue
-                data = pickle.dumps(value, protocol=_PICKLE_PROTOCOL)
+                data = pickle.dumps(value, protocol=PICKLE_PROTOCOL)
                 known = self._results.get(index)
                 if known is not None:
                     duplicates += 1
@@ -943,12 +847,9 @@ class FarmServer:
                     # A late honest completion beats a quarantine verdict.
                     del self._failures[index]
                 self._results[index] = data
-                self._journal.append({
-                    "kind": "point",
-                    "index": index,
-                    "digest": hashlib.sha256(data).hexdigest(),
-                    "data": base64.b64encode(data).decode("ascii"),
-                })
+                self._journal.append(
+                    {"kind": "point", "index": index, **pack(data)}
+                )
                 fresh += 1
             self._stats["points_completed"].inc(fresh)
             self._stats["duplicate_completions"].inc(duplicates)

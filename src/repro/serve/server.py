@@ -16,11 +16,11 @@ two concurrency tiers on top of the synchronous
 
 All simulation happens on a **one-thread** executor.  The simulator is
 pure Python, so a second compute thread would only contend for the
-interpreter lock; one thread also means the memo and disk caches get at
-most one writer at a time.  The event loop stays free to answer
-``stats``/``ping`` (and to coalesce) while a simulation runs.  Sweep
-batches run on that same thread; their worker processes (or the farm)
-provide the parallelism.
+interpreter lock.  The event loop stays free to answer ``stats``/``ping``
+(and to coalesce) while a simulation runs.  Sweep batches run on that
+same thread; their worker processes (or the farm) provide the
+parallelism.  Predicts store their answers on the compute thread and
+sweeps on the event loop, so the disk cache locks its own writes.
 
 Protocol
 --------
@@ -54,6 +54,7 @@ from repro.serve.service import (
     answer_response,
 )
 from repro.telemetry.runtime import span, span_store
+from repro.util.records import pickle_digest
 
 #: largest accepted request line (a sweep of a few thousand points fits;
 #: anything bigger is a protocol error, not a memory grab)
@@ -90,8 +91,8 @@ class PredictionServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopping: Optional[asyncio.Event] = None
         # ONE compute thread: pure-Python simulations gain nothing from
-        # more threads, and the caches see one writer at a time no matter
-        # how many clients are connected.
+        # more threads.  Predicts store their answers on it and sweeps on
+        # the event loop, so the disk cache locks its own writes.
         self._executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="serve-compute"
         )
@@ -397,8 +398,6 @@ class PredictionServer:
     def _run_batch(self, specs: List[dict], jobs: Optional[int],
                    trace_ctx: Optional[dict] = None) -> List[CachedAnswer]:
         """Fan a sweep's cache misses through the shared point executor."""
-        from repro.bench.farm import pickle_digest
-
         effective = jobs if jobs is not None else self.jobs
         results = execute_points(
             specs, jobs=effective, farm=self.farm, trace_ctx=trace_ctx,

@@ -16,7 +16,7 @@ possible, walking the tiers from cheapest to dearest:
    point goes through).
 
 Every served answer carries the SHA-256 of its pinned-protocol pickle
-(:func:`repro.bench.farm.pickle_digest`), so a client can prove that a
+(:func:`repro.util.records.pickle_digest`), so a client can prove that a
 memoized or disk-cached answer is **bit-identical** to a cold serial
 run — the same byte-identity currency the sweep farm journals.
 
@@ -31,7 +31,10 @@ a cache written by different code is refused wholesale (and truncated),
 never silently served; a tampered entry (spec hash or payload digest
 mismatch) is dropped individually.  Flipping a solver env var changes
 the resolved solver mode and therefore the key, so entries recorded
-under another solver are simply never looked up.
+under another solver are simply never looked up.  The file is a
+:class:`~repro.util.records.RecordLog`, the durable log the sweep
+farm's journal also writes through: a torn tail ends the trusted prefix
+and is cut before the next store.
 
 The service is synchronous and single-simulation by design; the asyncio
 server (:mod:`repro.serve.server`) runs it on a one-thread executor and
@@ -40,11 +43,7 @@ adds in-flight coalescing and sweep batching on top.
 
 from __future__ import annotations
 
-import base64
-import hashlib
 import io
-import json
-import os
 import pickle
 import threading
 import time
@@ -53,7 +52,6 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
-from repro.bench.farm import pickle_digest
 from repro.bench.harness import FAMILY_SPECS
 from repro.bench.parallel import run_point
 from repro.collectives.base import CollectiveResult
@@ -64,10 +62,13 @@ from repro.hardware.network import UnsupportedTopologyError, known_backends
 from repro.sim.config import resolve_solver_config
 from repro.telemetry.manifest import git_revision, spec_fingerprint
 from repro.telemetry.runtime import MetricsRegistry, runtime_log, span
-
-#: pinned (with the farm's pickle protocol) so cache payloads written by
-#: one process byte-compare in another
-_PICKLE_PROTOCOL = 4
+from repro.util.records import (
+    PICKLE_PROTOCOL,
+    RecordLog,
+    pack,
+    pickle_digest,
+    unpack,
+)
 
 #: the fingerprint namespace: one query == a one-point campaign
 _FINGERPRINT_TASK = "serve-predict"
@@ -302,9 +303,9 @@ class MemoCache:
 class DiskCache:
     """Manifest-keyed persistent cache: restarts serve warm, stale refused.
 
-    Layout: append-only JSONL.  The first line is a header carrying the
-    cache version and the **git revision** that computed the entries;
-    each following line is one entry::
+    Layout: a :class:`~repro.util.records.RecordLog`.  The first record
+    is a header carrying the cache version and the **git revision** that
+    computed the entries; each following record is one entry::
 
         {"kind": "result", "key": <spec fingerprint>, "spec": {...},
          "digest": sha256(pickle), "data": base64(pickle)}
@@ -313,46 +314,44 @@ class DiskCache:
     re-hashes its payload; an entry whose key or digest does not match is
     **dropped, never served** — same for the whole file when the header's
     git revision differs from the running code's (the file is truncated
-    so it cannot shadow fresh entries forever).  A torn trailing line (a
-    crash mid-append) is tolerated and dropped.
+    on the next store so it cannot shadow fresh entries forever).  A torn
+    line (a crash mid-append), or one that does not parse or is not an
+    object, ends the trusted prefix: it and everything after it are
+    dropped, and cut off before the next store.  :meth:`put` is safe to
+    call from several threads: the server stores from its compute thread
+    and from its event loop, and a lock keeps their writes apart.
     """
 
     def __init__(self, path: str):
         self.path = path
+        self._log = RecordLog(path)
         self._entries: Dict[str, Tuple[str, bytes, dict]] = {}
         self.loaded = 0
         self.dropped = 0
         self.stale_git_rev: Optional[str] = None
-        self._header_written = False
+        #: bytes of the file the first store keeps (0: start over with a
+        #: header); None once a store has cut the file back
+        self._keep: Optional[int] = 0
+        self._store_lock = threading.Lock()
         self._load()
 
     # -- loading ----------------------------------------------------------
     def _load(self) -> None:
-        try:
-            with open(self.path, "rb") as handle:
-                raw = handle.read()
-        except FileNotFoundError:
+        records: List[dict] = []
+        valid_bytes, torn = self._log.replay(records.append)
+        self.dropped += torn
+        if not (records or torn):
             return
-        lines = raw.split(b"\n")
-        if raw.endswith(b"\n"):
-            lines = lines[:-1]
-        elif lines:
-            # Newline-less tail == torn final append: drop it.
-            lines = lines[:-1]
-            self.dropped += 1
-        if not lines:
-            return
-        try:
-            header = json.loads(lines[0])
-            assert header.get("kind") == "header"
-        except (ValueError, AssertionError):
+        header = records[0] if records else {}
+        entries = records[1:]
+        if header.get("kind") != "header":
             _cache_log.warning(
                 "cache_header_unreadable",
                 f"serve cache {self.path}: unreadable header; refusing "
                 f"the whole file",
-                path=self.path, dropped=len(lines),
+                path=self.path, dropped=len(records) + torn,
             )
-            self.dropped += len(lines)
+            self.dropped += len(records)
             return
         if header.get("version") != DISK_CACHE_VERSION:
             _cache_log.warning(
@@ -363,55 +362,50 @@ class DiskCache:
                 path=self.path,
                 found=header.get("version"), expected=DISK_CACHE_VERSION,
             )
-            self.dropped += len(lines) - 1
+            self.dropped += len(entries)
             return
         rev = git_revision()
         if header.get("git_rev") != rev:
             # Stale manifests are refused, never silently served: results
             # recorded by other code may not be byte-identical to ours.
             self.stale_git_rev = header.get("git_rev")
-            self.dropped += len(lines) - 1
+            self.dropped += len(entries)
             _cache_log.warning(
                 "cache_stale_git_rev",
                 f"serve cache {self.path}: recorded at git rev "
                 f"{self.stale_git_rev!r}, running {rev!r}; refusing "
-                f"{len(lines) - 1} stale entr(ies)",
+                f"{len(entries)} stale entr(ies)",
                 path=self.path,
                 recorded_rev=self.stale_git_rev, running_rev=rev,
-                dropped=len(lines) - 1,
+                dropped=len(entries),
             )
             return
-        self._header_written = True
-        for line in lines[1:]:
-            if self._load_entry(line):
+        self._keep = valid_bytes
+        for record in entries:
+            if self._load_entry(record):
                 self.loaded += 1
             else:
                 self.dropped += 1
 
-    def _load_entry(self, line: bytes) -> bool:
+    def _load_entry(self, record: dict) -> bool:
         try:
-            record = json.loads(line)
             if record.get("kind") != "result":
                 return False
             key = record["key"]
-            spec = record["spec"]
-            data = base64.b64decode(record["data"].encode("ascii"))
-            if hashlib.sha256(data).hexdigest() != record["digest"]:
-                return False
+            spec = dict(record["spec"])
+            if "dims" in spec:
+                spec["dims"] = tuple(spec["dims"])
+            data = unpack(record)
         except (ValueError, KeyError, TypeError):
             return False
         # The spec hash is the entry's identity: recompute it from the
         # stored spec so a tampered or mislabeled entry cannot be served
         # under a key it does not own.
-        spec = dict(spec)
-        if "dims" in spec:
-            spec["dims"] = tuple(spec["dims"])
-        expected = dict(spec)
-        expected.pop("solver_mode", None)
-        expected.pop("faults", None)
-        if query_key(expected) != key:
+        spec.pop("solver_mode", None)
+        spec.pop("faults", None)
+        if query_key(spec) != key:
             return False
-        self._entries[key] = (record["digest"], data, expected)
+        self._entries[key] = (record["digest"], data, spec)
         return True
 
     # -- serving ----------------------------------------------------------
@@ -433,34 +427,29 @@ class DiskCache:
 
     # -- storing ----------------------------------------------------------
     def put(self, key: str, answer: CachedAnswer) -> None:
-        data = pickle.dumps(answer.result, protocol=_PICKLE_PROTOCOL)
+        data = pickle.dumps(answer.result, protocol=PICKLE_PROTOCOL)
         spec = dict(answer.spec)
         spec["solver_mode"] = resolve_solver_config().mode
         spec["faults"] = None
-        record = {
-            "kind": "result",
-            "key": key,
-            "spec": spec,
-            "digest": hashlib.sha256(data).hexdigest(),
-            "data": base64.b64encode(data).decode("ascii"),
-        }
-        mode = "a" if self._header_written else "w"
-        with open(self.path, mode) as handle:
-            if not self._header_written:
-                json.dump({
-                    "kind": "header",
-                    "version": DISK_CACHE_VERSION,
-                    "git_rev": git_revision(),
-                }, handle, sort_keys=True, separators=(",", ":"))
-                handle.write("\n")
-                self._header_written = True
-            json.dump(record, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        self._entries[key] = (
-            record["digest"], base64.b64decode(record["data"]), answer.spec,
-        )
+        record = {"kind": "result", "key": key, "spec": spec, **pack(data)}
+        with self._store_lock:
+            if self._keep is not None:
+                # Nothing is stored after untrusted bytes: cut a torn
+                # tail, or the whole of a refused file, before the first
+                # store.
+                self._log.repair(self._keep)
+                if not self._keep:
+                    self._log.append({
+                        "kind": "header",
+                        "version": DISK_CACHE_VERSION,
+                        "git_rev": git_revision(),
+                    })
+                self._keep = None
+            self._log.append(record)
+            # Stores are rare and the cache has no shutdown hook: hold no
+            # file open between them.
+            self._log.close()
+            self._entries[key] = (record["digest"], data, answer.spec)
 
     def stats(self) -> Dict[str, object]:
         return {

@@ -510,18 +510,20 @@ class TestJournal:
         with open(path, "w") as handle:
             handle.write('{"kind": "point", "index": 0, "dig')  # torn
         journal = ProgressJournal(path)
+        # What FarmServer does after every load, before its first append.
+        journal.repair(ProgressJournal.load(path).valid_bytes)
         journal.append({"kind": "resume", "at": "now", "git_rev": "x"})
         journal.close()
         state = ProgressJournal.load(path)
-        # The torn fragment stays isolated on its own line; the fresh
-        # record after it is... untrusted by replay-order rules, so the
-        # guarantee here is just that the file has no merged lines.
+        # The repair cut the torn fragment away, so the record written
+        # after it replays instead of postdating untrusted bytes.
         with open(path) as handle:
             lines = handle.read().splitlines()
-        assert lines[0] == '{"kind": "point", "index": 0, "dig'
-        assert json.loads(lines[1]) == {"kind": "resume", "at": "now",
-                                        "git_rev": "x"}
-        assert state.torn_records == 1
+        assert [json.loads(line) for line in lines] == [
+            {"kind": "resume", "at": "now", "git_rev": "x"}
+        ]
+        assert state.resumes == 1
+        assert state.torn_records == 0
 
     def test_fresh_server_refuses_a_used_journal_without_resume(
             self, tmp_path):
@@ -671,6 +673,71 @@ class TestResume:
         # torn point 1 ran twice.
         assert _RUN_LOG.count(0) == 1
         assert _RUN_LOG.count(1) == 2
+
+    def test_journal_torn_during_its_first_header_write_stays_replayable(
+            self, tmp_path):
+        """Regression: a fresh server kept the torn header fragment and
+        journaled its whole campaign behind it, where no replay reaches."""
+        del _RUN_LOG[:]
+        specs = _specs(4)
+        path = str(tmp_path / "journal.jsonl")
+        with open(path, "w") as handle:
+            handle.write('{"kind": "campaign", "manif')  # torn, no newline
+        server = _server(tmp_path, journal_path=path, chunk_size=1)
+        with _workers(server.address, "w"):
+            out = farm_execute_points(specs, farm=server.address,
+                                      task=_square_logged, poll_s=0.05,
+                                      reconnect=FAST_RECONNECT)
+        server.stop()
+        assert out == [x ** 2 for x in range(4)]
+        state = ProgressJournal.load(path)
+        assert state.header is not None
+        assert sorted(state.results) == [0, 1, 2, 3]
+        assert state.torn_records == 0
+
+        resumed = _server(tmp_path, journal_path=path, chunk_size=1,
+                          resume=True)
+        again = farm_execute_points(specs, farm=resumed.address,
+                                    task=_square_logged, poll_s=0.05,
+                                    reconnect=FAST_RECONNECT)
+        resumed.stop()
+        assert again == out
+        assert sorted(_RUN_LOG) == [0, 1, 2, 3]  # nothing re-ran
+
+    def test_a_digest_mismatch_is_cut_before_the_resume_appends(
+            self, tmp_path):
+        """The cut-back follows the journal's own replay, digests
+        included: records journaled after a resume over a bit-rotted
+        point must survive the next load."""
+        specs = _specs(4)
+        path = str(tmp_path / "journal.jsonl")
+        server = _server(tmp_path, journal_path=path, chunk_size=1)
+        with _workers(server.address, "w0"):
+            farm_execute_points(specs, farm=server.address, task=_square,
+                                poll_s=0.05, reconnect=FAST_RECONNECT)
+        server.stop()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        points = [n for n, line in enumerate(lines)
+                  if json.loads(line)["kind"] == "point"]
+        rotted = json.loads(lines[points[1]])
+        rotted["digest"] = "0" * 64
+        lines[points[1]] = json.dumps(rotted)
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+
+        resumed = _server(tmp_path, journal_path=path, chunk_size=1,
+                          resume=True)
+        with _workers(resumed.address, "w1"):
+            out = farm_execute_points(specs, farm=resumed.address,
+                                      task=_square, poll_s=0.05,
+                                      reconnect=FAST_RECONNECT)
+        resumed.stop()
+        assert out == [x ** 2 for x in range(4)]
+        state = ProgressJournal.load(path)
+        assert sorted(state.results) == [0, 1, 2, 3]
+        assert state.torn_records == 0
+        assert state.resumes == 1
 
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_seeded_chaos_converges_to_the_serial_answer(

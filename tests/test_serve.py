@@ -21,18 +21,21 @@ clients are threads, exactly like the farm tests.
 import base64
 import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
-from repro.bench.farm import pickle_digest
 from repro.bench.harness import run_collective
 from repro.hardware.machine import Machine, Mode
 from repro.serve.client import ServeClient, ServeRequestError, parse_address
 from repro.serve.server import start_background_server
 from repro.serve.service import (
+    CachedAnswer,
     DiskCache,
     MemoCache,
     PredictionService,
@@ -42,6 +45,9 @@ from repro.serve.service import (
 )
 from repro.telemetry.manifest import compare_bench
 from repro.telemetry.runtime import parse_prometheus
+from repro.util.records import pickle_digest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
 #: the paper's headline crossover protocols, at test-sized points
 HEADLINE = [
@@ -272,6 +278,79 @@ class TestDiskCache:
         assert cache.loaded == 1 and cache.dropped == 1
         service = PredictionService(cache_path=path)
         assert service.serve(self.QUERY)["digest"] == first["digest"]
+
+    def test_store_after_a_torn_tail_survives_a_restart(self, tmp_path):
+        """Regression: the store after a crash mid-store was appended
+        onto the torn fragment, and every later load dropped it."""
+        path, _ = self._primed_cache(tmp_path)
+        with open(path, "a") as handle:
+            handle.write('{"kind": "result", "key": "torn')  # no newline
+        second = {**self.QUERY, "x": 8192}
+        stored = PredictionService(cache_path=path).serve(second)
+        assert stored["tier"] == "cold"
+        restarted = PredictionService(cache_path=path)
+        response = restarted.serve(second)
+        assert response["tier"] == "disk"
+        assert response["digest"] == stored["digest"]
+        assert restarted.disk.loaded == 2 and restarted.disk.dropped == 0
+
+    def test_stores_from_two_threads_all_survive_a_restart(self, tmp_path):
+        """The server stores from its compute thread and its event loop;
+        neither may tear the other's write or cut the other's header."""
+        service = PredictionService()
+        answer, _ = service.compute(service.normalize(self.QUERY)[0])
+        path = str(tmp_path / "serve.cache")
+        cache = DiskCache(path)
+        sizes = [[self.QUERY["x"] + 64 * (2 * n + side) for n in range(40)]
+                 for side in range(2)]
+        errors = []
+
+        def store(xs):
+            try:
+                for x in xs:
+                    spec, key = service.normalize({**self.QUERY, "x": x})
+                    cache.put(key, CachedAnswer(result=answer.result,
+                                                digest=answer.digest,
+                                                spec=spec))
+            except Exception as exc:  # surfaced below, not in the thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=store, args=(xs,))
+                   for xs in sizes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        restarted = DiskCache(path)
+        assert restarted.loaded == 80 and restarted.dropped == 0
+        assert restarted.get(service.normalize(
+            {**self.QUERY, "x": sizes[1][-1]})[1]).digest == answer.digest
+
+    @pytest.mark.parametrize("broken", ["header", "entry"])
+    def test_a_non_object_line_is_refused_not_fatal(self, tmp_path, broken):
+        path, _ = self._primed_cache(tmp_path)
+        with open(path) as handle:
+            header, entry = handle.read().splitlines()
+        lines = (["[1, 2]", entry] if broken == "header"
+                 else [header, '"oops"', entry])
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+        assert len(DiskCache(path)) == 0
+        assert PredictionService(cache_path=path).serve(
+            self.QUERY)["tier"] == "cold"
+        restarted = PredictionService(cache_path=path)
+        assert restarted.serve(self.QUERY)["tier"] == "disk"
+        assert restarted.disk.dropped == 0
+
+    def test_serve_layer_does_not_import_the_farm(self):
+        code = ("import sys, repro.serve.server, repro.serve.service; "
+                "print('repro.bench.farm' in sys.modules)")
+        env = {**os.environ, "PYTHONPATH": SRC}
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr[-2000:]
+        assert result.stdout.strip() == "False"
 
     def test_unpickling_refuses_foreign_globals(self, tmp_path):
         path, _ = self._primed_cache(tmp_path)
