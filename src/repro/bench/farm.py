@@ -331,6 +331,21 @@ class ProgressJournal(RecordLog):
         return state
 
 
+#: campaign header field -> the type a server reads it as
+_HEADER_FIELDS = {"manifest": dict, "specs": list, "task": str}
+
+
+def _check_header(path: str, header: dict) -> None:
+    """Refuse a journal whose campaign header lacks a field the server
+    reads, before anything touches the file."""
+    for name, kind in _HEADER_FIELDS.items():
+        if not isinstance(header.get(name), kind):
+            raise FarmError(
+                f"journal {path!r}: campaign header has no {name!r} "
+                f"{kind.__name__}; refusing the journal"
+            )
+
+
 # -- server --------------------------------------------------------------
 
 #: robustness rollups of one server's life: ``farm status`` stats key ->
@@ -421,12 +436,14 @@ class FarmServer:
         self._journal = ProgressJournal(journal_path)
 
         state = ProgressJournal.load(journal_path)
-        if state.header is not None and not resume:
-            raise FarmError(
-                f"journal {journal_path!r} already holds campaign "
-                f"{state.header['manifest']['spec_hash']!r}; pass "
-                f"--resume to continue it (or point at a fresh journal)"
-            )
+        if state.header is not None:
+            _check_header(journal_path, state.header)
+            if not resume:
+                raise FarmError(
+                    f"journal {journal_path!r} already holds campaign "
+                    f"{state.header['manifest'].get('spec_hash')!r}; pass "
+                    f"--resume to continue it (or point at a fresh journal)"
+                )
         # Drop the torn tail before anything is appended, resumed or
         # not: a record written after untrusted bytes is lost to every
         # later replay (a journal torn during its first header write

@@ -241,6 +241,9 @@ class Machine:
                     shifted.add(id(flow))
                     flow.advance(now)
                     flow.last_update = 0.0
+        # The flows moved outside a re-solve: no component counts as
+        # resolved at an instant any more.
+        self.flownet.drop_certificates()
         self.engine.rebase(now)
         # Fault windows are stored in absolute engine time; keep them in
         # step with the rebased clock.

@@ -72,11 +72,41 @@ and are never memoized.  The reference slow path never consults the
 memo, so it stays the oracle the memo is tested against, and under
 ``REPRO_SIM_DEBUG=1`` every hit also runs the fill and must match the
 stored entry bit for bit.
+
+On a torus the component of a finish or a start is often the whole
+machine, yet most of its re-solves add or remove one flow and leave every
+round of the fill unchanged.  So before the memo, the incremental path
+tries a **delta re-fill**:
+
+* a full fill of a component of ``_CERT_MIN_FLOWS`` (32) or more flows
+  leaves a *certificate* on its root (``_Certificate``): per round its
+  ``alpha``, level, how many resources and caps reached ``alpha``
+  exactly, and which flows froze in it;
+* when one flow joins or leaves that component at the instant the
+  certificate holds (every flow advanced to it, every resource folded),
+  the network re-runs the fill's rounds for that flow's resources only,
+  with the fill's own float operations (``_delta_plan``), and commits
+  only if every round, and so every other flow's rate, provably stays
+  the same.  Otherwise it refuses with no side effect and the memo, then
+  a full fill, serve the re-solve;
+* the commit reproduces every side effect of a full re-solve in the same
+  order (``_delta_post``): the joining flow's rate, busy-integral folds,
+  the fill's load fold, and each deadline push and recursive finish of a
+  due flow, with a rate-change log for flows a nested re-solve changes.
+
+A capacity change, a solver reconfiguration and a clock rebase drop every
+certificate (``drop_certificates``); a memo hit leaves none.  The slow
+path never reads certificates, and under ``REPRO_SIM_DEBUG=1`` every delta
+re-fill is followed by a full fill that must reproduce its rates, loads
+and certificate bit for bit.  ``resolves``, ``full_fills``,
+``wide_fills``, ``memo_hits``, ``delta_refills``, ``delta_refusals`` and
+``delta_cascades`` count how each re-solve was served.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -92,6 +122,12 @@ _EPS_RATE = 1e-9
 _MEMO_MIN_FLOWS = 8
 #: memo entries per network; once full, new fills are not stored
 _MEMO_MAX_ENTRIES = 8192
+#: smallest component whose full fill leaves a certificate for delta
+#: re-fills.  A delta re-fill costs about as much as a memo replay of a
+#: 30-flow component, whatever the component's size; below this size it
+#: saves nothing and its certificates and refusals cost extra
+#: (docs/performance.md, "Delta re-fills")
+_CERT_MIN_FLOWS = 4 * _MEMO_MIN_FLOWS
 
 
 class FlowResource:
@@ -99,7 +135,7 @@ class FlowResource:
 
     __slots__ = (
         "name", "capacity", "flows", "network", "component",
-        "_busy_acc", "_busy_last", "_load", "_wsum",
+        "_busy_acc", "_busy_last", "_load", "_wsum", "_wsum_prev",
         "_fill_slack", "_fill_wsum", "_fill_epoch",
     )
 
@@ -109,7 +145,9 @@ class FlowResource:
         self.network = network
         self.name = name
         self.capacity = float(capacity)
-        self.flows: Set["Flow"] = set()
+        #: flows using this resource, in creation order (a flow joins its
+        #: resources only when it is created)
+        self.flows: Dict["Flow", None] = {}
         #: component-cache entry point (fast path); None when idle
         self.component: Optional["_Component"] = None
         #: time-integral of load (raw bytes) — the utilization monitor
@@ -121,6 +159,9 @@ class FlowResource:
         #: running weight sum over active flows — the progressive filler's
         #: starting ``wsum`` without an O(flows) rebuild
         self._wsum = 0.0
+        #: ``_wsum`` before the last flow joined or left: the sum the
+        #: component's last fill (or delta re-fill) was seeded with
+        self._wsum_prev = 0.0
         # per-fill scratch state, validity tagged by epoch counters
         self._fill_slack = 0.0
         self._fill_wsum = 0.0
@@ -136,8 +177,10 @@ class FlowResource:
             raise ValueError(f"resource {self.name!r}: capacity must be > 0")
         self.integrate(self.network.engine.now)
         self.capacity = float(capacity)
-        # Every memoized fill read the old capacities.
+        # Every memoized fill and every certificate read the old
+        # capacities.
         self.network._memo.clear()
+        self.network.drop_certificates()
         self.network._resolve_component_of_resources([self])
 
     @property
@@ -254,19 +297,99 @@ class _Component:
     own a ``flows`` dict (insertion-ordered member set).  ``dirty`` marks a
     root whose membership may be an over-approximation (a multi-resource
     flow finished, so the component may have split); a dirty root is
-    re-carved by traversal before its next resolve.
+    re-carved by traversal before its next resolve.  ``cert`` is the
+    certificate of the root's last fill, or None.
     """
 
-    __slots__ = ("flows", "parent", "dirty")
+    __slots__ = ("flows", "parent", "dirty", "cert")
 
     def __init__(self):
         self.flows: Optional[Dict[Flow, None]] = {}
         self.parent: Optional["_Component"] = None
         self.dirty = False
+        self.cert: Optional["_Certificate"] = None
+
+
+class _Certificate:
+    """What one full fill of a component decided, kept so a later re-solve
+    after one flow joins or leaves can re-fill only that flow's resources
+    (see :meth:`FlowNetwork._delta_plan`).
+
+    Per round ``k`` of the fill: ``alphas[k]`` and ``levels[k]``;
+    ``hits[k]``, how many live resources had ``slack / wsum ==
+    alphas[k]`` exactly; ``caps[k]``, how many active flows had ``cap -
+    levels[k-1] == alphas[k]`` exactly (nonzero only in a round the
+    minimum cap bound); ``frozen[k]``, the flows that froze in it, in
+    creation order.  The weight sum the fill seeded each resource with is
+    the resource's ``_wsum`` until a flow joins or leaves it, and its
+    ``_wsum_prev`` right after.  The certificate holds at engine time
+    ``now`` while the network's certificate generation is ``gen``: every
+    flow of the component was advanced to ``now`` and every resource
+    folded to it.
+
+    A delta re-fill also needs ``round_of`` (flow -> the round it froze
+    in) and ``due`` (the flows with ``remaining <= _EPS_BYTES``, in
+    creation order); :meth:`index` builds them on first use, so a
+    certificate no delta re-fill reads costs only its rounds.
+    """
+
+    __slots__ = (
+        "alphas", "levels", "hits", "caps", "frozen", "round_of", "due",
+        "now", "gen",
+    )
+
+    def __init__(self, now: float, gen: int):
+        self.alphas: List[float] = []
+        self.levels: List[float] = []
+        self.hits: List[int] = []
+        self.caps: List[int] = []
+        self.frozen: List[List[Flow]] = []
+        self.round_of: Optional[Dict[Flow, int]] = None
+        self.due: List[Flow] = []
+        self.now = now
+        self.gen = gen
+
+    def index(self) -> None:
+        """Build ``round_of`` and ``due`` from the frozen flows, once.  At
+        the certificate's instant no flow's ``remaining`` moves, except
+        that a finished flow's drops to 0."""
+        if self.round_of is not None:
+            return
+        round_of: Dict[Flow, int] = {}
+        for k, frozen in enumerate(self.frozen):
+            round_of.update(dict.fromkeys(frozen, k))
+        self.round_of = round_of
+        due = [
+            flow for flow in round_of
+            if flow.remaining <= _EPS_BYTES and not flow.finished
+        ]
+        due.sort(key=_flow_seq_key)
+        self.due = due
+
+    def record(self) -> tuple:
+        """Everything the fill decided, for the debug cross-check."""
+        self.index()
+        return (
+            self.alphas, self.levels, self.hits, self.caps, self.frozen,
+            self.round_of, self.due,
+        )
 
 
 #: canonical solver ordering — creation order (C-level getter, hot sort key)
 _flow_seq_key = attrgetter("seq")
+
+
+def _rate_moved(rate: float, old: float) -> bool:
+    """Whether a re-solve moved a flow's rate by more than last-bit jitter
+    (re-solving a component whose membership changed elsewhere can
+    produce meaningless jitter); only a moved flow gets a fresh deadline."""
+    if rate == old:
+        return False
+    tol = rate if rate > old else old
+    if tol < 1.0:
+        tol = 1.0
+    delta = rate - old
+    return delta > 1e-12 * tol or -delta > 1e-12 * tol
 
 
 def _memo_entry(flows: List[Flow], resources: List[FlowResource]) -> tuple:
@@ -329,6 +452,25 @@ class FlowNetwork:
         #: cumulative payload bytes completed (for utilisation reporting)
         self.bytes_completed = 0.0
         self.flows_completed = 0
+        #: work counts: every re-solve is served by exactly one of a full
+        #: fill, a memo replay or a delta re-fill (debug cross-checks are
+        #: not counted)
+        self.resolves = 0
+        #: full fills of components of ``_MEMO_MIN_FLOWS`` or more flows,
+        #: on the incremental path
+        self.wide_fills = 0
+        self.memo_hits = 0
+        self.delta_refills = 0
+        #: delta re-fills tried and refused; each then fell back to the
+        #: memo or a full fill
+        self.delta_refusals = 0
+        #: delta re-fills that ran with due flows pending, inside a finish
+        #: cascade
+        self.delta_cascades = 0
+        self._cert_gen = 0
+        #: (flow, rate before the change) for every rate a re-solve
+        #: changes while a delta re-fill's post-loop is open; else None
+        self._rate_log: Optional[List[Tuple[Flow, float]]] = None
         self.config: SolverConfig
         self.configure(incremental, debug)
         self._fill_epoch = 0
@@ -338,6 +480,21 @@ class FlowNetwork:
         self._memo: Dict[Tuple[int, ...], tuple] = {}
         #: (cap, ((resource, weight), ...)) -> shape id (from 1)
         self._shapes: Dict[tuple, int] = {}
+
+    @property
+    def full_fills(self) -> int:
+        """Re-solves served by a full fill."""
+        return self.resolves - self.memo_hits - self.delta_refills
+
+    def drop_certificates(self) -> None:
+        """Invalidate every component's fill certificate.
+
+        Needed whenever flow or resource state moves outside a re-solve:
+        a capacity change, a solver reconfiguration, and a clock rebase
+        (:meth:`repro.hardware.machine.Machine.rebase_time` advances the
+        in-flight flows itself).
+        """
+        self._cert_gen += 1
 
     def configure(
         self,
@@ -357,6 +514,7 @@ class FlowNetwork:
         )
         self.incremental = self.config.incremental
         self._debug = self.config.debug
+        self.drop_certificates()
         if self.incremental and was_incremental is False:
             seeds = [f for r in self.resources for f in r.flows]
             if seeds:
@@ -417,10 +575,14 @@ class FlowNetwork:
             seq=self._flow_seq,
         )
         for resource, weight in flow.usage.items():
-            resource.flows.add(flow)
+            resource.flows[flow] = None
+            resource._wsum_prev = resource._wsum
             resource._wsum += weight
         if self.incremental:
-            self._resolve(self._attach(flow))
+            root, joined = self._attach(flow)
+            self._resolve(
+                list(root.flows), root, joined=flow if joined else None
+            )
         else:
             self._resolve(self._component([flow]))
         if self.engine.trace_enabled:
@@ -450,12 +612,14 @@ class FlowNetwork:
                         stack.append(other)
         return list(seen)
 
-    def _attach(self, flow: Flow) -> List[Flow]:
-        """Insert a new flow into the component cache; returns its component.
+    def _attach(self, flow: Flow) -> Tuple[_Component, bool]:
+        """Insert a new flow into the component cache.
 
         Unions the (root) components of the flow's resources; if any of them
-        is dirty the true component is re-carved by traversal, so the list
-        handed to the solver is always exact.
+        is dirty the true component is re-carved by traversal, so the
+        component handed to the solver is always exact.  Returns the
+        flow's component, and whether the flow joined exactly one existing
+        clean component: the one join a delta re-fill can serve.
         """
         roots: List[_Component] = []
         for resource in flow.usage:
@@ -464,9 +628,10 @@ class FlowNetwork:
                 root = _find(entry)
                 if root not in roots:
                     roots.append(root)
+        joined = len(roots) == 1
         if not roots:
             root = _Component()
-        elif len(roots) == 1:
+        elif joined:
             root = roots[0]
         else:
             root = max(roots, key=lambda c: len(c.flows))
@@ -477,28 +642,30 @@ class FlowNetwork:
                 root.dirty = root.dirty or other.dirty
                 other.parent = root
                 other.flows = None
+                other.cert = None
         root.flows[flow] = None
         flow.component = root
         for resource in flow.usage:
             resource.component = root
         if root.dirty:
-            return self._recarve([flow])
-        return list(root.flows)
+            return self._recarve([flow])[0], False
+        return root, joined
 
-    def _recarve(self, seeds: Iterable[Flow]) -> List[Flow]:
+    def _recarve(self, seeds: Iterable[Flow]) -> List[_Component]:
         """Rebuild exact components for the seeds' region of a dirty root.
 
         Traverses from each seed, carving a fresh clean component per
         connected region and detaching its members from their stale roots.
-        Returns the union of the carved components (the exact set the
-        reference path would resolve for these seeds).
+        Returns the carved components; together they hold exactly the
+        flows the reference path would resolve for these seeds.
         """
-        group: List[Flow] = []
+        carved: List[_Component] = []
         seen: Set[Flow] = set()
         for seed in seeds:
             if seed.finished or seed in seen:
                 continue
             component = _Component()
+            carved.append(component)
             stack = [seed]
             seen.add(seed)
             visited_resources: Set[FlowResource] = set()
@@ -511,7 +678,6 @@ class FlowNetwork:
                         old_root.flows.pop(flow, None)
                 component.flows[flow] = None
                 flow.component = component
-                group.append(flow)
                 for resource in flow.usage:
                     if resource in visited_resources:
                         continue
@@ -521,12 +687,21 @@ class FlowNetwork:
                         if other not in seen and not other.finished:
                             seen.add(other)
                             stack.append(other)
-        return group
+        return carved
 
     def _resolve_component_of_resources(
-        self, resources: Iterable[FlowResource]
+        self,
+        resources: Iterable[FlowResource],
+        left: Optional[Flow] = None,
+        cert: Optional[_Certificate] = None,
     ) -> None:
-        """Re-solve every flow (transitively) affected by these resources."""
+        """Re-solve every flow (transitively) affected by these resources.
+
+        ``left`` is a flow that just finished on them and ``cert`` the
+        certificate its component held: if the remaining flows still form
+        one component, the certificate moves to it, so that a delta
+        re-fill can serve the re-solve.
+        """
         if not self.incremental:
             seeds: List[Flow] = []
             for resource in resources:
@@ -548,16 +723,29 @@ class FlowNetwork:
             seeds = []
             for resource in resources:
                 seeds.extend(resource.flows)
-            self._resolve(self._recarve(seeds))
-        elif len(roots) == 1:
-            self._resolve(list(roots[0].flows))
+            roots = self._recarve(seeds)
+        if len(roots) == 1:
+            root = roots[0]
+            if cert is not None:
+                root.cert = cert
+                self._resolve(list(root.flows), root, left=left)
+            else:
+                self._resolve(list(root.flows), root)
         else:
             group: List[Flow] = []
             for root in roots:
+                # Filled together, no root keeps what its certificate says.
+                root.cert = None
                 group.extend(root.flows)
             self._resolve(group)
 
-    def _resolve(self, flows: List[Flow]) -> None:
+    def _resolve(
+        self,
+        flows: List[Flow],
+        root: Optional[_Component] = None,
+        joined: Optional[Flow] = None,
+        left: Optional[Flow] = None,
+    ) -> None:
         """Advance, re-solve rates (progressive filling), reschedule.
 
         Only flows whose rate actually changed get a fresh deadline; an
@@ -569,13 +757,30 @@ class FlowNetwork:
         the whole simulation) is independent of how the component was
         discovered and of interpreter memory layout.
 
-        On the incremental path a component of at least
-        ``_MEMO_MIN_FLOWS`` flows first consults the fill memo (see the
-        module docstring); a hit replays the stored rates and loads
-        instead of filling.
+        ``root`` is the component whose flows are exactly ``flows`` (None
+        for a group of several components, and on the reference path).
+        When one flow ``joined`` or ``left`` it at an instant its
+        certificate still holds, a delta re-fill is tried first (see the
+        module docstring).  Otherwise, on the incremental path a component
+        of at least ``_MEMO_MIN_FLOWS`` flows consults the fill memo; a hit
+        replays the stored rates and loads instead of filling.  A full
+        fill of a root of ``_CERT_MIN_FLOWS`` flows or more leaves a new
+        certificate on it; any other re-solve leaves none.
         """
-        flows.sort(key=_flow_seq_key)
+        self.resolves += 1
         now = self.engine.now
+        if root is not None:
+            cert, root.cert = root.cert, None
+            if (
+                cert is not None
+                and (joined is not None or left is not None)
+                and cert.now == now
+                and cert.gen == self._cert_gen
+            ):
+                if self._delta(flows, root, cert, joined, left):
+                    return
+                self.delta_refusals += 1
+        flows.sort(key=_flow_seq_key)
         old_rates: List[float] = []
         key = entry = None
         if self.incremental and len(flows) >= _MEMO_MIN_FLOWS:
@@ -585,10 +790,12 @@ class FlowNetwork:
             entry = self._memo.get(key)
         # A debug-mode hit fills as well, and checks the entry below.
         if (
-            entry is None
-            or self._debug
-            or not self._replay(entry, flows, now, old_rates)
+            entry is not None
+            and not self._debug
+            and self._replay(entry, flows, now, old_rates)
         ):
+            self.memo_hits += 1
+        else:
             # One pass: advance each flow at its old rate, fold each
             # resource's pre-change load into its busy integral
             # (resource.integrate, inlined for the hot path) and seed the
@@ -611,18 +818,29 @@ class FlowNetwork:
                         resources.append(r)
             if self._debug:
                 self._check_accumulators(flows, resources)
-            self._fill_scalar(flows, resources)
+            if key is not None:
+                self.wide_fills += 1
+            cert = self._fill_scalar(
+                flows, resources,
+                root is not None and len(flows) >= _CERT_MIN_FLOWS,
+            )
+            if cert is not None:
+                root.cert = cert
             if entry is None:
                 if key is not None and len(self._memo) < _MEMO_MAX_ENTRIES:
                     self._memo[key] = _memo_entry(flows, resources)
             elif self._debug:
                 _check_memo_entry(entry, _memo_entry(flows, resources))
+        log = self._rate_log
+        if log is not None:
+            for flow, old in zip(flows, old_rates):
+                if flow.rate != old:
+                    log.append((flow, old))
         for flow, old in zip(flows, old_rates):
             rate = flow.rate
             if rate != old:
-                # Tolerant comparison: re-solving a component whose
-                # membership changed elsewhere can produce meaningless
-                # last-bit jitter.
+                # Tolerant comparison (see _rate_moved, inlined for the
+                # hot path).
                 tol = rate if rate > old else old
                 if tol < 1.0:
                     tol = 1.0
@@ -672,9 +890,339 @@ class FlowNetwork:
             flow.rate = rate
         return True
 
-    def _fill_scalar(
-        self, flows: List[Flow], resources: List[FlowResource]
+    def _delta(
+        self,
+        flows: List[Flow],
+        root: _Component,
+        cert: _Certificate,
+        joined: Optional[Flow],
+        left: Optional[Flow],
+    ) -> bool:
+        """Serve a re-solve by a delta re-fill: the state a full fill of
+        ``flows`` would leave, with only the moved flow's resources
+        re-solved.
+
+        Returns False, having changed nothing, when the certificate cannot
+        prove that every round of the fill stays the same (see
+        :meth:`_delta_plan`).  Otherwise commits the joining flow's rate,
+        the moved flow's resources' busy integrals and loads, and the
+        updated certificate, then runs the post-loop of a full re-solve.
+        """
+        cert.index()
+        plan = self._delta_plan(cert, joined, left)
+        if plan is None:
+            return False
+        hits, caps, rounds, joined_round = plan
+        if joined is not None:
+            moved = joined
+            level = cert.levels[joined_round]
+            joined.rate = (
+                joined.cap if level >= joined.cap - _EPS_RATE else level
+            )
+            cert.round_of[joined] = joined_round
+            cert.frozen[joined_round].append(joined)  # the newest flow
+        else:
+            moved = left
+            cert.frozen[cert.round_of.pop(left)].remove(left)
+            if rounds < len(cert.alphas):
+                # The left flow froze alone in the last round.
+                del cert.alphas[rounds:], cert.levels[rounds:]
+                del cert.frozen[rounds:]
+        cert.hits = hits
+        cert.caps = caps
+        now = self.engine.now
+        for r in moved.usage:
+            if not r.flows:
+                continue  # idle now: out of the component
+            if now > r._busy_last:
+                r._busy_acc += r._load * (now - r._busy_last)
+                r._busy_last = now
+            # The fill's own fold: 0.0 plus each flow's rate * weight in
+            # creation order.
+            load = 0.0
+            for flow in r.flows:
+                load += flow.rate * flow.usage[r]
+            r._load = load
+        due = [flow for flow in cert.due if not flow.finished]
+        cert.due = due
+        if joined is not None:
+            if joined.remaining <= _EPS_BYTES:
+                cert.due = due + [joined]
+            if self._rate_log is not None and joined.rate != 0.0:
+                self._rate_log.append((joined, 0.0))
+        root.cert = cert
+        self.delta_refills += 1
+        if self._debug:
+            self._check_delta(flows, cert)
+        if due:
+            self.delta_cascades += 1
+        self._delta_post(flows, due, joined)
+        return True
+
+    def _delta_plan(
+        self,
+        cert: _Certificate,
+        joined: Optional[Flow],
+        left: Optional[Flow],
+    ) -> Optional[tuple]:
+        """Re-run the certified fill's rounds for the moved flow's
+        resources only, with the fill's own float operations, and decide
+        whether a full fill would keep every round.
+
+        For each resource of the flow that joined or left, this recomputes
+        its ``(slack, wsum)`` trajectory over the certified rounds twice:
+        as the certified fill saw it (seeded with ``_wsum_prev``) and as a
+        fill now would (seeded with ``_wsum``).  Each
+        round subtracts ``wsum * alpha`` from the slack while ``wsum >
+        _EPS_RATE``, then the weights of the flows frozen in it, in
+        creation order, a joining flow last.  No other resource needs
+        work: none of its inputs changed.  A full fill would keep every
+        round, and so every other flow's rate, if:
+
+        * no new candidate (a resource's ``slack / wsum``, or the joining
+          flow's ``cap - level``) falls below the round's ``alpha``, and
+          at least one candidate still reaches it;
+        * each of the resources saturates (``slack <= _EPS_RATE``) in
+          the same round as before, as far as its other flows can tell:
+          both rounds are capped at one past the last round any of them
+          froze in;
+        * a joining flow freezes by the last certified round, and no
+          round is left without a frozen flow (a leaving flow that froze
+          alone in the last round ends the fill a round early).
+
+        Returns None to refuse, else ``(hits, caps, rounds,
+        joined_round)``: the new per-round hit counts, the new number of
+        rounds, and the round a joining flow freezes in.
+        """
+        alphas = cert.alphas
+        levels = cert.levels
+        round_of = cert.round_of
+        rounds = len(alphas)
+        if joined is not None:
+            moved = joined
+            left_round = -1
+            # Most refused joins make the joining flow's own resource, or
+            # its cap, the first round's bottleneck: check those before
+            # building any trajectory.
+            alpha = alphas[0]
+            if joined.cap < alpha:
+                return None
+            for r, _w in joined.usage_items:
+                w = r._wsum
+                if w > _EPS_RATE and r.capacity / w < alpha:
+                    return None
+        else:
+            moved = left
+            left_round = round_of[left]
+            if len(cert.frozen[left_round]) == 1:
+                if left_round != rounds - 1:
+                    return None  # the round would freeze no flow
+                rounds -= 1
+        resources = [r for r, _w in moved.usage_items]
+        weights = [w for _r, w in moved.usage_items]
+        n = len(resources)
+        slack_old = [r.capacity for r in resources]
+        slack_new = list(slack_old)
+        wsum_old = [r._wsum_prev for r in resources]
+        wsum_new = [r._wsum for r in resources]
+        # First round each trajectory saturates in; ``rounds`` for never.
+        sat_old = [rounds] * n
+        sat_new = [rounds] * n
+        # Built after round 0, which most refusals do not outlast: per
+        # resource, the (round, weight, kept) of its flows in creation
+        # order (the order the fill subtracts weights in), ``kept`` False
+        # for a leaving flow, and the last round its other flows froze in.
+        steps: List[List[Tuple[int, float, bool]]] = []
+        last: List[int] = []
+        new_hits: List[int] = []
+        new_caps: List[int] = []
+        joined_round = -1
+        prev_level = 0.0
+        for k in range(rounds):
+            alpha = alphas[k]
+            hits = cert.hits[k]
+            caps = cert.caps[k]
+            if joined is not None:
+                if joined_round < 0:
+                    d = joined.cap - prev_level
+                    if d < alpha:
+                        return None
+                    if d == alpha:
+                        caps += 1
+            elif k <= left_round and left.cap - prev_level == alpha:
+                caps -= 1
+            stuck = False
+            for i in range(n):
+                w = wsum_old[i]
+                if w > _EPS_RATE:
+                    s = slack_old[i]
+                    if s / w == alpha:
+                        hits -= 1
+                    slack_old[i] = s - w * alpha
+                if slack_old[i] <= _EPS_RATE and sat_old[i] > k:
+                    sat_old[i] = k
+                w = wsum_new[i]
+                if w > _EPS_RATE:
+                    s = slack_new[i]
+                    a = s / w
+                    if a < alpha:
+                        return None
+                    if a == alpha:
+                        hits += 1
+                    slack_new[i] = s - w * alpha
+                if slack_new[i] <= _EPS_RATE:
+                    stuck = True
+                    if sat_new[i] > k:
+                        sat_new[i] = k
+            if hits + caps <= 0:
+                return None  # alpha would rise
+            new_hits.append(hits)
+            new_caps.append(caps)
+            level = levels[k]
+            if (
+                joined_round < 0
+                and joined is not None
+                and (level >= joined.cap - _EPS_RATE or stuck)
+            ):
+                joined_round = k
+            if not steps:
+                for r, w in zip(resources, weights):
+                    step = [
+                        (round_of[f], f.usage[r], True)
+                        for f in r.flows if f is not joined
+                    ]
+                    last.append(max(step)[0] if step else -1)
+                    if left is not None:
+                        at = len(step)
+                        for i, f in enumerate(r.flows):
+                            if f.seq > left.seq:
+                                at = i
+                                break
+                        step.insert(at, (left_round, w, False))
+                    steps.append(step)
+            for i in range(n):
+                for k_frozen, w, kept in steps[i]:
+                    if k_frozen == k:
+                        wsum_old[i] -= w
+                        if kept:
+                            wsum_new[i] -= w
+                if joined_round == k:
+                    wsum_new[i] -= weights[i]
+            prev_level = level
+        if joined is not None and joined_round < 0:
+            return None  # the joining flow would outlast the fill
+        for i in range(n):
+            cut = last[i] + 1
+            if min(sat_old[i], cut) != min(sat_new[i], cut):
+                return None
+        return new_hits, new_caps, rounds, joined_round
+
+    def _delta_post(
+        self, flows: List[Flow], due: List[Flow], joined: Optional[Flow]
     ) -> None:
+        """The post-loop of a full re-solve, for a delta re-fill: the same
+        ``_schedule_completion`` calls in the same order.  ``due`` holds
+        the due flows other than ``joined``.
+
+        The full loop visits every flow of the group in creation order and
+        acts on each whose rate moved from its value before the re-solve,
+        or that is due.  After a delta re-fill only a joining flow moved,
+        so it acts on the due flows and the joining flow, until one of its
+        calls finishes a flow and the nested re-solve moves others.  Those
+        come in from the rate-change log: each member of the group ahead of
+        the cursor that a nested call changed joins the queue with its
+        rate from before the first change.
+        """
+        # Creation order (due is in it, the joining flow is the newest):
+        # a sorted list is a heap.
+        queue = [(flow.seq, flow, flow.rate) for flow in due]
+        if joined is not None:
+            queue.append((joined.seq, joined, 0.0))
+        if not queue:
+            return
+        log = self._rate_log
+        opened = log is None
+        if opened:
+            log = self._rate_log = []
+        try:
+            mark = len(log)
+            members: Optional[Set[Flow]] = None
+            queued: Set[Flow] = set()
+            while queue:
+                seq, flow, old = heappop(queue)
+                if flow.finished:
+                    continue  # the full loop would only bump its generation
+                rate = flow.rate
+                if not (
+                    rate != old and _rate_moved(rate, old)
+                    or flow.remaining <= _EPS_BYTES
+                ):
+                    continue
+                self._schedule_completion(flow)
+                if len(log) == mark:
+                    continue
+                if members is None:
+                    members = set(flows)
+                    queued.update([entry[1] for entry in queue])
+                for changed, changed_old in log[mark:]:
+                    if (
+                        changed.seq > seq
+                        and changed not in queued
+                        and changed in members
+                    ):
+                        queued.add(changed)
+                        heappush(queue, (changed.seq, changed, changed_old))
+                mark = len(log)
+        finally:
+            if opened:
+                self._rate_log = None
+
+    def _check_delta(self, flows: List[Flow], cert: _Certificate) -> None:
+        """Debug-mode guard: a delta re-fill left the rates, loads and
+        certificate that a full fill of the same component computes, bit
+        for bit."""
+        now = self.engine.now
+        flows = sorted(flows, key=_flow_seq_key)
+        epoch = self._fill_epoch = self._fill_epoch + 1
+        resources: List[FlowResource] = []
+        for flow in flows:
+            if flow.last_update != now:
+                raise SimulationError(
+                    f"delta re-fill: flow {flow.name!r} was not advanced "
+                    "to this instant"
+                )
+            for r in flow.usage:
+                if r._fill_epoch != epoch:
+                    r._fill_epoch = epoch
+                    if r._busy_last != now:
+                        raise SimulationError(
+                            f"delta re-fill: resource {r.name!r} was not "
+                            "folded to this instant"
+                        )
+                    r._fill_slack = r.capacity
+                    r._fill_wsum = r._wsum
+                    resources.append(r)
+        self._check_accumulators(flows, resources)
+        rates = [flow.rate for flow in flows]
+        loads = [r._load for r in resources]
+        fresh = self._fill_scalar(flows, resources, True)
+        if (
+            fresh is None
+            or rates != [flow.rate for flow in flows]
+            or loads != [r._load for r in resources]
+            or fresh.record() != cert.record()
+        ):
+            raise SimulationError(
+                "delta re-fill disagrees with a full fill of the same "
+                "component on the rates, the loads or the certificate"
+            )
+
+    def _fill_scalar(
+        self,
+        flows: List[Flow],
+        resources: List[FlowResource],
+        record: bool = False,
+    ) -> Optional[_Certificate]:
         """Weighted max-min fair allocation for one component.
 
         Level-based progressive filling: all unfrozen flows share a common
@@ -686,11 +1234,16 @@ class FlowNetwork:
 
         Sets every flow's rate and every resource's load.  Expects the
         per-fill scratch (``_fill_slack``/``_fill_wsum``) seeded by
-        :meth:`_resolve`.
+        :meth:`_resolve`.  With ``record``, returns the fill's certificate,
+        or None if a round clamped a negative ``alpha`` to 0.
         """
         active = list(flows)
         live = resources  # resources whose active weight sum is still > 0
         level = 0.0
+        cert = None
+        if record:
+            cert = _Certificate(self.engine.now, self._cert_gen)
+            hits = 0
         while active:
             # One pass: find the binding resource AND compact resources
             # whose weight sum drained (their flows all froze) out of the
@@ -698,13 +1251,28 @@ class FlowNetwork:
             # frozen flows stay frozen — so dropping it is exact.
             alpha = math.inf
             next_live: List[FlowResource] = []
-            for r in live:
-                w = r._fill_wsum
-                if w > _EPS_RATE:
-                    next_live.append(r)
-                    a = r._fill_slack / w
-                    if a < alpha:
-                        alpha = a
+            if cert is None:
+                for r in live:
+                    w = r._fill_wsum
+                    if w > _EPS_RATE:
+                        next_live.append(r)
+                        a = r._fill_slack / w
+                        if a < alpha:
+                            alpha = a
+            else:
+                # The same scan, also counting the resources that reach
+                # the minimum.
+                hits = 0
+                for r in live:
+                    w = r._fill_wsum
+                    if w > _EPS_RATE:
+                        next_live.append(r)
+                        a = r._fill_slack / w
+                        if a < alpha:
+                            alpha = a
+                            hits = 1
+                        elif a == alpha:
+                            hits += 1
             live = next_live
             min_cap = math.inf
             for flow in active:
@@ -713,6 +1281,7 @@ class FlowNetwork:
             d = min_cap - level
             if d < alpha:
                 alpha = d
+                hits = 0
             if alpha is math.inf:
                 names = ", ".join(f.name for f in active[:4])
                 raise SimulationError(
@@ -720,7 +1289,18 @@ class FlowNetwork:
                 )
             if alpha < 0.0:
                 alpha = 0.0
+                cert = None
+            if cert is not None:
+                cert.alphas.append(alpha)
+                cert.hits.append(hits)
+                # Only when the minimum cap binds can any cap reach alpha.
+                cert.caps.append(
+                    sum([1 for f in active if f.cap - level == alpha])
+                    if d == alpha else 0
+                )
             level += alpha
+            if cert is not None:
+                cert.levels.append(level)
             for r in live:
                 r._fill_slack -= r._fill_wsum * alpha
             still: List[Flow] = []
@@ -741,6 +1321,8 @@ class FlowNetwork:
                 raise SimulationError(
                     "progressive filling failed to converge (numerical issue)"
                 )
+            if cert is not None:
+                cert.frozen.append(frozen)
             if not still:
                 break  # the next fill re-seeds the scratch weight sums
             for flow in frozen:
@@ -754,6 +1336,7 @@ class FlowNetwork:
             rate = flow.rate
             for r, w in flow.usage_items:
                 r._load += rate * w
+        return cert
 
     def _check_accumulators(
         self, flows: List[Flow], resources: List[FlowResource]
@@ -807,7 +1390,8 @@ class FlowNetwork:
         rate = flow.rate
         for resource, weight in flow.usage_items:
             resource.integrate(now)
-            resource.flows.discard(flow)
+            resource.flows.pop(flow, None)
+            resource._wsum_prev = resource._wsum
             resource._wsum -= weight
             if resource.flows:
                 resource._load -= rate * weight
@@ -816,10 +1400,15 @@ class FlowNetwork:
                 resource._load = 0.0
                 resource._wsum = 0.0
                 resource.component = None
+        cert = None
         if self.incremental and flow.component is not None:
             root = _find(flow.component)
             if root.flows is not None:
                 root.flows.pop(flow, None)
+            # The root no longer holds the flows its certificate
+            # describes; the re-solve below may still use it for a delta
+            # re-fill.
+            cert, root.cert = root.cert, None
             flow.component = None
             if len(resources) > 1:
                 # The flow may have been an articulation point: its
@@ -830,6 +1419,9 @@ class FlowNetwork:
         self.flows_completed += 1
         if self.engine.trace_enabled:
             self.engine.trace(f"flow- {flow.name}")
+        resolves = self.resolves
         flow.event.trigger(self.engine.now)
+        if self.resolves != resolves:
+            cert = None  # a trigger callback re-solved: the certificate is stale
         # Freed capacity speeds up neighbours: re-solve their component.
-        self._resolve_component_of_resources(resources)
+        self._resolve_component_of_resources(resources, flow, cert)

@@ -533,6 +533,27 @@ class TestJournal:
         with pytest.raises(FarmError, match="--resume"):
             FarmServer(port=0, journal_path=path)
 
+    @pytest.mark.parametrize("resume", [False, True])
+    @pytest.mark.parametrize("header, missing", [
+        ({"kind": "campaign"}, "manifest"),
+        ({"kind": "campaign", "manifest": {}, "task": "t"}, "specs"),
+        ({"kind": "campaign", "manifest": {}, "specs": [], "task": 3},
+         "task"),
+    ])
+    def test_header_missing_a_field_is_refused_untouched(
+            self, tmp_path, header, missing, resume):
+        """Regression: a campaign header without its manifest crashed the
+        server with a bare KeyError instead of refusing the journal."""
+        path = str(tmp_path / "journal.jsonl")
+        with open(path, "w") as handle:
+            handle.write(json.dumps(header) + "\n" + '{"kind": "res')
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(FarmError, match=repr(missing)):
+            FarmServer(port=0, journal_path=path, resume=resume)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
 
 # -- crash-resumable campaigns -------------------------------------------
 

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.hardware.machine import Machine, Mode
 from repro.sim import Engine, FlowNetwork, SimulationError
 
 
@@ -240,6 +241,27 @@ def test_debug_mode_detects_corrupted_memo_entry():
         engine.run()
 
 
+def test_debug_mode_detects_corrupted_certificate():
+    engine = Engine()
+    net = FlowNetwork(engine, incremental=True, debug=True)
+    hub = net.add_resource("hub", 1000.0)
+    ports = [net.add_resource(f"p{i}", 5.0) for i in range(33)]
+    # 32 flows, each bound by its own port in the fill's only round: the
+    # full fill of the 32nd leaves a certificate
+    flows = [
+        net.transfer({hub: 1.0, ports[i]: 1.0}, 1024.0, name=f"f{i}")
+        for i in range(32)
+    ]
+    root = flows[0].component
+    while root.parent is not None:
+        root = root.parent
+    root.cert.levels[0] += 1.0
+    # the 33rd joins by a delta re-fill, which reads its rate off the
+    # corrupted level
+    with pytest.raises(SimulationError, match="delta re-fill"):
+        net.transfer({hub: 1.0, ports[32]: 1.0}, 1024.0, name="f32")
+
+
 # ---------------------------------------------------------------------------
 # clock rebasing
 # ---------------------------------------------------------------------------
@@ -285,3 +307,41 @@ def test_rebase_makes_repeated_workloads_bit_identical():
     engine.spawn(driver())
     engine.run()
     assert durations[0] == durations[1]
+
+
+def test_rebase_time_drops_certificates():
+    """``Machine.rebase_time`` advances in-flight flows outside any
+    re-solve, so no component may count as resolved at the instant its
+    certificate names.  Here a component is certified at t=5, the clock is
+    rebased at t=8, and a flow joins at 5 on the rebased clock: it must not
+    be served by a delta re-fill, or the other flows skip their advance
+    to that instant and every float after it drifts from the reference."""
+    def run(incremental):
+        machine = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
+        engine, net = machine.engine, machine.flownet
+        net.configure(incremental=incremental, debug=False)
+        hub = net.add_resource("hub", 1000.0)
+        ports = [net.add_resource(f"p{i}", 10.0 / 3.0) for i in range(34)]
+        done = {}
+
+        def flow(index, start):
+            yield engine.timeout(start)
+            yield net.transfer(
+                {hub: 1.0, ports[index]: 1.0}, 1000.0, name=f"f{index}"
+            )
+            done[index] = engine.now
+
+        def barrier():
+            yield engine.timeout(8.0)
+            machine.rebase_time()
+
+        for index in range(32):
+            engine.spawn(flow(index, 0.0))
+        engine.spawn(flow(32, 5.0))
+        engine.spawn(barrier())
+        engine.spawn(flow(33, 13.0))  # 5.0 on the rebased clock
+        engine.run()
+        busy = [r.busy_integral(engine.now) for r in net.resources]
+        return list(done.items()), busy
+
+    assert run(incremental=True) == run(incremental=False)

@@ -27,6 +27,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -234,7 +235,7 @@ class TestDiskCache:
 
     def test_git_rev_mismatch_refuses_all_entries(self, tmp_path, capsys):
         path, _ = self._primed_cache(tmp_path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         header = json.loads(lines[0])
         header["git_rev"] = "0000000"
         with open(path, "w") as handle:
@@ -250,7 +251,7 @@ class TestDiskCache:
 
     def test_tampered_spec_is_refused(self, tmp_path):
         path, _ = self._primed_cache(tmp_path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         entry = json.loads(lines[1])
         entry["spec"]["x"] = 8192  # re-label the answer as another point
         with open(path, "w") as handle:
@@ -260,7 +261,7 @@ class TestDiskCache:
 
     def test_corrupt_payload_is_refused(self, tmp_path):
         path, _ = self._primed_cache(tmp_path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         entry = json.loads(lines[1])
         data = bytearray(base64.b64decode(entry["data"]))
         data[len(data) // 2] ^= 0xFF
@@ -354,7 +355,7 @@ class TestDiskCache:
 
     def test_unpickling_refuses_foreign_globals(self, tmp_path):
         path, _ = self._primed_cache(tmp_path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         entry = json.loads(lines[1])
         # A doctored payload whose pickle references an arbitrary
         # callable must not survive a cache read.

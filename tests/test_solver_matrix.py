@@ -4,12 +4,11 @@ The fair-share solver has two DES altitudes (``docs/performance.md``):
 the from-scratch reference traversal and the component-cache incremental
 path.  These tests pin the contract that both produce bit-identical
 results — on randomized flow graphs, on repeated bursts that the
-incremental path's fill memo replays, and through real collectives with
-mid-window capacity faults — and that ``compare_bench`` therefore gates
+incremental path's fill memo replays, on torus-like cascades that its
+delta re-fills serve, and through real collectives with mid-window
+capacity faults — and that ``compare_bench`` therefore gates
 BENCH entries recorded under either solver on their points alone.
 """
-
-from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -192,34 +191,16 @@ def repeated_bursts(draw):
     return capacities, flows, repeats, change, residue
 
 
-def _count_fills(net):
-    """Count the network's re-solves and runs of its fill loop."""
-    calls = Counter()
-    resolve, fill = net._resolve, net._fill_scalar
-
-    def counted_resolve(group):
-        calls["resolve"] += 1
-        resolve(group)
-
-    def counted_fill(group, group_resources):
-        calls["fill"] += 1
-        fill(group, group_resources)
-
-    net._resolve, net._fill_scalar = counted_resolve, counted_fill
-    return calls
-
-
 def _simulate_bursts(capacities, flows, repeats, change, residue, knobs,
                      debug):
     """Per-flow completion times, plus how often the network re-solved
-    and how often it ran the fill loop."""
+    and how often a full fill served the re-solve."""
     engine = Engine()
     net = FlowNetwork(engine, debug=debug, **knobs)
     resources = [
         net.add_resource(f"r{i}", capacity)
         for i, capacity in enumerate(capacities)
     ]
-    calls = _count_fills(net)
     completions = {}
 
     def proc(name, start, nbytes, cap, usage):
@@ -250,7 +231,7 @@ def _simulate_bursts(capacities, flows, repeats, change, residue, knobs,
 
     engine.spawn(run_epochs())
     engine.run()
-    return completions, calls["resolve"], calls["fill"]
+    return completions, net.resolves, net.full_fills
 
 
 #: epoch 2 repeats the burst after a 0.1-weight hub flow has come and
@@ -282,13 +263,133 @@ def test_solvers_agree_on_repeated_bursts(schedule):
     )
     # exact float equality, per-flow completion times
     assert fast == slow
-    # epoch 1 repeats epoch 0, so the memo served fills
+    # epoch 1 repeats epoch 0, so the memo (or a delta re-fill) served
+    # re-solves
     assert fills < resolves
     # debug mode runs the fill on every hit and checks the stored entry
     checked, _, _ = _simulate_bursts(
         *schedule, SOLVERS["incremental"], debug=True
     )
     assert checked == slow
+
+
+# ---------------------------------------------------------------------------
+# torus-like cascades: the incremental path's delta re-fills
+# ---------------------------------------------------------------------------
+
+#: per node: a DMA-class and a memory-class resource; plus torus channels
+DMA_CAPACITY, MEM_CAPACITY, CHANNEL_CAPACITY = 5100.0, 16000.0, 425.0
+#: a core copy's rate cap
+COPY_CAP = 2000.0
+
+
+@st.composite
+def torus_like_schedules(draw):
+    """Chains of equal-size transfers on a few torus-like nodes.
+
+    Each chain runs its transfers back to back, with a gap of 0, 0.1 or
+    1 µs between them: either capped single-resource copies (weight 2 on
+    one node's memory), or uncapped line transfers over two or three
+    nodes' DMA and memory plus one channel.  With 36-48 chains the
+    component is wide enough for delta re-fills, and equal chunk sizes
+    make many flows finish at the same instant, so finishes cascade.  A
+    resource may change capacity mid-run.
+    """
+    n_nodes = draw(st.integers(min_value=3, max_value=5))
+    n_channels = draw(st.integers(min_value=2, max_value=4))
+    chunk = float(draw(st.sampled_from([1024, 4096, 16384])))
+    gaps = st.sampled_from([0.0, 0.1, 1.0])
+    chains = []
+    for _ in range(draw(st.integers(min_value=36, max_value=48))):
+        if draw(st.booleans()):
+            node = draw(st.integers(min_value=0, max_value=n_nodes - 1))
+            usage = {("mem", node): 2.0}
+            cap = COPY_CAP
+        else:
+            nodes = draw(st.lists(
+                st.integers(min_value=0, max_value=n_nodes - 1),
+                min_size=2, max_size=3, unique=True,
+            ))
+            usage = {(kind, node): 1.0
+                     for node in nodes for kind in ("dma", "mem")}
+            channel = draw(st.integers(min_value=0, max_value=n_channels - 1))
+            usage[("chan", channel)] = 1.0
+            cap = None
+        count = draw(st.integers(min_value=2, max_value=4))
+        chains.append((usage, cap, draw(st.lists(
+            gaps, min_size=count, max_size=count))))
+    change = draw(st.one_of(st.none(), st.tuples(
+        st.sampled_from([0.5, 2.0, 6.0]),  # when
+        st.sampled_from(["dma", "mem", "chan"]),
+        st.sampled_from([0.5, 0.8]),  # capacity factor
+    )))
+    return n_nodes, n_channels, chunk, chains, change
+
+
+def _simulate_torus_like(schedule, incremental, debug=False):
+    """Per-flow completion times in completion order, every resource's
+    busy integral, how many events the run scheduled, and the network."""
+    n_nodes, n_channels, chunk, chains, change = schedule
+    engine = Engine()
+    net = FlowNetwork(engine, incremental=incremental, debug=debug)
+    resources = {}
+    for node in range(n_nodes):
+        resources[("dma", node)] = net.add_resource(f"dma{node}", DMA_CAPACITY)
+        resources[("mem", node)] = net.add_resource(f"mem{node}", MEM_CAPACITY)
+    for channel in range(n_channels):
+        resources[("chan", channel)] = net.add_resource(
+            f"chan{channel}", CHANNEL_CAPACITY)
+    completions = {}
+
+    def chain(index, usage, cap, chain_gaps):
+        for step, gap in enumerate(chain_gaps):
+            if gap:
+                yield engine.timeout(gap)
+            yield net.transfer(
+                {resources[key]: w for key, w in usage.items()}, chunk,
+                cap=cap, name=f"c{index}.{step}",
+            )
+            completions[(index, step)] = engine.now
+
+    for index, (usage, cap, chain_gaps) in enumerate(chains):
+        engine.spawn(chain(index, usage, cap, chain_gaps))
+    if change is not None:
+        when, kind, factor = change
+        resource = resources[(kind, 0)]
+
+        def reconfigure():
+            yield engine.timeout(when)
+            resource.set_capacity(resource.capacity * factor)
+
+        engine.spawn(reconfigure())
+    engine.run()
+    busy = [r.busy_integral(engine.now) for r in net.resources]
+    return list(completions.items()), busy, engine._seq, net
+
+
+def test_solvers_agree_on_torus_like_cascades():
+    """Delta re-fills, including those inside finish cascades, leave every
+    completion time and busy integral exactly where the reference path
+    puts them, and schedule the same events; debug mode cross-checks each
+    one against a full fill."""
+    totals = {"delta_refills": 0, "delta_cascades": 0}
+
+    @settings(max_examples=20, deadline=None)
+    @given(torus_like_schedules())
+    def check(schedule):
+        slow = _simulate_torus_like(schedule, incremental=False)
+        fast = _simulate_torus_like(schedule, incremental=True)
+        # exact float equality, and the same order of completions
+        assert fast[:3] == slow[:3]
+        for name in totals:
+            totals[name] += getattr(fast[3], name)
+        checked = _simulate_torus_like(schedule, incremental=True, debug=True)
+        assert checked[:3] == slow[:3]
+
+    check()
+    # Guard against vacuity: the path under test ran, in cascades too.
+    assert totals["delta_refills"] > 0
+    assert totals["delta_cascades"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -331,25 +432,54 @@ def test_solvers_agree_under_capacity_faults(family, algorithm, x):
     assert results["slowpath"] != clean
 
 
+def _measure_counts(knobs, family, algorithm, x, dims):
+    """One 2-iteration run: its elapsed time, how many events it
+    scheduled, and its flow network."""
+    machine = Machine(torus_dims=dims, mode=Mode.QUAD)
+    # debug pinned off: a debug hit or delta re-fill runs the fill as well
+    machine.flownet.configure(debug=False, **knobs)
+    result = run_collective(
+        machine, family, algorithm, x, iters=2, steady_state=False
+    )
+    return (result.elapsed_us, machine.engine._seq), machine.flownet
+
+
 def test_fill_memo_serves_torus_bcast_hits():
     """torus-shaddr re-solves the same component shapes chunk after chunk:
     the memo serves some of them, and the answer is the slowpath's."""
-    def measure(knobs):
-        machine = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-        # debug pinned off: a debug hit runs the fill as well
-        machine.flownet.configure(debug=False, **knobs)
-        calls = _count_fills(machine.flownet)
-        result = run_collective(
-            machine, "bcast", "torus-shaddr", 32768, iters=2,
-            steady_state=False,
-        )
-        return result.elapsed_us, calls
-
-    slow, slow_calls = measure(SOLVERS["slowpath"])
-    fast, fast_calls = measure(SOLVERS["incremental"])
+    point = ("bcast", "torus-shaddr", 32768, (2, 2, 2))
+    slow, slow_net = _measure_counts(SOLVERS["slowpath"], *point)
+    fast, fast_net = _measure_counts(SOLVERS["incremental"], *point)
     assert fast == slow
-    assert slow_calls["fill"] == slow_calls["resolve"]
-    assert fast_calls["fill"] < fast_calls["resolve"]
+    assert slow_net.full_fills == slow_net.resolves
+    assert fast_net.full_fills < fast_net.resolves
+    assert fast_net.memo_hits > 0
+
+
+def test_delta_refills_serve_most_wide_torus_allreduce_resolves():
+    """On a 4x4x4 torus the allreduce's components span the machine, and
+    most of their re-solves add or remove one flow without moving any
+    round of the fill: delta re-fills serve more of them than full fills
+    of 8 or more flows do, few tries are refused, and the answer is the
+    slowpath's."""
+    point = ("allreduce", "allreduce-torus-shaddr", 16384, (4, 4, 4))
+    slow, _ = _measure_counts(SOLVERS["slowpath"], *point)
+    fast, fast_net = _measure_counts(SOLVERS["incremental"], *point)
+    assert fast == slow
+    assert fast_net.delta_refills > fast_net.wide_fills
+    assert fast_net.delta_refusals < fast_net.delta_refills // 10
+
+
+def test_delta_post_loop_schedules_the_full_paths_events():
+    """A delta re-fill inside a finish cascade must make the full path's
+    deadline pushes, including those for flows a nested re-solve changed
+    (the rate-change log).  A missed push moves no answer here, only the
+    number of events, so the test compares that count as well."""
+    point = ("bcast", "torus-shaddr", 1 << 20, (2, 2, 2))
+    slow, _ = _measure_counts(SOLVERS["slowpath"], *point)
+    fast, fast_net = _measure_counts(SOLVERS["incremental"], *point)
+    assert fast == slow
+    assert fast_net.delta_cascades > 0
 
 
 # ---------------------------------------------------------------------------
