@@ -24,28 +24,7 @@ Quickstart
 >>> print(result)  # doctest: +SKIP
 """
 
-from repro.collectives.base import CollectiveResult
-from repro.hardware import BGPParams, Machine, Mode
-from repro.mpi import (
-    DOUBLE,
-    FLOAT,
-    INT32,
-    INT64,
-    MAX,
-    MIN,
-    PROD,
-    SUM,
-    UINT8,
-    Communicator,
-)
-from repro.structures import (
-    AtomicCounter,
-    BcastConsumer,
-    BcastFifo,
-    CompletionCounter,
-    MessageCounter,
-    PtPFifo,
-)
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -72,3 +51,19 @@ __all__ = [
     "CompletionCounter",
     "__version__",
 ]
+
+# ``import repro`` imports none of these modules: each is imported when
+# one of its names is first read, so a timing-only run never loads
+# numpy, the MPI layer or the thread-executable FIFOs.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.collectives.base": ("CollectiveResult",),
+    "repro.hardware": ("BGPParams", "Machine", "Mode"),
+    "repro.mpi": (
+        "Communicator", "UINT8", "INT32", "INT64", "FLOAT", "DOUBLE",
+        "SUM", "MAX", "MIN", "PROD",
+    ),
+    "repro.structures": (
+        "AtomicCounter", "PtPFifo", "BcastFifo", "BcastConsumer",
+        "MessageCounter", "CompletionCounter",
+    ),
+})

@@ -1,19 +1,11 @@
-"""Benchmark harness: the Fig-5 microbenchmark and per-figure experiments."""
+"""Benchmark harness: the Fig-5 microbenchmark and per-figure experiments.
 
-from repro.bench.harness import run_collective
-from repro.bench.parallel import ParallelExecutor, execute_points, resolve_jobs
-from repro.bench.profile import UtilizationReport, format_report, utilization_report
-from repro.bench.report import Series, format_table, speedup
+Each name below is imported from its module when first read, so a
+process that only measures points loads neither the process pool nor
+the report formatters.
+"""
 
-
-def __getattr__(name):
-    # Lazy so `python -m repro.bench.perfsuite` doesn't import the module
-    # twice (runpy warns when the target is already in sys.modules).
-    if name in ("run_suite", "speedup_table"):
-        from repro.bench import perfsuite
-
-        return getattr(perfsuite, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.util.lazy import lazy_exports
 
 __all__ = [
     "ParallelExecutor",
@@ -29,3 +21,18 @@ __all__ = [
     "utilization_report",
     "format_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.bench.harness": ("run_collective",),
+    "repro.bench.parallel": (
+        "ParallelExecutor", "execute_points", "resolve_jobs",
+    ),
+    # On first read only, so that `python -m repro.bench.perfsuite` does
+    # not import the module twice (runpy warns when the target is
+    # already in sys.modules).
+    "repro.bench.perfsuite": ("run_suite", "speedup_table"),
+    "repro.bench.profile": (
+        "UtilizationReport", "format_report", "utilization_report",
+    ),
+    "repro.bench.report": ("Series", "format_table", "speedup"),
+})

@@ -34,7 +34,9 @@ Job-count resolution: an explicit ``jobs`` argument wins, then the
 ``REPRO_JOBS`` environment variable, then serial.  ``jobs <= 0`` means
 "one worker per CPU".  Serial mode (``jobs=1``) never touches
 ``multiprocessing`` — it runs the task inline, point by point, exactly
-like the historical drivers.
+like the historical drivers — and never imports it either: the process
+pool and the runtime spans are imported where they are used, so a
+process that only calls :func:`run_point` loads neither.
 
 Hung workers
 ------------
@@ -69,12 +71,13 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.hardware.machine import Machine, Mode
-from repro.telemetry.runtime import dump_flight_record, record_span, span
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from concurrent.futures import ProcessPoolExecutor
 
 #: environment variable consulted when no explicit job count is given
 ENV_JOBS = "REPRO_JOBS"
@@ -328,6 +331,8 @@ def merge_failures(results: List[object],
     distributed failures surface identically.
     """
     if failures:
+        from repro.telemetry.runtime import dump_flight_record
+
         dump_flight_record("point-failure", component="parallel")
     for index, worker_tb, rerunnable in sorted(failures):
         if on_error == "return":
@@ -385,6 +390,7 @@ class ParallelExecutor:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
             import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
 
             context = (
                 multiprocessing.get_context(self.start_method)
@@ -456,6 +462,10 @@ class ParallelExecutor:
             raise ValueError(f"on_error must be raise|return, got {on_error!r}")
         if self.jobs <= 1 or len(specs) <= 1:
             return self._map_serial(task, specs, on_error)
+        from concurrent.futures import FIRST_COMPLETED, wait
+
+        from repro.telemetry.runtime import record_span
+
         timeout = resolve_timeout(timeout_s) if timeout_s is not None \
             else self.timeout_s
         pool = self._ensure_pool()
@@ -559,6 +569,8 @@ def execute_points(specs: Sequence[dict], jobs: Optional[int] = None,
     # never touches the specs themselves: cache keys, fingerprints and
     # pickled results are byte-identical with tracing on or off.
     if trace_ctx is not None:
+        from repro.telemetry.runtime import span
+
         trace_span = span(
             "parallel.execute", "parallel", parent=trace_ctx,
             points=len(specs), jobs=resolved,

@@ -75,8 +75,6 @@ import dataclasses
 import sys
 from typing import List, Optional
 
-from repro.analysis import predict_torus_bcast, predict_tree_bcast
-from repro.bench import format_report, utilization_report
 from repro.bench.harness import run_collective
 from repro.collectives.registry import families, iter_algorithms
 from repro.hardware import (
@@ -618,12 +616,19 @@ def _machine(args) -> Machine:
     )
 
 
+def _print_profile(machine: Machine) -> None:
+    """The ``--profile`` resource-utilization report of a finished run."""
+    from repro.bench.profile import format_report, utilization_report
+
+    print(format_report(utilization_report(machine)))
+
+
 def _finish(args, machine: Machine, result) -> None:
     print(result)
     if args.verify:
         print("payload verified bit-exact at every rank")
     if args.profile:
-        print(format_report(utilization_report(machine)))
+        _print_profile(machine)
 
 
 _MODE_NAMES = {1: "smp", 2: "dual", 4: "quad"}
@@ -686,7 +691,7 @@ def _cmd_barrier(args) -> int:
     print(f"{result.algorithm}: {result.elapsed_us:.2f} us on "
           f"{result.nprocs} procs")
     if args.profile:
-        print(format_report(utilization_report(machine)))
+        _print_profile(machine)
     return 0
 
 
@@ -704,11 +709,13 @@ def _cmd_pingpong(args) -> int:
     )
     print(result)
     if args.profile:
-        print(format_report(utilization_report(machine)))
+        _print_profile(machine)
     return 0
 
 
 def _cmd_predict(args) -> int:
+    from repro.analysis import predict_torus_bcast, predict_tree_bcast
+
     params = BGPParams()
     nbytes = parse_size(args.size)
     if args.algorithm.startswith("torus"):
@@ -821,7 +828,7 @@ def _cmd_report(args) -> int:
     print(format_telemetry_report(manifest, recorder))
     if args.profile:
         print()
-        print(format_report(utilization_report(machine)))
+        _print_profile(machine)
     status = 0
     if args.write_baseline:
         save_baseline(args.write_baseline, [manifest])
@@ -873,7 +880,7 @@ def _cmd_trace(args) -> int:
     print(result)
     print(f"{nevents} duration events written to {args.out}")
     if args.profile:
-        print(format_report(utilization_report(machine)))
+        _print_profile(machine)
     return 0
 
 

@@ -8,13 +8,14 @@ every rank's assembled buffer is checked bit-exactly.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.collectives.base import InvocationBase
 from repro.hardware.machine import Machine
 from repro.util.buffers import same_bytes
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class AllgatherInvocation(InvocationBase):
@@ -36,6 +37,8 @@ class AllgatherInvocation(InvocationBase):
         self.carry_data = blocks is not None
         self.blocks = blocks
         if self.carry_data:
+            import numpy as np
+
             if blocks.shape != (machine.nprocs, block_bytes):
                 raise ValueError(
                     f"blocks must have shape ({machine.nprocs}, "
@@ -72,6 +75,8 @@ class AllgatherInvocation(InvocationBase):
             raise RuntimeError("verify() requires carry_data=True")
         for rank in range(self.machine.nprocs):
             if not same_bytes(self.result_buffers[rank], self.expected):
+                import numpy as np
+
                 mismatch = int(
                     np.argmax(self.result_buffers[rank] != self.expected)
                 )

@@ -14,12 +14,13 @@ bytes at the root (asserted chunk-by-chunk when data is carried).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.collectives.base import InvocationBase
 from repro.hardware.machine import Machine
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 #: bytes per element (the benchmark reduces doubles)
 DOUBLE = 8
@@ -42,6 +43,8 @@ class AllreduceInvocation(InvocationBase):
         self.carry_data = values is not None
         self.values = values
         if self.carry_data:
+            import numpy as np
+
             if values.shape != (machine.nprocs, count):
                 raise ValueError(
                     f"values must have shape ({machine.nprocs}, {count}), "
@@ -63,6 +66,8 @@ class AllreduceInvocation(InvocationBase):
 
     def write_result(self, rank: int, offset: int, data: np.ndarray) -> None:
         if self.carry_data:
+            import numpy as np
+
             view = self.result_buffers[rank].view(np.uint8)
             view[offset:offset + data.nbytes] = data
 
@@ -87,6 +92,8 @@ class AllreduceInvocation(InvocationBase):
         """Assert every rank holds the exact element-wise sum."""
         if not self.carry_data:
             raise RuntimeError("verify() requires carry_data=True")
+        import numpy as np
+
         for rank in range(self.machine.nprocs):
             if not np.array_equal(self.result_buffers[rank], self.expected):
                 mismatch = int(

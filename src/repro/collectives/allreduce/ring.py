@@ -21,15 +21,16 @@ the lone master core doing everything (current scheme).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.msg.color import Color
 from repro.msg.pipeline import ChunkPlan
 from repro.sim.events import Event
 from repro.sim.flownet import FlowResource
 from repro.sim.sync import SimCounter
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class RingReduce:
@@ -132,6 +133,8 @@ class RingReduce:
                 yield delivered
             else:
                 if partial is not None:
+                    import numpy as np
+
                     expected = self.inv.expected_slice_f64(
                         self.part_off + off, size
                     )

@@ -6,12 +6,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.collectives.base import InvocationBase
 from repro.hardware.machine import Machine
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class AlltoallInvocation(InvocationBase):
@@ -34,6 +35,8 @@ class AlltoallInvocation(InvocationBase):
         self.carry_data = blocks is not None
         self.blocks = blocks
         if self.carry_data:
+            import numpy as np
+
             expected_shape = (machine.nprocs, machine.nprocs, block_bytes)
             if blocks.shape != expected_shape:
                 raise ValueError(
@@ -71,6 +74,8 @@ class AlltoallInvocation(InvocationBase):
     def verify(self) -> None:
         if not self.carry_data:
             raise RuntimeError("verify() requires carry_data=True")
+        import numpy as np
+
         for rank in range(self.machine.nprocs):
             expected = self.blocks[:, rank]
             if not np.array_equal(self.result_buffers[rank], expected):

@@ -20,14 +20,15 @@ elapsed time of one iteration is the maximum over ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.hardware.machine import Machine
 from repro.kernel.windows import ProcessWindows
 from repro.util.buffers import same_bytes
 from repro.util.units import bandwidth_mbs
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 @dataclass
@@ -224,6 +225,8 @@ class BcastInvocation(InvocationBase):
         #: algorithm actually writes into the root's buffer.
         self.result_buffers: Dict[int, np.ndarray] = {}
         if self.carry_data:
+            import numpy as np
+
             for rank in range(machine.nprocs):
                 if rank == root:
                     self.result_buffers[rank] = payload
@@ -237,6 +240,8 @@ class BcastInvocation(InvocationBase):
             if buffer is self.payload:
                 # First write into the root's buffer: materialize the copy
                 # now so the caller-owned payload stays pristine.
+                import numpy as np
+
                 buffer = np.array(self.payload, copy=True)
                 self.result_buffers[rank] = buffer
             buffer[offset:offset + data.nbytes] = data
@@ -254,6 +259,8 @@ class BcastInvocation(InvocationBase):
             # memoryview-based: zero-copy, and O(1) for the root when no
             # write ever displaced its shared reference to the payload.
             if not same_bytes(self.result_buffers[rank], self.payload):
+                import numpy as np
+
                 mismatch = int(
                     np.argmax(self.result_buffers[rank] != self.payload)
                 )

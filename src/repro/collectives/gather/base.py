@@ -6,12 +6,13 @@ concatenation of all contributions in rank order.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.collectives.base import InvocationBase
 from repro.hardware.machine import Machine
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class GatherInvocation(InvocationBase):
@@ -33,6 +34,8 @@ class GatherInvocation(InvocationBase):
         self.carry_data = blocks is not None
         self.blocks = blocks
         if self.carry_data:
+            import numpy as np
+
             if blocks.shape != (machine.nprocs, block_bytes):
                 raise ValueError(
                     f"blocks must have shape ({machine.nprocs}, "
@@ -59,6 +62,8 @@ class GatherInvocation(InvocationBase):
     def verify(self) -> None:
         if not self.carry_data:
             raise RuntimeError("verify() requires carry_data=True")
+        import numpy as np
+
         if not np.array_equal(self.root_buffer, self.expected):
             mismatch = int(np.argmax(self.root_buffer != self.expected))
             raise AssertionError(f"gather mismatch at byte {mismatch}")

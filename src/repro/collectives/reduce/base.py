@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.collectives.base import InvocationBase
 from repro.hardware.machine import Machine
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 DOUBLE = 8
 
@@ -29,6 +30,8 @@ class ReduceInvocation(InvocationBase):
         self.carry_data = values is not None
         self.values = values
         if self.carry_data:
+            import numpy as np
+
             if values.shape != (machine.nprocs, count):
                 raise ValueError(
                     f"values must have shape ({machine.nprocs}, {count}), "
@@ -62,6 +65,8 @@ class ReduceInvocation(InvocationBase):
     def verify(self) -> None:
         if not self.carry_data:
             raise RuntimeError("verify() requires carry_data=True")
+        import numpy as np
+
         if not np.array_equal(self.root_result, self.expected):
             mismatch = int(np.argmax(self.root_result != self.expected))
             raise AssertionError(f"reduce mismatch at element {mismatch}")

@@ -13,7 +13,9 @@ functions:
 
 plus :func:`algorithm_info` / :func:`iter_algorithms` for the metadata
 itself.  Family modules are imported lazily on first lookup, so import
-order stays simple and ``import repro`` stays cheap.
+order stays simple and ``import repro`` stays cheap:
+``tests/test_import_set.py`` checks that neither it nor a timing-only
+point of any registered algorithm loads numpy.
 
 Protocol selection (the message-size policy of section V) lives in
 :mod:`repro.collectives.selection`; :func:`select_protocol` is re-exported

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.collectives.base import InvocationBase
 from repro.hardware.machine import Machine
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 
 class ScatterInvocation(InvocationBase):
@@ -29,6 +30,8 @@ class ScatterInvocation(InvocationBase):
         self.carry_data = blocks is not None
         self.blocks = blocks
         if self.carry_data:
+            import numpy as np
+
             if blocks.shape != (machine.nprocs, block_bytes):
                 raise ValueError(
                     f"blocks must have shape ({machine.nprocs}, "
@@ -51,6 +54,8 @@ class ScatterInvocation(InvocationBase):
     def verify(self) -> None:
         if not self.carry_data:
             raise RuntimeError("verify() requires carry_data=True")
+        import numpy as np
+
         for rank in range(self.machine.nprocs):
             if not np.array_equal(self.result_buffers[rank],
                                   self.blocks[rank]):

@@ -11,22 +11,23 @@ lives only in the thread-executable :mod:`repro.structures`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-import numpy as np
-
-from repro.sim.sync import SimCounter
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.hardware.machine import Machine
 
 
 class SharedSegment:
     """A mutually shared staging segment on one node.
 
-    Carries a real byte buffer plus a generation flag used for the simple
-    "shared memory broadcast" (one producer stages a chunk, peers copy it
-    out after observing the flag).
+    Carries the real bytes of the simple "shared memory broadcast": one
+    producer stages a chunk, peers copy it out after observing a flag
+    (the invocation's per-node counter, which faults can stall).  The
+    buffer is allocated when first used: only a data-carrying
+    (``verify``) run writes or reads it, so a timing-only run allocates
+    nothing and never imports numpy.
     """
 
     def __init__(self, machine: "Machine", nbytes: int, name: str = "shmem"):
@@ -35,6 +36,13 @@ class SharedSegment:
         self.machine = machine
         self.nbytes = nbytes
         self.name = name
-        self.buffer = np.zeros(nbytes, dtype=np.uint8)
-        #: bytes staged so far by the producer (monotonic within one op)
-        self.staged = SimCounter(machine.engine, name=f"{name}.staged")
+        self._buffer: Optional[np.ndarray] = None
+
+    @property
+    def buffer(self) -> np.ndarray:
+        """The segment's ``nbytes`` bytes, zeroed when first used."""
+        if self._buffer is None:
+            import numpy as np
+
+            self._buffer = np.zeros(self.nbytes, dtype=np.uint8)
+        return self._buffer

@@ -123,10 +123,14 @@ class PredictionServer:
             self._executor.shutdown(wait=True)
 
     def stop(self) -> None:
-        """Request shutdown; safe to call from any thread."""
+        """Request shutdown; safe to call from any thread, also after a
+        ``shutdown`` request has already stopped the server."""
         if self._loop is None or self._stopping is None:
             return
-        self._loop.call_soon_threadsafe(self._stopping.set)
+        try:
+            self._loop.call_soon_threadsafe(self._stopping.set)
+        except RuntimeError:  # the loop has closed: nothing left to stop
+            pass
 
     # -- connection handling ----------------------------------------------
     async def _handle_connection(self, reader: asyncio.StreamReader,

@@ -48,7 +48,7 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
@@ -250,6 +250,11 @@ class CachedAnswer:
     result: CollectiveResult
     digest: str
     spec: dict
+    #: the response fields that do not depend on the tier, built by the
+    #: first :func:`answer_response` on this answer and reused after it
+    body: Optional[dict] = field(
+        default=None, init=False, repr=False, compare=False,
+    )
 
 
 class MemoCache:
@@ -746,25 +751,33 @@ class PredictionService:
 
 
 def answer_response(answer: CachedAnswer, tier: str, key: str) -> dict:
-    """The JSON body of one served prediction."""
-    result = answer.result
-    manifest = result.manifest
-    return {
-        "ok": True,
-        "tier": tier,
-        "key": key,
-        "family": answer.spec["family"],
-        "algorithm": result.algorithm,
-        "x": answer.spec["x"],
-        "nbytes": result.nbytes,
-        "nprocs": result.nprocs,
-        "elapsed_us": result.elapsed_us,
-        "bandwidth_mbs": result.bandwidth_mbs,
-        "iterations_us": list(result.iterations_us),
-        "digest": answer.digest,
-        "manifest": manifest.to_dict() if manifest is not None else None,
-        "spec": {**answer.spec, "dims": list(answer.spec["dims"])},
-    }
+    """The JSON body of one served prediction.
+
+    Everything but ``tier`` and ``key`` is built once per answer, on its
+    first response, and reused by every later one: a memo hit copies
+    references instead of converting the manifest again.  Each call
+    returns a fresh top-level dict, so fields the server adds to one
+    response (``id``, ``op``, ``coalesced``) never reach the next; the
+    nested values (``manifest``, ``spec``, ``iterations_us``) are shared
+    between responses and must not be changed.
+    """
+    if answer.body is None:
+        result = answer.result
+        manifest = result.manifest
+        answer.body = {
+            "family": answer.spec["family"],
+            "algorithm": result.algorithm,
+            "x": answer.spec["x"],
+            "nbytes": result.nbytes,
+            "nprocs": result.nprocs,
+            "elapsed_us": result.elapsed_us,
+            "bandwidth_mbs": result.bandwidth_mbs,
+            "iterations_us": list(result.iterations_us),
+            "digest": answer.digest,
+            "manifest": manifest.to_dict() if manifest is not None else None,
+            "spec": {**answer.spec, "dims": list(answer.spec["dims"])},
+        }
+    return {"ok": True, "tier": tier, "key": key, **answer.body}
 
 
 __all__ = [

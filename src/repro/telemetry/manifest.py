@@ -20,9 +20,7 @@ wall-clock, so baselines are portable across hosts.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import subprocess
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -38,6 +36,8 @@ def git_revision() -> str:
     """
     global _git_rev_cache
     if _git_rev_cache is None:
+        import subprocess  # only a process that stamps a revision needs it
+
         try:
             _git_rev_cache = subprocess.run(
                 ["git", "rev-parse", "--short", "HEAD"],
@@ -128,6 +128,8 @@ def spec_fingerprint(task: str, specs: Sequence[dict]) -> str:
     to decide whether journaled completions belong to a submitted
     campaign.
     """
+    import hashlib  # serve and farm ask for fingerprints; a sweep never does
+
     canonical = json.dumps(
         [task, list(specs)], sort_keys=True, separators=(",", ":"),
         default=str,

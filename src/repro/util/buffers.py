@@ -10,8 +10,6 @@ with no intermediate copy.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def same_bytes(a, b) -> bool:
     """Byte-wise equality of two array-likes without copying either.
@@ -24,6 +22,8 @@ def same_bytes(a, b) -> bool:
     """
     if a is b:
         return True
+    import numpy as np
+
     a = np.asarray(a)
     b = np.asarray(b)
     if a.nbytes != b.nbytes:

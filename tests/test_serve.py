@@ -41,9 +41,11 @@ from repro.serve.service import (
     MemoCache,
     PredictionService,
     QueryError,
+    answer_response,
     normalize_query,
     query_key,
 )
+from repro.sim.config import resolve_solver_config
 from repro.telemetry.manifest import compare_bench
 from repro.telemetry.runtime import parse_prometheus
 from repro.util.records import pickle_digest
@@ -209,6 +211,105 @@ class TestTierBitIdentity:
         assert response["digest"] == _direct_digest(
             {"family": "barrier", "algorithm": "barrier-gi", "x": 0,
              "iters": 1})
+
+
+# -- the response body, built once per answer -----------------------------
+
+def _reference_response(answer, tier: str, key: str) -> dict:
+    """A response built from scratch, field by field: what every memo
+    hit rebuilt before the body was kept on the answer."""
+    result = answer.result
+    return {
+        "ok": True,
+        "tier": tier,
+        "key": key,
+        "family": answer.spec["family"],
+        "algorithm": result.algorithm,
+        "x": answer.spec["x"],
+        "nbytes": result.nbytes,
+        "nprocs": result.nprocs,
+        "elapsed_us": result.elapsed_us,
+        "bandwidth_mbs": result.bandwidth_mbs,
+        "iterations_us": list(result.iterations_us),
+        "digest": answer.digest,
+        "manifest": result.manifest.to_dict(),
+        "spec": {**answer.spec, "dims": list(answer.spec["dims"])},
+    }
+
+
+def _wire(response: dict) -> dict:
+    """A response as a client parses it off the wire."""
+    return json.loads(json.dumps(response, sort_keys=True))
+
+
+class TestCachedResponse:
+    QUERY = {"family": "allreduce", "algorithm": "allreduce-torus-shaddr",
+             "x": 2048, "iters": 2}
+
+    def test_memo_hits_match_a_freshly_built_response(self):
+        service = PredictionService()
+        with start_background_server(service) as background:
+            with ServeClient(background.address) as client:
+                cold = client.predict(**self.QUERY)
+                hits = [client.predict(**self.QUERY) for _ in range(3)]
+        spec, key = service.normalize(self.QUERY)
+        answer, _ = service.lookup(key)
+        assert cold["tier"] == "cold"
+        for tier, response in [("cold", cold)] + [("memo", h) for h in hits]:
+            expected = _wire(_reference_response(answer, tier, key))
+            expected["op"] = "predict"
+            assert response == expected
+            for field in ("manifest", "spec", "iterations_us", "digest",
+                          "tier", "key"):
+                assert response[field] == expected[field], field
+        # The in-process entry point answers the same body.
+        assert _wire(service.serve(self.QUERY)) == _wire(
+            _reference_response(answer, "memo", key))
+
+    def test_added_fields_never_reach_the_next_response(self):
+        service = PredictionService()
+        service.serve(self.QUERY)
+        _, key = service.normalize(self.QUERY)
+        answer, tier = service.lookup(key)
+        first = answer_response(answer, tier, key)
+        first["id"] = 7
+        first["coalesced"] = True
+        first["op"] = "predict"
+        second = answer_response(answer, tier, key)
+        assert not {"id", "coalesced", "op"} & set(second)
+        assert second == _reference_response(answer, tier, key)
+
+        with start_background_server(service) as background:
+            with ServeClient(background.address) as client:
+                tagged = client.request({**self.QUERY, "op": "predict",
+                                         "id": "first"})
+                plain = client.predict(**self.QUERY)
+        assert tagged["id"] == "first"
+        assert "id" not in plain and "coalesced" not in plain
+
+    def test_disk_records_keep_their_keys_and_digests(self, tmp_path):
+        path = str(tmp_path / "serve.cache")
+        service = PredictionService(cache_path=path)
+        responses = [service.serve(self.QUERY) for _ in range(3)]
+        assert [r["tier"] for r in responses] == ["cold", "memo", "memo"]
+        spec, key = service.normalize(self.QUERY)
+        answer, _ = service.lookup(key)
+        records = [json.loads(line)
+                   for line in Path(path).read_text().splitlines()]
+        assert [r["kind"] for r in records] == ["header", "result"]
+        record = records[1]
+        assert set(record) == {"kind", "key", "spec", "digest", "data"}
+        assert record["key"] == key
+        assert record["spec"] == {**_wire(spec), "faults": None,
+                                  "solver_mode": resolve_solver_config().mode}
+        data = base64.b64decode(record["data"])
+        assert record["digest"] == hashlib.sha256(data).hexdigest()
+        assert pickle_digest(pickle.loads(data)) == answer.digest
+        # A restart answers from disk with the same body as the memo.
+        restarted = PredictionService(cache_path=path)
+        from_disk = restarted.serve(self.QUERY)
+        assert from_disk["tier"] == "disk"
+        assert {**from_disk, "tier": "memo"} == responses[-1]
 
 
 # -- the on-disk cache -----------------------------------------------------
@@ -544,6 +645,18 @@ class TestServer:
         assert sorted(bool(r.get("coalesced")) for r in responses) == [
             False, True, True,
         ]
+
+
+    def test_stop_after_a_shutdown_request_is_a_no_op(self):
+        """Regression: leaving the ``with`` block after a ``shutdown``
+        request raised ``RuntimeError: Event loop is closed`` whenever the
+        server thread had already closed its loop."""
+        background = start_background_server()
+        with ServeClient(background.address) as client:
+            assert client.shutdown()["ok"]
+        background.thread.join(timeout=30)
+        assert not background.thread.is_alive()
+        background.stop()
 
 
 # -- client ----------------------------------------------------------------
