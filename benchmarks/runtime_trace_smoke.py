@@ -37,10 +37,8 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 
 from repro.bench.farm import rpc  # noqa: E402
 from repro.serve.client import query_server  # noqa: E402
-from repro.telemetry.runtime import (  # noqa: E402
-    RUNTIME_TRACE_PID,
-    parse_prometheus,
-)
+from repro.telemetry.runtime import parse_prometheus  # noqa: E402
+from repro.telemetry.trace import RUNTIME_TRACE_PID  # noqa: E402
 
 SWEEP_POINTS = [
     {"family": "bcast", "algorithm": "tree-shaddr", "x": 24576, "iters": 2},

@@ -82,9 +82,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: environment variable consulted when no explicit job count is given
 ENV_JOBS = "REPRO_JOBS"
 
-#: environment variable overriding the multiprocessing start method
-ENV_START_METHOD = "REPRO_MP_START"
-
 #: environment variable with the default wall-clock chunk timeout (seconds)
 ENV_CHUNK_TIMEOUT = "REPRO_CHUNK_TIMEOUT_S"
 
@@ -379,9 +376,7 @@ class ParallelExecutor:
                  chunk_size: Optional[int] = None,
                  timeout_s: Optional[float] = None):
         self.jobs = resolve_jobs(jobs)
-        self.start_method = (
-            start_method or os.environ.get(ENV_START_METHOD) or None
-        )
+        self.start_method = start_method
         self.chunk_size = chunk_size
         self.timeout_s = resolve_timeout(timeout_s)
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -392,10 +387,8 @@ class ParallelExecutor:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
-            context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method else multiprocessing.get_context()
-            )
+            # None is the platform's default start method.
+            context = multiprocessing.get_context(self.start_method)
             self._pool = ProcessPoolExecutor(
                 max_workers=self.jobs, mp_context=context
             )

@@ -1,7 +1,7 @@
 """Resource-utilization profiling of simulated collectives.
 
 Every :class:`~repro.sim.flownet.FlowResource` integrates its load over
-time; this module aggregates those integrals into the per-resource-class
+time; this module aggregates those integrals per resource kind into the
 picture the paper argues from — e.g. for the quad-mode direct-put baseline
 the **DMA engines run at ~100 % while the wires idle**, and the
 shared-address scheme flips that.
@@ -55,23 +55,12 @@ class UtilizationReport:
         return self.groups[name]
 
 
-def _classify(name: str) -> str:
-    """Map a resource name to its class."""
-    if name.startswith("torus."):
-        return "links"
-    suffix = name.split(".")[-1]
-    if suffix in ("mem", "dma", "tree_up", "tree_down"):
-        return suffix
-    if ".proto." in name or suffix.startswith("proto"):
-        return "proto_core"
-    return "other"
-
-
 def utilization_report(
     machine: Machine, since: float = 0.0,
     until: Optional[float] = None,
 ) -> UtilizationReport:
-    """Aggregate utilization of all machine resources over a window."""
+    """Aggregate utilization of all machine resources over a window, one
+    group per resource kind (``links``, ``mem``, ``dma``, ...)."""
     now = until if until is not None else machine.engine.now
     window = now - since
     report = UtilizationReport(window_us=window)
@@ -79,7 +68,7 @@ def utilization_report(
         return report
     buckets: Dict[str, List] = {}
     for resource in machine.flownet.resources:
-        buckets.setdefault(_classify(resource.name), []).append(resource)
+        buckets.setdefault(resource.kind, []).append(resource)
     for name, resources in buckets.items():
         utils = [r.utilization(now, since) for r in resources]
         served = sum(r.busy_integral(now) for r in resources)

@@ -20,8 +20,9 @@ Commands
     against a committed baseline, ``--check-bench`` gates two labelled
     ``BENCH_core.json`` entries.
 ``trace``
-    Run one collective with flow tracing (and telemetry role timelines)
-    and write a Chrome Trace Format JSON for ``chrome://tracing``.
+    Run one collective with a telemetry recorder attached and write its
+    flows (and role timelines and counter tracks) as a Chrome Trace
+    Format JSON for ``chrome://tracing``.
 ``traffic``
     Run a seeded multi-tenant workload (overlapping collective jobs on
     one machine) and report per-job elapsed plus cross-job slowdown.
@@ -850,33 +851,30 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    from repro.sim.engine import Engine
-    from repro.sim.tracing import write_chrome_trace
+    from repro.telemetry.trace import (
+        runtime_trace, simulation_trace, write_trace,
+    )
 
     if args.runtime:
         from repro.serve.client import query_server
-        from repro.telemetry.runtime import write_runtime_trace
 
         response = query_server(args.runtime, {"op": "trace"})
-        spans = response.get("spans", [])
-        nevents = write_runtime_trace(spans, args.out)
+        document = runtime_trace(response.get("spans", []))
+        nevents = write_trace(document, args.out)
         print(f"{nevents} runtime span(s) written to {args.out}")
         return 0
 
-    engine = Engine(trace=True)
-    machine = Machine(
-        torus_dims=args.dims, mode=args.mode, engine=engine,
-        wrap=not args.mesh, network=args.network,
-    )
-    recorder = None if args.no_telemetry else machine.attach_telemetry()
+    machine = _machine(args)
+    recorder = machine.attach_telemetry()
     result = run_collective(
         machine, args.family, args.algorithm, parse_size(args.size),
         root=args.root, iters=args.iters, verify=args.verify,
     )
-    nevents = write_chrome_trace(
-        engine, args.out, telemetry=recorder,
+    document = simulation_trace(
+        recorder, flows_only=args.no_telemetry,
         l3_bytes=machine.params.l3_bytes,
     )
+    nevents = write_trace(document, args.out)
     print(result)
     print(f"{nevents} duration events written to {args.out}")
     if args.profile:

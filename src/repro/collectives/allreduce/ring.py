@@ -26,11 +26,25 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 from repro.msg.color import Color
 from repro.msg.pipeline import ChunkPlan
 from repro.sim.events import Event
-from repro.sim.flownet import FlowResource
+from repro.sim.flownet import KIND_PROTO_CORE, FlowResource
 from repro.sim.sync import SimCounter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
+
+    from repro.hardware.machine import Machine
+
+
+def protocol_cores(machine: "Machine", tag: str) -> List[FlowResource]:
+    """One protocol-core resource per node, at a single core's reduction
+    throughput; ``tag`` keeps each invocation's resource names apart."""
+    return [
+        machine.flownet.add_resource(
+            f"n{n}.proto.{tag}", machine.nodes[n].regime.core_reduce_cap,
+            KIND_PROTO_CORE,
+        )
+        for n in range(machine.nnodes)
+    ]
 
 
 class RingReduce:

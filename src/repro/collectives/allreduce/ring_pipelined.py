@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.collectives.allreduce.base import DOUBLE, AllreduceInvocation
-from repro.collectives.allreduce.ring import RingReduce
+from repro.collectives.allreduce.ring import RingReduce, protocol_cores
 from repro.collectives.common import DmaDirectPutDistributor
 from repro.collectives.registry import register
 from repro.msg.color import partition_bytes, torus_colors
@@ -56,13 +56,7 @@ class RingPipelinedAllreduce(AllreduceInvocation):
         self.start = Event(engine)
         # One protocol-core resource per node: the master core performs
         # every ring addition (baseline scheme, as in the torus variants).
-        self.proto_cores = [
-            machine.flownet.add_resource(
-                f"n{n}.proto.rar{id(self)}",
-                machine.nodes[n].regime.core_reduce_cap,
-            )
-            for n in range(machine.nnodes)
-        ]
+        self.proto_cores = protocol_cores(machine, f"rar{id(self)}")
         self.contrib_ready: List[List[SimCounter]] = [
             [
                 SimCounter(engine, name=f"c{c}.n{n}.contrib")

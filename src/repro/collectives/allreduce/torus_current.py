@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.collectives.allreduce.base import DOUBLE, AllreduceInvocation
-from repro.collectives.allreduce.ring import RingReduce
+from repro.collectives.allreduce.ring import RingReduce, protocol_cores
 from repro.collectives.bcast.torus_common import TorusBcastNetwork
 from repro.collectives.common import DmaDirectPutDistributor
 from repro.collectives.registry import register
@@ -46,7 +46,6 @@ class TorusCurrentAllreduce(AllreduceInvocation):
     # line broadcasts: this algorithm needs the real torus wire.
     network = "torus"
     ncolors = 3
-    trace_rows = (("lred.", "copy"), ("gather.", "dma"))
 
     def setup(self) -> None:
         machine = self.machine
@@ -62,13 +61,7 @@ class TorusCurrentAllreduce(AllreduceInvocation):
         root_node = machine.rank_to_node(self.root)
         # One protocol-core resource per node: the master core that performs
         # every reduction in this scheme.
-        self.proto_cores = [
-            machine.flownet.add_resource(
-                f"n{n}.proto.cur{id(self)}",
-                machine.nodes[n].regime.core_reduce_cap,
-            )
-            for n in range(machine.nnodes)
-        ]
+        self.proto_cores = protocol_cores(machine, f"cur{id(self)}")
         # Per (color, node): bytes of the locally reduced contribution ready.
         self.contrib_ready: List[List[SimCounter]] = [
             [

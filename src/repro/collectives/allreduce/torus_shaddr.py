@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.collectives.allreduce.base import DOUBLE, AllreduceInvocation
-from repro.collectives.allreduce.ring import RingReduce
+from repro.collectives.allreduce.ring import RingReduce, protocol_cores
 from repro.collectives.bcast.torus_common import TorusBcastNetwork
 from repro.collectives.registry import register
 from repro.msg.color import partition_bytes, torus_colors
@@ -42,7 +42,6 @@ class TorusShaddrAllreduce(AllreduceInvocation):
     # line broadcasts: this algorithm needs the real torus wire.
     network = "torus"
     ncolors = 3
-    trace_rows = (("lred.", "copy"), ("lbcast.", "copy"))
 
     def setup(self) -> None:
         machine = self.machine
@@ -62,13 +61,7 @@ class TorusShaddrAllreduce(AllreduceInvocation):
         self.offsets = [sum(self.parts[:i]) for i in range(self.ncolors)]
         root_node = machine.rank_to_node(self.root)
         # The dedicated network-protocol core (local rank 0) per node.
-        self.proto_cores = [
-            machine.flownet.add_resource(
-                f"n{n}.proto.sha{id(self)}",
-                machine.nodes[n].regime.core_reduce_cap,
-            )
-            for n in range(machine.nnodes)
-        ]
+        self.proto_cores = protocol_cores(machine, f"sha{id(self)}")
         self.contrib_ready: List[List[SimCounter]] = [
             [
                 SimCounter(engine, name=f"c{c}.n{n}.contrib")

@@ -49,7 +49,6 @@ class TorusFifoBcast(BcastInvocation):
     name = "torus-fifo"
     network = "torus"
     ncolors = 6
-    trace_rows = (("bfifo.", "copy"),)
 
     def setup(self) -> None:
         machine = self.machine

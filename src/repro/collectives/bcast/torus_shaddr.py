@@ -41,7 +41,6 @@ class TorusShaddrBcast(BcastInvocation):
     name = "torus-shaddr"
     network = "torus"
     ncolors = 6
-    trace_rows = (("shaddr.", "copy"),)
 
     def setup(self) -> None:
         machine = self.machine

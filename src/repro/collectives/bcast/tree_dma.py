@@ -130,7 +130,6 @@ class TreeDmaFifoBcast(_TreeDmaBase):
 
     name = "tree-dma-fifo"
     use_memory_fifo = True
-    trace_rows = (("fifo-out", "copy"),)
 
 
 @register("bcast", modes=(2, 4))

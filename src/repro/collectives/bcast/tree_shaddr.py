@@ -38,7 +38,6 @@ class TreeShaddrBcast(BcastInvocation):
 
     name = "tree-shaddr"
     network = "tree"
-    trace_rows = (("shaddr.", "copy"),)
 
     def setup(self) -> None:
         machine = self.machine

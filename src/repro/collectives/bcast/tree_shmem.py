@@ -31,7 +31,6 @@ class TreeShmemBcast(BcastInvocation):
 
     name = "tree-shmem"
     network = "tree"
-    trace_rows = (("shmem-", "copy"),)
 
     def setup(self) -> None:
         machine = self.machine

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.collectives.allreduce.ring import RingReduce
+from repro.collectives.allreduce.ring import RingReduce, protocol_cores
 from repro.collectives.reduce.base import DOUBLE, ReduceInvocation
 from repro.collectives.registry import register
 from repro.msg.color import partition_bytes, torus_colors
@@ -34,13 +34,7 @@ class _TorusReduceBase(ReduceInvocation):
         self.parts = partition_bytes(self.nbytes, self.ncolors, align=DOUBLE)
         self.offsets = [sum(self.parts[:i]) for i in range(self.ncolors)]
         self.start = Event(engine)
-        self.proto_cores = [
-            machine.flownet.add_resource(
-                f"n{n}.proto.red{id(self)}",
-                machine.nodes[n].regime.core_reduce_cap,
-            )
-            for n in range(machine.nnodes)
-        ]
+        self.proto_cores = protocol_cores(machine, f"red{id(self)}")
         self.contrib_ready: List[List[SimCounter]] = [
             [
                 SimCounter(engine, name=f"c{c}.n{n}.contrib")

@@ -82,10 +82,6 @@ class AlgorithmInfo:
     data_carrying: bool
     #: needs kernel shared-address window mappings (Fig-8 lifecycle)
     shared_address: bool
-    #: flow-name substrings this algorithm emits, mapped to trace row
-    #: classes ("fault", "dma", "network", "tree", "copy", "other");
-    #: consumed by :mod:`repro.sim.tracing` for chrome-trace row assignment
-    trace_rows: Tuple[Tuple[str, str], ...] = ()
 
     def supports_ppn(self, ppn: int) -> bool:
         return ppn in self.modes
@@ -139,10 +135,6 @@ def register(
             modes=tuple(modes),
             data_carrying=data_carrying,
             shared_address=shared_address,
-            trace_rows=tuple(
-                (str(sub), str(row))
-                for sub, row in getattr(cls, "trace_rows", ())
-            ),
         )
         bucket = _REGISTRY.setdefault(family, {})
         previous = bucket.get(name)

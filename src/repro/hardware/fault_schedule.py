@@ -6,10 +6,10 @@ for a few hundred microseconds and recovers, a node's DRAM throttles through
 a thermal event, the kernel transiently runs out of the TLB slots backing
 shared-address windows, a core servicing a software message counter stalls.
 This module models those as a :class:`FaultSchedule` — a timeline of
-:class:`Fault` windows installed into a machine's engine.  Each window is
-emitted into the engine trace as a paired ``flow+ fault.*`` / ``flow-
-fault.*`` event, so :mod:`repro.sim.tracing` renders the fault timeline as
-its own row in the chrome trace.
+:class:`Fault` windows installed into a machine's engine.  When a
+telemetry recorder is attached, each window's start and end are recorded
+as a ``fault.*`` interval, which the Chrome trace renders on its own
+fault-timeline row.
 
 Two fault families exist:
 
@@ -350,15 +350,21 @@ class FaultSchedule:
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown fault type {type(fault).__name__}")
 
+        # The window's start callback is unique to it, so it keys the
+        # window's interval in the recorder.
         def on_start(_value) -> None:
-            engine.trace(f"flow+ {label}")
+            telemetry = engine.telemetry
+            if telemetry is not None:
+                telemetry.fault_started(engine.now, on_start, label)
             if apply_fn is not None:
                 apply_fn()
 
         def on_end(_value) -> None:
             if revert_fn is not None:
                 revert_fn()
-            engine.trace(f"flow- {label}")
+            telemetry = engine.telemetry
+            if telemetry is not None:
+                telemetry.flow_finished(engine.now, on_start)
 
         engine.call_at(base + start, on_start, None)
         if end is not None:

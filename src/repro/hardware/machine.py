@@ -56,7 +56,6 @@ class Machine:
         torus_dims: Tuple[int, int, int] = (4, 4, 4),
         mode: Mode = Mode.QUAD,
         params: Optional[BGPParams] = None,
-        engine: Optional[Engine] = None,
         wrap: bool = True,
         network: str = "torus",
         network_params: Optional[dict] = None,
@@ -64,7 +63,7 @@ class Machine:
     ):
         self.params = params if params is not None else BGPParams()
         self.mode = mode
-        self.engine = engine if engine is not None else Engine()
+        self.engine = Engine()
         self.flownet = FlowNetwork(self.engine)
         self.memory_model = MemoryModel(self.params)
         #: the interconnect backend (``torus`` by default); ``torus_dims``

@@ -55,7 +55,7 @@ from typing import (
 )
 
 from repro.sim.events import Event
-from repro.sim.flownet import FlowResource
+from repro.sim.flownet import KIND_LINKS, FlowResource
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.machine import Machine
@@ -257,7 +257,8 @@ class NetworkBackend:
         channel = self._channels.get(key)
         if channel is None:
             channel = self.machine.flownet.add_resource(
-                self._channel_name(key), self._channel_capacity(key)
+                self._channel_name(key), self._channel_capacity(key),
+                KIND_LINKS,
             )
             self._install_channel(key, channel)
         return channel

@@ -25,7 +25,14 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Tuple
 
 from repro.hardware.memory import MemoryRegime
-from repro.sim.flownet import Flow, FlowResource
+from repro.sim.flownet import (
+    KIND_DMA,
+    KIND_MEM,
+    KIND_TREE_DOWN,
+    KIND_TREE_UP,
+    Flow,
+    FlowResource,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.machine import Machine
@@ -43,16 +50,16 @@ class Node:
         initial = machine.memory_model.regime(0)
         self.regime: MemoryRegime = initial
         self.mem: FlowResource = net.add_resource(
-            f"n{index}.mem", initial.raw_capacity
+            f"n{index}.mem", initial.raw_capacity, KIND_MEM
         )
         self.dma: FlowResource = net.add_resource(
-            f"n{index}.dma", params.dma_total_bw
+            f"n{index}.dma", params.dma_total_bw, KIND_DMA
         )
         self.tree_up: FlowResource = net.add_resource(
-            f"n{index}.tree_up", params.tree_link_bw
+            f"n{index}.tree_up", params.tree_link_bw, KIND_TREE_UP
         )
         self.tree_down: FlowResource = net.add_resource(
-            f"n{index}.tree_down", params.tree_link_bw
+            f"n{index}.tree_down", params.tree_link_bw, KIND_TREE_DOWN
         )
 
     # -- configuration ----------------------------------------------------

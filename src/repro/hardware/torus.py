@@ -171,31 +171,12 @@ class TorusNetwork(NetworkBackend):
             )
         return key[4] == node
 
-    def _line_channel(self, color: int, dim: int, sign: int, line_id: Tuple
-                      ) -> FlowResource:
-        """The per-color wire resource of one line (lazily created)."""
-        key = ("line", color, dim, sign, line_id)
-        channel = self._channels.get(key)
-        if channel is None:
-            channel = self.machine.flownet.add_resource(
-                f"torus.c{color}.d{dim}{'+' if sign > 0 else '-'}.{line_id}",
-                self.machine.params.torus_link_bw,
-            )
-            self._install_channel(key, channel)
-        return channel
-
-    def _segment_channel(self, color: int, dim: int, sign: int, src: int
-                         ) -> FlowResource:
-        """The per-color wire resource of a point-to-point segment."""
-        key = ("seg", color, dim, sign, src)
-        channel = self._channels.get(key)
-        if channel is None:
-            channel = self.machine.flownet.add_resource(
-                f"torus.c{color}.seg.n{src}.d{dim}{'+' if sign > 0 else '-'}",
-                self.machine.params.torus_link_bw,
-            )
-            self._install_channel(key, channel)
-        return channel
+    def _channel_name(self, key: Tuple) -> str:
+        kind, color, dim, sign, where = key
+        arrow = "+" if sign > 0 else "-"
+        if kind == "line":
+            return f"torus.c{color}.d{dim}{arrow}.{where}"
+        return f"torus.c{color}.seg.n{where}.d{dim}{arrow}"
 
     def _line_id(self, index: int, dim: int) -> Tuple:
         """Identifier of the line through ``index`` along ``dim``."""
@@ -241,7 +222,9 @@ class TorusNetwork(NetworkBackend):
         usage: Dict[FlowResource, float] = {
             src_node.dma: 1.0,
             src_node.mem: 1.0,
-            self._line_channel(color, dim, sign, self._line_id(src, dim)): 1.0,
+            self._channel(
+                ("line", color, dim, sign, self._line_id(src, dim))
+            ): 1.0,
         }
         for r in receivers:
             node = machine.nodes[r]
@@ -307,7 +290,7 @@ class TorusNetwork(NetworkBackend):
             else:
                 sign = 1 if dc > sc else -1
                 hops += abs(dc - sc)
-            channel = self._segment_channel(color, dim, sign, current)
+            channel = self._channel(("seg", color, dim, sign, current))
             usage[channel] = usage.get(channel, 0.0) + 1.0
             c = list(self.coords(current))
             c[dim] = dc

@@ -566,30 +566,31 @@ class ServiceStats:
     def record_error(self) -> None:
         self._errors.inc()
 
-    def _observe_tier(self, seconds: float, tier: Optional[str]) -> None:
+    def _observe_tier(self, seconds: float, tier: str) -> None:
         # Caller holds the lock.
-        if tier is not None:
-            ring = self.tier_latencies_s.setdefault(tier, [])
-            ring.append(seconds)
-            if len(ring) > _LATENCY_WINDOW:
-                del ring[: len(ring) - _LATENCY_WINDOW]
+        ring = self.tier_latencies_s.setdefault(tier, [])
+        ring.append(seconds)
+        if len(ring) > _LATENCY_WINDOW:
+            del ring[: len(ring) - _LATENCY_WINDOW]
         self.registry.histogram(
-            "serve_request_latency_seconds",
-            "end-to-end serve latency per request",
-        ).observe(seconds)
-        if tier is not None:
-            self.registry.histogram(
-                "serve_tier_latency_seconds",
-                "serve latency split by answering tier",
-            ).observe(seconds, tier=tier)
+            "serve_tier_latency_seconds",
+            "serve latency split by answering tier",
+        ).observe(seconds, tier=tier)
 
     def record_latency(self, seconds: float,
                        tier: Optional[str] = None) -> None:
+        """One end-to-end request, the only sample the request histogram
+        and the ``--stats`` latency ring count."""
         with self._lock:
             self.latencies_s.append(seconds)
             if len(self.latencies_s) > _LATENCY_WINDOW:
                 del self.latencies_s[: len(self.latencies_s) - _LATENCY_WINDOW]
-            self._observe_tier(seconds, tier)
+            self.registry.histogram(
+                "serve_request_latency_seconds",
+                "end-to-end serve latency per request",
+            ).observe(seconds)
+            if tier is not None:
+                self._observe_tier(seconds, tier)
 
     def record_tier_latency(self, seconds: float, tier: str) -> None:
         """A per-tier sample that is *not* an end-to-end request (the

@@ -96,20 +96,19 @@ class Engine:
 
     __slots__ = (
         "now", "_heap", "_seq", "_processes", "_prune_at",
-        "_running", "trace_enabled", "trace_log", "telemetry",
+        "_running", "telemetry",
     )
 
-    def __init__(self, trace: bool = False):
+    def __init__(self):
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Callable, Any]] = []
         self._seq: int = 0
         self._processes: List[Process] = []
         self._prune_at: int = 256
         self._running = False
-        self.trace_enabled = trace
-        self.trace_log: List[Tuple[float, str]] = []
-        # Optional TelemetryRecorder (repro.telemetry).  Hook sites read this
-        # once and skip recording when None; recording never schedules events,
+        # Optional TelemetryRecorder (repro.telemetry), the one sink of a
+        # run's observations, flows included.  Hook sites read this once
+        # and skip recording when None; recording never schedules events,
         # so timings are bit-identical whether or not a recorder is attached.
         self.telemetry = None
 
@@ -232,9 +231,3 @@ class Engine:
                 f"deadlock: {len(stuck)} process(es) never finished: {names}"
             )
         return self.now
-
-    # -- tracing -------------------------------------------------------------
-    def trace(self, message: str) -> None:
-        """Record a trace line at the current time (no-op unless enabled)."""
-        if self.trace_enabled:
-            self.trace_log.append((self.now, message))

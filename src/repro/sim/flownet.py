@@ -101,6 +101,14 @@ re-fill is followed by a full fill that must reproduce its rates, loads
 and certificate bit for bit.  ``resolves``, ``full_fills``,
 ``wide_fills``, ``memo_hits``, ``delta_refills``, ``delta_refusals`` and
 ``delta_cascades`` count how each re-solve was served.
+
+Every resource carries a *kind* (``links``, ``mem``, ``dma``,
+``tree_up``, ``tree_down``, ``proto_core``), fixed where the resource is
+created.  The utilization profile groups resources by kind, and the
+Chrome trace puts each flow on the row its resources' kinds give.  A
+recorder attached to the engine (``engine.telemetry``) is told when each
+flow starts and finishes; without one, the solver reads one attribute
+per flow and records nothing.
 """
 
 from __future__ import annotations
@@ -129,21 +137,34 @@ _MEMO_MAX_ENTRIES = 8192
 #: (docs/performance.md, "Delta re-fills")
 _CERT_MIN_FLOWS = 4 * _MEMO_MIN_FLOWS
 
+#: resource kinds: torus/fabric wires, a node's memory port, its DMA
+#: engine, its two collective-network ports, and a protocol core
+KIND_LINKS = "links"
+KIND_MEM = "mem"
+KIND_DMA = "dma"
+KIND_TREE_UP = "tree_up"
+KIND_TREE_DOWN = "tree_down"
+KIND_PROTO_CORE = "proto_core"
+#: the kind of a resource created without one (bare test networks)
+KIND_OTHER = "other"
+
 
 class FlowResource:
     """A capacity-constrained port/engine/link inside a :class:`FlowNetwork`."""
 
     __slots__ = (
-        "name", "capacity", "flows", "network", "component",
+        "name", "kind", "capacity", "flows", "network", "component",
         "_busy_acc", "_busy_last", "_load", "_wsum", "_wsum_prev",
         "_fill_slack", "_fill_wsum", "_fill_epoch",
     )
 
-    def __init__(self, network: "FlowNetwork", name: str, capacity: float):
+    def __init__(self, network: "FlowNetwork", name: str, capacity: float,
+                 kind: str = KIND_OTHER):
         if not capacity > 0:
             raise ValueError(f"resource {name!r}: capacity must be > 0")
         self.network = network
         self.name = name
+        self.kind = kind
         self.capacity = float(capacity)
         #: flows using this resource, in creation order (a flow joins its
         #: resources only when it is created)
@@ -531,9 +552,10 @@ class FlowNetwork:
         return self.config.mode
 
     # -- construction ---------------------------------------------------
-    def add_resource(self, name: str, capacity: float) -> FlowResource:
-        """Register a new resource (port, engine, or link)."""
-        resource = FlowResource(self, name, capacity)
+    def add_resource(self, name: str, capacity: float,
+                     kind: str = KIND_OTHER) -> FlowResource:
+        """Register a new resource (port, engine, or link) of ``kind``."""
+        resource = FlowResource(self, name, capacity, kind)
         self.resources.append(resource)
         return resource
 
@@ -578,6 +600,9 @@ class FlowNetwork:
             resource.flows[flow] = None
             resource._wsum_prev = resource._wsum
             resource._wsum += weight
+        telemetry = self.engine.telemetry
+        if telemetry is not None:
+            telemetry.flow_started(self.engine.now, flow)
         if self.incremental:
             root, joined = self._attach(flow)
             self._resolve(
@@ -585,8 +610,6 @@ class FlowNetwork:
             )
         else:
             self._resolve(self._component([flow]))
-        if self.engine.trace_enabled:
-            self.engine.trace(f"flow+ {name} {nbytes:.0f}B rate={flow.rate:.1f}")
         return flow
 
     # -- component solving --------------------------------------------------
@@ -1417,8 +1440,9 @@ class FlowNetwork:
                 root.dirty = True
         self.bytes_completed += flow.nbytes
         self.flows_completed += 1
-        if self.engine.trace_enabled:
-            self.engine.trace(f"flow- {flow.name}")
+        telemetry = self.engine.telemetry
+        if telemetry is not None:
+            telemetry.flow_finished(self.engine.now, flow)
         resolves = self.resolves
         flow.event.trigger(self.engine.now)
         if self.resolves != resolves:

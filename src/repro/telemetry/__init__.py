@@ -1,4 +1,5 @@
-"""Stage-level telemetry: recorder, run manifests, and report tables.
+"""Stage-level telemetry: recorder, run manifests, report tables, and
+the Chrome-trace writer.
 
 ``repro.telemetry.runtime`` adds the *runtime* observability plane for
 the long-running components (serve / farm / parallel): structured logs,
@@ -35,11 +36,13 @@ __all__ = [
     "record_span",
     "reduce_core_role",
     "runtime_log",
+    "runtime_trace",
     "save_baseline",
+    "simulation_trace",
     "span",
     "span_store",
     "spec_fingerprint",
-    "write_runtime_trace",
+    "write_trace",
 ]
 
 # Each name's module is imported when the name is first read: the
@@ -61,6 +64,9 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.telemetry.runtime": (
         "MetricsRegistry", "RuntimeLogger", "SpanStore",
         "dump_flight_record", "parse_prometheus", "record_span",
-        "runtime_log", "span", "span_store", "write_runtime_trace",
+        "runtime_log", "span", "span_store",
+    ),
+    "repro.telemetry.trace": (
+        "runtime_trace", "simulation_trace", "write_trace",
     ),
 })

@@ -16,7 +16,12 @@ as typed events:
   moving rank and its paper role (injector, receiver, copier,
   protocol-core, reduce-core per color);
 * ``stall`` events — intervals a core spent parked on a counter threshold
-  (``waiting-on-counter``) or on FIFO space (``waiting-on-slot``).
+  (``waiting-on-counter``) or on FIFO space (``waiting-on-slot``);
+* ``flow`` events — every flow-network transfer and fault window, with
+  its name, interval and trace row.  A flow's row follows from the kinds
+  of the resources it uses (:func:`flow_row`); fault windows have their
+  own row.  Flows are trace material only: :meth:`TelemetryRecorder.
+  rollups` never reads them, so the manifest gate does not see them.
 
 Attachment and overhead discipline
 ----------------------------------
@@ -45,6 +50,13 @@ import threading
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.flownet import (
+    KIND_DMA,
+    KIND_LINKS,
+    KIND_TREE_DOWN,
+    KIND_TREE_UP,
+)
+
 #: canonical role names (the paper's core-specialization taxonomy)
 ROLE_INJECTOR = "injector"
 ROLE_RECEIVER = "receiver"
@@ -59,13 +71,41 @@ def reduce_core_role(color: int) -> str:
     return f"reduce-core.c{color}"
 
 
+#: flow rows: the Chrome-trace rows (tids) of the flows process
+ROW_FAULT = 1
+ROW_DMA = 2
+ROW_NETWORK = 3
+ROW_TREE = 4
+ROW_COPY = 5
+
+_TREE_KINDS = (KIND_TREE_UP, KIND_TREE_DOWN)
+
+
+def flow_row(flow) -> int:
+    """The trace row of ``flow``, from the kinds of its resources.
+
+    A flow on a wire is a network transfer; one through a collective-
+    network port rides the tree; one on the DMA engine alone is a DMA
+    local copy; anything else is a core copy.
+    """
+    kinds = {resource.kind for resource in flow.usage}
+    if KIND_LINKS in kinds:
+        return ROW_NETWORK
+    if not kinds.isdisjoint(_TREE_KINDS):
+        return ROW_TREE
+    if KIND_DMA in kinds:
+        return ROW_DMA
+    return ROW_COPY
+
+
 class TelemetryRecorder:
     """Typed event sink for one simulated run (attach via
     :meth:`repro.hardware.machine.Machine.attach_telemetry`)."""
 
     __slots__ = (
         "counter_events", "fifo_events", "window_events", "copy_events",
-        "stall_events", "working_set_events", "roles", "role_nodes",
+        "stall_events", "working_set_events", "flow_events", "open_flows",
+        "roles", "role_nodes",
     )
 
     def __init__(self) -> None:
@@ -89,6 +129,10 @@ class TelemetryRecorder:
         ] = []
         #: (ts, working_set_bytes) — sampled at every regime install
         self.working_set_events: List[Tuple[float, int]] = []
+        #: (start, end, name, row) of every finished flow and fault window
+        self.flow_events: List[Tuple[float, float, str, int]] = []
+        #: flow (or fault-window key) -> (start, name, row) while it runs
+        self.open_flows: Dict[object, Tuple[float, str, int]] = {}
         #: rank -> paper role tag
         self.roles: Dict[int, str] = {}
         #: rank -> node index (recorded alongside the role)
@@ -128,6 +172,19 @@ class TelemetryRecorder:
 
     def working_set(self, ts: float, nbytes: int) -> None:
         self.working_set_events.append((ts, nbytes))
+
+    def flow_started(self, ts: float, flow) -> None:
+        self.open_flows[flow] = (ts, flow.name, flow_row(flow))
+
+    def fault_started(self, ts: float, key: object, label: str) -> None:
+        self.open_flows[key] = (ts, label, ROW_FAULT)
+
+    def flow_finished(self, ts: float, key: object) -> None:
+        """Close the flow (or fault window) opened under ``key``."""
+        opened = self.open_flows.pop(key, None)
+        if opened is not None:
+            start, name, row = opened
+            self.flow_events.append((start, ts, name, row))
 
     def set_role(self, rank: int, node: int, role: str) -> None:
         self.roles[rank] = role
@@ -211,6 +268,8 @@ class TelemetryRecorder:
         self.copy_events.clear()
         self.stall_events.clear()
         self.working_set_events.clear()
+        self.flow_events.clear()
+        self.open_flows.clear()
         self.roles.clear()
         self.role_nodes.clear()
 

@@ -35,9 +35,10 @@ parallel executor (:mod:`repro.bench.parallel`).  Three pillars:
     completion records — never inside point specs, cache keys, or
     pickled results (observability must not perturb byte identity).
     Finished spans land in a bounded process-local :class:`SpanStore`
-    and export as the same Chrome Trace Event Format the simulator
-    emits (:func:`write_runtime_trace`; ``repro trace --runtime``),
-    under their own pid so runtime spans sit beside role timelines.
+    and export through the simulator's Chrome-trace writer
+    (:func:`repro.telemetry.trace.runtime_trace`; ``repro trace
+    --runtime``), under their own pid so runtime spans sit beside role
+    timelines.
 
 A **flight recorder** rides along: every structured event (any level)
 is kept in a per-component ring buffer of the last
@@ -703,95 +704,6 @@ def record_span(name: str, component: str, start_s: float, end_s: float, *,
     return span_dict
 
 
-# -- Chrome-trace export -------------------------------------------------
-
-#: pid of runtime spans in exported traces (the simulator uses 1-3:
-#: flows, core roles, counter tracks — see repro.sim.tracing)
-RUNTIME_TRACE_PID = 10
-
-
-def _span_row(span_dict: dict) -> str:
-    attrs = span_dict.get("attrs") or {}
-    worker = attrs.get("worker")
-    if worker:
-        return f"{span_dict.get('component', 'runtime')} {worker}"
-    return str(span_dict.get("component", "runtime"))
-
-
-def runtime_trace_document(spans: Sequence[dict]) -> dict:
-    """Chrome Trace Event Format document of runtime spans.
-
-    Same shape the simulator's :func:`repro.sim.tracing.chrome_trace`
-    emits (``traceEvents`` + ``displayTimeUnit``), under
-    :data:`RUNTIME_TRACE_PID` with one thread row per component (farm
-    rows split per worker id), so the two documents' events can sit in
-    one viewer side by side.  Span identity (``trace_id``/``span_id``/
-    ``parent_id``) rides in each event's ``args``.
-    """
-    ordered = sorted(
-        (dict(span_dict) for span_dict in spans if isinstance(span_dict, dict)),
-        key=lambda span_dict: float(span_dict.get("start_s", 0.0)),
-    )
-    events: List[dict] = [{
-        "name": "process_name", "ph": "M", "pid": RUNTIME_TRACE_PID,
-        "args": {"name": "runtime spans"},
-    }]
-    rows: Dict[str, int] = {}
-    for span_dict in ordered:
-        row = _span_row(span_dict)
-        if row not in rows:
-            rows[row] = len(rows) + 1
-            events.append({
-                "name": "thread_name", "ph": "M",
-                "pid": RUNTIME_TRACE_PID, "tid": rows[row],
-                "args": {"name": row},
-            })
-    origin = min(
-        (float(span_dict.get("start_s", 0.0)) for span_dict in ordered),
-        default=0.0,
-    )
-    for span_dict in ordered:
-        start = float(span_dict.get("start_s", 0.0))
-        end = float(span_dict.get("end_s", start))
-        args = {
-            "trace_id": span_dict.get("trace_id"),
-            "span_id": span_dict.get("span_id"),
-            "parent_id": span_dict.get("parent_id"),
-        }
-        args.update(span_dict.get("attrs") or {})
-        events.append({
-            "name": str(span_dict.get("name", "span")),
-            "ph": "X",
-            "ts": round((start - origin) * 1e6, 3),
-            "dur": round(max(end - start, 0.0) * 1e6, 3),
-            "pid": RUNTIME_TRACE_PID,
-            "tid": rows[_span_row(span_dict)],
-            "args": args,
-        })
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "kind": "runtime-spans",
-            "spans": len(ordered),
-            "traces": len({
-                span_dict.get("trace_id") for span_dict in ordered
-            }),
-        },
-    }
-
-
-def write_runtime_trace(spans: Sequence[dict], path: str) -> int:
-    """Write :func:`runtime_trace_document` to ``path``; returns the
-    number of span ("X") events written."""
-    document = runtime_trace_document(spans)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(document, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return sum(1 for event in document["traceEvents"]
-               if event.get("ph") == "X")
-
-
 __all__ = [
     "ActiveSpan",
     "Counter",
@@ -803,7 +715,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "RUNTIME_TRACE_PID",
     "RuntimeLogger",
     "SpanStore",
     "dump_flight_record",
@@ -816,9 +727,7 @@ __all__ = [
     "record_span",
     "runtime_log",
     "runtime_log_mode",
-    "runtime_trace_document",
     "serve_metrics_http",
     "span",
     "span_store",
-    "write_runtime_trace",
 ]

@@ -140,6 +140,21 @@ class TestPaperBottleneckClaims:
             assert group.peak == other.peak, name
 
 
+class TestSwitchedFabricProfiles:
+    """Resources carry their kind, so a fabric's channels group as links
+    whatever their names."""
+
+    @pytest.mark.parametrize("network", ["fattree", "leafspine"])
+    def test_fabric_channels_report_as_links(self, network):
+        m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD, network=network)
+        run_collective(m, "bcast", "ring-pipelined", 64 * 1024)
+        report = utilization_report(m)
+        assert "other" not in report.groups
+        links = report.group("links")
+        assert links.count == sum(1 for _ in m.network.iter_channels())
+        assert links.bytes_served > 0
+
+
 class TestAllreduceProfiles:
     """Table I's contention story on the allreduce path."""
 

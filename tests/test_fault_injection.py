@@ -247,23 +247,29 @@ class TestFaultSchedule:
         assert m.nodes[1].tree_down.capacity == pytest.approx(tree0)
 
     def test_fault_windows_land_in_the_trace(self):
-        from repro.sim.engine import Engine
-        from repro.sim.tracing import chrome_trace
+        from repro.telemetry.trace import simulation_trace
 
-        m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD,
-                    engine=Engine(trace=True))
+        m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
+        recorder = m.attach_telemetry()
         FaultSchedule([
             NodeSlowdown(start=5.0, duration=10.0, node=0, factor=0.5),
             CounterStall(start=0.0, duration=8.0, node=None),
+            CounterStall(start=20.0, duration=None, node=1),
         ]).install(m)
         m.engine.run()
         events = [
-            e for e in chrome_trace(m.engine)["traceEvents"]
+            e for e in simulation_trace(recorder)["traceEvents"]
             if e.get("ph") == "X" and e["name"].startswith("fault.")
         ]
-        assert {e["name"] for e in events} == {
-            "fault.slowdown.n0", "fault.ctrstall.all",
+        spans = {e["name"]: (e["ts"], e["dur"]) for e in events}
+        assert spans == {
+            "fault.slowdown.n0": (5.0, 10.0),
+            "fault.ctrstall.all": (0.0, 8.0),
+            # A window with no end is still open when the trace is taken.
+            "fault.ctrstall.n1": (20.0, 0.0),
         }
+        assert [e["name"] for e in events if e["args"].get("incomplete")] \
+            == ["fault.ctrstall.n1"]
         # Fault events live on their own trace row.
         assert all(e["tid"] == 1 for e in events)
 

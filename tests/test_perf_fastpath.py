@@ -145,11 +145,11 @@ def _traced_run():
     from repro.bench.harness import run_collective
     from repro.hardware.machine import Machine, Mode
 
-    machine = Machine(
-        torus_dims=(2, 2, 2), mode=Mode.QUAD, engine=Engine(trace=True)
-    )
+    machine = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
+    recorder = machine.attach_telemetry()
     run_collective(machine, "bcast", "torus-shaddr", 16384, iters=2)
-    return machine.engine.trace_log
+    assert recorder.flow_events and not recorder.open_flows
+    return recorder.flow_events
 
 
 def test_engine_determinism_identical_trace_logs():
@@ -174,12 +174,19 @@ def test_engine_prunes_finished_processes():
 
 
 def test_trace_disabled_is_default_and_cheap():
+    from repro.telemetry.recorder import TelemetryRecorder
+
     engine = Engine()
-    engine.trace("dropped")
-    assert engine.trace_log == []
-    engine.trace_enabled = True
-    engine.trace("kept")
-    assert engine.trace_log == [(0.0, "kept")]
+    assert engine.telemetry is None
+    net = FlowNetwork(engine)
+    port = net.add_resource("mem", 16.0)
+    net.transfer({port: 1.0}, 32.0, name="dropped")
+    engine.run()
+    engine.telemetry = recorder = TelemetryRecorder()
+    net.transfer({port: 1.0}, 32.0, name="kept")
+    engine.run()
+    assert recorder.flow_events == [(2.0, 4.0, "kept", 5)]
+    assert recorder.open_flows == {}
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from repro.telemetry.runtime import (
     ENV_LOG_LEVEL,
     ENV_RUNTIME_LOG,
     MetricsRegistry,
-    RUNTIME_TRACE_PID,
     SpanStore,
     dump_flight_record,
     flight_snapshot,
@@ -39,11 +38,10 @@ from repro.telemetry.runtime import (
     record_span,
     runtime_log,
     runtime_log_mode,
-    runtime_trace_document,
     serve_metrics_http,
     span,
-    write_runtime_trace,
 )
+from repro.telemetry.trace import RUNTIME_TRACE_PID, runtime_trace, write_trace
 
 
 @pytest.fixture(autouse=True)
@@ -246,7 +244,7 @@ class TestSpans:
                 "farm.chunk.0", "farm.worker", 0.0, 0.5, parent=sp.ctx,
                 store=store, worker="w-1",
             )
-        document = runtime_trace_document(store.snapshot())
+        document = runtime_trace(store.snapshot())
         events = document["traceEvents"]
         spans_x = [event for event in events if event["ph"] == "X"]
         meta = [event for event in events if event["ph"] == "M"]
@@ -267,7 +265,7 @@ class TestSpans:
         with span("a", "serve", store=store):
             pass
         out = tmp_path / "runtime.json"
-        count = write_runtime_trace(store.snapshot(), str(out))
+        count = write_trace(runtime_trace(store.snapshot()), str(out))
         assert count == 1
         document = json.loads(out.read_text())
         assert document["displayTimeUnit"] == "ms"

@@ -574,6 +574,25 @@ class TestServer:
                   stats["memo"]["hits"], stats["memo"]["misses"]]
         assert all(type(count) is int for count in counts)
 
+    def test_request_latency_is_counted_once_per_request(self):
+        service = PredictionService()
+        with start_background_server(service) as background:
+            with ServeClient(background.address) as client:
+                client.predict(**HEADLINE[0])
+                client.predict(**HEADLINE[0])  # memo hit
+                client.predict(**HEADLINE[1])
+                assert client.ping()
+        stats = service.stats_snapshot()
+        assert stats["latency"]["count"] == 4
+        # The exposition's request histogram counts the same requests as
+        # --stats; the per-tier samples go to their own histogram.
+        registry = service.registry
+        requests = registry.histogram("serve_request_latency_seconds")
+        assert requests.summary()["count"] == stats["latency"]["count"]
+        tiers = registry.histogram("serve_tier_latency_seconds")
+        assert tiers.summary(tier="cold")["count"] == 2
+        assert tiers.summary(tier="memo")["count"] == 1
+
     def test_sweep_batch_answers_bit_identical(self):
         with start_background_server() as background:
             with ServeClient(background.address) as client:

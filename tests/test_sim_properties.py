@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Engine, FlowNetwork
+from repro.telemetry.recorder import TelemetryRecorder
 
 
 workload = st.lists(
@@ -86,7 +87,8 @@ class TestFlowNetworkInvariants:
 
 class TestEngineTracing:
     def test_flow_events_traced(self):
-        eng = Engine(trace=True)
+        eng = Engine()
+        eng.telemetry = recorder = TelemetryRecorder()
         net = FlowNetwork(eng)
         r = net.add_resource("r", 10.0)
 
@@ -95,18 +97,20 @@ class TestEngineTracing:
 
         proc = eng.spawn(p())
         eng.run_until_processes_finish([proc])
-        messages = [m for _t, m in eng.trace_log]
-        assert any(m.startswith("flow+ demo") for m in messages)
-        assert any(m.startswith("flow- demo") for m in messages)
+        assert [(start, end, name) for start, end, name, _row
+                in recorder.flow_events] == [(0.0, 10.0, "demo")]
+        assert recorder.open_flows == {}
 
     def test_tracing_off_by_default(self):
         eng = Engine()
+        assert eng.telemetry is None
         net = FlowNetwork(eng)
         r = net.add_resource("r", 10.0)
+        assert r.kind == "other"  # a bare network's resources
 
         def p():
             yield net.transfer({r: 1.0}, 10.0)
 
         proc = eng.spawn(p())
         eng.run_until_processes_finish([proc])
-        assert eng.trace_log == []
+        assert eng.telemetry is None

@@ -1,42 +1,60 @@
-"""Tests for Chrome-trace export."""
+"""Tests for Chrome-trace export: flows recorded by the telemetry recorder,
+rows derived from resource kinds, one writer for every document."""
 
+import collections
 import json
 
 import pytest
 
 from repro.bench import run_collective
+from repro.collectives.registry import iter_algorithms
 from repro.hardware import Machine, Mode
-from repro.sim import Engine
-from repro.sim.tracing import (
-    _row_for,
-    chrome_trace,
-    collect_flow_events,
-    incomplete_flow_count,
-    telemetry_events,
-    write_chrome_trace,
+from repro.hardware.network import backend_class, known_backends
+from repro.telemetry.recorder import TelemetryRecorder
+from repro.telemetry.trace import simulation_trace, write_trace
+
+#: the row each resource kind puts a flow on, strongest first: a wire
+#: makes a network transfer, a collective-network port a tree flow, the
+#: DMA alone a DMA local copy; anything else is a core copy
+EXPECTED_ROWS = (
+    ({"links"}, 3),
+    ({"tree_up", "tree_down"}, 4),
+    ({"dma"}, 2),
 )
+CORE_COPY_ROW = 5
+
+#: a small size per family (bytes, elements or block bytes)
+SIZES = {"bcast": 16 * 1024, "allreduce": 2048, "reduce": 2048,
+         "allgather": 1024, "alltoall": 512, "gather": 1024,
+         "scatter": 1024, "barrier": 0}
 
 
-def traced_run():
-    engine = Engine(trace=True)
-    machine = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD, engine=engine)
-    run_collective(machine, "bcast", "torus-shaddr", 64 * 1024)
-    return engine
+def traced_run(algorithm="torus-shaddr", nbytes=64 * 1024):
+    machine = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
+    recorder = machine.attach_telemetry()
+    run_collective(machine, "bcast", algorithm, nbytes)
+    return machine, recorder
+
+
+def flow_events(document):
+    return [e for e in document["traceEvents"]
+            if e.get("pid") == 1 and e.get("ph") == "X"]
 
 
 class TestChromeTrace:
     def test_flow_events_paired(self):
-        engine = traced_run()
-        events = collect_flow_events(engine)
+        _machine, recorder = traced_run()
+        events = flow_events(simulation_trace(recorder))
         assert events, "expected at least one flow duration event"
+        assert len(events) == len(recorder.flow_events)
         for event in events:
-            assert event["ph"] == "X"
             assert event["dur"] > 0
             assert event["ts"] >= 0
+            assert "incomplete" not in event["args"]
 
     def test_document_structure(self):
-        engine = traced_run()
-        doc = chrome_trace(engine)
+        _machine, recorder = traced_run()
+        doc = simulation_trace(recorder)
         assert "traceEvents" in doc
         names = [
             e["args"]["name"]
@@ -45,111 +63,152 @@ class TestChromeTrace:
         ]
         assert "network transfers" in names
         assert "core copies / staging" in names
+        assert "other flows" not in names
 
     def test_rows_cover_expected_classes(self):
-        engine = traced_run()
-        events = collect_flow_events(engine)
-        rows = {e["tid"] for e in events}
+        _machine, recorder = traced_run()
+        rows = {e["tid"] for e in flow_events(simulation_trace(recorder))}
         # A shared-address broadcast produces network transfers and core
         # copies at minimum.
         assert 3 in rows
         assert 5 in rows
 
     def test_write_roundtrip(self, tmp_path):
-        engine = traced_run()
+        _machine, recorder = traced_run()
         path = tmp_path / "trace.json"
-        count = write_chrome_trace(engine, str(path))
+        count = write_trace(simulation_trace(recorder), str(path))
         assert count > 0
         loaded = json.loads(path.read_text())
         durations = [e for e in loaded["traceEvents"] if e.get("ph") == "X"]
         assert len(durations) == count
 
     def test_untraced_engine_yields_empty(self):
-        engine = Engine()  # tracing off
-        machine = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD, engine=engine)
+        machine = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
+        assert machine.engine.telemetry is None
         run_collective(machine, "bcast", "torus-shaddr", 1024)
-        assert collect_flow_events(engine) == []
+        # Nothing was recorded while no recorder was attached.
+        recorder = machine.attach_telemetry()
+        assert flow_events(simulation_trace(recorder)) == []
+
+    def test_flows_only_keeps_pid_1(self):
+        _machine, recorder = traced_run("tree-shaddr")
+        full = simulation_trace(recorder)
+        flows = simulation_trace(recorder, flows_only=True)
+        assert {e["pid"] for e in flows["traceEvents"]} == {1}
+        assert {e["pid"] for e in full["traceEvents"]} == {1, 2, 3}
+        assert flow_events(flows) == flow_events(full)
 
 
 class TestIncompleteFlows:
-    """A trace truncated mid-flow must not silently drop the open flows."""
-
-    def truncated_engine(self):
-        engine = Engine(trace=True)
-        engine.trace_log.append((1.0, "flow+ s.c0 start"))
-        engine.trace_log.append((2.0, "flow- s.c0 done"))
-        engine.trace_log.append((3.0, "flow+ s.c1 start"))  # never closes
-        return engine
+    """A trace stopped mid-flow must not silently drop the open flows."""
 
     def test_unmatched_flow_exported_not_dropped(self):
-        events = collect_flow_events(self.truncated_engine())
+        recorder = TelemetryRecorder()
+        first, second = object(), object()
+        recorder.fault_started(1.0, first, "fault.a")
+        recorder.flow_finished(2.0, first)
+        recorder.fault_started(3.0, second, "fault.b")  # never closes
+        events = flow_events(simulation_trace(recorder))
         assert len(events) == 2
         by_name = {e["name"]: e for e in events}
-        assert by_name["s.c1"]["dur"] == 0.0
-        assert by_name["s.c1"]["args"]["incomplete"] is True
-        assert "incomplete" not in by_name["s.c0"]["args"]
+        assert by_name["fault.b"]["dur"] == 0.0
+        assert by_name["fault.b"]["args"]["incomplete"] is True
+        assert "incomplete" not in by_name["fault.a"]["args"]
 
     def test_incomplete_count_surfaces_in_document(self):
-        engine = self.truncated_engine()
-        assert incomplete_flow_count(collect_flow_events(engine)) == 1
-        doc = chrome_trace(engine)
+        machine = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
+        recorder = machine.attach_telemetry()
+        node = machine.nodes[0]
+
+        def copier():
+            yield node.core_copy_flow(64 * 1024, name="long-copy")
+
+        machine.spawn(copier(), name="copier")
+        machine.engine.run(until=1.0)  # stop mid-flow
+        doc = simulation_trace(recorder)
+        open_flows = [e for e in flow_events(doc) if e["args"].get("incomplete")]
+        assert [e["name"] for e in open_flows] == ["n0.long-copy"]
+        assert open_flows[0]["dur"] == 0.0
+        assert open_flows[0]["tid"] == CORE_COPY_ROW
         assert doc["otherData"]["incomplete_flows"] == 1
+        # Running on closes the flow.
+        machine.engine.run()
+        doc = simulation_trace(recorder)
+        assert doc["otherData"]["incomplete_flows"] == 0
+        assert [e["name"] for e in flow_events(doc)] == ["n0.long-copy"]
 
     def test_complete_trace_reports_zero(self):
-        engine = Engine(trace=True)
-        machine = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD,
-                          engine=engine)
-        run_collective(machine, "bcast", "torus-shaddr", 64 * 1024)
-        doc = chrome_trace(engine)
+        _machine, recorder = traced_run()
+        doc = simulation_trace(recorder)
         assert doc["otherData"]["incomplete_flows"] == 0
 
 
-class TestRegistryRowMetadata:
-    """Flow-row assignment driven by registry ``trace_rows`` capability
-    metadata, with the old substring heuristics as the fallback."""
+class _KindRecorder(TelemetryRecorder):
+    """Also remembers the resource kinds of every flow it sees start."""
 
-    def test_registry_declared_rows_win(self):
-        # allreduce-torus-current declares ("gather.", "dma") — without the
-        # registry metadata the heuristics would classify it as row 2 via
-        # the "gather" substring too, but "lred." flows would land in
-        # row 6 (no heuristic matches them).
-        assert _row_for("gather.c0") == 2
-        assert _row_for("lred.c1.n3") == 5
-        assert _row_for("lbcast.l2") == 5
-        assert _row_for("bfifo.n1") == 5
+    __slots__ = ("started",)
 
-    def test_heuristic_fallback_still_classifies(self):
-        assert _row_for("fault.link") == 1
-        assert _row_for("tree.up") == 4
-        assert _row_for("entirely-novel-flow") == 6
+    def __init__(self):
+        super().__init__()
+        self.started = []
 
-    def test_registered_algorithms_declare_valid_rows(self):
-        from repro.collectives.registry import iter_algorithms
+    def flow_started(self, ts, flow):
+        super().flow_started(ts, flow)
+        kinds = frozenset(resource.kind for resource in flow.usage)
+        self.started.append((flow.name, ts, kinds))
 
-        valid = {"fault", "dma", "network", "tree", "copy", "other"}
-        declaring = 0
-        for info in iter_algorithms():
-            for substring, row_class in info.trace_rows:
-                assert row_class in valid, (info.name, substring, row_class)
-                declaring += 1
-        assert declaring > 0
+
+def _expected_row(kinds):
+    for row_kinds, row in EXPECTED_ROWS:
+        if kinds & row_kinds:
+            return row
+    return CORE_COPY_ROW
+
+
+def _protocol_backends():
+    for info in iter_algorithms():
+        for backend in known_backends():
+            if info.network in backend_class(backend).wires:
+                yield pytest.param(
+                    info, backend, id=f"{info.name}-{backend}",
+                )
+
+
+class TestRowsFollowResourceKinds:
+    """Every protocol, on every backend whose wire it rides, at 2x2x2 in
+    its widest mode: each flow sits on the row its resources' kinds give,
+    and no resource a machine or a protocol creates is unclassified."""
+
+    @pytest.mark.parametrize("info,backend", list(_protocol_backends()))
+    def test_flow_rows_and_resource_kinds(self, info, backend):
+        machine = Machine(torus_dims=(2, 2, 2), mode=Mode(max(info.modes)),
+                          network=backend)
+        recorder = machine.attach_telemetry(_KindRecorder())
+        run_collective(machine, info.family, info.name, SIZES[info.family])
+        assert not [r.name for r in machine.flownet.resources
+                    if r.kind == "other"]
+        expected = collections.Counter(
+            (name, ts, _expected_row(kinds))
+            for name, ts, kinds in recorder.started
+        )
+        exported = collections.Counter(
+            (e["name"], e["ts"], e["tid"])
+            for e in flow_events(simulation_trace(recorder))
+        )
+        assert exported == expected
 
 
 class TestTelemetryEvents:
-    def recorded_engine(self):
-        engine = Engine(trace=True)
-        machine = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD,
-                          engine=engine)
-        recorder = machine.attach_telemetry()
-        run_collective(machine, "bcast", "tree-shaddr", 64 * 1024)
-        return engine, machine, recorder
+    def recorded_run(self):
+        return traced_run("tree-shaddr")
 
     def test_role_rows_and_counter_tracks(self):
-        _, machine, recorder = self.recorded_engine()
-        events = telemetry_events(recorder,
-                                  l3_bytes=machine.params.l3_bytes)
+        machine, recorder = self.recorded_run()
+        events = simulation_trace(
+            recorder, l3_bytes=machine.params.l3_bytes,
+        )["traceEvents"]
         names = {e["args"]["name"] for e in events
-                 if e.get("name") == "thread_name"}
+                 if e.get("name") == "thread_name" and e["pid"] == 2}
         assert any("injector" in n for n in names)
         assert any("copier" in n for n in names)
         counters = [e for e in events if e["ph"] == "C"]
@@ -160,9 +219,8 @@ class TestTelemetryEvents:
         )
 
     def test_document_gains_role_and_counter_processes(self):
-        engine, machine, recorder = self.recorded_engine()
-        doc = chrome_trace(engine, telemetry=recorder,
-                           l3_bytes=machine.params.l3_bytes)
+        machine, recorder = self.recorded_run()
+        doc = simulation_trace(recorder, l3_bytes=machine.params.l3_bytes)
         process_names = {
             e["args"]["name"] for e in doc["traceEvents"]
             if e.get("name") == "process_name"
@@ -170,10 +228,12 @@ class TestTelemetryEvents:
         assert {"flows", "core roles", "counters"} <= process_names
 
     def test_write_roundtrip_with_telemetry(self, tmp_path):
-        engine, machine, recorder = self.recorded_engine()
+        machine, recorder = self.recorded_run()
         path = tmp_path / "trace.json"
-        count = write_chrome_trace(engine, str(path), telemetry=recorder,
-                                   l3_bytes=machine.params.l3_bytes)
+        count = write_trace(
+            simulation_trace(recorder, l3_bytes=machine.params.l3_bytes),
+            str(path),
+        )
         loaded = json.loads(path.read_text())
         durations = [e for e in loaded["traceEvents"] if e.get("ph") == "X"]
         assert len(durations) == count
