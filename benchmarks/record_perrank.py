@@ -28,8 +28,8 @@ import sys
 import repro.bench.harness as harness
 from repro.hardware.machine import Machine, Mode
 
-#: solver label -> FlowNetwork.configure pins (explicit args are sticky
-#: across the harness's per-run refresh_config)
+#: solver label -> FlowNetwork.configure arguments, set on each fresh
+#: machine before it runs (they beat the environment)
 SOLVER_KNOBS = {
     "slowpath": {"incremental": False},
     "incremental": {"incremental": True},
@@ -66,7 +66,7 @@ SCENARIOS = [
 def simulate_battery(solver=None):
     """Run every scenario; returns ``{scenario_id: record}``.
 
-    ``solver`` pins one of :data:`SOLVER_KNOBS` on every machine before
+    ``solver`` sets one of :data:`SOLVER_KNOBS` on every machine before
     its run (None: whatever the environment selects — the configuration
     the committed reference was recorded under).
     """

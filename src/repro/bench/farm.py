@@ -95,16 +95,18 @@ from repro.telemetry.runtime import (
     runtime_log,
     span_store,
 )
-from repro.util.records import PICKLE_PROTOCOL, RecordLog, pack, unpack
+from repro.util.config import setting
+from repro.util.records import (
+    PICKLE_PROTOCOL,
+    RecordLog,
+    pack,
+    restricted_loads,
+    unpack,
+)
 
-#: shared-secret authkey for every farm connection
-ENV_AUTHKEY = "REPRO_FARM_AUTHKEY"
-
-#: default chunk size override for farm submissions (points per chunk)
-ENV_FARM_CHUNK = "REPRO_FARM_CHUNK"
-
-#: "1" lets a driver fall back to the local executor when no server answers
-ENV_FARM_FALLBACK = "REPRO_FARM_FALLBACK"
+#: the authkey of every farm connection when ``REPRO_FARM_AUTHKEY`` is
+#: unset; it is public, so a server binds only loopback under it
+_PUBLIC_AUTHKEY = "repro-farm"
 
 #: a lease not heartbeated for this long is considered worker-lost
 DEFAULT_LEASE_S = 30.0
@@ -130,10 +132,6 @@ class FarmError(RuntimeError):
 
 class FarmUnreachableError(FarmError):
     """The server did not answer within the reconnect policy's budget."""
-
-
-def _authkey() -> bytes:
-    return os.environ.get(ENV_AUTHKEY, "repro-farm").encode()
 
 
 def _loopback(host: str) -> bool:
@@ -171,7 +169,11 @@ def register_task(name: str, task: Callable[[dict], object]) -> None:
 
     CLI workers run in fresh interpreters and resolve only the import
     table above; in-process registrations reach only workers running in
-    this process (threaded test farms).
+    this process (threaded test farms).  A task's results must pickle
+    to builtin values, ``CollectiveResult`` and ``RunManifest`` only:
+    the driver reads them back with
+    :func:`~repro.util.records.restricted_loads`, which refuses every
+    other global.
     """
     _REGISTERED[name] = task
 
@@ -220,7 +222,8 @@ def rpc(address: str, op: str, *, timeout_s: float = 30.0,
     connection's fate — and makes a server restart invisible beyond one
     failed call.
     """
-    with Client(parse_address(address), authkey=_authkey()) as conn:
+    authkey = setting("REPRO_FARM_AUTHKEY") or _PUBLIC_AUTHKEY
+    with Client(parse_address(address), authkey=authkey.encode()) as conn:
         conn.send({"op": op, **payload})
         if not conn.poll(timeout_s):
             raise TimeoutError(f"farm op {op!r} timed out after {timeout_s}s")
@@ -464,17 +467,19 @@ class FarmServer:
         protocol is pickle, so the authkey is the sole trust boundary
         (see the module docstring) and the in-repo default is public.
         """
-        if not _loopback(self._host) and not os.environ.get(ENV_AUTHKEY):
+        authkey = setting("REPRO_FARM_AUTHKEY")
+        if authkey is None and not _loopback(self._host):
             raise FarmError(
                 f"refusing to bind {self._host!r} with the default "
                 f"authkey: the farm protocol is pickle (unpickling is "
-                f"code execution), so the {ENV_AUTHKEY} shared secret "
-                f"is the only thing keeping arbitrary network peers "
-                f"out.  Export {ENV_AUTHKEY} on the server and every "
-                f"worker/driver, or bind 127.0.0.1."
+                f"code execution), so the REPRO_FARM_AUTHKEY shared "
+                f"secret is the only thing keeping arbitrary network "
+                f"peers out.  Export REPRO_FARM_AUTHKEY on the server "
+                f"and every worker/driver, or bind 127.0.0.1."
             )
         self._listener = Listener(
-            (self._host, self._port), authkey=_authkey()
+            (self._host, self._port),
+            authkey=(authkey or _PUBLIC_AUTHKEY).encode(),
         )
         self._port = self._listener.address[1]
         self._accept_thread = threading.Thread(
@@ -1145,21 +1150,6 @@ class FarmWorker:
 _driver_log = runtime_log("farm.driver", prefix="farm")
 
 
-def resolve_chunk_size(chunk_size: Optional[int] = None) -> Optional[int]:
-    """Explicit chunk size > ``REPRO_FARM_CHUNK`` > server default."""
-    if chunk_size is not None:
-        return chunk_size
-    env = os.environ.get(ENV_FARM_CHUNK, "").strip()
-    if not env:
-        return None
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ValueError(
-            f"{ENV_FARM_CHUNK} must be an integer, got {env!r}"
-        ) from exc
-
-
 def farm_execute_points(specs: Sequence[dict], *, farm: str,
                         task: Optional[Callable[[dict], object]] = None,
                         on_error: str = "raise",
@@ -1212,13 +1202,12 @@ def farm_execute_points(specs: Sequence[dict], *, farm: str,
     if task is None:
         task = run_point
     name = task_name(task)
-    if local_fallback is None:
-        local_fallback = os.environ.get(ENV_FARM_FALLBACK, "") == "1"
+    local_fallback = setting("REPRO_FARM_FALLBACK", local_fallback)
     specs = list(specs)
     manifest = CampaignManifest.build(name, specs)
     submit_payload = {
         "manifest": manifest.to_dict(), "specs": specs, "task": name,
-        "chunk_size": resolve_chunk_size(chunk_size),
+        "chunk_size": chunk_size,
     }
     # Trace context rides beside the campaign, never inside it: the
     # manifest (and so the spec hash, the journal identity, and every
@@ -1272,7 +1261,7 @@ def farm_execute_points(specs: Sequence[dict], *, farm: str,
     failures: List[Tuple[int, str, bool]] = []
     for index, status, value in payload["results"]:
         if status == "ok":
-            results[index] = pickle.loads(value)
+            results[index] = restricted_loads(value)
         else:
             # A lease-expiry quarantine marks a point that may have
             # wedged every worker that leased it: not-rerunnable, or

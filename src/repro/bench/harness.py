@@ -391,9 +391,6 @@ def run_collective(
         )
     elif payload is None:
         payload = spec.payload(machine, x, _payload_rng(seed))
-    # Solver env knobs (REPRO_SIM_SLOWPATH / _DEBUG) are re-read at every
-    # entry, so a test or sweep can flip them between runs.
-    machine.flownet.refresh_config()
     if spec.working_set is not None:
         machine.set_working_set(spec.working_set(machine, x))
 

@@ -75,18 +75,10 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from repro.hardware.machine import Machine, Mode
+from repro.util.config import setting
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from concurrent.futures import ProcessPoolExecutor
-
-#: environment variable consulted when no explicit job count is given
-ENV_JOBS = "REPRO_JOBS"
-
-#: environment variable with the default wall-clock chunk timeout (seconds)
-ENV_CHUNK_TIMEOUT = "REPRO_CHUNK_TIMEOUT_S"
-
-#: environment variable with a default farm server address (host:port)
-ENV_FARM = "REPRO_FARM"
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -94,16 +86,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
     ``0`` or a negative count means "all CPUs".
     """
-    if jobs is None:
-        env = os.environ.get(ENV_JOBS, "").strip()
-        if not env:
-            return 1
-        try:
-            jobs = int(env)
-        except ValueError as exc:
-            raise ValueError(
-                f"{ENV_JOBS} must be an integer, got {env!r}"
-            ) from exc
+    jobs = setting("REPRO_JOBS", jobs)
     if jobs <= 0:
         return os.cpu_count() or 1
     return jobs
@@ -111,18 +94,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
 
 def resolve_timeout(timeout_s: Optional[float] = None) -> Optional[float]:
     """Resolve the chunk timeout: argument > ``REPRO_CHUNK_TIMEOUT_S`` > none."""
-    if timeout_s is None:
-        env = os.environ.get(ENV_CHUNK_TIMEOUT, "").strip()
-        if not env:
-            return None
-        try:
-            timeout_s = float(env)
-        except ValueError as exc:
-            raise ValueError(
-                f"{ENV_CHUNK_TIMEOUT} must be a number of seconds, got "
-                f"{env!r}"
-            ) from exc
-    if timeout_s <= 0:
+    timeout_s = setting("REPRO_CHUNK_TIMEOUT_S", timeout_s)
+    if timeout_s is not None and timeout_s <= 0:
         raise ValueError(f"timeout_s must be positive, got {timeout_s}")
     return timeout_s
 
@@ -546,8 +519,7 @@ def execute_points(specs: Sequence[dict], jobs: Optional[int] = None,
     rather than a per-chunk bound — a farm's per-point hang protection
     is the lease deadline.
     """
-    if farm is None:
-        farm = os.environ.get(ENV_FARM, "").strip() or None
+    farm = setting("REPRO_FARM", farm)
     if farm:
         from repro.bench.farm import farm_execute_points
 

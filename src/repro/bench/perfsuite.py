@@ -62,7 +62,7 @@ import time
 from typing import Dict, List, Optional
 
 from repro.bench.parallel import execute_points, resolve_jobs, run_point_timed
-from repro.sim.config import ENV_SLOWPATH, env_flag
+from repro.util.config import setting
 
 DEFAULT_OUT = "BENCH_core.json"
 
@@ -241,7 +241,7 @@ def save_entry(path: str, label: str, sweeps: Dict[str, dict], smoke: bool) -> d
         record.get("solver") for record in sweeps.values()
         if isinstance(record, dict) and record.get("solver")
     })
-    slowpath = env_flag(ENV_SLOWPATH, False)
+    slowpath = setting("REPRO_SIM_SLOWPATH")
     solver = "+".join(modes) if modes else (
         "slowpath" if slowpath else "incremental"
     )
@@ -305,7 +305,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--slow", action="store_true",
-        help=f"use the reference from-scratch solver ({ENV_SLOWPATH}=1)",
+        help="use the reference from-scratch solver (REPRO_SIM_SLOWPATH=1)",
     )
     parser.add_argument(
         "--jobs", type=int, default=None,
@@ -319,7 +319,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
     if args.slow:
-        os.environ[ENV_SLOWPATH] = "1"
+        # set in the environment, so worker processes inherit it too
+        os.environ["REPRO_SIM_SLOWPATH"] = "1"
     steady = False if args.no_steady else None
     sweeps = run_suite(smoke=args.smoke, steady_state=steady, jobs=args.jobs,
                        farm=args.farm)

@@ -16,14 +16,14 @@ Typical use::
     report.group("dma").mean      # ~0.86: the DMA-bound baseline
 
 Utilization is averaged over the full simulated time span of the machine,
-so profile a *fresh* machine per measurement (the harness idiom throughout
-this package).
+every iteration included, so profile a *fresh* machine per measurement
+(the harness idiom throughout this package).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.hardware.machine import Machine
 
@@ -55,22 +55,22 @@ class UtilizationReport:
         return self.groups[name]
 
 
-def utilization_report(
-    machine: Machine, since: float = 0.0,
-    until: Optional[float] = None,
-) -> UtilizationReport:
-    """Aggregate utilization of all machine resources over a window, one
-    group per resource kind (``links``, ``mem``, ``dma``, ...)."""
-    now = until if until is not None else machine.engine.now
-    window = now - since
-    report = UtilizationReport(window_us=window)
-    if window <= 0:
+def utilization_report(machine: Machine) -> UtilizationReport:
+    """Aggregate utilization of all machine resources over the machine's
+    whole simulated span, one group per resource kind (``links``,
+    ``mem``, ``dma``, ...)."""
+    now = machine.engine.now
+    # Busy integrals survive Machine.rebase_time, so the window must too:
+    # on the rebased clock the machine started at -rebased_us.
+    start = -machine.rebased_us
+    report = UtilizationReport(window_us=now - start)
+    if now <= start:
         return report
     buckets: Dict[str, List] = {}
     for resource in machine.flownet.resources:
         buckets.setdefault(resource.kind, []).append(resource)
     for name, resources in buckets.items():
-        utils = [r.utilization(now, since) for r in resources]
+        utils = [r.utilization(now, start) for r in resources]
         served = sum(r.busy_integral(now) for r in resources)
         report.groups[name] = GroupStats(
             name=name,

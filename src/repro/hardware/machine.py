@@ -92,6 +92,9 @@ class Machine:
         #: hooks re-run after :meth:`set_working_set` reinstalls capacities,
         #: so injectors and fault windows survive regime changes
         self._reapply_hooks: List[Callable[[], None]] = []
+        #: simulated time :meth:`rebase_time` has taken off the clock; the
+        #: machine has run for ``rebased_us + engine.now`` in all
+        self.rebased_us = 0.0
         if self.ppn > self.params.cores_per_node:
             raise ValueError(
                 f"mode {mode} needs {self.ppn} cores but the node has "
@@ -244,6 +247,7 @@ class Machine:
         # resolved at an instant any more.
         self.flownet.drop_certificates()
         self.engine.rebase(now)
+        self.rebased_us += now
         # Fault windows are stored in absolute engine time; keep them in
         # step with the rebased clock.
         self.faults.rebase(now)

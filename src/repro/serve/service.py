@@ -43,7 +43,6 @@ adds in-flight coalescing and sweep batching on top.
 
 from __future__ import annotations
 
-import io
 import pickle
 import threading
 import time
@@ -59,14 +58,15 @@ from repro.collectives.registry import algorithm_info
 from repro.collectives.selection import select_protocol
 from repro.hardware.machine import Mode
 from repro.hardware.network import UnsupportedTopologyError, known_backends
-from repro.sim.config import resolve_solver_config
 from repro.telemetry.manifest import git_revision, spec_fingerprint
 from repro.telemetry.runtime import MetricsRegistry, runtime_log, span
+from repro.util.config import setting
 from repro.util.records import (
     PICKLE_PROTOCOL,
     RecordLog,
     pack,
     pickle_digest,
+    restricted_loads,
     unpack,
 )
 
@@ -225,6 +225,11 @@ def normalize_query(request: dict) -> dict:
     return spec
 
 
+def _solver_mode() -> str:
+    """The solver mode of a flow network built now."""
+    return "slowpath" if setting("REPRO_SIM_SLOWPATH") else "incremental"
+
+
 def query_key(spec: dict) -> str:
     """The cache identity of a normalized spec.
 
@@ -236,7 +241,7 @@ def query_key(spec: dict) -> str:
     manifest's ``solver_mode`` attribution would lie).
     """
     keyed = dict(spec)
-    keyed["solver_mode"] = resolve_solver_config().mode
+    keyed["solver_mode"] = _solver_mode()
     keyed["faults"] = None
     return spec_fingerprint(_FINGERPRINT_TASK, [keyed])
 
@@ -420,7 +425,7 @@ class DiskCache:
             return None
         digest, data, spec = entry
         try:
-            result = _restricted_loads(data)
+            result = restricted_loads(data)
         except Exception:
             del self._entries[key]
             self.dropped += 1
@@ -434,7 +439,7 @@ class DiskCache:
     def put(self, key: str, answer: CachedAnswer) -> None:
         data = pickle.dumps(answer.result, protocol=PICKLE_PROTOCOL)
         spec = dict(answer.spec)
-        spec["solver_mode"] = resolve_solver_config().mode
+        spec["solver_mode"] = _solver_mode()
         spec["faults"] = None
         record = {"kind": "result", "key": key, "spec": spec, **pack(data)}
         with self._store_lock:
@@ -464,35 +469,6 @@ class DiskCache:
             "dropped": self.dropped,
             "stale_git_rev": self.stale_git_rev,
         }
-
-
-#: modules/classes the disk cache's unpickler will construct — results
-#: are CollectiveResult + RunManifest + builtin containers, nothing else
-_UNPICKLE_ALLOWED = {
-    ("repro.collectives.base", "CollectiveResult"),
-    ("repro.telemetry.manifest", "RunManifest"),
-}
-
-
-class _RestrictedUnpickler(pickle.Unpickler):
-    """Unpickler for on-disk cache payloads: result types only.
-
-    A serve cache file lives on disk between runs; refusing arbitrary
-    globals keeps a doctored file from escalating a cache read into code
-    execution (the farm accepts this risk on its *authenticated* wire;
-    an unauthenticated file on disk should not).
-    """
-
-    def find_class(self, module, name):
-        if (module, name) in _UNPICKLE_ALLOWED:
-            return super().find_class(module, name)
-        raise pickle.UnpicklingError(
-            f"serve cache payloads may not reference {module}.{name}"
-        )
-
-
-def _restricted_loads(data: bytes):
-    return _RestrictedUnpickler(io.BytesIO(data)).load()
 
 
 # -- stats ----------------------------------------------------------------
@@ -721,7 +697,7 @@ class PredictionService:
                 for tier, samples in sorted(snap["tier_latencies_s"].items())
             },
             "uptime_s": round(time.time() - self.started_at, 3),
-            "solver_mode": resolve_solver_config().mode,
+            "solver_mode": _solver_mode(),
             "git_rev": git_revision(),
         }
 

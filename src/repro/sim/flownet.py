@@ -41,7 +41,8 @@ component:
 Both paths feed the same progressive-filling loop (``_fill_scalar``) and
 produce bit-identical rates and completion times; the property suite
 asserts this on randomized flow graphs and on full collective scenarios.
-See :mod:`repro.sim.config` for how the mode flags resolve at call time.
+A network fixes both modes when it is built (:meth:`FlowNetwork.configure`
+may change them only while no flow is in flight).
 Each resource additionally maintains running accumulators — ``load``
 (weighted bytes/µs currently flowing) and the active weight sum — so
 per-event bookkeeping is O(1) instead of O(flows).  ``REPRO_SIM_DEBUG=1``
@@ -94,8 +95,8 @@ tries a **delta re-fill**:
   the fill's load fold, and each deadline push and recursive finish of a
   due flow, with a rate-change log for flows a nested re-solve changes.
 
-A capacity change, a solver reconfiguration and a clock rebase drop every
-certificate (``drop_certificates``); a memo hit leaves none.  The slow
+A capacity change and a clock rebase drop every certificate
+(``drop_certificates``); a memo hit leaves none.  The slow
 path never reads certificates, and under ``REPRO_SIM_DEBUG=1`` every delta
 re-fill is followed by a full fill that must reproduce its rates, loads
 and certificate bit for bit.  ``resolves``, ``full_fills``,
@@ -118,9 +119,9 @@ from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.sim.config import SolverConfig, resolve_solver_config
 from repro.sim.engine import Engine, SimulationError
 from repro.sim.events import Event, Waitable
+from repro.util.config import setting
 
 _EPS_BYTES = 1e-6
 _EPS_RATE = 1e-9
@@ -233,9 +234,9 @@ class FlowResource:
     def utilization(self, now: float, since: float = 0.0) -> float:
         """Mean load / capacity over ``[since, now]`` (0 when empty window).
 
-        Note ``since`` must be an instant at which the busy integral was
-        previously sampled as 0 or the caller tracks the baseline itself;
-        the common use is the whole run, ``since=0``.
+        The busy integral is never reset, so ``since`` must be the
+        clock's origin: 0 on a clock never rebased, ``-rebased_us`` of
+        a machine whose clock :meth:`Machine.rebase_time` moved.
         """
         window = now - since
         if window <= 0:
@@ -457,9 +458,9 @@ class FlowNetwork:
 
     ``incremental`` selects the component-cache fast path (default) or the
     traversal-per-perturbation reference path; ``None`` reads the
-    ``REPRO_SIM_SLOWPATH`` environment variable.  ``debug`` (or
-    ``REPRO_SIM_DEBUG=1``) cross-checks the O(1) accumulators against
-    from-scratch recomputation at every solve.
+    ``REPRO_SIM_SLOWPATH`` environment variable.  ``debug`` (``None``:
+    ``REPRO_SIM_DEBUG``) cross-checks the O(1) accumulators against
+    from-scratch recomputation at every solve.  Both are read once, here.
     """
 
     def __init__(
@@ -492,8 +493,9 @@ class FlowNetwork:
         #: (flow, rate before the change) for every rate a re-solve
         #: changes while a delta re-fill's post-loop is open; else None
         self._rate_log: Optional[List[Tuple[Flow, float]]] = None
-        self.config: SolverConfig
-        self.configure(incremental, debug)
+        self.incremental = (not setting("REPRO_SIM_SLOWPATH")
+                            if incremental is None else bool(incremental))
+        self._debug = bool(setting("REPRO_SIM_DEBUG", debug))
         self._fill_epoch = 0
         self._flow_seq = 0
         #: fill memo: shape ids in seq order -> (resources in discovery
@@ -511,7 +513,7 @@ class FlowNetwork:
         """Invalidate every component's fill certificate.
 
         Needed whenever flow or resource state moves outside a re-solve:
-        a capacity change, a solver reconfiguration, and a clock rebase
+        a capacity change and a clock rebase
         (:meth:`repro.hardware.machine.Machine.rebase_time` advances the
         in-flight flows itself).
         """
@@ -521,35 +523,26 @@ class FlowNetwork:
         self,
         incremental: Optional[bool] = None,
         debug: Optional[bool] = None,
-    ) -> SolverConfig:
-        """(Re-)resolve solver modes; explicit arguments pin, ``None`` tracks
-        the environment (see :mod:`repro.sim.config`).
+    ) -> None:
+        """Set the solver modes given (``None`` keeps one as it is).
 
-        Safe to call between runs: switching *to* the incremental path with
-        flows in flight rebuilds the component cache from the sharing graph,
-        so the cache is exact regardless of which path built the state.
+        Only while no flow is in flight: both paths leave an idle network
+        in the same state, so the new mode starts from an exact one.
         """
-        was_incremental = getattr(self, "incremental", None)
-        self.config = resolve_solver_config(
-            incremental, debug, base=getattr(self, "config", None)
-        )
-        self.incremental = self.config.incremental
-        self._debug = self.config.debug
-        self.drop_certificates()
-        if self.incremental and was_incremental is False:
-            seeds = [f for r in self.resources for f in r.flows]
-            if seeds:
-                self._recarve(seeds)
-        return self.config
-
-    def refresh_config(self) -> SolverConfig:
-        """Re-read unpinned solver modes from the environment."""
-        return self.configure()
+        if self._flow_seq != self.flows_completed:
+            raise SimulationError(
+                f"cannot change solver modes with "
+                f"{self._flow_seq - self.flows_completed} flows in flight"
+            )
+        if incremental is not None:
+            self.incremental = bool(incremental)
+        if debug is not None:
+            self._debug = bool(debug)
 
     @property
     def solver_mode(self) -> str:
-        """The effective solver label: slowpath / incremental."""
-        return self.config.mode
+        """The solver label recorded in manifests: slowpath / incremental."""
+        return "incremental" if self.incremental else "slowpath"
 
     # -- construction ---------------------------------------------------
     def add_resource(self, name: str, capacity: float,

@@ -64,29 +64,9 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-#: "json" emits newline-JSON events; anything else (or unset) = console
-ENV_RUNTIME_LOG = "REPRO_RUNTIME_LOG"
-
-#: global minimum level (debug/info/warning/error; default info)
-ENV_LOG_LEVEL = "REPRO_LOG_LEVEL"
-
-#: directory for flight-recorder JSONL dumps (unset = dumps disabled)
-ENV_FLIGHT_DIR = "REPRO_FLIGHT_DIR"
+from repro.util.config import setting
 
 _LEVELS = {"debug": 10, "info": 20, "warning": 30, "error": 40}
-
-
-def runtime_log_mode() -> str:
-    """The resolved log mode: ``"console"`` or ``"json"``."""
-    raw = os.environ.get(ENV_RUNTIME_LOG, "").strip().lower()
-    if raw == "json":
-        return "json"
-    return "console"
-
-
-def global_log_level() -> int:
-    raw = os.environ.get(ENV_LOG_LEVEL, "").strip().lower()
-    return _LEVELS.get(raw, _LEVELS["info"])
 
 
 # -- flight recorder ring ------------------------------------------------
@@ -128,8 +108,8 @@ def dump_flight_record(reason: str, *, component: Optional[str] = None,
     deliberate point failures must not litter the working directory.
     """
     if path is None:
-        directory = os.environ.get(ENV_FLIGHT_DIR, "").strip()
-        if not directory:
+        directory = setting("REPRO_FLIGHT_DIR")
+        if directory is None:
             return None
         os.makedirs(directory, exist_ok=True)
         path = os.path.join(
@@ -207,7 +187,7 @@ class RuntimeLogger:
             **fields) -> None:
         severity = _LEVELS.get(level, _LEVELS["info"])
         threshold = (self._threshold if self._threshold is not None
-                     else global_log_level())
+                     else _LEVELS[setting("REPRO_LOG_LEVEL")])
         record = {
             "ts": round(time.time(), 6),
             "component": self.component,
@@ -221,7 +201,7 @@ class RuntimeLogger:
         _flight_append(self.component, record)
         if severity < threshold:
             return
-        if runtime_log_mode() == "json":
+        if setting("REPRO_RUNTIME_LOG") == "json":
             print(json.dumps(record, sort_keys=True, default=str),
                   file=sys.stderr, flush=True)
             return
@@ -708,9 +688,6 @@ __all__ = [
     "ActiveSpan",
     "Counter",
     "DEFAULT_BUCKETS",
-    "ENV_FLIGHT_DIR",
-    "ENV_LOG_LEVEL",
-    "ENV_RUNTIME_LOG",
     "FLIGHT_RING",
     "Gauge",
     "Histogram",
@@ -726,7 +703,6 @@ __all__ = [
     "parse_prometheus",
     "record_span",
     "runtime_log",
-    "runtime_log_mode",
     "serve_metrics_http",
     "span",
     "span_store",

@@ -1,5 +1,6 @@
 """Durable records: the fsynced JSONL log behind the sweep farm's
-journal and the serve disk cache, and the pickle digests they carry.
+journal and the serve disk cache, the pickle digests they carry, and
+the one unpickler their payloads are read back with.
 
 Stdlib only, like the rest of :mod:`repro.util`.
 """
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import base64
 import hashlib
+import io
 import json
 import os
 import pickle
@@ -40,6 +42,31 @@ def unpack(record: dict) -> bytes:
     if hashlib.sha256(data).hexdigest() != record["digest"]:
         raise ValueError("digest mismatch")
     return data
+
+
+#: the only globals a stored result may reference: results are
+#: CollectiveResult + RunManifest + builtin values, nothing else
+_UNPICKLE_ALLOWED = {
+    ("repro.collectives.base", "CollectiveResult"),
+    ("repro.telemetry.manifest", "RunManifest"),
+}
+
+
+class _RestrictedUnpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        if (module, name) in _UNPICKLE_ALLOWED:
+            return super().find_class(module, name)
+        raise pickle.UnpicklingError(
+            f"stored results may not reference {module}.{name}"
+        )
+
+
+def restricted_loads(data: bytes):
+    """Unpickle a stored result, refusing any global outside the
+    allowlist.  A digest only proves that a payload matches its own
+    record, so a doctored journal or cache file must not escalate a read
+    into code execution."""
+    return _RestrictedUnpickler(io.BytesIO(data)).load()
 
 
 class RecordLog:

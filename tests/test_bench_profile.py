@@ -155,6 +155,32 @@ class TestSwitchedFabricProfiles:
         assert links.bytes_served > 0
 
 
+class TestMultiIterationProfiles:
+    """Busy integrals survive the harness's per-iteration clock rebase,
+    so the window covers every iteration, not only the last one."""
+
+    @staticmethod
+    def _links_mean(iters):
+        m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
+        run_collective(m, "bcast", "torus-shaddr", 64 * 1024, iters=iters)
+        return utilization_report(m).group("links").mean
+
+    def test_links_mean_does_not_grow_with_iterations(self):
+        one = self._links_mean(1)
+        for iters in (2, 4):
+            assert self._links_mean(iters) == pytest.approx(one, abs=0.005)
+
+    def test_no_group_reads_above_full_on_a_fabric(self):
+        m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD, network="fattree")
+        run_collective(m, "allgather", "allgather-ring-shaddr", 4096,
+                       iters=2)
+        report = utilization_report(m)
+        assert report.window_us == m.rebased_us + m.engine.now
+        assert m.rebased_us > 0
+        for group in report.groups.values():
+            assert group.peak <= 1.0, group
+
+
 class TestAllreduceProfiles:
     """Table I's contention story on the allreduce path."""
 

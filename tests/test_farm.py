@@ -53,6 +53,7 @@ from repro.bench.parallel import PointFailure, WorkerPointError, execute_points
 from repro.hardware.fault_schedule import RetryPolicy
 from repro.telemetry.manifest import CampaignManifest, spec_fingerprint
 from repro.telemetry.runtime import mint_trace
+from repro.util.records import pack
 
 #: near-zero backoffs so retry paths run at test speed
 FAST_RETRY = RetryPolicy(max_attempts=3, base_backoff_us=1e3,
@@ -83,6 +84,21 @@ def _fails_on_seven(spec):
     if spec["x"] == 7:
         raise ValueError("unlucky point 7")
     return spec["x"] ** 2
+
+
+#: calls of :func:`_tripwire`; a doctored journal must never add one
+_TRIPPED = []
+
+
+def _tripwire(*args):
+    _TRIPPED.append(args)
+
+
+class _Doctored:
+    """Pickles as a call of ``_tripwire``: a payload that runs code."""
+
+    def __reduce__(self):
+        return (_tripwire, ("doctored",))
 
 
 register_task("square", _square)
@@ -235,7 +251,6 @@ class TestFarmExecution:
         with _server(tmp_path, chunk_size=2) as server:
             with _workers(server.address, "env"):
                 monkeypatch.setenv("REPRO_FARM", server.address)
-                monkeypatch.setenv("REPRO_FARM_CHUNK", "2")
                 out = execute_points(specs, task=_square)
         assert out == [0, 1, 4, 9]
 
@@ -759,6 +774,41 @@ class TestResume:
         assert sorted(state.results) == [0, 1, 2, 3]
         assert state.torn_records == 0
         assert state.resumes == 1
+
+    def test_a_doctored_point_is_refused_at_fetch_and_never_run(
+            self, tmp_path):
+        """A digest only proves a payload matches its own record: a
+        journal doctored with a valid digest over a pickle of another
+        global must fail the driver's fetch without calling it."""
+        del _TRIPPED[:]
+        specs = _specs(4)
+        path = str(tmp_path / "journal.jsonl")
+        server = _server(tmp_path, journal_path=path, chunk_size=1)
+        with _workers(server.address, "w0"):
+            farm_execute_points(specs, farm=server.address, task=_square,
+                                poll_s=0.05, reconnect=FAST_RECONNECT)
+        server.stop()
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+        point = next(n for n, line in enumerate(lines)
+                     if json.loads(line)["kind"] == "point")
+        record = json.loads(lines[point])
+        record.update(pack(pickle.dumps(_Doctored(), protocol=4)))
+        lines[point] = json.dumps(record)
+        with open(path, "w") as handle:
+            handle.write("\n".join(lines) + "\n")
+
+        resumed = _server(tmp_path, journal_path=path, chunk_size=1,
+                          resume=True)
+        try:
+            with pytest.raises(pickle.UnpicklingError,
+                               match="may not reference"):
+                farm_execute_points(specs, farm=resumed.address,
+                                    task=_square, poll_s=0.05,
+                                    reconnect=FAST_RECONNECT)
+        finally:
+            resumed.stop()
+        assert _TRIPPED == []
 
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_seeded_chaos_converges_to_the_serial_answer(

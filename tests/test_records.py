@@ -1,8 +1,9 @@
 """The durable record log (``repro.util.records``).
 
 One test per rule of the log's contract: what a replay trusts, what
-``repair`` cuts, that nothing is appended after untrusted bytes, and
-that a packed payload's digest is checked on the way out.
+``repair`` cuts, that nothing is appended after untrusted bytes, that a
+packed payload's digest is checked on the way out, and that a stored
+result is unpickled with the result types' allowlist only.
 """
 
 import json
@@ -11,7 +12,28 @@ import pickle
 
 import pytest
 
-from repro.util.records import RecordLog, pack, pickle_digest, unpack
+from repro.bench.parallel import run_point
+from repro.util.records import (
+    RecordLog,
+    pack,
+    pickle_digest,
+    restricted_loads,
+    unpack,
+)
+
+#: calls of :func:`_tripwire`; a restricted read must never add one
+_TRIPPED = []
+
+
+def _tripwire(*args):
+    _TRIPPED.append(args)
+
+
+class _Doctored:
+    """Pickles as a call of ``_tripwire``: what a doctored file holds."""
+
+    def __reduce__(self):
+        return (_tripwire, ("doctored",))
 
 
 def _write(path, text):
@@ -117,3 +139,16 @@ class TestPayloads:
         record["digest"] = "0" * 64
         with pytest.raises(ValueError, match="digest mismatch"):
             unpack(record)
+
+    def test_restricted_loads_reads_every_result_shape(self):
+        result = run_point({"family": "bcast", "algorithm": "tree-shaddr",
+                            "x": 4096})
+        for value in (result, (0.25, result), {"ok": [1, 2.5, "x"]}, 7):
+            data = pickle.dumps(value, protocol=4)
+            assert pickle.dumps(restricted_loads(data), protocol=4) == data
+
+    def test_restricted_loads_refuses_any_other_global_uncalled(self):
+        del _TRIPPED[:]
+        with pytest.raises(pickle.UnpicklingError, match="may not reference"):
+            restricted_loads(pickle.dumps(_Doctored(), protocol=4))
+        assert _TRIPPED == []

@@ -26,9 +26,6 @@ import pytest
 from repro.serve.service import PredictionService, ServiceStats
 from repro.telemetry.runtime import (
     DEFAULT_BUCKETS,
-    ENV_FLIGHT_DIR,
-    ENV_LOG_LEVEL,
-    ENV_RUNTIME_LOG,
     MetricsRegistry,
     SpanStore,
     dump_flight_record,
@@ -37,11 +34,15 @@ from repro.telemetry.runtime import (
     parse_prometheus,
     record_span,
     runtime_log,
-    runtime_log_mode,
     serve_metrics_http,
     span,
 )
 from repro.telemetry.trace import RUNTIME_TRACE_PID, runtime_trace, write_trace
+from repro.util.config import setting
+
+ENV_RUNTIME_LOG = "REPRO_RUNTIME_LOG"
+ENV_LOG_LEVEL = "REPRO_LOG_LEVEL"
+ENV_FLIGHT_DIR = "REPRO_FLIGHT_DIR"
 
 
 @pytest.fixture(autouse=True)
@@ -78,7 +79,7 @@ class TestRuntimeLogger:
 
     def test_json_mode_emits_parseable_records(self, capsys, monkeypatch):
         monkeypatch.setenv(ENV_RUNTIME_LOG, "json")
-        assert runtime_log_mode() == "json"
+        assert setting(ENV_RUNTIME_LOG) == "json"
         runtime_log("farm.worker", prefix="w-9").info(
             "chunk_done", "w-9: chunk 2 done", chunk=2, points=8,
         )

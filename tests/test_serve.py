@@ -45,7 +45,6 @@ from repro.serve.service import (
     normalize_query,
     query_key,
 )
-from repro.sim.config import resolve_solver_config
 from repro.telemetry.manifest import compare_bench
 from repro.telemetry.runtime import parse_prometheus
 from repro.util.records import pickle_digest
@@ -301,7 +300,8 @@ class TestCachedResponse:
         assert set(record) == {"kind", "key", "spec", "digest", "data"}
         assert record["key"] == key
         assert record["spec"] == {**_wire(spec), "faults": None,
-                                  "solver_mode": resolve_solver_config().mode}
+                                  "solver_mode":
+                                  answer.result.manifest.solver_mode}
         data = base64.b64decode(record["data"])
         assert record["digest"] == hashlib.sha256(data).hexdigest()
         assert pickle_digest(pickle.loads(data)) == answer.digest

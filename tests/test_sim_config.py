@@ -1,167 +1,192 @@
-"""Solver-mode resolution semantics (:mod:`repro.sim.config`).
+"""Configuration semantics: one table of ``REPRO_*`` variables
+(:mod:`repro.util.config`), and a flow network that fixes its solver
+modes when it is built.
 
-The flow network used to snapshot ``REPRO_SIM_SLOWPATH``/``REPRO_SIM_DEBUG``
-at construction, so flipping an environment variable between runs silently
-did nothing.  These tests pin the repaired contract: environment-derived
-modes are re-read at call time (the harness refreshes before every run),
-while explicitly configured modes stay pinned across refreshes.
+Every variable is read through :func:`setting`: an explicit argument,
+then the environment at call time, then the default.  A stray value
+raises instead of silently meaning the default.  Every point builds a
+fresh machine, so a variable flipped between points steers the next one.
 """
+
+from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import run_collective
-from repro.hardware.machine import Machine, Mode
-from repro.sim import Engine, FlowNetwork
-from repro.sim.config import (
-    ENV_DEBUG,
-    ENV_SLOWPATH,
-    SolverConfig,
-    env_flag,
-    resolve_solver_config,
-)
+from repro.bench.parallel import run_point
+from repro.sim import Engine, FlowNetwork, SimulationError
+from repro.util.config import VARIABLES, setting
 
-ALL_ENV = (ENV_SLOWPATH, ENV_DEBUG)
+#: variable -> (documented values -> what they mean, a stray value or
+#: None when every non-blank value is accepted)
+CASES = {
+    "REPRO_SIM_SLOWPATH": ({"0": False, "1": True}, "yes"),
+    "REPRO_SIM_DEBUG": ({"0": False, "1": True}, "yes"),
+    "REPRO_JOBS": ({"3": 3, " 5 ": 5, "0": 0, "-1": -1}, "many"),
+    "REPRO_CHUNK_TIMEOUT_S": ({"2.5": 2.5, "30": 30.0}, "0"),
+    "REPRO_FARM": ({"127.0.0.1:7000": "127.0.0.1:7000",
+                    " host:9 ": "host:9"}, None),
+    "REPRO_FARM_FALLBACK": ({"0": False, "1": True}, "true"),
+    "REPRO_FARM_AUTHKEY": ({"a secret": "a secret"}, None),
+    "REPRO_FLIGHT_DIR": ({"/var/tmp/flight": "/var/tmp/flight"}, None),
+    "REPRO_LOG_LEVEL": ({"debug": "debug", "info": "info",
+                         "WARNING": "warning", "error": "error"}, "verbose"),
+    "REPRO_RUNTIME_LOG": ({"console": "console", "json": "json",
+                           " JSON ": "json"}, "off"),
+}
 
 
 @pytest.fixture(autouse=True)
 def _clean_env(monkeypatch):
-    for name in ALL_ENV:
+    for name in VARIABLES:
         monkeypatch.delenv(name, raising=False)
 
 
 # ---------------------------------------------------------------------------
-# env_flag parsing
+# the table
 # ---------------------------------------------------------------------------
 
-def test_env_flag_parses_only_zero_and_one(monkeypatch):
-    assert env_flag(ENV_DEBUG, True) is True
-    assert env_flag(ENV_DEBUG, False) is False
-    monkeypatch.setenv(ENV_DEBUG, "1")
-    assert env_flag(ENV_DEBUG, False) is True
-    monkeypatch.setenv(ENV_DEBUG, "0")
-    assert env_flag(ENV_DEBUG, True) is False
-    # stray values keep the documented default instead of guessing
-    monkeypatch.setenv(ENV_DEBUG, "yes")
-    assert env_flag(ENV_DEBUG, True) is True
-    assert env_flag(ENV_DEBUG, False) is False
+def test_every_variable_has_a_case():
+    assert set(CASES) == set(VARIABLES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_variable_takes_its_documented_values(monkeypatch, name):
+    values, stray = CASES[name]
+    default = VARIABLES[name].default
+    assert setting(name) == default
+    for blank in ("", "  "):
+        monkeypatch.setenv(name, blank)
+        assert setting(name) == default
+    for raw, meaning in values.items():
+        monkeypatch.setenv(name, raw)
+        assert setting(name) == meaning
+    if stray is not None:
+        monkeypatch.setenv(name, stray)
+        with pytest.raises(ValueError) as error:
+            setting(name)
+        assert name in str(error.value)
+        assert VARIABLES[name].accepts in str(error.value)
+
+
+def test_an_explicit_argument_beats_the_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "7")
+    assert setting("REPRO_JOBS", 3) == 3
+    # an explicit value is never parsed, so a stray environment value
+    # behind it does not matter
+    monkeypatch.setenv("REPRO_JOBS", "many")
+    assert setting("REPRO_JOBS", 3) == 3
+    assert setting("REPRO_SIM_SLOWPATH", False) is False
+
+
+def test_an_unknown_name_is_refused():
+    with pytest.raises(KeyError):
+        setting("REPRO_NOT_A_VARIABLE")
 
 
 # ---------------------------------------------------------------------------
-# resolve_solver_config: defaults, env, pinning
+# FlowNetwork: modes fixed when it is built
 # ---------------------------------------------------------------------------
 
 def test_defaults_are_incremental_no_debug():
-    config = resolve_solver_config()
-    assert (config.incremental, config.debug) == (True, False)
-    assert not (config.incremental_pinned or config.debug_pinned)
-    assert config.mode == "incremental"
+    net = FlowNetwork(Engine())
+    assert (net.incremental, net._debug) == (True, False)
+    assert net.solver_mode == "incremental"
 
 
 def test_mode_labels():
-    assert SolverConfig(False, False).mode == "slowpath"
-    assert SolverConfig(True, False).mode == "incremental"
-    # debug cross-checks never change the label
-    assert SolverConfig(True, True).mode == "incremental"
-    assert SolverConfig(False, True).mode == "slowpath"
+    for incremental, debug in [(False, False), (True, False), (True, True),
+                               (False, True)]:
+        net = FlowNetwork(Engine(), incremental=incremental, debug=debug)
+        # debug cross-checks never change the label
+        assert net.solver_mode == ("incremental" if incremental
+                                   else "slowpath")
 
 
 def test_env_variables_steer_unpinned_fields(monkeypatch):
-    monkeypatch.setenv(ENV_SLOWPATH, "1")
-    monkeypatch.setenv(ENV_DEBUG, "1")
-    config = resolve_solver_config()
-    assert config.mode == "slowpath"
-    assert config.debug is True
+    """A mode given no explicit argument comes from the environment as
+    it is when the network is built: after the variable is set, slowpath;
+    before it, incremental for good."""
+    before = FlowNetwork(Engine())
+    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+    monkeypatch.setenv("REPRO_SIM_DEBUG", "1")
+    after = FlowNetwork(Engine())
+    assert (after.solver_mode, after._debug) == ("slowpath", True)
+    # the network built before keeps the modes it was built with
+    assert (before.solver_mode, before._debug) == ("incremental", False)
 
 
-def test_explicit_arguments_pin_across_refreshes(monkeypatch):
-    pinned = resolve_solver_config(incremental=False, debug=False)
-    assert pinned.mode == "slowpath"
-    assert pinned.incremental_pinned and pinned.debug_pinned
-    # Environment now says the opposite; the pins must win on refresh.
-    monkeypatch.setenv(ENV_SLOWPATH, "0")
-    monkeypatch.setenv(ENV_DEBUG, "1")
-    refreshed = resolve_solver_config(base=pinned)
-    assert refreshed.mode == "slowpath"
-    assert refreshed.debug is False
+def test_explicit_arguments_beat_the_environment(monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+    monkeypatch.setenv("REPRO_SIM_DEBUG", "1")
+    net = FlowNetwork(Engine(), incremental=True, debug=False)
+    assert (net.solver_mode, net._debug) == ("incremental", False)
 
 
-def test_unpinned_fields_track_environment_between_refreshes(monkeypatch):
-    base = resolve_solver_config(incremental=True)
-    assert base.debug is False
-    monkeypatch.setenv(ENV_DEBUG, "1")
-    assert resolve_solver_config(base=base).debug is True
-    monkeypatch.delenv(ENV_DEBUG)
-    assert resolve_solver_config(base=base).debug is False
-    # the pinned field ignores the environment throughout
-    monkeypatch.setenv(ENV_SLOWPATH, "1")
-    assert resolve_solver_config(base=base).incremental is True
+def test_a_stray_solver_flag_refuses_to_build_a_network(monkeypatch):
+    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "yes")
+    with pytest.raises(ValueError, match="REPRO_SIM_SLOWPATH"):
+        FlowNetwork(Engine())
 
 
-# ---------------------------------------------------------------------------
-# FlowNetwork.configure / refresh_config
-# ---------------------------------------------------------------------------
-
-def test_flownet_refresh_sees_env_change_after_construction(monkeypatch):
-    net = FlowNetwork(Engine())
-    assert net.solver_mode == "incremental"
-    monkeypatch.setenv(ENV_SLOWPATH, "1")
-    # Construction-time snapshot would miss this; refresh must not.
-    net.refresh_config()
-    assert net.solver_mode == "slowpath"
-    monkeypatch.delenv(ENV_SLOWPATH)
-    net.refresh_config()
-    assert net.solver_mode == "incremental"
-
-
-def test_flownet_explicit_configure_survives_refresh(monkeypatch):
+def test_configure_sets_modes_on_an_idle_network():
     net = FlowNetwork(Engine())
     net.configure(incremental=False)
+    assert (net.solver_mode, net._debug) == ("slowpath", False)
+    net.configure(debug=True)
+    assert (net.solver_mode, net._debug) == ("slowpath", True)
+
+
+def test_configure_with_a_flow_in_flight_raises():
+    engine = Engine()
+    net = FlowNetwork(engine, incremental=False)
+    port = net.add_resource("mem", 8.0)
+    outcome = {}
+
+    def proc():
+        yield net.transfer({port: 1.0}, 64.0)
+        outcome["done"] = engine.now
+
+    def flip():
+        yield engine.timeout(2.0)
+        with pytest.raises(SimulationError, match="in flight"):
+            net.configure(incremental=True)
+        outcome["refused"] = engine.now
+
+    engine.spawn(proc())
+    engine.spawn(flip())
+    engine.run()
+    assert outcome == {"refused": 2.0, "done": 8.0}
     assert net.solver_mode == "slowpath"
-    monkeypatch.setenv(ENV_SLOWPATH, "0")
-    net.refresh_config()
-    assert net.solver_mode == "slowpath"
+    # once the flow has finished, the network is idle again
+    net.configure(incremental=True)
+    assert net.solver_mode == "incremental"
 
 
-def test_switching_to_incremental_recarves_inflight_flows():
-    """configure() mid-run must rebuild the component cache so the
-    incremental path picks up flows the slowpath created."""
-
-    def run(switch):
-        engine = Engine()
-        net = FlowNetwork(engine, incremental=not switch, debug=True)
-        port = net.add_resource("mem", 8.0)
-        done = {}
-
-        def proc(name, nbytes, start):
-            if start:
-                yield engine.timeout(start)
-            yield net.transfer({port: 1.0}, nbytes, name=name)
-            done[name] = engine.now
-
-        def flip():
-            yield engine.timeout(5.0)
-            if switch:
-                net.configure(incremental=True)
-
-        for name, nbytes, start in [("a", 256.0, 0.0), ("b", 512.0, 2.0),
-                                    ("c", 128.0, 8.0)]:
-            engine.spawn(proc(name, nbytes, start))
-        engine.spawn(flip())
-        engine.run()
-        return done
-
-    assert run(switch=True) == run(switch=False)
+def test_run_point_records_the_mode_set_before_it(monkeypatch):
+    """Every point builds a fresh machine, so a variable flipped between
+    points steers the next one, and its manifest says so."""
+    spec = {"family": "bcast", "algorithm": "torus-shaddr", "x": 4096}
+    first = run_point(spec)
+    assert first.manifest.solver_mode == "incremental"
+    monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+    second = run_point(spec)
+    assert second.manifest.solver_mode == "slowpath"
+    assert second.elapsed_us == first.elapsed_us
+    monkeypatch.delenv("REPRO_SIM_SLOWPATH")
+    assert run_point(spec).manifest.solver_mode == "incremental"
 
 
-def test_harness_rereads_env_per_run(monkeypatch):
-    """Satellite regression: flipping REPRO_SIM_SLOWPATH *after* machine
-    construction must steer the very next run (manifest records it)."""
-    machine = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
-    result = run_collective(machine, "bcast", "tree-shaddr", 4096)
-    assert result.manifest.solver_mode == "incremental"
-    monkeypatch.setenv(ENV_SLOWPATH, "1")
-    result = run_collective(machine, "bcast", "tree-shaddr", 4096)
-    assert result.manifest.solver_mode == "slowpath"
-    monkeypatch.delenv(ENV_SLOWPATH)
-    result = run_collective(machine, "bcast", "tree-shaddr", 4096)
-    assert result.manifest.solver_mode == "incremental"
+def test_usage_docs_list_every_variable_once():
+    """docs/usage.md's "Environment variables" table names exactly the
+    variables of the config table, once each, with the same accepted
+    values."""
+    text = (Path(__file__).resolve().parent.parent / "docs" / "usage.md"
+            ).read_text(encoding="utf-8")
+    section = text.split("## Environment variables", 1)[1].split("\n## ")[0]
+    rows = [
+        [cell.strip().replace("`", "") for cell in line.strip("|").split("|")]
+        for line in section.splitlines() if line.startswith("| `REPRO_")
+    ]
+    assert [row[0] for row in rows] == list(VARIABLES)
+    for name, _default, accepts, _meaning in rows:
+        assert accepts == VARIABLES[name].accepts, name

@@ -25,8 +25,8 @@ from repro.hardware.machine import Machine, Mode
 from repro.sim import Engine, FlowNetwork
 from repro.telemetry import compare_bench
 
-#: solver label -> FlowNetwork.configure pins (explicit, so they survive
-#: the harness's per-run refresh_config)
+#: solver label -> FlowNetwork.configure arguments, set on each fresh
+#: machine before it runs (they beat the environment)
 SOLVERS = {
     "slowpath": {"incremental": False},
     "incremental": {"incremental": True},
