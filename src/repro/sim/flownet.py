@@ -49,35 +49,11 @@ per-event bookkeeping is O(1) instead of O(flows).  ``REPRO_SIM_DEBUG=1``
 cross-checks every accumulator and the component cache against a
 from-scratch recomputation on every fill.
 
-Pipelined collectives re-solve the same component states over and over
-(every chunk of a torus broadcast rebuilds the same flows on the same
-DMA, memory and link resources), so the incremental path memoizes the
-fill of any component of ``_MEMO_MIN_FLOWS`` (8) or more flows:
-
-* the **key** is the tuple of the component's per-flow *shape ids* in
-  creation order.  A shape id interns ``(cap, ((resource, weight), ...))``,
-  everything the fill reads of one flow, including the order in which
-  it discovers resources.  ``FlowResource.set_capacity`` empties
-  the memo, so every entry was solved under the current capacities;
-* a **hit** replays the stored rates and loads after checking each
-  resource's running weight sum against the stored one.  The sum is the
-  one fill input the shapes do not fix bit for bit: float weights carry
-  residue from the add/remove history (``0.1 + 0.2 - 0.1 != 0.2``), and
-  a mismatch falls back to a normal fill;
-* the **bound** is ``_MEMO_MAX_ENTRIES`` (8192) entries per network;
-  once full, new fills are not stored, so a cyclic pattern longer than
-  the bound still hits on the entries it has.
-
-Smaller fills (the tree broadcast's 1-4 flows) cost less than their key
-and are never memoized.  The reference slow path never consults the
-memo, so it stays the oracle the memo is tested against, and under
-``REPRO_SIM_DEBUG=1`` every hit also runs the fill and must match the
-stored entry bit for bit.
-
 On a torus the component of a finish or a start is often the whole
 machine, yet most of its re-solves add or remove one flow and leave every
-round of the fill unchanged.  So before the memo, the incremental path
-tries a **delta re-fill**:
+round of the fill unchanged.  So the incremental path serves a re-solve
+in one of two ways: by a **delta re-fill** where one provably applies,
+else by a full fill:
 
 * a full fill of a component of ``_CERT_MIN_FLOWS`` (32) or more flows
   leaves a *certificate* on its root (``_Certificate``): per round its
@@ -88,19 +64,19 @@ tries a **delta re-fill**:
   the network re-runs the fill's rounds for that flow's resources only,
   with the fill's own float operations (``_delta_plan``), and commits
   only if every round, and so every other flow's rate, provably stays
-  the same.  Otherwise it refuses with no side effect and the memo, then
-  a full fill, serve the re-solve;
+  the same.  Otherwise it refuses with no side effect and a full fill
+  serves the re-solve;
 * the commit reproduces every side effect of a full re-solve in the same
   order (``_delta_post``): the joining flow's rate, busy-integral folds,
   the fill's load fold, and each deadline push and recursive finish of a
   due flow, with a rate-change log for flows a nested re-solve changes.
 
 A capacity change and a clock rebase drop every certificate
-(``drop_certificates``); a memo hit leaves none.  The slow
-path never reads certificates, and under ``REPRO_SIM_DEBUG=1`` every delta
-re-fill is followed by a full fill that must reproduce its rates, loads
-and certificate bit for bit.  ``resolves``, ``full_fills``,
-``wide_fills``, ``memo_hits``, ``delta_refills``, ``delta_refusals`` and
+(``drop_certificates``).  The slow path never reads certificates, so it
+stays the oracle delta re-fills are tested against, and under
+``REPRO_SIM_DEBUG=1`` every delta re-fill is followed by a full fill that
+must reproduce its rates, loads and certificate bit for bit.
+``resolves``, ``full_fills``, ``delta_refills``, ``delta_refusals`` and
 ``delta_cascades`` count how each re-solve was served.
 
 Every resource carries a *kind* (``links``, ``mem``, ``dma``,
@@ -126,17 +102,12 @@ from repro.util.config import setting
 _EPS_BYTES = 1e-6
 _EPS_RATE = 1e-9
 
-#: smallest component whose fill is memoized: smaller fills cost less
-#: than building their key
-_MEMO_MIN_FLOWS = 8
-#: memo entries per network; once full, new fills are not stored
-_MEMO_MAX_ENTRIES = 8192
 #: smallest component whose full fill leaves a certificate for delta
-#: re-fills.  A delta re-fill costs about as much as a memo replay of a
-#: 30-flow component, whatever the component's size; below this size it
-#: saves nothing and its certificates and refusals cost extra
-#: (docs/performance.md, "Delta re-fills")
-_CERT_MIN_FLOWS = 4 * _MEMO_MIN_FLOWS
+#: re-fills.  A delta re-fill costs about the same whatever the
+#: component's size, while a full fill grows with it: from this size up
+#: a re-fill costs a third of a full fill or less, below it a re-fill
+#: saves much less (docs/performance.md, "Delta re-fills")
+_CERT_MIN_FLOWS = 32
 
 #: resource kinds: torus/fabric wires, a node's memory port, its DMA
 #: engine, its two collective-network ports, and a protocol core
@@ -199,9 +170,7 @@ class FlowResource:
             raise ValueError(f"resource {self.name!r}: capacity must be > 0")
         self.integrate(self.network.engine.now)
         self.capacity = float(capacity)
-        # Every memoized fill and every certificate read the old
-        # capacities.
-        self.network._memo.clear()
+        # Every certificate read the old capacities.
         self.network.drop_certificates()
         self.network._resolve_component_of_resources([self])
 
@@ -268,7 +237,6 @@ class Flow(Waitable):
         "finished",
         "component",
         "seq",
-        "shape",
     )
 
     def __init__(
@@ -297,9 +265,6 @@ class Flow(Waitable):
         self.generation = 0
         self.finished = False
         self.component: Optional["_Component"] = None
-        #: interned id of ``(cap, usage)``; 0 until the flow first joins a
-        #: component large enough for the fill memo
-        self.shape = 0
 
     def subscribe(self, process) -> None:
         self.event.subscribe(process)
@@ -414,35 +379,6 @@ def _rate_moved(rate: float, old: float) -> bool:
     return delta > 1e-12 * tol or -delta > 1e-12 * tol
 
 
-def _memo_entry(flows: List[Flow], resources: List[FlowResource]) -> tuple:
-    """What a fill of ``flows`` read and set, as the fill memo stores it:
-    (resources in discovery order, their weight sums, their loads, the
-    flow rates)."""
-    return (
-        tuple(resources),
-        tuple([r._wsum for r in resources]),
-        tuple([r._load for r in resources]),
-        tuple([flow.rate for flow in flows]),
-    )
-
-
-def _check_memo_entry(entry: tuple, fresh: tuple) -> None:
-    """Debug-mode guard: a memo entry the replay would serve matches the
-    fill that just ran (``fresh``), bit for bit."""
-    if fresh[0] != entry[0]:
-        raise SimulationError(
-            "fill memo entry disagrees with a fresh fill on the "
-            "component's resources or their order"
-        )
-    if fresh[1] != entry[1]:
-        return  # the replay would have refused this entry
-    if fresh != entry:
-        raise SimulationError(
-            "fill memo entry disagrees with a fresh fill on the rates or "
-            "the loads"
-        )
-
-
 def _find(component: _Component) -> _Component:
     """Union-find root lookup with path compression."""
     root = component
@@ -475,16 +411,11 @@ class FlowNetwork:
         self.bytes_completed = 0.0
         self.flows_completed = 0
         #: work counts: every re-solve is served by exactly one of a full
-        #: fill, a memo replay or a delta re-fill (debug cross-checks are
-        #: not counted)
+        #: fill or a delta re-fill (debug cross-checks are not counted)
         self.resolves = 0
-        #: full fills of components of ``_MEMO_MIN_FLOWS`` or more flows,
-        #: on the incremental path
-        self.wide_fills = 0
-        self.memo_hits = 0
         self.delta_refills = 0
-        #: delta re-fills tried and refused; each then fell back to the
-        #: memo or a full fill
+        #: delta re-fills tried and refused; each then fell back to a
+        #: full fill
         self.delta_refusals = 0
         #: delta re-fills that ran with due flows pending, inside a finish
         #: cascade
@@ -498,16 +429,11 @@ class FlowNetwork:
         self._debug = bool(setting("REPRO_SIM_DEBUG", debug))
         self._fill_epoch = 0
         self._flow_seq = 0
-        #: fill memo: shape ids in seq order -> (resources in discovery
-        #: order, their _wsum, their load, flow rates); see _resolve
-        self._memo: Dict[Tuple[int, ...], tuple] = {}
-        #: (cap, ((resource, weight), ...)) -> shape id (from 1)
-        self._shapes: Dict[tuple, int] = {}
 
     @property
     def full_fills(self) -> int:
         """Re-solves served by a full fill."""
-        return self.resolves - self.memo_hits - self.delta_refills
+        return self.resolves - self.delta_refills
 
     def drop_certificates(self) -> None:
         """Invalidate every component's fill certificate.
@@ -775,13 +701,12 @@ class FlowNetwork:
 
         ``root`` is the component whose flows are exactly ``flows`` (None
         for a group of several components, and on the reference path).
-        When one flow ``joined`` or ``left`` it at an instant its
-        certificate still holds, a delta re-fill is tried first (see the
-        module docstring).  Otherwise, on the incremental path a component
-        of at least ``_MEMO_MIN_FLOWS`` flows consults the fill memo; a hit
-        replays the stored rates and loads instead of filling.  A full
+        A re-solve is served one of two ways.  When one flow ``joined`` or
+        ``left`` the root at an instant its certificate still holds, a
+        delta re-fill is tried first (see the module docstring).  If none
+        is tried, or it refuses, a full fill serves the re-solve; a full
         fill of a root of ``_CERT_MIN_FLOWS`` flows or more leaves a new
-        certificate on it; any other re-solve leaves none.
+        certificate on it, and any other re-solve leaves none.
         """
         self.resolves += 1
         now = self.engine.now
@@ -797,56 +722,35 @@ class FlowNetwork:
                     return
                 self.delta_refusals += 1
         flows.sort(key=_flow_seq_key)
+        # One pass: advance each flow at its old rate, fold each
+        # resource's pre-change load into its busy integral
+        # (resource.integrate, inlined for the hot path) and seed the
+        # fill's scratch state.
+        epoch = self._fill_epoch = self._fill_epoch + 1
         old_rates: List[float] = []
-        key = entry = None
-        if self.incremental and len(flows) >= _MEMO_MIN_FLOWS:
-            key = tuple(
-                [flow.shape or self._intern_shape(flow) for flow in flows]
-            )
-            entry = self._memo.get(key)
-        # A debug-mode hit fills as well, and checks the entry below.
-        if (
-            entry is not None
-            and not self._debug
-            and self._replay(entry, flows, now, old_rates)
-        ):
-            self.memo_hits += 1
-        else:
-            # One pass: advance each flow at its old rate, fold each
-            # resource's pre-change load into its busy integral
-            # (resource.integrate, inlined for the hot path) and seed the
-            # fill's scratch state.
-            epoch = self._fill_epoch = self._fill_epoch + 1
-            resources: List[FlowResource] = []
-            for flow in flows:
-                if now > flow.last_update:
-                    flow.remaining -= flow.rate * (now - flow.last_update)
-                flow.last_update = now
-                old_rates.append(flow.rate)
-                for r in flow.usage:
-                    if r._fill_epoch != epoch:
-                        r._fill_epoch = epoch
-                        if now > r._busy_last:
-                            r._busy_acc += r._load * (now - r._busy_last)
-                            r._busy_last = now
-                        r._fill_slack = r.capacity
-                        r._fill_wsum = r._wsum
-                        resources.append(r)
-            if self._debug:
-                self._check_accumulators(flows, resources)
-            if key is not None:
-                self.wide_fills += 1
-            cert = self._fill_scalar(
-                flows, resources,
-                root is not None and len(flows) >= _CERT_MIN_FLOWS,
-            )
-            if cert is not None:
-                root.cert = cert
-            if entry is None:
-                if key is not None and len(self._memo) < _MEMO_MAX_ENTRIES:
-                    self._memo[key] = _memo_entry(flows, resources)
-            elif self._debug:
-                _check_memo_entry(entry, _memo_entry(flows, resources))
+        resources: List[FlowResource] = []
+        for flow in flows:
+            if now > flow.last_update:
+                flow.remaining -= flow.rate * (now - flow.last_update)
+            flow.last_update = now
+            old_rates.append(flow.rate)
+            for r in flow.usage:
+                if r._fill_epoch != epoch:
+                    r._fill_epoch = epoch
+                    if now > r._busy_last:
+                        r._busy_acc += r._load * (now - r._busy_last)
+                        r._busy_last = now
+                    r._fill_slack = r.capacity
+                    r._fill_wsum = r._wsum
+                    resources.append(r)
+        if self._debug:
+            self._check_accumulators(flows, resources)
+        cert = self._fill_scalar(
+            flows, resources,
+            root is not None and len(flows) >= _CERT_MIN_FLOWS,
+        )
+        if cert is not None:
+            root.cert = cert
         log = self._rate_log
         if log is not None:
             for flow, old in zip(flows, old_rates):
@@ -866,45 +770,6 @@ class FlowNetwork:
                     continue
             if flow.remaining <= _EPS_BYTES:
                 self._schedule_completion(flow)
-
-    def _intern_shape(self, flow: Flow) -> int:
-        """Set and return the flow's shape id, which interns all the fill
-        reads of the flow: its cap and its (resource, weight) pairs in
-        usage order."""
-        shape = (flow.cap, tuple(flow.usage_items))
-        flow.shape = self._shapes.setdefault(shape, len(self._shapes) + 1)
-        return flow.shape
-
-    def _replay(
-        self,
-        entry: tuple,
-        flows: List[Flow],
-        now: float,
-        old_rates: List[float],
-    ) -> bool:
-        """Serve a memo hit: the same state as a fill, without filling.
-
-        Returns False, having changed nothing the fill would not set
-        itself, when a resource's weight sum differs from the stored one
-        (float residue from a different add/remove history).
-        """
-        resources, wsums, loads, rates = entry
-        for r, wsum, load in zip(resources, wsums, loads):
-            if r._wsum != wsum:
-                return False
-            # Folded before the load changes; a fill after a refusal finds
-            # these resources already folded to ``now``.
-            if now > r._busy_last:
-                r._busy_acc += r._load * (now - r._busy_last)
-                r._busy_last = now
-            r._load = load
-        for flow, rate in zip(flows, rates):
-            if now > flow.last_update:
-                flow.remaining -= flow.rate * (now - flow.last_update)
-            flow.last_update = now
-            old_rates.append(flow.rate)
-            flow.rate = rate
-        return True
 
     def _delta(
         self,

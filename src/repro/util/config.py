@@ -57,7 +57,7 @@ VARIABLES: Dict[str, Variable] = {
     "REPRO_SIM_DEBUG": Variable(
         _flag, False, "0 or 1",
         "1: a flow network built from now on cross-checks its "
-        "accumulators, caches, memo hits and delta re-fills on every solve"),
+        "accumulators, caches and delta re-fills on every solve"),
     "REPRO_JOBS": Variable(
         int, 1, "an integer",
         "worker processes of a sweep when no --jobs is given; 0 or less: "

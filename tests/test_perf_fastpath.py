@@ -226,28 +226,6 @@ def test_debug_mode_detects_corrupted_weight_sum():
         net.transfer({port: 1.0}, 1024.0, name="b")
 
 
-def test_debug_mode_detects_corrupted_memo_entry():
-    engine = Engine()
-    net = FlowNetwork(engine, incremental=True, debug=True)
-    port = net.add_resource("mem", 16.0)
-
-    def burst():
-        flows = [
-            net.transfer({port: 1.0}, 1024.0, name=f"b{i}") for i in range(8)
-        ]
-        for flow in flows:
-            yield flow
-
-    engine.spawn(burst())
-    engine.run()
-    (key, (resources, wsums, loads, rates)), = net._memo.items()
-    corrupted = (rates[0] + 1.0,) + rates[1:]
-    net._memo[key] = (resources, wsums, loads, corrupted)
-    engine.spawn(burst())  # the same eight shapes: a memo hit
-    with pytest.raises(SimulationError, match="memo"):
-        engine.run()
-
-
 def test_debug_mode_detects_corrupted_certificate():
     engine = Engine()
     net = FlowNetwork(engine, incremental=True, debug=True)

@@ -3,11 +3,12 @@
 The fair-share solver has two DES altitudes (``docs/performance.md``):
 the from-scratch reference traversal and the component-cache incremental
 path.  These tests pin the contract that both produce bit-identical
-results — on randomized flow graphs, on repeated bursts that the
-incremental path's fill memo replays, on torus-like cascades that its
-delta re-fills serve, and through real collectives with mid-window
-capacity faults — and that ``compare_bench`` therefore gates
-BENCH entries recorded under either solver on their points alone.
+results — on randomized flow graphs, on repeated bursts with float
+residue and capacity changes between them, on torus-like cascades that
+the incremental path's delta re-fills serve, and through real
+collectives with mid-window capacity faults — and that
+``compare_bench`` therefore gates BENCH entries recorded under either
+solver on their points alone.
 """
 
 import pytest
@@ -23,6 +24,7 @@ from repro.hardware.fault_schedule import (
 )
 from repro.hardware.machine import Machine, Mode
 from repro.sim import Engine, FlowNetwork
+from repro.sim.flownet import _CERT_MIN_FLOWS
 from repro.telemetry import compare_bench
 
 #: solver label -> FlowNetwork.configure arguments, set on each fresh
@@ -134,7 +136,7 @@ def test_solvers_agree_on_random_graphs(schedule):
 
 
 # ---------------------------------------------------------------------------
-# repeated bursts: the incremental path's fill memo
+# repeated bursts: float residue and capacity changes between epochs
 # ---------------------------------------------------------------------------
 
 @st.composite
@@ -142,12 +144,12 @@ def repeated_bursts(draw):
     """One burst of 8-12 flows sharing a hub resource, run in 3-4 epochs.
 
     Every flow starts within 2 µs and moves at least 2 KiB at no more than
-    640 B/µs, so each epoch re-solves a component of 8 or more flows —
-    the fill memo's territory.  Epochs 0 and 1 are identical, so epoch 1
-    can only be served from the memo.  Before a later epoch a capacity
+    640 B/µs, so each epoch re-solves a component of 8 or more flows,
+    fewer than the 32 a delta re-fill needs: every re-solve is a full
+    fill.  Epochs 0 and 1 are identical.  Before a later epoch a capacity
     may change; during one, an extra 0.1-weight flow on the hub may come
-    and go first, leaving float residue in the hub's weight sum under an
-    unchanged component shape (0.1 + 0.2 - 0.1 != 0.2).  Non-integer
+    and go first, leaving float residue in the hub's running weight sum
+    under an unchanged component (0.1 + 0.2 - 0.1 != 0.2).  Non-integer
     weights leave residue within an epoch too.
     """
     n_resources = draw(st.integers(min_value=2, max_value=4))
@@ -193,8 +195,7 @@ def repeated_bursts(draw):
 
 def _simulate_bursts(capacities, flows, repeats, change, residue, knobs,
                      debug):
-    """Per-flow completion times, plus how often the network re-solved
-    and how often a full fill served the re-solve."""
+    """Per-flow completion times."""
     engine = Engine()
     net = FlowNetwork(engine, debug=debug, **knobs)
     resources = [
@@ -231,20 +232,20 @@ def _simulate_bursts(capacities, flows, repeats, change, residue, knobs,
 
     engine.spawn(run_epochs())
     engine.run()
-    return completions, net.resolves, net.full_fills
+    return completions
 
 
 #: epoch 2 repeats the burst after a 0.1-weight hub flow has come and
-#: gone (hub weight sum 0.1 + 8.2 - 0.1); a memo that skipped its
-#: weight-sum check would replay epoch 0's rates and change completions
+#: gone, so the fill is seeded with a running weight sum (0.1 + 8.2 -
+#: 0.1) that differs from epoch 0's in its last bits
 _RESIDUE_BURST = (
     [1.0, 1.0],
     [(0.0, 2048.0, None, {0: 0.2, 1: 1.0})]
     + [(0.0, 2048.0, None, {0: 1.0})] * 8,
     3, None, 2,
 )
-#: eight flows whose hub slows down before epoch 2; a memo that kept its
-#: entries across the capacity change would replay the old rates
+#: eight flows whose hub slows down before epoch 2: the repeated burst
+#: must be solved at the new capacity, not the old one
 _CAPACITY_BURST = (
     [8.0, 5.0],
     [(0.0, 2048.0 + 256.0 * i, None, {0: 1.0}) for i in range(8)],
@@ -257,19 +258,13 @@ _CAPACITY_BURST = (
 @example(_RESIDUE_BURST)
 @example(_CAPACITY_BURST)
 def test_solvers_agree_on_repeated_bursts(schedule):
-    slow, _, _ = _simulate_bursts(*schedule, SOLVERS["slowpath"], debug=True)
-    fast, resolves, fills = _simulate_bursts(
-        *schedule, SOLVERS["incremental"], debug=False
-    )
+    slow = _simulate_bursts(*schedule, SOLVERS["slowpath"], debug=True)
+    fast = _simulate_bursts(*schedule, SOLVERS["incremental"], debug=False)
     # exact float equality, per-flow completion times
     assert fast == slow
-    # epoch 1 repeats epoch 0, so the memo (or a delta re-fill) served
-    # re-solves
-    assert fills < resolves
-    # debug mode runs the fill on every hit and checks the stored entry
-    checked, _, _ = _simulate_bursts(
-        *schedule, SOLVERS["incremental"], debug=True
-    )
+    # debug mode cross-checks the accumulators and the component cache on
+    # every fill
+    checked = _simulate_bursts(*schedule, SOLVERS["incremental"], debug=True)
     assert checked == slow
 
 
@@ -432,41 +427,50 @@ def test_solvers_agree_under_capacity_faults(family, algorithm, x):
     assert results["slowpath"] != clean
 
 
-def _measure_counts(knobs, family, algorithm, x, dims):
+def _measure_counts(knobs, family, algorithm, x, dims, watch=None):
     """One 2-iteration run: its elapsed time, how many events it
-    scheduled, and its flow network."""
+    scheduled, and its flow network.  ``watch``, if given, is called
+    with the network before the run."""
     machine = Machine(torus_dims=dims, mode=Mode.QUAD)
-    # debug pinned off: a debug hit or delta re-fill runs the fill as well
+    # debug pinned off: under debug every delta re-fill runs a full fill
+    # as well
     machine.flownet.configure(debug=False, **knobs)
+    if watch is not None:
+        watch(machine.flownet)
     result = run_collective(
         machine, family, algorithm, x, iters=2, steady_state=False
     )
     return (result.elapsed_us, machine.engine._seq), machine.flownet
 
 
-def test_fill_memo_serves_torus_bcast_hits():
-    """torus-shaddr re-solves the same component shapes chunk after chunk:
-    the memo serves some of them, and the answer is the slowpath's."""
-    point = ("bcast", "torus-shaddr", 32768, (2, 2, 2))
-    slow, slow_net = _measure_counts(SOLVERS["slowpath"], *point)
-    fast, fast_net = _measure_counts(SOLVERS["incremental"], *point)
-    assert fast == slow
-    assert slow_net.full_fills == slow_net.resolves
-    assert fast_net.full_fills < fast_net.resolves
-    assert fast_net.memo_hits > 0
-
-
 def test_delta_refills_serve_most_wide_torus_allreduce_resolves():
     """On a 4x4x4 torus the allreduce's components span the machine, and
     most of their re-solves add or remove one flow without moving any
     round of the fill: delta re-fills serve more of them than full fills
-    of 8 or more flows do, few tries are refused, and the answer is the
-    slowpath's."""
+    of ``_CERT_MIN_FLOWS`` or more flows do, few tries are refused, and
+    the answer is the slowpath's."""
     point = ("allreduce", "allreduce-torus-shaddr", 16384, (4, 4, 4))
-    slow, _ = _measure_counts(SOLVERS["slowpath"], *point)
-    fast, fast_net = _measure_counts(SOLVERS["incremental"], *point)
+    slow, slow_net = _measure_counts(SOLVERS["slowpath"], *point)
+    fill_sizes = []
+
+    def count_fills(net):
+        fill = net._fill_scalar
+
+        def counting_fill(flows, resources, record=False):
+            fill_sizes.append(len(flows))
+            return fill(flows, resources, record)
+
+        net._fill_scalar = counting_fill
+
+    fast, fast_net = _measure_counts(
+        SOLVERS["incremental"], *point, watch=count_fills
+    )
     assert fast == slow
-    assert fast_net.delta_refills > fast_net.wide_fills
+    # every re-solve is served by a delta re-fill or a full fill
+    assert slow_net.full_fills == slow_net.resolves
+    assert fast_net.full_fills == len(fill_sizes)
+    wide_fills = sum(1 for size in fill_sizes if size >= _CERT_MIN_FLOWS)
+    assert fast_net.delta_refills > wide_fills > 0
     assert fast_net.delta_refusals < fast_net.delta_refills // 10
 
 
