@@ -18,7 +18,10 @@ handy local sanity check).  The script:
    as a ``farm-smoke`` bench entry (metrics snapshot included) and
    gates it against itself with ``repro report --check-bench
    --tolerance 0`` (shape/solver-tag sanity; the metrics key must be
-   gate-invisible).
+   gate-invisible); then stops the resumed server and starts a third
+   ``--resume`` server on the finished journal, which must replay the
+   same coverage, the same campaign-lifetime counters (one more resume)
+   and the same ``merge_digest``.
 
 Run it from the repo root::
 
@@ -174,7 +177,7 @@ def main(argv=None) -> int:
         server.send_signal(signal.SIGKILL)
         server.wait()
         time.sleep(1.0)
-        serve(resume=True)
+        resumed = serve(resume=True)
         status = _wait_for_server(address, deadline_s=30.0)
         assert status["stats"]["resumes"] == 1, status["stats"]
         assert status["completed"] >= min(pre_kill_completed,
@@ -234,10 +237,29 @@ def main(argv=None) -> int:
                 json.dump(merged, handle, indent=2, sort_keys=True)
             _run(["report", "--check-bench", farm_out,
                   "--base", "farm-robustness", "--new", "farm-smoke"])
+        # Replay end to end: a third server resumed on the finished
+        # journal rebuilds exactly what the live one reported.
+        live = rpc_retry(address, "status")
+        live_fetch = rpc_retry(address, "fetch")
+        resumed.send_signal(signal.SIGINT)  # `farm serve` stops cleanly
+        assert resumed.wait(timeout=30) == 0, "resumed server did not stop"
+        serve(resume=True)
+        replayed = _wait_for_server(address, deadline_s=30.0)
+        replayed_fetch = rpc_retry(address, "fetch")
+        for key in ("completed", "quarantined"):
+            assert replayed[key] == live[key], (key, live, replayed)
+        for key in ("points_completed", "leases_expired", "workers_lost",
+                    "chunks_quarantined"):
+            assert replayed["stats"][key] == live["stats"][key], (
+                key, live["stats"], replayed["stats"])
+        assert replayed["stats"]["resumes"] == live["stats"]["resumes"] + 1, (
+            live["stats"], replayed["stats"])
+        assert replayed_fetch["merge_digest"] == live_fetch["merge_digest"]
+
         print("farm smoke OK: byte-identical merge, "
               f"{stats['workers_lost']} worker lost, "
               f"{stats['leases_expired']} lease(s) expired, "
-              f"{stats['resumes']} resume")
+              f"{stats['resumes']} resume, replay matches live")
         return 0
     finally:
         for proc in procs:

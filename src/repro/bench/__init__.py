@@ -13,7 +13,6 @@ __all__ = [
     "resolve_jobs",
     "run_collective",
     "run_suite",
-    "speedup_table",
     "Series",
     "format_table",
     "speedup",
@@ -30,7 +29,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     # On first read only, so that `python -m repro.bench.perfsuite` does
     # not import the module twice (runpy warns when the target is
     # already in sys.modules).
-    "repro.bench.perfsuite": ("run_suite", "speedup_table"),
+    "repro.bench.perfsuite": ("run_suite",),
     "repro.bench.profile": (
         "UtilizationReport", "format_report", "utilization_report",
     ),

@@ -38,19 +38,28 @@ HMAC authkey handshake for free):
 Crash-resumable campaigns
 -------------------------
 
-Every completed point is appended to the journal as one fsynced JSON
-line — ``{"kind": "point", "index": i, "digest": sha256(pickle),
-"data": base64(pickle)}`` — under a header keyed by a
+The journal, a :class:`~repro.util.records.RecordLog`, is the only
+description of a campaign.  Each change is one fsynced JSON line: the
+``campaign`` header keyed by a
 :class:`~repro.telemetry.manifest.CampaignManifest` (git rev + spec
-hash).  ``repro farm serve --resume`` reloads the journal, a
-:class:`~repro.util.records.RecordLog`: journaled points are **never
-re-run**, torn trailing records (a crash mid-write) are detected by
-digest, dropped, and cut off before any server's first append, and a
-driver that re-submits the same campaign (same spec hash) attaches to
-the loaded state instead of starting over.  Duplicate completions — a
-slow worker finishing a chunk that was re-leased after its lease
-expired — are detected, digest-verified against the journaled bytes (a
-mismatch is counted as a determinism violation), and discarded.
+hash), a ``point`` per completed point (``{"kind": "point", "index":
+i, "digest": sha256(pickle), "data": base64(pickle)}``), a ``span``
+per reported chunk span, a ``quarantine`` per poisoned chunk, an
+``expire`` per lost lease and a ``resume`` per restart.  The server
+makes every change by applying its record with the same function the
+start-up replay uses, then appending it, so ``repro farm serve
+--resume`` rebuilds the journaled state exactly: journaled points are
+**never re-run**, the campaign-lifetime counters (points completed,
+leases expired, workers lost, chunks quarantined, resumes) read as
+they did before the restart, torn trailing records (a crash
+mid-write) are detected by digest, dropped, and cut off before any
+server's first append, and a driver that re-submits the same campaign
+(same spec hash) attaches to the replayed state instead of starting
+over.  Leases, retry attempts and the other counters are not journaled
+and start afresh.  Duplicate completions — a slow worker finishing a
+chunk that was re-leased after its lease expired — are detected,
+digest-verified against the journaled bytes (a mismatch is counted as
+a determinism violation), and discarded.
 
 Security note: the wire protocol is ``multiprocessing.connection``
 pickle, and **unpickling is code execution** — the task-name allowlist
@@ -76,7 +85,7 @@ import socket
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing.connection import Client, Listener
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -257,102 +266,37 @@ def rpc_retry(address: str, op: str, *,
 
 # -- progress journal ----------------------------------------------------
 
-@dataclass
-class JournalState:
-    """What a journal replay recovered."""
-
-    header: Optional[dict] = None
-    #: index -> canonical pickled result bytes
-    results: Dict[int, bytes] = field(default_factory=dict)
-    #: index -> preserved worker traceback (quarantined points)
-    failures: Dict[int, str] = field(default_factory=dict)
-    #: workers that lost a lease at any point in the campaign's life
-    lost_workers: Set[str] = field(default_factory=set)
-    #: the driver's trace context, journaled with the campaign header so
-    #: chunk spans keep their trace id across a server restart
-    trace: Optional[dict] = None
-    #: worker-reported chunk spans journaled alongside completions
-    spans: List[dict] = field(default_factory=list)
-    lease_expiries: int = 0
-    resumes: int = 0
-    torn_records: int = 0
-    #: file offset just past the last fully-valid, newline-terminated
-    #: record — everything beyond it is a torn tail (see ``repair``)
-    valid_bytes: int = 0
-
-
-class ProgressJournal(RecordLog):
-    """Append-only fsynced JSONL of campaign progress.
-
-    One line per event: a ``campaign`` header (manifest + specs + task),
-    a ``point`` per completed point (digest + base64 pickled result), a
-    ``quarantine`` per poisoned chunk, and a ``resume`` marker per
-    server restart.  Appends are flushed *and fsynced* before the server
-    acknowledges a completion, so a SIGKILLed server loses at most the
-    line it was writing — which :meth:`load` detects (unparsable JSON or
-    a digest mismatch) and drops, counting it in ``torn_records``.
-    """
-
-    @staticmethod
-    def load(path: str) -> JournalState:
-        """Replay a journal, tolerating a torn tail.
-
-        The first torn, unparsable, or digest-mismatched record ends the
-        replay (see :meth:`RecordLog.replay`).  ``state.valid_bytes``
-        marks where the trusted prefix ends, for :meth:`repair`.
-        """
-        state = JournalState()
-
-        def apply(record: dict) -> None:
-            kind = record["kind"]
-            if kind == "campaign":
-                if state.header is None:
-                    state.header = record
-                    state.trace = record.get("trace")
-            elif kind == "span":
-                if isinstance(record.get("span"), dict):
-                    state.spans.append(record["span"])
-            elif kind == "point":
-                data = unpack(record)
-                index = int(record["index"])
-                state.results[index] = data
-                # A late honest completion beats an earlier quarantine
-                # verdict (mirrors _op_complete): an index must never sit
-                # in both maps, or resumed campaigns double-count coverage.
-                state.failures.pop(index, None)
-            elif kind == "quarantine":
-                for index in record["indices"]:
-                    state.failures[int(index)] = record["traceback"]
-            elif kind == "expire":
-                state.lease_expiries += 1
-                state.lost_workers.add(record["worker"])
-            elif kind == "resume":
-                state.resumes += 1
-
-        state.valid_bytes, torn = ProgressJournal(path).replay(apply)
-        state.torn_records = int(torn)
-        return state
-
-
 #: campaign header field -> the type a server reads it as
 _HEADER_FIELDS = {"manifest": dict, "specs": list, "task": str}
 
 
-def _check_header(path: str, header: dict) -> None:
-    """Refuse a journal whose campaign header lacks a field the server
-    reads, before anything touches the file."""
+def _check_header(path: str, header: dict) -> CampaignManifest:
+    """The manifest of a journal's campaign header.  Refuses a header the
+    server cannot read with :class:`FarmError`, so replay never mistakes
+    it for a torn record and nothing touches the file."""
     for name, kind in _HEADER_FIELDS.items():
         if not isinstance(header.get(name), kind):
             raise FarmError(
                 f"journal {path!r}: campaign header has no {name!r} "
                 f"{kind.__name__}; refusing the journal"
             )
+    try:
+        return CampaignManifest.from_dict(header["manifest"])
+    except TypeError as exc:
+        raise FarmError(
+            f"journal {path!r}: campaign header's 'manifest' does not "
+            f"parse ({exc}); refusing the journal"
+        ) from exc
 
 
 # -- server --------------------------------------------------------------
 
-#: robustness rollups of one server's life: ``farm status`` stats key ->
-#: help text of the ``farm_<key>_total`` counter that stores it
+#: robustness rollups: ``farm status`` stats key -> help text of the
+#: ``farm_<key>_total`` counter that stores it.  ``leases_expired``,
+#: ``chunks_quarantined``, ``points_completed``, ``workers_lost`` and
+#: ``resumes`` count the campaign's life: only journal records move them,
+#: so a restart replays them.  The others count this server's life and
+#: start at 0 on every restart.
 FARM_STATS = {
     "leases_issued": "chunk leases granted to workers",
     "leases_expired": "leases lost to missed heartbeats",
@@ -383,6 +327,12 @@ class FarmServer:
     to the simulation work the farm exists to distribute).  Expired
     leases are reaped lazily on every lease/complete/status request —
     no timer thread, so a quiet server does nothing.
+
+    The journal is the only description of the campaign: every change
+    to journaled state is a record passed to :meth:`_apply`, live
+    through :meth:`_commit` (apply, then append) and at start-up by the
+    replay, so a restarted server rebuilds exactly the live state.
+    Leases, retry attempts and the ready queue are not journaled.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -392,6 +342,8 @@ class FarmServer:
                  chunk_size: Optional[int] = None,
                  resume: bool = False,
                  verbose: bool = False):
+        if chunk_size is not None and chunk_size < 1:
+            raise FarmError(f"chunk_size must be >= 1, got {chunk_size}")
         self._host = host
         self._port = port
         self.journal_path = journal_path
@@ -436,24 +388,24 @@ class FarmServer:
         self._failures: Dict[int, str] = {}
         self._workers: Set[str] = set()
         self._lost_workers: Set[str] = set()
-        self._journal = ProgressJournal(journal_path)
+        self._journal = RecordLog(journal_path)
 
-        state = ProgressJournal.load(journal_path)
-        if state.header is not None:
-            _check_header(journal_path, state.header)
-            if not resume:
-                raise FarmError(
-                    f"journal {journal_path!r} already holds campaign "
-                    f"{state.header['manifest'].get('spec_hash')!r}; pass "
-                    f"--resume to continue it (or point at a fresh journal)"
-                )
+        # A header the server cannot read raises FarmError out of the
+        # replay, before anything touches the file.
+        valid_bytes, torn = self._journal.replay(self._apply)
+        if self.manifest is not None and not resume:
+            raise FarmError(
+                f"journal {journal_path!r} already holds campaign "
+                f"{self.manifest.spec_hash!r}; pass --resume to continue "
+                f"it (or point at a fresh journal)"
+            )
         # Drop the torn tail before anything is appended, resumed or
         # not: a record written after untrusted bytes is lost to every
         # later replay (a journal torn during its first header write
         # would otherwise never replay its campaign).
-        self._journal.repair(state.valid_bytes)
-        if state.header is not None:
-            self._load_state(state)
+        self._journal.repair(valid_bytes)
+        if self.manifest is not None:
+            self._resume(torn)
 
     # -- lifecycle -------------------------------------------------------
     @property
@@ -567,54 +519,99 @@ class FarmServer:
             except OSError:  # pragma: no cover
                 pass
 
-    # -- campaign install / resume ---------------------------------------
+    # -- the campaign state machine -------------------------------------
+    def _apply(self, record: dict) -> None:
+        """Make the one state change a journal record stands for.
+
+        The live ops reach it through :meth:`_commit`, the start-up
+        replay directly, so both build the same state; the campaign's
+        lifetime counters move only here.  A record that does not parse
+        raises ``ValueError``, ``KeyError`` or ``TypeError`` before
+        changing anything, which ends a replay at the record (see
+        :meth:`RecordLog.replay`); a campaign header the server cannot
+        install raises :class:`FarmError` instead, so it is refused,
+        never cut away as torn.
+        """
+        kind = record["kind"]
+        if kind == "campaign":
+            # One campaign per journal: the live op refuses a second
+            # submission before it commits anything.
+            if self.manifest is None:
+                manifest = _check_header(self.journal_path, record)
+                try:
+                    self._install_campaign(
+                        manifest, record["specs"], record["task"],
+                        record.get("chunk"),
+                    )
+                except (ValueError, KeyError, TypeError) as exc:
+                    # A header that does not install is refused, never
+                    # mistaken for a torn record and cut away.
+                    raise FarmError(
+                        f"campaign {manifest.spec_hash!r} (journal "
+                        f"{self.journal_path!r}) does not install: {exc}"
+                    ) from exc
+                trace = record.get("trace")
+                # The trace id lives as long as the campaign; chunks
+                # leased after a restart chain fresh span ids under it.
+                self._trace = dict(trace) if isinstance(trace, dict) else None
+        elif kind == "span":
+            if isinstance(record.get("span"), dict):
+                self._spans.append(dict(record["span"]))
+        elif kind == "point":
+            data = unpack(record)
+            index = int(record["index"])
+            # A late honest completion beats a quarantine verdict: an
+            # index never sits in both maps.
+            self._failures.pop(index, None)
+            self._results[index] = data
+            self._stats["points_completed"].inc()
+        elif kind == "quarantine":
+            indices = [int(index) for index in record["indices"]]
+            traceback_text = record["traceback"]
+            for index in indices:
+                self._failures[index] = traceback_text
+            self._stats["chunks_quarantined"].inc()
+        elif kind == "expire":
+            worker = record["worker"]
+            self._stats["leases_expired"].inc()
+            if worker not in self._lost_workers:
+                self._lost_workers.add(worker)
+                self._stats["workers_lost"].inc()
+        elif kind == "resume":
+            self._stats["resumes"].inc()
+
+    def _commit(self, record: dict) -> None:
+        """Apply a record, then journal it (fsynced): an op that raises
+        journals nothing."""
+        self._apply(record)
+        self._journal.append(record)
+
     def _install_campaign(self, manifest: CampaignManifest,
                           specs: List[dict], task: str,
                           chunk_size: Optional[int]) -> None:
         size = chunk_size or self.chunk_size or max(1, len(specs) // 16)
+        chunks = chunk_specs(specs, chunk_size=size)
         self.manifest = manifest
         self._specs = specs
         self._task = task
-        self._chunks = {
-            chunk_id: chunk
-            for chunk_id, chunk in enumerate(
-                chunk_specs(specs, chunk_size=size)
-            )
-        }
+        self._chunks = dict(enumerate(chunks))
         self._attempts = {chunk_id: 0 for chunk_id in self._chunks}
-        self._ready = []
+        # Every chunk is queued; a lease skips one that replayed records
+        # have since covered.
         now = time.monotonic()
-        for chunk_id in self._chunks:
-            if self._chunk_remaining(chunk_id):
-                heapq.heappush(self._ready, (now, chunk_id))
+        self._ready = [(now, chunk_id) for chunk_id in self._chunks]
 
-    def _load_state(self, state: JournalState) -> None:
-        header = state.header
-        manifest = CampaignManifest.from_dict(header["manifest"])
-        self._results = dict(state.results)
-        self._failures = dict(state.failures)
-        # The trace id survives the restart with the campaign; chunks
-        # re-leased after the resume chain fresh span ids under it.
-        self._trace = dict(state.trace) if state.trace else None
-        self._spans = [dict(span) for span in state.spans]
-        self._install_campaign(
-            manifest, header["specs"], header["task"], header.get("chunk"),
-        )
-        self._stats["resumes"].inc(state.resumes + 1)
-        self._stats["torn_records"].inc(state.torn_records)
-        self._stats["points_completed"].inc(len(self._results))
-        # Lease expiries are journaled, so the campaign-lifetime
-        # robustness story (lost workers included) survives restarts.
-        self._stats["leases_expired"].inc(state.lease_expiries)
-        self._stats["workers_lost"].inc(len(state.lost_workers))
-        self._lost_workers = set(state.lost_workers)
+    def _resume(self, torn: bool) -> None:
+        """Mark a restart over a replayed campaign in the journal."""
         from repro.telemetry.manifest import git_revision
 
-        self._journal.append({
+        self._stats["torn_records"].inc(int(torn))
+        self._commit({
             "kind": "resume",
             "at": time.strftime("%Y-%m-%d %H:%M:%S"),
             "git_rev": git_revision(),
         })
+        manifest = self.manifest
         if manifest.git_rev not in ("unknown", git_revision()):
             self._logger.warning(
                 "journal_git_rev_mismatch",
@@ -627,9 +624,9 @@ class FarmServer:
         self._log(
             f"resumed campaign {manifest.spec_hash} "
             f"({len(self._results)}/{manifest.nspecs} points journaled, "
-            f"{state.torn_records} torn record(s) dropped)",
+            f"{int(torn)} torn record(s) dropped)",
             event="campaign_resumed", campaign=manifest.spec_hash,
-            journaled=len(self._results), torn=state.torn_records,
+            journaled=len(self._results), torn=int(torn),
         )
 
     # -- internal helpers (lock held) ------------------------------------
@@ -656,11 +653,7 @@ class FarmServer:
             if lease.deadline > now:
                 continue
             del self._leases[chunk_id]
-            self._stats["leases_expired"].inc()
-            if lease.worker not in self._lost_workers:
-                self._lost_workers.add(lease.worker)
-                self._stats["workers_lost"].inc()
-            self._journal.append({
+            self._commit({
                 "kind": "expire", "chunk": chunk_id, "worker": lease.worker,
             })
             self._log(
@@ -690,10 +683,7 @@ class FarmServer:
         indices = [index for index, _ in self._chunk_remaining(chunk_id)]
         if not indices:
             return
-        for index in indices:
-            self._failures[index] = traceback_text
-        self._stats["chunks_quarantined"].inc()
-        self._journal.append({
+        self._commit({
             "kind": "quarantine",
             "chunk": chunk_id,
             "indices": indices,
@@ -754,15 +744,13 @@ class FarmServer:
                     f"{self.manifest.spec_hash!r}; refuse to mix in "
                     f"{submitted.spec_hash!r} (one campaign per journal)"
                 )
-            self._install_campaign(submitted, list(specs), task, chunk_size)
-            self._trace = dict(trace) if isinstance(trace, dict) else None
-            self._journal.append({
+            self._commit({
                 "kind": "campaign",
                 "manifest": submitted.to_dict(),
                 "task": task,
                 "chunk": chunk_size or self.chunk_size,
                 "specs": [dict(spec) for spec in specs],
-                "trace": self._trace,
+                "trace": dict(trace) if isinstance(trace, dict) else None,
             })
             self._log(
                 f"campaign {submitted.spec_hash} submitted: "
@@ -836,8 +824,7 @@ class FarmServer:
             # assembled after a resume still shows pre-crash chunks.
             for span in spans or ():
                 if isinstance(span, dict) and span.get("trace_id"):
-                    self._spans.append(dict(span))
-                    self._journal.append({"kind": "span", "span": span})
+                    self._commit({"kind": "span", "span": span})
             lease = self._leases.get(chunk)
             # Only the lease holder settles the lease (and, below, the
             # retry budget).  A stale completion — a worker whose lease
@@ -865,15 +852,8 @@ class FarmServer:
                             f"determinism violation; keeping first result"
                         )
                     continue
-                if index in self._failures:
-                    # A late honest completion beats a quarantine verdict.
-                    del self._failures[index]
-                self._results[index] = data
-                self._journal.append(
-                    {"kind": "point", "index": index, **pack(data)}
-                )
+                self._commit({"kind": "point", "index": index, **pack(data)})
                 fresh += 1
-            self._stats["points_completed"].inc(fresh)
             self._stats["duplicate_completions"].inc(duplicates)
             requeued = False
             if errors and owns:

@@ -260,38 +260,6 @@ def save_entry(path: str, label: str, sweeps: Dict[str, dict], smoke: bool) -> d
     return results
 
 
-def speedup_table(results: dict, base: str = "baseline", new: str = "current") -> str:
-    """Per-sweep wall-clock speedup of ``new`` over ``base`` (when both exist)."""
-    entries = results.get("entries", {})
-    if base not in entries or new not in entries:
-        return f"(no speedup table: need both {base!r} and {new!r} entries)"
-    if entries[base].get("smoke") != entries[new].get("smoke"):
-        return (
-            f"(no speedup table: {base!r} and {new!r} were recorded at "
-            "different sizes — smoke vs full suite)"
-        )
-    lines = [f"{'sweep':18s} {'base s':>9} {'new s':>9} {'speedup':>8}"]
-    for name, record in entries[base]["sweeps"].items():
-        if name not in entries[new]["sweeps"]:
-            continue
-        b = record["wall_s"]
-        n = entries[new]["sweeps"][name]["wall_s"]
-        lines.append(f"{name:18s} {b:9.2f} {n:9.2f} {b / n:7.2f}x")
-    # Per-sweep rows compare busy seconds; the honest end-to-end number
-    # for a parallel run is the suite wall clock, when both entries have
-    # one (entries predating the parallel executor do not).
-    b_wall = entries[base].get("wall_s")
-    n_wall = entries[new].get("wall_s")
-    if b_wall and n_wall:
-        lines.append(
-            f"{'suite wall':18s} {b_wall:9.2f} {n_wall:9.2f} "
-            f"{b_wall / n_wall:7.2f}x  "
-            f"(jobs {entries[base].get('jobs', 1)} -> "
-            f"{entries[new].get('jobs', 1)})"
-        )
-    return "\n".join(lines)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="perfsuite", description="Time the simulator core's hot sweeps."
@@ -330,9 +298,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{'suite':18s} {meta['wall_s']:8.2f}s wall "
             f"(jobs={meta['jobs']}, cpus={meta['cpus']})"
         )
-    results = save_entry(args.out, args.label, sweeps, args.smoke)
+    save_entry(args.out, args.label, sweeps, args.smoke)
     print(f"\nwrote entry {args.label!r} to {args.out}")
-    print(speedup_table(results))
     return 0
 
 

@@ -35,16 +35,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.machine import Machine
 
 
-def protocol_cores(machine: "Machine", tag: str) -> List[FlowResource]:
+def protocol_cores(machine: "Machine", algorithm: str) -> List[FlowResource]:
     """One protocol-core resource per node, at a single core's reduction
-    throughput; ``tag`` keeps each invocation's resource names apart."""
-    return [
-        machine.flownet.add_resource(
-            f"n{n}.proto.{tag}", machine.nodes[n].regime.core_reduce_cap,
-            KIND_PROTO_CORE,
-        )
-        for n in range(machine.nnodes)
-    ]
+    throughput.  A node's cores outlive a collective call, so the set is
+    made once per machine object, algorithm and cache regime, and every
+    invocation of ``algorithm`` shares it."""
+    caps = tuple(node.regime.core_reduce_cap for node in machine.nodes)
+    # (algorithm, caps) -> cores, in the machine object's own __dict__:
+    # the cores die with it, and a traffic job's view (whose other
+    # attributes fall through to its parent machine) gets its own.  A
+    # module-level WeakKeyDictionary would keep each dead machine's flow
+    # network alive past the collection that frees the machine.
+    sets = vars(machine).setdefault("_protocol_core_sets", {})
+    cores = sets.get((algorithm, caps))
+    if cores is None:
+        cores = sets[(algorithm, caps)] = [
+            machine.flownet.add_resource(
+                f"n{n}.proto.{algorithm}", cap, KIND_PROTO_CORE,
+            )
+            for n, cap in enumerate(caps)
+        ]
+    return cores
 
 
 class RingReduce:

@@ -56,7 +56,7 @@ class RingPipelinedAllreduce(AllreduceInvocation):
         self.start = Event(engine)
         # One protocol-core resource per node: the master core performs
         # every ring addition (baseline scheme, as in the torus variants).
-        self.proto_cores = protocol_cores(machine, f"rar{id(self)}")
+        self.proto_cores = protocol_cores(machine, self.name)
         self.contrib_ready: List[List[SimCounter]] = [
             [
                 SimCounter(engine, name=f"c{c}.n{n}.contrib")

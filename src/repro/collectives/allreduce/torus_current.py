@@ -61,7 +61,7 @@ class TorusCurrentAllreduce(AllreduceInvocation):
         root_node = machine.rank_to_node(self.root)
         # One protocol-core resource per node: the master core that performs
         # every reduction in this scheme.
-        self.proto_cores = protocol_cores(machine, f"cur{id(self)}")
+        self.proto_cores = protocol_cores(machine, self.name)
         # Per (color, node): bytes of the locally reduced contribution ready.
         self.contrib_ready: List[List[SimCounter]] = [
             [

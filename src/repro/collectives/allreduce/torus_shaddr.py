@@ -45,11 +45,6 @@ class TorusShaddrAllreduce(AllreduceInvocation):
 
     def setup(self) -> None:
         machine = self.machine
-        if machine.ppn != 4:
-            raise ValueError(
-                f"{self.name} is a quad-mode algorithm (ppn=4), machine has "
-                f"ppn={machine.ppn}"
-            )
         engine = machine.engine
         params = machine.params
         chunk = params.pipeline_width
@@ -61,7 +56,7 @@ class TorusShaddrAllreduce(AllreduceInvocation):
         self.offsets = [sum(self.parts[:i]) for i in range(self.ncolors)]
         root_node = machine.rank_to_node(self.root)
         # The dedicated network-protocol core (local rank 0) per node.
-        self.proto_cores = protocol_cores(machine, f"sha{id(self)}")
+        self.proto_cores = protocol_cores(machine, self.name)
         self.contrib_ready: List[List[SimCounter]] = [
             [
                 SimCounter(engine, name=f"c{c}.n{n}.contrib")

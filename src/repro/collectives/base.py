@@ -136,6 +136,14 @@ class InvocationBase:
 
     def __init__(self, machine: Machine, root: int, nbytes: int,
                  window_caching: bool = True):
+        # @register installs ``capabilities``; an unregistered base
+        # class has none and accepts every mode.
+        info = getattr(self, "capabilities", None)
+        if info is not None and not info.supports_ppn(machine.ppn):
+            raise ValueError(
+                f"{self.name} runs at ppn {info.modes}, machine has "
+                f"ppn={machine.ppn}"
+            )
         if nbytes < 0:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         machine.check_rank(root)

@@ -95,11 +95,3 @@ class TorusDirectPutSmpBcast(TorusDirectPutBcast):
 
     name = "torus-direct-put-smp"
     network = "torus"
-
-    def setup(self) -> None:
-        if self.machine.ppn != 1:
-            raise ValueError(
-                f"{self.name} requires SMP mode, machine has ppn="
-                f"{self.machine.ppn}"
-            )
-        super().setup()

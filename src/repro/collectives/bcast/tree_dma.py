@@ -39,10 +39,6 @@ class _TreeDmaBase(BcastInvocation):
 
     def setup(self) -> None:
         machine = self.machine
-        if machine.ppn < 2:
-            raise ValueError(
-                f"{self.name} needs >= 2 processes per node (got {machine.ppn})"
-            )
         params = machine.params
         self.op: TreeOperation = machine.tree.operation(
             self.nbytes, params.pipeline_width

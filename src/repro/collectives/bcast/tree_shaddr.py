@@ -41,11 +41,6 @@ class TreeShaddrBcast(BcastInvocation):
 
     def setup(self) -> None:
         machine = self.machine
-        if machine.ppn != 4:
-            raise ValueError(
-                f"{self.name} is a quad-mode algorithm (ppn=4), machine has "
-                f"ppn={machine.ppn}"
-            )
         if machine.rank_to_local(self.root) != 0:
             raise ValueError(
                 f"{self.name} expects the global root at local rank 0 "

@@ -35,10 +35,6 @@ class TreeSmpBcast(BcastInvocation):
 
     def setup(self) -> None:
         machine = self.machine
-        if machine.ppn != 1:
-            raise ValueError(
-                f"{self.name} requires SMP mode, machine has ppn={machine.ppn}"
-            )
         params = machine.params
         self.op: TreeOperation = machine.tree.operation(
             self.nbytes, params.pipeline_width

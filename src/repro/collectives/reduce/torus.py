@@ -34,7 +34,7 @@ class _TorusReduceBase(ReduceInvocation):
         self.parts = partition_bytes(self.nbytes, self.ncolors, align=DOUBLE)
         self.offsets = [sum(self.parts[:i]) for i in range(self.ncolors)]
         self.start = Event(engine)
-        self.proto_cores = protocol_cores(machine, f"red{id(self)}")
+        self.proto_cores = protocol_cores(machine, self.name)
         self.contrib_ready: List[List[SimCounter]] = [
             [
                 SimCounter(engine, name=f"c{c}.n{n}.contrib")
@@ -174,14 +174,6 @@ class TorusShaddrReduce(_TorusReduceBase):
     """Proposed: worker cores reduce mapped buffers in place, one color each."""
 
     name = "reduce-torus-shaddr"
-
-    def setup(self) -> None:
-        if self.machine.ppn != 4:
-            raise ValueError(
-                f"{self.name} is a quad-mode algorithm (ppn=4), machine has "
-                f"ppn={self.machine.ppn}"
-            )
-        super().setup()
 
     def _spawn_services(self) -> None:
         # Contributions are produced by the worker ranks' own coroutines.

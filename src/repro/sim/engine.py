@@ -95,16 +95,13 @@ class Engine:
     """The event loop: a virtual clock plus a deterministic event heap."""
 
     __slots__ = (
-        "now", "_heap", "_seq", "_processes", "_prune_at",
-        "_running", "telemetry",
+        "now", "_heap", "_seq", "_running", "telemetry",
     )
 
     def __init__(self):
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Callable, Any]] = []
         self._seq: int = 0
-        self._processes: List[Process] = []
-        self._prune_at: int = 256
         self._running = False
         # Optional TelemetryRecorder (repro.telemetry), the one sink of a
         # run's observations, flows included.  Hook sites read this once
@@ -139,19 +136,9 @@ class Engine:
     def spawn(self, generator: Generator, name: str = "?") -> Process:
         """Create a process from a generator and start it at the current time."""
         process = Process(self, generator, name=name)
-        self._processes.append(process)
-        # Amortized prune of finished processes so long multi-sweep runs
-        # (which spawn thousands of short-lived coroutines) keep flat memory.
-        if len(self._processes) >= self._prune_at:
-            self._processes = [p for p in self._processes if not p.finished]
-            self._prune_at = max(256, 2 * len(self._processes))
         # First resume primes the generator (send(None) == next()).
         self.call_at(self.now, process.resume, None)
         return process
-
-    def active_processes(self) -> List[Process]:
-        """Processes spawned on this engine that have not yet finished."""
-        return [p for p in self._processes if not p.finished]
 
     # -- running -----------------------------------------------------------
     def run(self, until: Optional[float] = None) -> float:

@@ -5,6 +5,8 @@ import pytest
 
 from repro.bench import run_collective, utilization_report
 from repro.bench.profile import format_report
+from repro.bench.traffic import MachineView
+from repro.collectives.allreduce.ring import protocol_cores
 from repro.hardware import Machine, Mode
 from repro.sim import Engine, FlowNetwork
 
@@ -210,3 +212,32 @@ class TestAllreduceProfiles:
         _, report = self._profile("allreduce-torus-shaddr")
         text = format_report(report)
         assert "dma" in text and "%" in text
+
+    @pytest.mark.parametrize("steady_state", [None, False])
+    def test_protocol_cores_live_as_long_as_the_machine(self, steady_state):
+        """One protocol-core set per machine and algorithm, named from the
+        registry: iterations used to add a fresh set each (16 cores after
+        ``iters=4`` on 8 nodes, 32 with the steady-state stop off), named
+        by the invocation's ``id()``."""
+        m = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
+        run_collective(m, "allreduce", "allreduce-torus-current", 8192,
+                       iters=4, steady_state=steady_state)
+        cores = [r.name for r in m.flownet.resources if r.kind == "proto_core"]
+        assert cores == [f"n{n}.proto.allreduce-torus-current"
+                         for n in range(m.nnodes)]
+        assert utilization_report(m).group("proto_core").count == m.nnodes
+
+    def test_each_traffic_view_keeps_its_own_protocol_cores(self):
+        """A traffic job's view is its own machine object: co-tenants on
+        one flow network never share protocol cores, and a view's set is
+        reused by its next invocation."""
+        parent = Machine(torus_dims=(2, 2, 2), mode=Mode.QUAD)
+        left, right = MachineView(parent, 0, 4), MachineView(parent, 4, 4)
+        name = "allreduce-ring-pipelined"
+        mine = protocol_cores(left, name)
+        assert protocol_cores(left, name) is mine
+        theirs = protocol_cores(right, name)
+        whole = protocol_cores(parent, name)
+        assert (len(mine), len(theirs), len(whole)) == (4, 4, 8)
+        ids = [{id(core) for core in cores} for cores in (mine, theirs, whole)]
+        assert len(ids[0] | ids[1] | ids[2]) == 16

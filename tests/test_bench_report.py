@@ -1,5 +1,7 @@
 """Unit tests for the benchmark reporting helpers and harness plumbing."""
 
+import json
+
 import pytest
 
 from repro.bench import Series, format_table, run_collective, speedup
@@ -85,3 +87,32 @@ class TestHarness:
         r1 = run_collective(m, "bcast", "torus-shaddr", 50_000)
         r2 = run_collective(m, "bcast", "torus-shaddr", 50_000)
         assert r1.elapsed_us == pytest.approx(r2.elapsed_us, rel=1e-9)
+
+
+class TestPerfsuiteMain:
+    def test_main_prints_no_comparison_of_other_entries(
+            self, tmp_path, monkeypatch, capsys):
+        """Regression: ``main`` printed a speedup table of the file's
+        ``baseline`` and ``current`` entries whatever label it wrote."""
+        from repro.bench import perfsuite
+
+        path = tmp_path / "BENCH.json"
+        old = {"smoke": True, "wall_s": 30.0, "sweeps": {
+            "tree_bcast": {"points": [], "wall_s": 28.34}}}
+        new = {**old, "sweeps": {"tree_bcast": {"points": [], "wall_s": 7.69}}}
+        path.write_text(json.dumps(
+            {"entries": {"baseline": old, "current": new}}))
+        monkeypatch.setattr(perfsuite, "run_suite", lambda **kwargs: {
+            "tree_bcast": {"points": [], "wall_s": 1.25,
+                           "solver": "incremental"},
+            "__meta__": {"recorded_at": "now", "jobs": 1, "cpus": 1,
+                         "wall_s": 1.5},
+        })
+        assert perfsuite.main(
+            ["--smoke", "--label", "fresh", "--out", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "28.34" not in out and "7.69" not in out
+        assert "speedup" not in out
+        assert "wrote entry 'fresh'" in out
+        entries = json.loads(path.read_text())["entries"]
+        assert sorted(entries) == ["baseline", "current", "fresh"]

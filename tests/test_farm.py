@@ -37,8 +37,6 @@ from repro.bench.farm import (
     FarmServer,
     FarmUnreachableError,
     FarmWorker,
-    JournalState,
-    ProgressJournal,
     farm_execute_points,
     farm_rollups,
     parse_address,
@@ -53,7 +51,7 @@ from repro.bench.parallel import PointFailure, WorkerPointError, execute_points
 from repro.hardware.fault_schedule import RetryPolicy
 from repro.telemetry.manifest import CampaignManifest, spec_fingerprint
 from repro.telemetry.runtime import mint_trace
-from repro.util.records import pack
+from repro.util.records import RecordLog, pack, unpack
 
 #: near-zero backoffs so retry paths run at test speed
 FAST_RETRY = RetryPolicy(max_attempts=3, base_backoff_us=1e3,
@@ -142,6 +140,38 @@ def _submit(server, specs, task="square", chunk_size=1):
                specs=specs, task=task, chunk_size=chunk_size)
 
 
+def _point(index, value):
+    """The journal record of a completed point."""
+    return {"kind": "point", "index": index,
+            **pack(pickle.dumps(value, protocol=4))}
+
+
+def _write_journal(path, specs, *records, chunk=1):
+    """A journal holding ``specs``' campaign header, then ``records``."""
+    header = {"kind": "campaign", "task": "square", "chunk": chunk,
+              "manifest": CampaignManifest.build("square", specs).to_dict(),
+              "specs": specs, "trace": None}
+    with open(path, "w") as handle:
+        for record in (header, *records):
+            handle.write(json.dumps(record) + "\n")
+
+
+def _replay(path):
+    """Read a journal without side effects: the kinds of its trusted
+    records, their point indices (digests checked), whether anything
+    follows them, and their length in bytes."""
+    kinds, points = [], []
+
+    def collect(record):
+        if record["kind"] == "point":
+            unpack(record)
+            points.append(record["index"])
+        kinds.append(record["kind"])
+
+    valid_bytes, torn = RecordLog(path).replay(collect)
+    return kinds, points, torn, valid_bytes
+
+
 # -- protocol plumbing ---------------------------------------------------
 
 class TestPlumbing:
@@ -214,6 +244,19 @@ class TestCampaignManifest:
             # ... a different one is refused (one campaign per journal).
             with pytest.raises(FarmError, match="refuse to mix"):
                 _submit(server, _specs(5))
+
+    def test_a_submit_that_raises_installs_and_journals_nothing(
+            self, tmp_path):
+        """A record is applied before it is appended, and applying one
+        changes nothing until it can no longer raise: a refused submit
+        leaves the server free for the next one."""
+        with _server(tmp_path) as server:
+            with pytest.raises(FarmError, match="chunk_size"):
+                _submit(server, _specs(2), chunk_size=-1)
+            assert rpc(server.address, "status")["campaign"] is None
+            assert not os.path.exists(server.journal_path)
+            assert _submit(server, _specs(2))["attached"] is False
+        assert _replay(server.journal_path)[0] == ["campaign"]
 
 
 # -- the happy path ------------------------------------------------------
@@ -435,12 +478,16 @@ class TestLeases:
 
 class TestJournal:
     def test_missing_journal_loads_empty(self, tmp_path):
-        state = ProgressJournal.load(str(tmp_path / "absent.jsonl"))
-        assert state == JournalState()
+        path = str(tmp_path / "absent.jsonl")
+        assert _replay(path) == ([], [], False, 0)
+        with _server(tmp_path, journal_path=path) as server:
+            status = rpc(server.address, "status")
+        assert status["campaign"] is None and status["total"] == 0
+        assert not os.path.exists(path)  # nothing was appended
 
     def test_torn_tail_is_detected_and_dropped(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        journal = ProgressJournal(path)
+        journal = RecordLog(path)
         for index in range(3):
             data = pickle.dumps(index * 10, protocol=4)
             journal.append({
@@ -451,56 +498,44 @@ class TestJournal:
         journal.close()
         with open(path, "a") as handle:
             handle.write('{"kind": "point", "index": 3, "dig')  # torn write
-        state = ProgressJournal.load(path)
-        assert sorted(state.results) == [0, 1, 2]
-        assert state.torn_records == 1
+        kinds, points, torn, _ = _replay(path)
+        assert points == [0, 1, 2]
+        assert torn is True
 
     def test_digest_mismatch_ends_replay(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
-        good = pickle.dumps(1, protocol=4)
-        digest = hashlib.sha256(good).hexdigest()
-        encoded = base64.b64encode(good).decode()
-        lines = [
-            {"kind": "point", "index": 0, "digest": digest,
-             "data": encoded},
-            # bit-rotted record: digest does not match the payload
-            {"kind": "point", "index": 1, "digest": "0" * 64,
-             "data": encoded},
-            {"kind": "point", "index": 2, "digest": digest,
-             "data": encoded},
-        ]
-        with open(path, "w") as handle:
-            for line in lines:
-                handle.write(json.dumps(line) + "\n")
-        state = ProgressJournal.load(path)
+        rotted = {**_point(1, 1), "digest": "0" * 64}
+        _write_journal(path, _specs(3), _point(0, 0), rotted, _point(2, 4))
+        with _server(tmp_path, journal_path=path, resume=True) as server:
+            status = rpc(server.address, "status")
         # Replay stops at the corrupt record: later lines are untrusted.
-        assert sorted(state.results) == [0]
-        assert state.torn_records == 1
+        assert status["completed"] == 1
+        assert status["stats"]["torn_records"] == 1
+        assert _replay(path)[:3] == (["campaign", "point", "resume"], [0],
+                                     False)
 
     def test_late_completion_beats_quarantine_on_replay(self, tmp_path):
-        """A 'point' record un-quarantines its index, mirroring the live
+        """A 'point' record un-quarantines its index, as in the live
         server — an index must never load into both maps."""
         path = str(tmp_path / "j.jsonl")
-        journal = ProgressJournal(path)
-        journal.append({"kind": "quarantine", "chunk": 0,
-                        "indices": [0, 1],
-                        "traceback": "FarmLeaseExpired: ghost"})
-        data = pickle.dumps(0, protocol=4)
-        journal.append({
-            "kind": "point", "index": 0,
-            "digest": hashlib.sha256(data).hexdigest(),
-            "data": base64.b64encode(data).decode(),
-        })
-        journal.close()
-        state = ProgressJournal.load(path)
-        assert sorted(state.results) == [0]
-        assert sorted(state.failures) == [1]
+        _write_journal(
+            path, _specs(2),
+            {"kind": "quarantine", "chunk": 0, "indices": [0, 1],
+             "traceback": "FarmLeaseExpired: ghost"},
+            _point(0, 0), chunk=2,
+        )
+        with _server(tmp_path, journal_path=path, resume=True) as server:
+            status = rpc(server.address, "status")
+            payload = rpc(server.address, "fetch")
+        assert (status["completed"], status["quarantined"]) == (1, 1)
+        assert [(index, state) for index, state, _ in payload["results"]] \
+            == [(0, "ok"), (1, "error")]
 
     def test_newline_less_tail_is_torn_even_if_it_parses(self, tmp_path):
         """Only ``record + "\\n"`` is written atomically: a final line
         missing its newline was cut short, however complete it looks."""
         path = str(tmp_path / "j.jsonl")
-        journal = ProgressJournal(path)
+        journal = RecordLog(path)
         data = pickle.dumps(5, protocol=4)
         record = {
             "kind": "point", "index": 0,
@@ -512,24 +547,23 @@ class TestJournal:
         trusted = os.path.getsize(path)
         with open(path, "a") as handle:  # parseable, but no newline
             handle.write(json.dumps({**record, "index": 1}))
-        state = ProgressJournal.load(path)
-        assert sorted(state.results) == [0]
-        assert state.torn_records == 1
-        assert state.valid_bytes == trusted
+        kinds, points, torn, valid_bytes = _replay(path)
+        assert points == [0]
+        assert torn is True
+        assert valid_bytes == trusted
         # repair() drops exactly the untrusted tail.
-        journal.repair(state.valid_bytes)
+        journal.repair(valid_bytes)
         assert os.path.getsize(path) == trusted
 
     def test_append_never_merges_into_a_torn_line(self, tmp_path):
         path = str(tmp_path / "j.jsonl")
         with open(path, "w") as handle:
             handle.write('{"kind": "point", "index": 0, "dig')  # torn
-        journal = ProgressJournal(path)
-        # What FarmServer does after every load, before its first append.
-        journal.repair(ProgressJournal.load(path).valid_bytes)
+        journal = RecordLog(path)
+        # What FarmServer does after every replay, before its first append.
+        journal.repair(_replay(path)[3])
         journal.append({"kind": "resume", "at": "now", "git_rev": "x"})
         journal.close()
-        state = ProgressJournal.load(path)
         # The repair cut the torn fragment away, so the record written
         # after it replays instead of postdating untrusted bytes.
         with open(path) as handle:
@@ -537,8 +571,9 @@ class TestJournal:
         assert [json.loads(line) for line in lines] == [
             {"kind": "resume", "at": "now", "git_rev": "x"}
         ]
-        assert state.resumes == 1
-        assert state.torn_records == 0
+        kinds, _, torn, _ = _replay(path)
+        assert kinds == ["resume"]
+        assert torn is False
 
     def test_fresh_server_refuses_a_used_journal_without_resume(
             self, tmp_path):
@@ -554,11 +589,15 @@ class TestJournal:
         ({"kind": "campaign", "manifest": {}, "task": "t"}, "specs"),
         ({"kind": "campaign", "manifest": {}, "specs": [], "task": 3},
          "task"),
+        ({"kind": "campaign", "manifest": {"task": "t"}, "specs": [],
+          "task": "t"}, "manifest"),
     ])
     def test_header_missing_a_field_is_refused_untouched(
             self, tmp_path, header, missing, resume):
         """Regression: a campaign header without its manifest crashed the
-        server with a bare KeyError instead of refusing the journal."""
+        server with a bare KeyError instead of refusing the journal.  A
+        manifest that does not parse is refused too, never cut away as a
+        torn record."""
         path = str(tmp_path / "journal.jsonl")
         with open(path, "w") as handle:
             handle.write(json.dumps(header) + "\n" + '{"kind": "res')
@@ -566,6 +605,27 @@ class TestJournal:
             before = handle.read()
         with pytest.raises(FarmError, match=repr(missing)):
             FarmServer(port=0, journal_path=path, resume=resume)
+        with open(path, "rb") as handle:
+            assert handle.read() == before
+
+    @pytest.mark.parametrize("resume", [False, True])
+    @pytest.mark.parametrize("header_chunk, server_chunk", [
+        (None, -1), (-1, None),
+    ])
+    def test_a_header_that_does_not_install_is_refused_untouched(
+            self, tmp_path, header_chunk, server_chunk, resume):
+        """Regression: a header whose chunking raised inside the replay
+        read as a torn record at byte 0, so the server cut every
+        journaled point away (``repro farm serve --chunk -1`` on a
+        journal whose driver left the chunk size to the server)."""
+        path = str(tmp_path / "journal.jsonl")
+        specs = _specs(2)
+        _write_journal(path, specs, _point(0, 0), chunk=header_chunk)
+        with open(path, "rb") as handle:
+            before = handle.read()
+        with pytest.raises(FarmError, match="chunk_size"):
+            FarmServer(port=0, journal_path=path, chunk_size=server_chunk,
+                       resume=resume)
         with open(path, "rb") as handle:
             assert handle.read() == before
 
@@ -689,10 +749,10 @@ class TestResume:
                    reconnect=FAST_RECONNECT).run(max_chunks=2)
         first.stop()
         # The second replay keeps everything the first resume journaled.
-        state = ProgressJournal.load(path)
-        assert state.resumes == 1
-        assert sorted(state.results) == [0, 1, 2]
-        assert state.torn_records == 0  # repaired before the re-appends
+        kinds, points, torn, _ = _replay(path)
+        assert kinds.count("resume") == 1
+        assert sorted(points) == [0, 1, 2]
+        assert torn is False  # repaired before the re-appends
 
         final = _server(tmp_path, journal_path=path, chunk_size=1,
                         resume=True)
@@ -726,10 +786,10 @@ class TestResume:
                                       reconnect=FAST_RECONNECT)
         server.stop()
         assert out == [x ** 2 for x in range(4)]
-        state = ProgressJournal.load(path)
-        assert state.header is not None
-        assert sorted(state.results) == [0, 1, 2, 3]
-        assert state.torn_records == 0
+        kinds, points, torn, _ = _replay(path)
+        assert kinds[0] == "campaign"
+        assert sorted(points) == [0, 1, 2, 3]
+        assert torn is False
 
         resumed = _server(tmp_path, journal_path=path, chunk_size=1,
                           resume=True)
@@ -770,10 +830,10 @@ class TestResume:
                                       reconnect=FAST_RECONNECT)
         resumed.stop()
         assert out == [x ** 2 for x in range(4)]
-        state = ProgressJournal.load(path)
-        assert sorted(state.results) == [0, 1, 2, 3]
-        assert state.torn_records == 0
-        assert state.resumes == 1
+        kinds, points, torn, _ = _replay(path)
+        assert sorted(points) == [0, 1, 2, 3]
+        assert torn is False
+        assert kinds.count("resume") == 1
 
     def test_a_doctored_point_is_refused_at_fetch_and_never_run(
             self, tmp_path):
@@ -809,6 +869,69 @@ class TestResume:
         finally:
             resumed.stop()
         assert _TRIPPED == []
+
+    def test_quarantined_chunks_survive_a_resume(self, tmp_path):
+        """Regression: ``chunks_quarantined`` read 0 after a resume while
+        every other journaled count was restored."""
+        path = str(tmp_path / "journal.jsonl")
+        server = _server(tmp_path, journal_path=path, chunk_size=1)
+        with _workers(server.address, "w"):
+            farm_execute_points([{"x": 1}, {"x": 2}], farm=server.address,
+                                task=_always_fails, on_error="return",
+                                poll_s=0.05)
+        live = rpc(server.address, "status")["stats"]
+        server.stop()
+        with _server(tmp_path, journal_path=path, resume=True) as resumed:
+            stats = rpc(resumed.address, "status")["stats"]
+        assert live["chunks_quarantined"] == 2
+        assert stats["chunks_quarantined"] == 2
+
+    def test_a_resumed_server_reports_what_the_live_one_did(self, tmp_path):
+        """Live == replay: one campaign through a lease expiry, a
+        quarantine, a late completion and duplicate completions, then a
+        resume on its journal reads the same coverage, campaign-lifetime
+        counts and merge digest, with one more resume."""
+        path = str(tmp_path / "journal.jsonl")
+        server = _server(tmp_path, journal_path=path, lease_s=0.3,
+                         chunk_size=2)
+        _submit(server, _specs(6), chunk_size=2)  # chunks {0,1} {2,3} {4,5}
+        assert rpc(server.address, "lease", worker="ghost")["chunk"] == 0
+        time.sleep(0.35)  # the ghost's lease lapses; the next op reaps it
+        deadline = time.monotonic() + 20.0
+        while not rpc(server.address, "status")["done"]:
+            assert time.monotonic() < deadline
+            grant = rpc(server.address, "lease", worker="w")
+            if "chunk" not in grant:
+                time.sleep(min(float(grant["wait"]), 0.05))
+            elif grant["chunk"] == 1:  # poison until quarantined
+                rpc(server.address, "complete", worker="w", chunk=1,
+                    outcomes=[(i, "error", "Boom: poison")
+                              for i, _ in grant["points"]])
+            else:
+                outcomes = [(i, "ok", spec["x"] ** 2)
+                            for i, spec in grant["points"]]
+                for worker in ("w", "dup"):
+                    rpc(server.address, "complete", worker=worker,
+                        chunk=grant["chunk"], outcomes=outcomes)
+        # A late honest completion covers point 2 of the quarantined pair.
+        rpc(server.address, "complete", worker="late", chunk=1,
+            outcomes=[(2, "ok", 4)])
+        live = rpc(server.address, "status")
+        live_fetch = rpc(server.address, "fetch")
+        server.stop()
+        with _server(tmp_path, journal_path=path, resume=True) as resumed:
+            replayed = rpc(resumed.address, "status")
+            replayed_fetch = rpc(resumed.address, "fetch")
+
+        assert (live["completed"], live["quarantined"]) == (5, 1)
+        assert live["stats"]["leases_expired"] == 1
+        assert live["stats"]["duplicate_completions"] == 4
+        assert (replayed["completed"], replayed["quarantined"]) == (5, 1)
+        for key in ("points_completed", "leases_expired", "workers_lost",
+                    "chunks_quarantined", "resumes"):
+            bump = 1 if key == "resumes" else 0
+            assert replayed["stats"][key] == live["stats"][key] + bump, key
+        assert replayed_fetch["merge_digest"] == live_fetch["merge_digest"]
 
     @pytest.mark.parametrize("seed", [0, 7, 1234])
     def test_seeded_chaos_converges_to_the_serial_answer(

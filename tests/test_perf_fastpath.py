@@ -156,23 +156,6 @@ def test_engine_determinism_identical_trace_logs():
     assert _traced_run() == _traced_run()
 
 
-def test_engine_prunes_finished_processes():
-    engine = Engine()
-
-    def one_shot():
-        yield engine.timeout(1.0)
-
-    def spawner():
-        for _ in range(5000):
-            yield engine.spawn(one_shot())
-
-    engine.spawn(spawner())
-    engine.run()
-    # 5001 processes went through; the table must have stayed amortized.
-    assert len(engine._processes) < 600
-    assert engine.active_processes() == []
-
-
 def test_trace_disabled_is_default_and_cheap():
     from repro.telemetry.recorder import TelemetryRecorder
 
