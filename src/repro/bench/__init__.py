@@ -8,7 +8,6 @@ the report formatters.
 from repro.util.lazy import lazy_exports
 
 __all__ = [
-    "ParallelExecutor",
     "execute_points",
     "resolve_jobs",
     "run_collective",
@@ -23,9 +22,7 @@ __all__ = [
 
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.bench.harness": ("run_collective",),
-    "repro.bench.parallel": (
-        "ParallelExecutor", "execute_points", "resolve_jobs",
-    ),
+    "repro.bench.parallel": ("execute_points", "resolve_jobs"),
     # On first read only, so that `python -m repro.bench.perfsuite` does
     # not import the module twice (runpy warns when the target is
     # already in sys.modules).

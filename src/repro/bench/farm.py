@@ -31,9 +31,9 @@ HMAC authkey handshake for free):
     submits a campaign, polls, fetches, and merges **in point order** —
     the merged list is byte-identical to a serial
     :func:`~repro.bench.parallel.execute_points` run, verified by
-    per-point digest.  If the server is unreachable at submit time it
-    can degrade to the local executor (``local_fallback=True`` or
-    ``REPRO_FARM_FALLBACK=1``).
+    per-point digest.  A server that stays unreachable raises
+    :class:`FarmUnreachableError`; the driver never runs the sweep
+    locally instead.
 
 Crash-resumable campaigns
 -------------------------
@@ -93,7 +93,7 @@ from repro.bench.parallel import (
     _run_chunk,
     chunk_specs,
     merge_failures,
-    resolve_jobs,
+    run_point,
 )
 from repro.hardware.fault_schedule import RetryPolicy
 from repro.telemetry.manifest import CampaignManifest
@@ -126,6 +126,9 @@ DEFAULT_CHUNK_RETRY = RetryPolicy(
     max_attempts=4, base_backoff_us=0.25e6, backoff_factor=2.0,
     max_backoff_us=4e6,
 )
+
+#: longest a worker sleeps between two lease requests
+_POLL_CAP_S = 2.0
 
 #: reconnect budget for workers and drivers when the server is away —
 #: sized to ride out a server restart (~40 s of bounded backoff total)
@@ -222,8 +225,11 @@ def task_name(task: Callable[[dict], object]) -> str:
 
 # -- wire protocol -------------------------------------------------------
 
-def rpc(address: str, op: str, *, timeout_s: float = 30.0,
-        **payload) -> dict:
+#: longest a farm request waits for its answer
+_RPC_TIMEOUT_S = 30.0
+
+
+def rpc(address: str, op: str, **payload) -> dict:
     """One request/response round trip: connect, send, receive, close.
 
     A connection per call keeps the protocol stateless — worker-lost
@@ -234,8 +240,10 @@ def rpc(address: str, op: str, *, timeout_s: float = 30.0,
     authkey = setting("REPRO_FARM_AUTHKEY") or _PUBLIC_AUTHKEY
     with Client(parse_address(address), authkey=authkey.encode()) as conn:
         conn.send({"op": op, **payload})
-        if not conn.poll(timeout_s):
-            raise TimeoutError(f"farm op {op!r} timed out after {timeout_s}s")
+        if not conn.poll(_RPC_TIMEOUT_S):
+            raise TimeoutError(
+                f"farm op {op!r} timed out after {_RPC_TIMEOUT_S}s"
+            )
         status, data = conn.recv()
     if status != "ok":
         raise FarmError(f"{op}: {data}")
@@ -393,6 +401,7 @@ class FarmServer:
         # A header the server cannot read raises FarmError out of the
         # replay, before anything touches the file.
         valid_bytes, torn = self._journal.replay(self._apply)
+        self._stats["torn_records"].inc(int(torn))
         if self.manifest is not None and not resume:
             raise FarmError(
                 f"journal {journal_path!r} already holds campaign "
@@ -553,7 +562,11 @@ class FarmServer:
                 trace = record.get("trace")
                 # The trace id lives as long as the campaign; chunks
                 # leased after a restart chain fresh span ids under it.
-                self._trace = dict(trace) if isinstance(trace, dict) else None
+                # A trace without a string id is dropped, live and on
+                # replay: every lease grant copies that id.
+                if (isinstance(trace, dict)
+                        and isinstance(trace.get("trace_id"), str)):
+                    self._trace = dict(trace)
         elif kind == "span":
             if isinstance(record.get("span"), dict):
                 self._spans.append(dict(record["span"]))
@@ -605,7 +618,6 @@ class FarmServer:
         """Mark a restart over a replayed campaign in the journal."""
         from repro.telemetry.manifest import git_revision
 
-        self._stats["torn_records"].inc(int(torn))
         self._commit({
             "kind": "resume",
             "at": time.strftime("%Y-%m-%d %H:%M:%S"),
@@ -979,7 +991,6 @@ class FarmWorker:
     def __init__(self, server: str, *,
                  worker_id: Optional[str] = None,
                  reconnect: RetryPolicy = DEFAULT_RECONNECT,
-                 poll_cap_s: float = 2.0,
                  exit_when_done: bool = True,
                  verbose: bool = False):
         self.server = server
@@ -987,7 +998,6 @@ class FarmWorker:
             f"{socket.gethostname()}-{os.getpid()}-{uuid.uuid4().hex[:6]}"
         )
         self.reconnect = reconnect
-        self.poll_cap_s = poll_cap_s
         self.exit_when_done = exit_when_done
         self.verbose = verbose
         self.chunks_computed = 0
@@ -1000,15 +1010,14 @@ class FarmWorker:
     def _log(self, message: str, event: str = "log", **fields) -> None:
         self._logger.info(event, message, **fields)
 
-    def run(self, *, max_chunks: Optional[int] = None,
-            stop: Optional[threading.Event] = None) -> int:
-        """Pull work until the campaign is done (or ``stop``/``max_chunks``).
+    def run(self, *, max_chunks: Optional[int] = None) -> int:
+        """Pull work until the campaign is done (or ``max_chunks``).
 
         Returns the number of chunks computed.  Raises
         :class:`FarmUnreachableError` only when the server stays away
         beyond the whole reconnect budget.
         """
-        while not (stop is not None and stop.is_set()):
+        while True:
             grant = rpc_retry(
                 self.server, "lease", worker=self.worker_id,
                 policy=self.reconnect,
@@ -1017,20 +1026,14 @@ class FarmWorker:
                 if self.exit_when_done:
                     self._log("campaign done; exiting")
                     return self.chunks_computed
-                time.sleep(self.poll_cap_s)
+                time.sleep(_POLL_CAP_S)
                 continue
             if "wait" in grant:
-                delay = min(float(grant["wait"]), self.poll_cap_s)
-                # Interruptible sleep so stop events are honored promptly.
-                if stop is not None:
-                    stop.wait(delay)
-                else:
-                    time.sleep(delay)
+                time.sleep(min(float(grant["wait"]), _POLL_CAP_S))
                 continue
             self._work(grant)
             if max_chunks is not None and self.chunks_computed >= max_chunks:
                 return self.chunks_computed
-        return self.chunks_computed
 
     def _work(self, grant: dict) -> None:
         chunk_id = grant["chunk"]
@@ -1125,64 +1128,37 @@ class FarmWorker:
 
 # -- driver --------------------------------------------------------------
 
-#: logger of :func:`farm_execute_points`: its one line (the local-fallback
-#: notice) always prints, so it is warning-level under the "[farm]" prefix
-_driver_log = runtime_log("farm.driver", prefix="farm")
-
-
 def farm_execute_points(specs: Sequence[dict], *, farm: str,
-                        task: Optional[Callable[[dict], object]] = None,
-                        on_error: str = "raise",
-                        jobs: Optional[int] = None,
+                        task: Callable[[dict], object] = run_point,
                         chunk_size: Optional[int] = None,
                         poll_s: float = 0.5,
-                        local_fallback: Optional[bool] = None,
                         reconnect: RetryPolicy = DEFAULT_RECONNECT,
-                        timeout_s: Optional[float] = None,
                         trace_ctx: Optional[dict] = None,
                         ) -> List[object]:
     """Run specs on a farm; merged results identical to the local executor.
 
     Submits a :class:`CampaignManifest`-keyed campaign, polls the
     server, fetches the journaled completions, and merges them **in
-    point order** — the same merge semantics as
-    :meth:`ParallelExecutor.map`, including the serial re-run diagnosis
-    of quarantined points under ``on_error='raise'`` and
-    :class:`~repro.bench.parallel.PointFailure` entries (worker
-    traceback and spec preserved) under ``on_error='return'``.  Points
+    point order** through :func:`~repro.bench.parallel.merge_failures`,
+    as a local run does: a quarantined point is re-run serially, so its
+    real exception surfaces with the worker traceback attached.  Points
     quarantined after *lease expiry* (the farm's hung-worker bound) are
     never re-run serially — a wedged point would wedge the driver too —
     so they raise :class:`~repro.bench.parallel.WorkerPointError`
-    directly under ``on_error='raise'``.
+    directly.
 
-    ``timeout_s`` (argument > ``REPRO_CHUNK_TIMEOUT_S``, same
-    resolution as the local executor) bounds the *stall*, not the
-    campaign: when the server reports no new covered point for that
-    many seconds — no workers attached, every worker wedged — the
-    driver raises :class:`FarmError` instead of polling forever.  The
-    campaign itself stays live on the server and resumable from its
-    journal.  Per-point hang protection on a farm is the lease
-    deadline, not this timeout.
+    ``REPRO_CHUNK_TIMEOUT_S`` bounds the *stall*, not the campaign:
+    when the server reports no new covered point for that many seconds
+    — no workers attached, every worker wedged — the driver raises
+    :class:`FarmError` instead of polling forever.  The campaign itself
+    stays live on the server and resumable from its journal.  Per-point
+    hang protection on a farm is the lease deadline, not this timeout.
 
-    Graceful degradation: server restarts mid-campaign are absorbed by
-    the reconnect budget; a server that never answers raises
-    :class:`FarmUnreachableError` — or, with ``local_fallback=True``
-    (or ``REPRO_FARM_FALLBACK=1``), falls back to the local executor
-    with ``jobs`` workers.
+    Server restarts mid-campaign are absorbed by the reconnect budget; a
+    server that never answers raises :class:`FarmUnreachableError`.
     """
-    if on_error not in ("raise", "return"):
-        raise ValueError(f"on_error must be raise|return, got {on_error!r}")
-    from repro.bench.parallel import (
-        execute_points,
-        resolve_timeout,
-        run_point,
-    )
-
-    timeout = resolve_timeout(timeout_s)
-    if task is None:
-        task = run_point
+    timeout = setting("REPRO_CHUNK_TIMEOUT_S")
     name = task_name(task)
-    local_fallback = setting("REPRO_FARM_FALLBACK", local_fallback)
     specs = list(specs)
     manifest = CampaignManifest.build(name, specs)
     submit_payload = {
@@ -1197,20 +1173,7 @@ def farm_execute_points(specs: Sequence[dict], *, farm: str,
             "trace_id": trace_ctx.get("trace_id"),
             "span_id": trace_ctx.get("span_id"),
         }
-    try:
-        rpc_retry(farm, "submit", policy=reconnect, **submit_payload)
-    except FarmUnreachableError:
-        if not local_fallback:
-            raise
-        _driver_log.warning(
-            "farm_local_fallback",
-            f"server {farm} unreachable; falling back to the local "
-            f"executor (jobs={resolve_jobs(jobs)})",
-            farm=farm, jobs=resolve_jobs(jobs),
-        )
-        return execute_points(specs, jobs, task=task, on_error=on_error,
-                              farm="", timeout_s=timeout_s,
-                              trace_ctx=trace_ctx)
+    rpc_retry(farm, "submit", policy=reconnect, **submit_payload)
     covered = -1
     stall_deadline = None
     while True:
@@ -1248,7 +1211,7 @@ def farm_execute_points(specs: Sequence[dict], *, farm: str,
             # the serial diagnosis re-run would wedge this process too.
             rerunnable = not str(value).startswith("FarmLeaseExpired")
             failures.append((index, value, rerunnable))
-    return merge_failures(results, failures, specs, task, on_error)
+    return merge_failures(results, failures, specs, task)
 
 
 # -- robustness rollups (BENCH_robustness.json entry) --------------------

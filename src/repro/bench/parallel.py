@@ -2,10 +2,11 @@
 
 Every figure and sweep in this repo is a grid of *independent* points —
 one (algorithm, message size, geometry) simulation each, fully
-deterministic given its spec.  That makes the drivers embarrassingly
-parallel: :class:`ParallelExecutor` fans point **specs** out to a pool of
-worker processes and merges the results back **in point order**, so the
-output of a parallel run is byte-identical to the serial run.
+deterministic given its spec.  :func:`execute_points` is the one way to
+run such a grid: inline, across a pool of local worker processes, or
+across hosts through the sweep farm.  Results are merged back **in
+point order**, so a parallel or farmed run returns byte-identical
+results to the serial run.
 
 Spawn-safety rule: *pickle specs, not machines*
 -----------------------------------------------
@@ -15,8 +16,9 @@ geometry, mode, algorithm name, size, seeds — and the worker constructs
 its own :class:`~repro.hardware.machine.Machine` (and, for chaos points,
 its own ``FaultSchedule`` from the spec's RNG key) locally.  Everything
 crossing the process boundary is picklable under the ``spawn`` start
-method, so the executor works identically under ``fork`` (fast, the
-POSIX default) and ``spawn`` (the portable one).
+method, so a point runs identically in a worker started by ``fork``
+(the POSIX default, which the local pool uses) and by ``spawn`` (the
+portable one).
 
 Determinism
 -----------
@@ -28,29 +30,27 @@ Determinism
 * A worker exception fails only its point: the pool keeps draining the
   other points, and the failed spec is re-run serially in the parent so
   the exception surfaces with a real, debugger-usable traceback (the
-  worker's formatted traceback is attached as the cause).
+  worker's formatted traceback is attached as well).  A point that
+  fails again raises :class:`WorkerPointError`.
 
 Job-count resolution: an explicit ``jobs`` argument wins, then the
 ``REPRO_JOBS`` environment variable, then serial.  ``jobs <= 0`` means
-"one worker per CPU".  Serial mode (``jobs=1``) never touches
-``multiprocessing`` — it runs the task inline, point by point, exactly
-like the historical drivers — and never imports it either: the process
-pool and the runtime spans are imported where they are used, so a
-process that only calls :func:`run_point` loads neither.
+"one worker per CPU".  A serial run (``jobs=1``, or a single point)
+runs the task inline, point by point, and never imports
+``multiprocessing``: the process pool and the runtime spans are
+imported where they are used, so a process that only calls
+:func:`run_point` loads neither.
 
 Hung workers
 ------------
 
 A worker process that wedges (deadlocked C extension, runaway point)
-would historically hang ``map`` forever.  A wall-clock chunk timeout —
-``timeout_s`` on the executor or ``map``, or the ``REPRO_CHUNK_TIMEOUT_S``
-environment variable — bounds the wait: when **no chunk completes** for
-that many seconds, every still-outstanding point fails with a
-:class:`PointFailure` (``on_error='return'``) or a
-:class:`WorkerPointError` (``on_error='raise'``; timed-out points are
-*not* re-run serially — that would hang this process too), and the
-wedged pool is terminated.  The default is no timeout, preserving the
-historical behavior.
+would hang the sweep forever.  The ``REPRO_CHUNK_TIMEOUT_S``
+environment variable bounds the wait: when **no chunk completes** for
+that many seconds, an outstanding point raises
+:class:`WorkerPointError` without a serial re-run (that would hang this
+process too), and the wedged pool is terminated.  Unset, the wait is
+unbounded.
 
 Beyond one host
 ---------------
@@ -61,9 +61,8 @@ or the ``REPRO_FARM`` environment variable — submits the specs to a
 work-server and merges the journaled results with the identical
 index-ordered, byte-identical-to-serial guarantee.  The chunking
 (:func:`chunk_specs`), worker-side chunk runner (:func:`_run_chunk`),
-and failure merge
-(:func:`merge_failures`) are shared between the local and farm
-backends.
+and failure merge (:func:`merge_failures`) are shared between the local
+and farm backends.
 """
 
 from __future__ import annotations
@@ -71,14 +70,10 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.hardware.machine import Machine, Mode
 from repro.util.config import setting
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from concurrent.futures import ProcessPoolExecutor
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -92,40 +87,16 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def resolve_timeout(timeout_s: Optional[float] = None) -> Optional[float]:
-    """Resolve the chunk timeout: argument > ``REPRO_CHUNK_TIMEOUT_S`` > none."""
-    timeout_s = setting("REPRO_CHUNK_TIMEOUT_S", timeout_s)
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-    return timeout_s
-
-
-@dataclass
-class PointFailure:
-    """A point whose worker raised (only surfaced with ``on_error='return'``).
-
-    ``traceback`` is the worker's formatted traceback string — the real
-    failing frame, not just the spec — and ``spec`` (when the caller
-    provided specs) is the point spec that failed, so a campaign report
-    can both name the point and show where it died.
-    """
-
-    index: int
-    traceback: str
-    spec: Optional[dict] = None
-
-    def __bool__(self) -> bool:  # failed points are falsy in result lists
-        return False
-
-
 class WorkerPointError(RuntimeError):
-    """Raised when a point fails both in the worker and on serial re-run.
+    """Raised when a point fails in a worker and cannot be recovered.
 
-    ``worker_traceback`` preserves the original worker-side formatted
-    traceback (local pool worker or remote farm worker) so the failing
-    frame survives even though the exception object itself could not
-    cross the process boundary; ``index`` is the failing point's position
-    in the spec list.
+    Either the point failed again on its serial re-run (the re-run's
+    exception is the ``__cause__``), or it timed out or wedged its farm
+    leases and was not re-run.  ``worker_traceback`` preserves the
+    original worker-side formatted traceback (local pool worker or
+    remote farm worker) so the failing frame survives even though the
+    exception object itself could not cross the process boundary;
+    ``index`` is the failing point's position in the spec list.
     """
 
     def __init__(self, message: str, *, index: Optional[int] = None,
@@ -285,29 +256,25 @@ def chunk_specs(specs: Sequence[dict], *, jobs: Optional[int] = None,
 
 def merge_failures(results: List[object],
                    failures: Sequence[Tuple[int, str, bool]],
-                   specs: Sequence[dict], task: Callable,
-                   on_error: str) -> List[object]:
+                   specs: Sequence[dict],
+                   task: Callable) -> List[object]:
     """Fold worker-side failures into an index-ordered result list.
 
-    ``failures`` holds ``(index, worker_traceback, rerunnable)`` triples.
-    ``on_error='return'`` records them as :class:`PointFailure` entries
-    (traceback and spec preserved).  ``on_error='raise'`` re-runs each
-    rerunnable point serially so the real exception propagates with a
-    debugger-usable traceback (the worker's formatted traceback attached
-    both as ``__cause__`` context and as ``worker_traceback``); points
-    marked not-rerunnable — wall-clock timeouts, which would hang this
-    process too — raise :class:`WorkerPointError` directly.  Shared by
-    :meth:`ParallelExecutor.map` and the farm driver, so local and
-    distributed failures surface identically.
+    ``failures`` holds ``(index, worker_traceback, rerunnable)`` triples,
+    taken in index order.  A rerunnable point is re-run serially so the
+    real exception propagates with a debugger-usable traceback (the
+    worker's formatted traceback attached as ``worker_traceback``), or
+    is recovered if the failure does not reproduce; a point marked
+    not-rerunnable — a wall-clock timeout or a farm lease expiry, which
+    would hang this process too — raises :class:`WorkerPointError`
+    directly.  Shared by the local pool and the farm driver, so local
+    and distributed failures surface identically.
     """
     if failures:
         from repro.telemetry.runtime import dump_flight_record
 
         dump_flight_record("point-failure", component="parallel")
     for index, worker_tb, rerunnable in sorted(failures):
-        if on_error == "return":
-            results[index] = PointFailure(index, worker_tb, spec=specs[index])
-            continue
         if not rerunnable:
             raise WorkerPointError(
                 f"point {index} timed out in a worker (not re-run serially "
@@ -315,8 +282,6 @@ def merge_failures(results: List[object],
                 f"{worker_tb}",
                 index=index, worker_traceback=worker_tb,
             )
-        # Serial re-run: reproduces the failure with a real traceback
-        # (or recovers the point if the failure does not reproduce).
         try:
             results[index] = task(specs[index])
         except Exception as exc:
@@ -330,120 +295,78 @@ def merge_failures(results: List[object],
 
 # -- parent side ---------------------------------------------------------
 
-class ParallelExecutor:
-    """Fan independent point specs across worker processes.
+def execute_points(specs: Sequence[dict], jobs: Optional[int] = None,
+                   *, task: Callable[[dict], object] = run_point,
+                   farm: Optional[str] = None,
+                   trace_ctx: Optional[dict] = None) -> List[object]:
+    """``[task(spec) for spec in specs]``, computed by ``jobs`` workers.
 
-    ``map(task, specs)`` returns ``[task(spec) for spec in specs]`` — same
-    values, same order — but computed by ``jobs`` worker processes.  The
-    pool is created lazily on first use and reused across ``map`` calls;
-    use the executor as a context manager (or call :meth:`close`) to shut
-    it down.
+    Same values, same order, whatever runs them.  ``task`` must be a
+    picklable module-level callable taking one spec dict, and specs and
+    results must be picklable (see the module docstring's spawn-safety
+    rule).  A serial run (one job or one point) calls ``task`` inline,
+    so a failing point raises its own exception; a point that fails in
+    a worker raises as :func:`merge_failures` says.
 
-    ``task`` must be a picklable module-level callable taking one spec
-    dict; specs and results must be picklable (see the module docstring's
-    spawn-safety rule).
+    ``farm`` (argument > the ``REPRO_FARM`` env var) routes the specs to
+    a sweep-farm work-server instead of local processes: same tasks,
+    same chunking, same index-ordered merge — see
+    :mod:`repro.bench.farm`.  ``REPRO_CHUNK_TIMEOUT_S`` bounds a farm
+    campaign's *stall* (no new point for that long raises) rather than a
+    chunk: a farm's per-point hang protection is the lease deadline.
+
+    ``trace_ctx`` (a runtime span context) wraps a local run in a
+    ``parallel.execute`` span, with one ``parallel.chunk`` child per
+    pool chunk.  Trace context never touches the specs, so cache keys,
+    fingerprints and pickled results are byte-identical with tracing on
+    or off.
     """
+    farm = setting("REPRO_FARM", farm)
+    if farm:
+        from repro.bench.farm import farm_execute_points
 
-    def __init__(self, jobs: Optional[int] = None, *,
-                 start_method: Optional[str] = None,
-                 chunk_size: Optional[int] = None,
-                 timeout_s: Optional[float] = None):
-        self.jobs = resolve_jobs(jobs)
-        self.start_method = start_method
-        self.chunk_size = chunk_size
-        self.timeout_s = resolve_timeout(timeout_s)
-        self._pool: Optional[ProcessPoolExecutor] = None
+        return farm_execute_points(
+            specs, farm=farm, task=task, trace_ctx=trace_ctx,
+        )
+    jobs = resolve_jobs(jobs)
+    if trace_ctx is None:
+        return _run_local(task, specs, jobs, None)
+    from repro.telemetry.runtime import span
 
-    # -- lifecycle -------------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+    with span("parallel.execute", "parallel", parent=trace_ctx,
+              points=len(specs), jobs=jobs) as active:
+        return _run_local(task, specs, jobs, active.ctx)
 
-            # None is the platform's default start method.
-            context = multiprocessing.get_context(self.start_method)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=context
-            )
-        return self._pool
 
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
+def _run_local(task: Callable[[dict], object], specs: Sequence[dict],
+               jobs: int, trace_ctx: Optional[dict]) -> List[object]:
+    """Run the points inline, or on a pool of ``jobs`` worker processes.
 
-    def _terminate_pool(self) -> None:
-        """Tear down a pool whose workers may be wedged (timeout path).
+    The pool lives for this one call.  Each chunk's ``parallel.chunk``
+    span is timed parent-side (submit to result), the only window this
+    process can observe without perturbing the worker.
+    """
+    if jobs <= 1 or len(specs) <= 1:
+        return [task(spec) for spec in specs]
+    from concurrent.futures import (
+        FIRST_COMPLETED,
+        ProcessPoolExecutor,
+        wait,
+    )
 
-        ``ProcessPoolExecutor.shutdown`` only waits politely; a hung
-        worker never exits, so its process is terminated outright.  The
-        executor stays usable — the next ``map`` builds a fresh pool.
-        """
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        processes = list(getattr(pool, "_processes", {}).values())
-        pool.shutdown(wait=False, cancel_futures=True)
-        for process in processes:
-            if process.is_alive():
-                process.terminate()
-        for process in processes:
-            process.join(timeout=5.0)
+    from repro.telemetry.runtime import record_span
 
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- scheduling ------------------------------------------------------
-    def _chunks(self, specs: Sequence[dict]) -> List[List[Tuple[int, dict]]]:
-        """Chunked scheduling (see :func:`chunk_specs`)."""
-        return chunk_specs(specs, jobs=self.jobs, chunk_size=self.chunk_size)
-
-    def map(self, task: Callable[[dict], object], specs: Sequence[dict],
-            *, on_error: str = "raise",
-            timeout_s: Optional[float] = None,
-            trace_ctx: Optional[dict] = None) -> List[object]:
-        """Run ``task`` over ``specs``; results ordered by spec index.
-
-        ``on_error='raise'``: a point that failed in its worker is re-run
-        serially in this process *after* the surviving points complete, so
-        the underlying exception propagates with a real traceback (the
-        worker's formatted traceback attached as ``__cause__`` and as
-        ``worker_traceback``).  ``on_error='return'``: failed points come
-        back as :class:`PointFailure` entries instead (falsy, so
-        ``filter(None, ...)`` drops them).
-
-        ``timeout_s`` (argument > executor default > the
-        ``REPRO_CHUNK_TIMEOUT_S`` env var) bounds the wall-clock wait for
-        chunk progress: when no chunk completes within the window, every
-        still-outstanding point fails as a timeout and the wedged pool is
-        terminated instead of hanging the whole sweep forever.  Timed-out
-        points are never re-run serially (a hung point would hang this
-        process too): with ``on_error='raise'`` they raise
-        :class:`WorkerPointError` directly.
-        """
-        if on_error not in ("raise", "return"):
-            raise ValueError(f"on_error must be raise|return, got {on_error!r}")
-        if self.jobs <= 1 or len(specs) <= 1:
-            return self._map_serial(task, specs, on_error)
-        from concurrent.futures import FIRST_COMPLETED, wait
-
-        from repro.telemetry.runtime import record_span
-
-        timeout = resolve_timeout(timeout_s) if timeout_s is not None \
-            else self.timeout_s
-        pool = self._ensure_pool()
-        results: List[object] = [None] * len(specs)
-        failures: List[Tuple[int, str, bool]] = []
-        chunk_of = {}
-        chunk_meta = {}
-        for position, chunk in enumerate(self._chunks(specs)):
+    timeout = setting("REPRO_CHUNK_TIMEOUT_S")
+    results: List[object] = [None] * len(specs)
+    failures: List[Tuple[int, str, bool]] = []
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    wedged = False
+    try:
+        submitted = {}
+        for position, chunk in enumerate(chunk_specs(specs, jobs=jobs)):
             future = pool.submit(_run_chunk, task, chunk)
-            chunk_of[future] = chunk
-            chunk_meta[future] = (position, time.time())
-        pending = set(chunk_of)
+            submitted[future] = (position, chunk, time.time())
+        pending = set(submitted)
         while pending:
             done, pending = wait(
                 pending, timeout=timeout, return_when=FIRST_COMPLETED
@@ -452,8 +375,7 @@ class ParallelExecutor:
                 # No chunk finished within the window: the pool is wedged.
                 # Fail every outstanding point and put the pool down.
                 for future in pending:
-                    future.cancel()
-                    for index, spec in chunk_of[future]:
+                    for index, spec in submitted[future][1]:
                         failures.append((
                             index,
                             f"PointTimeout: no chunk completed within "
@@ -462,95 +384,33 @@ class ParallelExecutor:
                             f"pool was terminated",
                             False,
                         ))
-                self._terminate_pool()
+                wedged = True
                 break
             for future in done:
-                chunk_ok = 0
+                position, chunk, submitted_s = submitted[future]
+                failed = 0
                 for index, status, value in future.result():
                     if status == "ok":
                         results[index] = value
-                        chunk_ok += 1
                     else:
                         failures.append((index, value, True))
-                position, submitted_s = chunk_meta[future]
-                # Chunk spans are timed parent-side (submit -> result):
-                # they bound queueing plus worker execution — the only
-                # window this process can observe without perturbing the
-                # worker.
+                        failed += 1
                 record_span(
                     "parallel.chunk", "parallel",
                     submitted_s, time.time(), parent=trace_ctx,
-                    chunk=position, points=len(chunk_of[future]),
-                    failed=len(chunk_of[future]) - chunk_ok,
+                    chunk=position, points=len(chunk), failed=failed,
                 )
-        return merge_failures(results, failures, specs, task, on_error)
-
-    def _map_serial(self, task, specs, on_error) -> List[object]:
-        results: List[object] = []
-        for index, spec in enumerate(specs):
-            if on_error == "return":
-                try:
-                    results.append(task(spec))
-                except Exception:
-                    results.append(PointFailure(
-                        index, traceback.format_exc(), spec=spec,
-                    ))
-            else:
-                results.append(task(spec))
-        return results
-
-
-def execute_points(specs: Sequence[dict], jobs: Optional[int] = None,
-                   *, task: Callable[[dict], object] = run_point,
-                   on_error: str = "raise",
-                   farm: Optional[str] = None,
-                   timeout_s: Optional[float] = None,
-                   trace_ctx: Optional[dict] = None) -> List[object]:
-    """One-shot convenience: map ``task`` over ``specs`` with ``jobs`` workers.
-
-    Serial (``jobs=1``) runs inline, exactly the historical driver
-    behavior; either way every point builds its own machine.
-
-    ``farm`` (argument > the ``REPRO_FARM`` env var) routes the specs to
-    a sweep-farm work-server instead of local processes: same tasks,
-    same chunking, same index-ordered merge — see
-    :mod:`repro.bench.farm`.  ``timeout_s`` is honored there too, but
-    as a *stall* bound (no campaign progress for that long raises)
-    rather than a per-chunk bound — a farm's per-point hang protection
-    is the lease deadline.
-    """
-    farm = setting("REPRO_FARM", farm)
-    if farm:
-        from repro.bench.farm import farm_execute_points
-
-        return farm_execute_points(
-            specs, farm=farm, task=task, on_error=on_error, jobs=jobs,
-            timeout_s=timeout_s, trace_ctx=trace_ctx,
-        )
-    resolved = resolve_jobs(jobs)
-    # The execute span exists only when a caller passed trace context —
-    # standalone sweeps stay traceless; a traced query (the serve sweep
-    # path) fans into per-chunk child spans under it.  Trace context
-    # never touches the specs themselves: cache keys, fingerprints and
-    # pickled results are byte-identical with tracing on or off.
-    if trace_ctx is not None:
-        from repro.telemetry.runtime import span
-
-        trace_span = span(
-            "parallel.execute", "parallel", parent=trace_ctx,
-            points=len(specs), jobs=resolved,
-        )
-    else:
-        trace_span = None
-    if resolved <= 1 or len(specs) <= 1:
-        if trace_span is None:
-            return ParallelExecutor(1).map(task, specs, on_error=on_error)
-        with trace_span:
-            return ParallelExecutor(1).map(task, specs, on_error=on_error)
-    with ParallelExecutor(resolved, timeout_s=timeout_s) as executor:
-        if trace_span is None:
-            return executor.map(task, specs, on_error=on_error)
-        with trace_span as sp:
-            return executor.map(
-                task, specs, on_error=on_error, trace_ctx=sp.ctx,
-            )
+    finally:
+        if wedged:
+            # shutdown() only waits politely, and a hung worker never
+            # exits: terminate every worker process outright.
+            processes = list(pool._processes.values())
+            pool.shutdown(wait=False, cancel_futures=True)
+            for process in processes:
+                if process.is_alive():
+                    process.terminate()
+            for process in processes:
+                process.join(timeout=5.0)
+        else:
+            pool.shutdown(wait=True)
+    return merge_failures(results, failures, specs, task)

@@ -27,7 +27,7 @@ itself can be swept as a series.
 
 Every (algorithm, x) point is an independent deterministic simulation, so
 ``run_sweep(config, jobs=N)`` fans the grid across ``N`` worker processes
-through :class:`~repro.bench.parallel.ParallelExecutor` and merges the
+through :func:`~repro.bench.parallel.execute_points` and merges the
 results in point order — byte-identical output to ``jobs=1``.
 
 CLI: ``python -m repro sweep config.json [--out results.json] [--jobs N]``.

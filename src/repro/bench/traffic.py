@@ -197,10 +197,10 @@ class MachineView:
             )
 
     # -- machine services (view-scoped) ------------------------------------
-    def make_barrier(self, parties: Optional[int] = None) -> SimBarrier:
-        n = parties if parties is not None else self.nprocs
+    def make_barrier(self) -> SimBarrier:
         return SimBarrier(
-            self.parent.engine, n, latency=self.parent.params.barrier_latency
+            self.parent.engine, self.nprocs,
+            latency=self.parent.params.barrier_latency,
         )
 
     def make_counter(

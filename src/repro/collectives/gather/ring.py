@@ -25,8 +25,6 @@ class _RingGatherBase(GatherInvocation):
     """Common ring machinery for both gather variants."""
 
     network = "ptp"
-    #: subclass knob: stage the node block through the DMA first?
-    stage_with_dma = True
 
     def setup(self) -> None:
         machine = self.machine

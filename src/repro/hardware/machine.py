@@ -171,16 +171,16 @@ class Machine:
             pass
 
     # -- telemetry ---------------------------------------------------------
-    def attach_telemetry(self, recorder=None):
-        """Attach a :class:`~repro.telemetry.recorder.TelemetryRecorder`.
+    def attach_telemetry(self):
+        """Attach a fresh :class:`~repro.telemetry.recorder.TelemetryRecorder`
+        and return it.
 
-        Creates one if ``recorder`` is None; returns the attached recorder.
         Recording is purely observational — timings are bit-identical with
         or without it — so it is safe to attach before any measured run.
         """
-        if recorder is None:
-            from repro.telemetry.recorder import TelemetryRecorder
-            recorder = TelemetryRecorder()
+        from repro.telemetry.recorder import TelemetryRecorder
+
+        recorder = TelemetryRecorder()
         self.engine.telemetry = recorder
         return recorder
 
@@ -194,11 +194,12 @@ class Machine:
         """Spawn a simulation process on this machine's engine."""
         return self.engine.spawn(generator, name=name)
 
-    def make_barrier(self, parties: Optional[int] = None) -> SimBarrier:
-        """A barrier across ``parties`` processes (default: all MPI ranks),
-        with the global-interrupt-network latency."""
-        n = parties if parties is not None else self.nprocs
-        return SimBarrier(self.engine, n, latency=self.params.barrier_latency)
+    def make_barrier(self) -> SimBarrier:
+        """A barrier across all MPI ranks, with the global-interrupt-network
+        latency."""
+        return SimBarrier(
+            self.engine, self.nprocs, latency=self.params.barrier_latency
+        )
 
     def make_counter(
         self, name: str = "counter", node: Optional[int] = None,

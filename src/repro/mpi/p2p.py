@@ -40,9 +40,9 @@ DEFAULT_EAGER_LIMIT = 1024
 _HEADER_BYTES = 128
 
 
-def select_protocol(nbytes: int, eager_limit: int = DEFAULT_EAGER_LIMIT) -> str:
+def select_protocol(nbytes: int) -> str:
     """The stack's size policy: eager for short, rendezvous for long."""
-    return "eager" if nbytes < eager_limit else "rendezvous"
+    return "eager" if nbytes < DEFAULT_EAGER_LIMIT else "rendezvous"
 
 
 @dataclass

@@ -656,11 +656,10 @@ class PredictionService:
             self.disk.put(key, answer)
 
     # -- one-call convenience (benchmark, tests, serial callers) ----------
-    def serve(self, request: dict, *,
-              trace_parent: Optional[dict] = None) -> dict:
+    def serve(self, request: dict) -> dict:
         """Normalize, look up, compute-and-store; returns the response dict."""
         start = time.perf_counter()
-        with span("serve.predict", "serve", parent=trace_parent,
+        with span("serve.predict", "serve",
                   family=request.get("family"),
                   algorithm=request.get("algorithm", "auto"),
                   x=request.get("x")) as sp:

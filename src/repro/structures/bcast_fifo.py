@@ -34,17 +34,13 @@ _EMPTY = -1
 class BcastFifo:
     """A bounded FIFO where every consumer observes every element."""
 
-    def __init__(self, slots: int, slot_bytes: int, consumers: int,
-                 telemetry=None):
+    def __init__(self, slots: int, slot_bytes: int, consumers: int):
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         if slot_bytes < 1:
             raise ValueError(f"slot_bytes must be >= 1, got {slot_bytes}")
         if consumers < 1:
             raise ValueError(f"consumers must be >= 1, got {consumers}")
-        #: optional :class:`repro.telemetry.recorder.ThreadTelemetry` —
-        #: counts-only (threaded timestamps would be nondeterministic)
-        self.telemetry = telemetry
         self.slots = slots
         self.slot_bytes = slot_bytes
         self.consumers = consumers
@@ -79,17 +75,12 @@ class BcastFifo:
             # spins for space; with a timeout API a timed-out reservation
             # would leak the slot, so we wait for space *before* reserving.
             # Under the lock the two orders are observationally identical.
-            contended = self._tail.load() - self._head.load() >= self.slots
             if not self._cond.wait_for(
                 lambda: self._tail.load() - self._head.load() < self.slots,
                 timeout=timeout,
             ):
                 raise TimeoutError("FIFO full")
             myslot = self._tail.fetch_and_increment()
-            if self.telemetry is not None:
-                self.telemetry.record("fifo_fai")
-                if contended:
-                    self.telemetry.record("fifo_fai_contended")
             index = myslot % self.slots
             self._storage[index, : payload.nbytes] = payload
             self._lengths[index] = payload.nbytes

@@ -34,15 +34,12 @@ class MessageCounter:
     is the numpy buffer itself.
     """
 
-    def __init__(self, buffer: np.ndarray, telemetry=None):
+    def __init__(self, buffer: np.ndarray):
         if buffer.dtype != np.uint8 or buffer.ndim != 1:
             raise ValueError("MessageCounter buffer must be a 1-D uint8 array")
         self.buffer = buffer
         self._arrived = 0
         self._cond = threading.Condition()
-        #: optional :class:`repro.telemetry.recorder.ThreadTelemetry` —
-        #: counts-only (threaded timestamps would be nondeterministic)
-        self.telemetry = telemetry
 
     @property
     def arrived(self) -> int:
@@ -71,8 +68,6 @@ class MessageCounter:
             self.buffer[self._arrived:end] = chunk
             self._arrived = end
             self._cond.notify_all()
-        if self.telemetry is not None:
-            self.telemetry.record("counter_advances")
         return end
 
     def wait_for(self, threshold: int, timeout: Optional[float] = None) -> int:
@@ -87,8 +82,6 @@ class MessageCounter:
             raise ValueError(
                 f"threshold {threshold} exceeds buffer size {self.buffer.nbytes}"
             )
-        if self.telemetry is not None:
-            self.telemetry.record("counter_polls")
         with self._cond:
             if not self._cond.wait_for(
                 lambda: self._arrived >= threshold, timeout=timeout

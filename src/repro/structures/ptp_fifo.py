@@ -34,14 +34,11 @@ _EMPTY = -1
 class PtPFifo:
     """A bounded MPMC FIFO carrying byte payloads plus metadata."""
 
-    def __init__(self, slots: int, slot_bytes: int, telemetry=None):
+    def __init__(self, slots: int, slot_bytes: int):
         if slots < 1:
             raise ValueError(f"slots must be >= 1, got {slots}")
         if slot_bytes < 1:
             raise ValueError(f"slot_bytes must be >= 1, got {slot_bytes}")
-        #: optional :class:`repro.telemetry.recorder.ThreadTelemetry` —
-        #: counts-only (threaded timestamps would be nondeterministic)
-        self.telemetry = telemetry
         self.slots = slots
         self.slot_bytes = slot_bytes
         self._storage = np.zeros((slots, slot_bytes), dtype=np.uint8)
@@ -78,17 +75,12 @@ class PtPFifo:
             # Space check ((Tail - Head) < fifoSize) before reserving — the
             # paper reserves first and spins, but a timed-out reservation
             # would leak the slot; under the lock the orders are equivalent.
-            contended = self._tail.load() - self._head.load() >= self.slots
             if not self._cond.wait_for(
                 lambda: self._tail.load() - self._head.load() < self.slots,
                 timeout=timeout,
             ):
                 raise TimeoutError("FIFO full")
             myslot = self._tail.fetch_and_increment()
-            if self.telemetry is not None:
-                self.telemetry.record("fifo_fai")
-                if contended:
-                    self.telemetry.record("fifo_fai_contended")
             index = myslot % self.slots
             self._storage[index, : payload.nbytes] = payload
             self._lengths[index] = payload.nbytes

@@ -24,7 +24,6 @@ __all__ = [
     "RuntimeLogger",
     "SpanStore",
     "TelemetryRecorder",
-    "ThreadTelemetry",
     "compare_bench",
     "compare_manifests",
     "compare_with_baseline_file",
@@ -58,7 +57,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.telemetry.recorder": (
         "ROLE_COPIER", "ROLE_DMA_WAIT", "ROLE_INJECTOR", "ROLE_MASTER",
         "ROLE_PROTOCOL", "ROLE_RECEIVER", "TelemetryRecorder",
-        "ThreadTelemetry", "reduce_core_role",
+        "reduce_core_role",
     ),
     "repro.telemetry.report": ("format_report",),
     "repro.telemetry.runtime": (

@@ -37,16 +37,10 @@ turned on for any measurement without perturbing it.
 Events are stored as flat tuples in per-kind lists — appends only, no
 allocation beyond the tuple — and aggregated on demand by
 :meth:`TelemetryRecorder.rollups` / :meth:`TelemetryRecorder.role_summary`.
-
-:class:`ThreadTelemetry` is the thread-executable twin for the real
-concurrent structures in :mod:`repro.structures`: a lock-guarded op
-counter with no timestamps (wall-clock timestamps would make thread tests
-nondeterministic), sharing the rollup key vocabulary.
 """
 
 from __future__ import annotations
 
-import threading
 from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
@@ -272,26 +266,3 @@ class TelemetryRecorder:
         self.open_flows.clear()
         self.roles.clear()
         self.role_nodes.clear()
-
-
-class ThreadTelemetry:
-    """Deterministic op counters for the thread-executable structures.
-
-    The real concurrent structures run on OS threads, where timestamped
-    event streams would be nondeterministic; this twin records *counts
-    only*, guarded by one lock, using the same rollup keys as the
-    simulation recorder (``counter_polls``, ``fifo_fai``,
-    ``fifo_fai_contended``, ...).
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.counts: Dict[str, int] = defaultdict(int)
-
-    def record(self, key: str, n: int = 1) -> None:
-        with self._lock:
-            self.counts[key] += n
-
-    def rollups(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self.counts)

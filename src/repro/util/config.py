@@ -70,10 +70,6 @@ VARIABLES: Dict[str, Variable] = {
         str.strip, None, "host:port",
         "sweep-farm server that executes sweeps when no --farm is given; "
         "unset: local execution"),
-    "REPRO_FARM_FALLBACK": Variable(
-        _flag, False, "0 or 1",
-        "1: a farm driver whose server never answers runs the sweep "
-        "locally instead of raising"),
     "REPRO_FARM_AUTHKEY": Variable(
         str, None, "any text",
         "shared secret of every farm connection; unset: the public key "

@@ -47,7 +47,7 @@ from repro.bench.farm import (
     rpc_retry,
     task_name,
 )
-from repro.bench.parallel import PointFailure, WorkerPointError, execute_points
+from repro.bench.parallel import WorkerPointError, execute_points
 from repro.hardware.fault_schedule import RetryPolicy
 from repro.telemetry.manifest import CampaignManifest, spec_fingerprint
 from repro.telemetry.runtime import mint_trace
@@ -297,18 +297,19 @@ class TestFarmExecution:
                 out = execute_points(specs, task=_square)
         assert out == [0, 1, 4, 9]
 
-    def test_on_error_return_yields_point_failures(self, tmp_path):
+    def test_a_failed_point_raises_after_the_others_complete(
+            self, tmp_path):
         with _server(tmp_path, chunk_size=1) as server:
             with _workers(server.address, "w"):
-                out = farm_execute_points(
-                    _specs(9), farm=server.address, task=_fails_on_seven,
-                    on_error="return", poll_s=0.05,
-                )
-        assert out[:7] == [x ** 2 for x in range(7)]
-        assert isinstance(out[7], PointFailure)
-        assert out[7].spec == {"x": 7}
-        assert "unlucky point 7" in out[7].traceback
-        assert out[8] == 64
+                with pytest.raises(WorkerPointError) as excinfo:
+                    farm_execute_points(
+                        _specs(9), farm=server.address,
+                        task=_fails_on_seven, poll_s=0.05,
+                    )
+            status = rpc(server.address, "status")
+        assert excinfo.value.index == 7
+        assert "unlucky point 7" in excinfo.value.worker_traceback
+        assert (status["completed"], status["quarantined"]) == (8, 1)
 
     def test_on_error_raise_reruns_serially_with_worker_traceback(
             self, tmp_path):
@@ -384,13 +385,17 @@ class TestLeases:
     def test_poison_chunk_is_quarantined_after_retry_budget(self, tmp_path):
         with _server(tmp_path, chunk_size=1) as server:
             with _workers(server.address, "w"):
-                out = farm_execute_points(
-                    [{"x": 1}, {"x": 2}], farm=server.address,
-                    task=_always_fails, on_error="return", poll_s=0.05,
-                )
+                with pytest.raises(WorkerPointError, match="poison point"):
+                    farm_execute_points(
+                        [{"x": 1}, {"x": 2}], farm=server.address,
+                        task=_always_fails, poll_s=0.05,
+                    )
             status = rpc(server.address, "status")
-        assert all(isinstance(p, PointFailure) for p in out)
-        assert all("poison point" in p.traceback for p in out)
+            payload = rpc(server.address, "fetch")
+        assert [(state, "poison point" in value)
+                for _, state, value in payload["results"]] == \
+            [("error", True)] * 2
+        assert status["quarantined"] == 2
         assert status["stats"]["chunks_quarantined"] == 2
         # Every retry ran: attempts reach the budget before quarantine.
         assert status["stats"]["chunks_retried"] == \
@@ -719,12 +724,13 @@ class TestResume:
         assert rpc(resumed.address, "status")["done"] is False
         with _workers(resumed.address, "drain"):
             out = farm_execute_points(specs, farm=resumed.address,
-                                      task=_square, on_error="return",
-                                      poll_s=0.05, reconnect=FAST_RECONNECT)
+                                      task=_square, poll_s=0.05,
+                                      reconnect=FAST_RECONNECT)
         status = rpc(resumed.address, "status")
         resumed.stop()
-        assert out[0] == 0 and out[2] == 4
-        assert isinstance(out[1], PointFailure)  # still quarantined
+        # The driver re-ran the quarantined point serially, and it
+        # passed there; the server still holds it quarantined.
+        assert out == [0, 1, 4]
         assert status["quarantined"] == 1
         assert status["stats"]["points_completed"] == 2
 
@@ -780,6 +786,10 @@ class TestResume:
         with open(path, "w") as handle:
             handle.write('{"kind": "campaign", "manif')  # torn, no newline
         server = _server(tmp_path, journal_path=path, chunk_size=1)
+        # The start cut the fragment away and counted it, with no
+        # campaign to resume.
+        assert os.path.getsize(path) == 0
+        assert rpc(server.address, "status")["stats"]["torn_records"] == 1
         with _workers(server.address, "w"):
             out = farm_execute_points(specs, farm=server.address,
                                       task=_square_logged, poll_s=0.05,
@@ -876,9 +886,10 @@ class TestResume:
         path = str(tmp_path / "journal.jsonl")
         server = _server(tmp_path, journal_path=path, chunk_size=1)
         with _workers(server.address, "w"):
-            farm_execute_points([{"x": 1}, {"x": 2}], farm=server.address,
-                                task=_always_fails, on_error="return",
-                                poll_s=0.05)
+            with pytest.raises(WorkerPointError):
+                farm_execute_points([{"x": 1}, {"x": 2}],
+                                    farm=server.address,
+                                    task=_always_fails, poll_s=0.05)
         live = rpc(server.address, "status")["stats"]
         server.stop()
         with _server(tmp_path, journal_path=path, resume=True) as resumed:
@@ -997,32 +1008,12 @@ class TestDegradation:
             farm_execute_points(_specs(2), farm="127.0.0.1:9",
                                 task=_square, reconnect=FAST_RECONNECT)
 
-    def test_local_fallback_runs_the_local_executor(self, capsys):
-        out = farm_execute_points(
-            _specs(3), farm="127.0.0.1:9", task=_square,
-            reconnect=FAST_RECONNECT, local_fallback=True, jobs=1,
-        )
-        assert out == [0, 1, 4]
-        assert "falling back" in capsys.readouterr().err
-
-    def test_env_fallback_flag(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FARM_FALLBACK", "1")
-        out = farm_execute_points(_specs(2), farm="127.0.0.1:9",
-                                  task=_square, reconnect=FAST_RECONNECT,
-                                  jobs=1)
-        assert out == [0, 1]
-
     def test_driver_stall_timeout_raises_instead_of_polling_forever(
             self, tmp_path, monkeypatch):
         """A campaign making no progress (here: no workers at all) must
-        not hold the driver hostage when a timeout was requested."""
+        not hold the driver hostage when ``REPRO_CHUNK_TIMEOUT_S`` bounds
+        the stall."""
         with _server(tmp_path, chunk_size=1) as server:
-            with pytest.raises(FarmError, match="no farm progress"):
-                farm_execute_points(_specs(2), farm=server.address,
-                                    task=_square, poll_s=0.02,
-                                    timeout_s=0.2,
-                                    reconnect=FAST_RECONNECT)
-            # The REPRO_CHUNK_TIMEOUT_S intent reaches the farm path too.
             monkeypatch.setenv("REPRO_CHUNK_TIMEOUT_S", "0.2")
             with pytest.raises(FarmError, match="no farm progress"):
                 farm_execute_points(_specs(2), farm=server.address,
@@ -1144,6 +1135,24 @@ def _submit_traced(server, specs, trace, task="square"):
 
 
 class TestRuntimeSpans:
+    def test_a_trace_without_an_id_is_dropped(self, tmp_path):
+        """Regression: a submitted trace without a string ``trace_id``
+        failed every lease with an internal ``KeyError`` after recording
+        it, so a chunk sat leased to a worker that never got it, live
+        and after a resume."""
+        server = _server(tmp_path)
+        _submit_traced(server, _specs(1), {"span_id": "abc"})
+        grant = rpc(server.address, "lease", worker="w")
+        leased = rpc(server.address, "status")["leased"]
+        server.stop()
+        # The journal replays the same trace, and the resume drops it too.
+        with _server(tmp_path, resume=True) as resumed:
+            regrant = rpc(resumed.address, "lease", worker="w")
+        for lease in (grant, regrant):
+            assert lease["chunk"] == 0 and "trace" not in lease
+        assert list(leased) == [grant["chunk"]]
+        assert leased[grant["chunk"]]["worker"] == "w"
+
     def test_each_lease_mints_a_fresh_span_under_one_trace(self, tmp_path):
         with _server(tmp_path, chunk_size=1) as server:
             trace = mint_trace()

@@ -1,4 +1,5 @@
-"""Guard: every function, method and class under ``src/`` has a caller.
+"""Guards: every function, method and class under ``src/`` has a
+caller, and every keyword-only option under ``src/`` is set by a call.
 
 A definition counts as used when its name appears anywhere else in
 ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``: as a name, an
@@ -91,4 +92,49 @@ def test_every_src_definition_has_a_caller():
     assert not idle, (
         "definitions nothing calls (delete them, or exempt them here "
         "with a reason):\n" + "\n".join(idle)
+    )
+
+
+def _passed_keywords(tree: ast.AST) -> set:
+    return {
+        keyword.arg
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+        for keyword in node.keywords if keyword.arg is not None
+    }
+
+
+def test_every_keyword_only_option_is_passed_somewhere():
+    """Every keyword-only parameter with a default under ``src/`` is
+    passed by keyword at some call in ``src/``, ``tests/``,
+    ``benchmarks/`` or ``examples/``.
+
+    An option that no call sets always takes its default: delete it and
+    keep the default's behaviour.  The check is by name, like the one
+    above: a keyword counts for every parameter of that name, and an
+    option reached only through ``**kwargs`` or only by its own unit
+    tests passes.
+    """
+    this_file = pathlib.Path(__file__).resolve()
+    passed = set()
+    sources = []
+    for directory in SCANNED_DIRS:
+        for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+            if path.resolve() == this_file:
+                continue
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            passed |= _passed_keywords(tree)
+            if directory == "src":
+                sources.append((path, tree))
+    unset = [
+        f"{path.relative_to(REPO_ROOT)}:{node.lineno}: "
+        f"{node.name}({arg.arg}=)"
+        for path, tree in sources
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+        if default is not None and arg.arg not in passed
+    ]
+    assert not unset, (
+        "keyword-only options no call passes (delete them, keeping the "
+        "default's behaviour):\n" + "\n".join(unset)
     )

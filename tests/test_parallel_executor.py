@@ -14,21 +14,21 @@ Three guarantees under test:
 """
 
 import json
+import multiprocessing
 import pathlib
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.bench.chaos import chaos_campaign
 from repro.bench.parallel import (
-    ParallelExecutor,
-    PointFailure,
     WorkerPointError,
+    _run_chunk,
     chunk_specs,
     execute_points,
     resolve_jobs,
-    resolve_timeout,
     run_point,
 )
 from repro.bench.sweep import run_sweep
@@ -43,6 +43,13 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 def _double_or_explode(spec):
     if spec["x"] == 13:
         raise ValueError("unlucky point 13")
+    return spec["x"] * 2
+
+
+def _double_or_explode_in_worker(spec):
+    """Fails only in a worker process, so the serial re-run recovers it."""
+    if spec["x"] == 13 and multiprocessing.parent_process() is not None:
+        raise ValueError("unlucky point 13 in a worker")
     return spec["x"] * 2
 
 
@@ -106,12 +113,17 @@ class TestParallelSweepEquivalence:
 
     def test_spawn_start_method_point(self):
         # The spawn-safety rule holds end to end: a spec crosses into a
-        # spawn-started interpreter and the result comes back intact.
+        # spawn-started interpreter, the shared chunk runner measures it
+        # there, and the result comes back intact.
         spec = {"family": "bcast", "algorithm": "tree-shaddr", "x": 4096,
                 "dims": (2, 2, 1), "mode": "QUAD", "iters": 1}
         serial = run_point(spec)
-        with ParallelExecutor(2, start_method="spawn") as executor:
-            (remote,) = executor.map(run_point, [spec])
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(1, mp_context=context) as pool:
+            ((index, status, remote),) = pool.submit(
+                _run_chunk, run_point, [(0, spec)]
+            ).result(timeout=120)
+        assert (index, status) == (0, "ok")
         assert remote.elapsed_us == serial.elapsed_us
         assert remote.algorithm == serial.algorithm
 
@@ -120,34 +132,18 @@ class TestParallelSweepEquivalence:
 
 class TestCrashIsolation:
     def test_failed_point_surfaces_traceback_and_pool_survives(self):
-        with ParallelExecutor(2) as executor:
-            specs = [{"x": x} for x in (1, 13, 3, 4)]
-            with pytest.raises(WorkerPointError) as excinfo:
-                executor.map(_double_or_explode, specs)
-            # The worker's formatted traceback is carried along, and the
-            # serial re-run's real exception is the cause.
-            assert "unlucky point 13" in str(excinfo.value)
-            assert isinstance(excinfo.value.__cause__, ValueError)
-            # Same pool, next map: workers are still alive.
-            results = executor.map(
-                _double_or_explode, [{"x": x} for x in (5, 6, 7, 8)]
-            )
-            assert results == [10, 12, 14, 16]
-
-    def test_on_error_return_keeps_surviving_points(self):
-        with ParallelExecutor(2) as executor:
-            results = executor.map(
-                _double_or_explode,
-                [{"x": x} for x in (1, 13, 3)],
-                on_error="return",
-            )
-        assert results[0] == 2
-        assert results[2] == 6
-        assert isinstance(results[1], PointFailure)
-        assert results[1].index == 1
-        assert "unlucky point 13" in results[1].traceback
-        assert not results[1]  # falsy, so filter(None, ...) drops it
-        assert list(filter(None, results)) == [2, 6]
+        specs = [{"x": x} for x in (1, 13, 3, 4)]
+        with pytest.raises(WorkerPointError) as excinfo:
+            execute_points(specs, jobs=2, task=_double_or_explode)
+        # The worker's formatted traceback is carried along, and the
+        # serial re-run's real exception is the cause.
+        assert "unlucky point 13" in str(excinfo.value)
+        assert isinstance(excinfo.value.__cause__, ValueError)
+        # The pool keeps draining past a failed point, and a failure
+        # that does not reproduce on the serial re-run is recovered.
+        assert execute_points(
+            specs, jobs=2, task=_double_or_explode_in_worker
+        ) == [2, 26, 6, 8]
 
     def test_serial_mode_raises_plainly(self):
         with pytest.raises(ValueError, match="unlucky point 13"):
@@ -156,75 +152,79 @@ class TestCrashIsolation:
             )
 
     def test_worker_traceback_and_spec_are_preserved(self):
-        with ParallelExecutor(2) as executor:
-            specs = [{"x": x} for x in (1, 13)]
-            failures = executor.map(
-                _double_or_explode, specs, on_error="return"
+        with pytest.raises(WorkerPointError) as excinfo:
+            execute_points(
+                [{"x": x} for x in (1, 13)], jobs=2, task=_double_or_explode
             )
-            assert failures[1].spec == {"x": 13}
-            assert "_double_or_explode" in failures[1].traceback
-            with pytest.raises(WorkerPointError) as excinfo:
-                executor.map(_double_or_explode, specs)
         assert excinfo.value.index == 1
         assert "unlucky point 13" in excinfo.value.worker_traceback
         assert "_double_or_explode" in excinfo.value.worker_traceback
+        # The serial re-run's exception keeps the failing spec in its
+        # innermost frame, where a debugger finds it.
+        frame = excinfo.value.__cause__.__traceback__
+        while frame.tb_next is not None:
+            frame = frame.tb_next
+        assert frame.tb_frame.f_locals["spec"] == {"x": 13}
 
     def test_serial_failure_preserves_spec(self):
-        (failure,) = execute_points(
-            [{"x": 13}], jobs=1, task=_double_or_explode, on_error="return"
-        )
-        assert isinstance(failure, PointFailure)
-        assert failure.spec == {"x": 13}
-        assert "unlucky point 13" in failure.traceback
+        # One point runs inline even at jobs=2: the task's own exception
+        # surfaces, with the spec in its failing frame.
+        with pytest.raises(ValueError, match="unlucky point 13") as excinfo:
+            execute_points([{"x": 13}], jobs=2, task=_double_or_explode)
+        assert excinfo.traceback[-1].locals["spec"] == {"x": 13}
 
 
 # -- hung-worker chunk timeout -------------------------------------------
 
 class TestChunkTimeout:
-    def test_hung_point_fails_instead_of_hanging(self):
-        with ParallelExecutor(2, chunk_size=1) as executor:
-            results = executor.map(
-                _double_or_hang, [{"x": x} for x in (1, 13, 3)],
-                on_error="return", timeout_s=2.0,
-            )
-        assert results[0] == 2
-        assert results[2] == 6
-        assert isinstance(results[1], PointFailure)
-        assert "PointTimeout" in results[1].traceback
-        assert results[1].spec == {"x": 13}
+    """``REPRO_CHUNK_TIMEOUT_S`` bounds the pool's wait for its next chunk;
+    with 2–4 specs at ``jobs=2`` every chunk holds one point."""
 
-    def test_hung_point_raises_without_serial_rerun(self):
+    def test_hung_point_fails_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT_S", "2")
+        with pytest.raises(WorkerPointError) as excinfo:
+            execute_points(
+                [{"x": x} for x in (1, 13, 3)], jobs=2, task=_double_or_hang
+            )
+        assert excinfo.value.index == 1
+        assert "PointTimeout" in excinfo.value.worker_traceback
+        assert "{'x': 13}" in excinfo.value.worker_traceback
+
+    def test_hung_point_raises_without_serial_rerun(self, monkeypatch):
         # A serial re-run of a hung point would hang this process too —
         # the timeout must surface as WorkerPointError directly.
+        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT_S", "2")
         start = time.monotonic()
-        with ParallelExecutor(2, chunk_size=1, timeout_s=2.0) as executor:
-            with pytest.raises(WorkerPointError) as excinfo:
-                executor.map(_double_or_hang, [{"x": 13}, {"x": 1}])
+        with pytest.raises(WorkerPointError) as excinfo:
+            execute_points([{"x": 13}, {"x": 1}], jobs=2,
+                           task=_double_or_hang)
         assert time.monotonic() - start < 60.0
         assert "timed out" in str(excinfo.value)
         assert "PointTimeout" in excinfo.value.worker_traceback
 
-    def test_executor_survives_a_timeout(self):
-        with ParallelExecutor(2, chunk_size=1) as executor:
-            executor.map(
-                _double_or_hang, [{"x": 13}, {"x": 1}], on_error="return",
-                timeout_s=1.0,
-            )
-            # The wedged pool was put down; a fresh one serves the next map.
-            assert executor.map(_double_or_hang, [{"x": 2}, {"x": 3}]) \
-                == [4, 6]
+    def test_executor_survives_a_timeout(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT_S", "1")
+        before = set(multiprocessing.active_children())
+        with pytest.raises(WorkerPointError):
+            execute_points([{"x": 13}, {"x": 1}], jobs=2,
+                           task=_double_or_hang)
+        # The wedged pool's workers were terminated, and the next sweep
+        # builds a fresh pool.
+        assert set(multiprocessing.active_children()) <= before
+        assert execute_points(
+            [{"x": 2}, {"x": 3}], jobs=2, task=_double_or_hang
+        ) == [4, 6]
 
     def test_resolve_timeout_env_and_validation(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHUNK_TIMEOUT_S", raising=False)
-        assert resolve_timeout(None) is None
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT_S", "2.5")
-        assert resolve_timeout(None) == 2.5
-        assert resolve_timeout(7.0) == 7.0
-        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT_S", "soon")
-        with pytest.raises(ValueError, match="REPRO_CHUNK_TIMEOUT_S"):
-            resolve_timeout(None)
-        with pytest.raises(ValueError, match="positive"):
-            resolve_timeout(-1.0)
+        # The pool reads the bound before it starts a worker: a value
+        # the variable's parser rejects refuses the sweep.
+        specs = [{"x": 1}, {"x": 2}]
+        for stray in ("soon", "0", "-1"):
+            monkeypatch.setenv("REPRO_CHUNK_TIMEOUT_S", stray)
+            with pytest.raises(ValueError, match="REPRO_CHUNK_TIMEOUT_S"):
+                execute_points(specs, jobs=2, task=_double_or_hang)
+        monkeypatch.setenv("REPRO_CHUNK_TIMEOUT_S", "30")
+        assert execute_points(specs, jobs=2, task=_double_or_hang) == [2, 4]
 
 
 # -- shared chunking helper ----------------------------------------------

@@ -25,7 +25,6 @@ CASES = {
     "REPRO_CHUNK_TIMEOUT_S": ({"2.5": 2.5, "30": 30.0}, "0"),
     "REPRO_FARM": ({"127.0.0.1:7000": "127.0.0.1:7000",
                     " host:9 ": "host:9"}, None),
-    "REPRO_FARM_FALLBACK": ({"0": False, "1": True}, "true"),
     "REPRO_FARM_AUTHKEY": ({"a secret": "a secret"}, None),
     "REPRO_FLIGHT_DIR": ({"/var/tmp/flight": "/var/tmp/flight"}, None),
     "REPRO_LOG_LEVEL": ({"debug": "debug", "info": "info",

@@ -183,7 +183,8 @@ class TestRowsFollowResourceKinds:
     def test_flow_rows_and_resource_kinds(self, info, backend):
         machine = Machine(torus_dims=(2, 2, 2), mode=Mode(max(info.modes)),
                           network=backend)
-        recorder = machine.attach_telemetry(_KindRecorder())
+        recorder = _KindRecorder()
+        machine.engine.telemetry = recorder
         run_collective(machine, info.family, info.name, SIZES[info.family])
         assert not [r.name for r in machine.flownet.resources
                     if r.kind == "other"]

@@ -19,7 +19,6 @@ from repro.telemetry import (
     DEFAULT_TOLERANCE,
     RunManifest,
     TelemetryRecorder,
-    ThreadTelemetry,
     compare_bench,
     compare_manifests,
     compare_with_baseline_file,
@@ -313,14 +312,6 @@ class TestReportRendering:
         text = format_telemetry_report(manifest, TelemetryRecorder())
         assert "no role activity" in text
         assert "no protocol activity" in text
-
-
-class TestThreadTelemetry:
-    def test_counts(self):
-        tel = ThreadTelemetry()
-        tel.record("fifo_fai")
-        tel.record("fifo_fai", 2)
-        assert tel.rollups() == {"fifo_fai": 3}
 
 
 class TestCli:
