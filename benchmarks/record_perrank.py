@@ -60,6 +60,11 @@ SCENARIOS = [
     ("reduce", "reduce-torus-shaddr", 2048, "QUAD", 1),
     ("barrier", "barrier-gi", 0, "QUAD", 3),
     ("barrier", "barrier-torus", 0, "QUAD", 1),
+    # the DMA-staged ring reductions and direct-put distributors
+    ("reduce", "reduce-torus-current", 2048, "QUAD", 1),
+    ("allreduce", "allreduce-ring-pipelined", 2048, "QUAD", 2),
+    ("allgather", "allgather-ring-current", 4096, "QUAD", 1),
+    ("bcast", "ring-pipelined", 131072, "QUAD", 1),
 ]
 
 

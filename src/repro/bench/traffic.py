@@ -175,26 +175,11 @@ class MachineView:
             "primitives are unavailable on a sub-communicator view"
         )
 
-    # -- rank mapping (local space) ----------------------------------------
-    def rank_to_node(self, rank: int) -> int:
-        self.check_rank(rank)
-        return rank // self.ppn
-
-    def rank_to_local(self, rank: int) -> int:
-        self.check_rank(rank)
-        return rank % self.ppn
-
-    def node_ranks(self, node_index: int) -> List[int]:
-        if not 0 <= node_index < self.nnodes:
-            raise ValueError(f"node index out of range: {node_index}")
-        base = node_index * self.ppn
-        return list(range(base, base + self.ppn))
-
-    def check_rank(self, rank: int) -> None:
-        if not 0 <= rank < self.nprocs:
-            raise ValueError(
-                f"rank out of range: {rank} (nprocs={self.nprocs})"
-            )
+    # -- rank mapping (local space): Machine's, over the view's sizes -----
+    rank_to_node = Machine.rank_to_node
+    rank_to_local = Machine.rank_to_local
+    node_ranks = Machine.node_ranks
+    check_rank = Machine.check_rank
 
     # -- machine services (view-scoped) ------------------------------------
     def make_barrier(self) -> SimBarrier:

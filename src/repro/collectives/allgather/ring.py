@@ -121,19 +121,10 @@ class RingCurrentAllgather(_RingAllgatherBase):
         super().setup()
         # Every node distributes all N node blocks (including its own
         # staged one) to its peers through the DMA.
-        self.distributor = DmaDirectPutDistributor(
-            self, self.nnodes, self._peer_landed
-        )
+        self.distributor = DmaDirectPutDistributor(self, self.nnodes)
 
     def _on_node_block(self, node: int, src_node: int) -> None:
-        offset, _size = self.node_block_range(src_node)
-        self.distributor.push(node, offset, self.node_block_range(src_node)[1])
-
-    def _peer_landed(self, peer: int, goff: int, size: int) -> None:
-        data = self.payload_slice(goff, size)
-        if data is not None:
-            self.write_result(peer, goff, data)
-        self.rank_received[peer].add(size)
+        self.distributor.push(node, *self.node_block_range(src_node))
 
     def proc(self, rank: int):
         ctx = self.context(rank)

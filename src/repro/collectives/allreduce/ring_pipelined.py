@@ -8,9 +8,10 @@ data — but rides plain ``ptp_send`` end to end:
 
 1. **local gather + reduce** per node (the baseline scheme: DMA-staged
    copies of every peer's slice, then the cores sum the staged buffers);
-2. :class:`~repro.collectives.allreduce.ring.RingReduce` per color over
-   ``machine.network.ring_order`` — exactly the reduction the torus
-   variants use, which is already point-to-point;
+2. a ring reduction per color over ``machine.network.ring_order``;
+   stages 1 and 2 are
+   :class:`~repro.collectives.allreduce.ring.RingReduction`, exactly the
+   reduction the torus variants use, which is already point-to-point;
 3. a chunked **ring broadcast** per color from the root (the
    ring-pipelined bcast scheme), fed chunk by chunk as the ring
    reduction produces results, with every arrived chunk DMA-direct-put
@@ -21,13 +22,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.collectives.allreduce.base import DOUBLE, AllreduceInvocation
-from repro.collectives.allreduce.ring import RingReduce, protocol_cores
+from repro.collectives.allreduce.base import AllreduceInvocation
+from repro.collectives.allreduce.ring import RingReduction
 from repro.collectives.common import DmaDirectPutDistributor
 from repro.collectives.registry import register
-from repro.msg.color import partition_bytes, torus_colors
-from repro.msg.pipeline import ChunkPlan
-from repro.sim.events import AllOf, Event
+from repro.sim.events import Event
 from repro.sim.sync import SimCounter
 from repro.telemetry.recorder import ROLE_DMA_WAIT
 
@@ -43,38 +42,26 @@ class RingPipelinedAllreduce(AllreduceInvocation):
     def setup(self) -> None:
         machine = self.machine
         engine = machine.engine
-        chunk = machine.params.pipeline_width
-        self.colors = torus_colors(self.ncolors)
-        self.parts = partition_bytes(self.nbytes, self.ncolors, align=DOUBLE)
-        self.offsets = [sum(self.parts[:i]) for i in range(self.ncolors)]
-        self.plans: List[ChunkPlan] = [
-            ChunkPlan.build(self.parts[c], chunk)
-            for c in range(self.ncolors)
-        ]
-        root_node = machine.rank_to_node(self.root)
-        self.root_node = root_node
+        self.root_node = machine.rank_to_node(self.root)
         self.start = Event(engine)
-        # One protocol-core resource per node: the master core performs
-        # every ring addition (baseline scheme, as in the torus variants).
-        self.proto_cores = protocol_cores(machine, self.name)
-        self.contrib_ready: List[List[SimCounter]] = [
-            [
-                SimCounter(engine, name=f"c{c}.n{n}.contrib")
-                for n in range(machine.nnodes)
-            ]
-            for c in range(self.ncolors)
-        ]
         self.rank_received: Dict[int, SimCounter] = {
             rank: SimCounter(engine, name=f"r{rank}.result")
             for rank in range(machine.nprocs)
         }
+        # Stages 1 and 2: the DMA-staged local reduce and the ring
+        # reduction (master core does every addition, as on the torus).
+        stage = RingReduction(
+            self, self.ncolors, self.start, self._root_chunk, staged=True,
+        )
+        self.colors = stage.colors
+        self.offsets = stage.offsets
+        self.plans = stage.plans
         self.distributor = DmaDirectPutDistributor(
-            self, sum(plan.nchunks for plan in self.plans),
-            self._peer_landed,
+            self, sum(plan.nchunks for plan in self.plans)
         )
         #: per-color broadcast ring (position 0 is the root's node)
         self.rings_order: List[List[int]] = [
-            machine.network.ring_order(color, root_node)
+            machine.network.ring_order(color, self.root_node)
             for color in self.colors
         ]
         #: reduced chunk k of color c is staged at the root
@@ -83,70 +70,21 @@ class RingPipelinedAllreduce(AllreduceInvocation):
         self._bc_arrive: Dict[Tuple[int, int, int], Event] = {}
         #: next chunk index the ring reduction will deliver, per color
         self._next_chunk = [0] * self.ncolors
-        self.rings: List[RingReduce] = []
-        for c, color in enumerate(self.colors):
-            if self.parts[c] == 0:
+        for c, plan in enumerate(self.plans):
+            if plan.nchunks == 0:
                 continue
-            nchunks = self.plans[c].nchunks
             ring = self.rings_order[c]
-            for k in range(nchunks):
+            for k in range(plan.nchunks):
                 self._bc_ready[(c, k)] = Event(engine)
                 for i in range(1, len(ring)):
                     self._bc_arrive[(c, i, k)] = Event(engine)
-            for node in range(machine.nnodes):
-                machine.spawn(
-                    self._local_prepare(c, node, self.parts[c], chunk),
-                    name=f"lprep.c{c}.n{node}",
-                )
-            self.rings.append(
-                RingReduce(
-                    self,
-                    color,
-                    ring,
-                    self.offsets[c],
-                    self.parts[c],
-                    chunk,
-                    self.contrib_ready[c],
-                    self.proto_cores,
-                    self.start,
-                    lambda goff, size, c=c: self._root_ready(c, goff, size),
-                )
-            )
             for i in range(len(ring) - 1):
                 machine.spawn(
                     self._bcast_position(c, i), name=f"rarb.c{c}.p{i}"
                 )
 
-    # -- stage 1: DMA gather + parallel local reduce ------------------------
-    def _local_prepare(self, c: int, node: int, part_bytes: int, chunk: int):
-        machine = self.machine
-        dma = machine.dma[node]
-        node_obj = machine.nodes[node]
-        ppn = machine.ppn
-        yield self.start
-        plan = ChunkPlan.build(part_bytes, chunk)
-        for _k, _off, size in plan.slices():
-            if ppn > 1:
-                gathers = [
-                    dma.local_copy_flow(size, name=f"gather.c{c}")
-                    for _ in range(ppn - 1)
-                ]
-                yield AllOf(machine.engine, [f.event for f in gathers])
-                share = (size + ppn - 1) // ppn
-                flows = [
-                    machine.flownet.transfer(
-                        {node_obj.mem: float(ppn + 1)},
-                        share,
-                        cap=node_obj.regime.core_reduce_cap,
-                        name=f"lred.c{c}.n{node}",
-                    )
-                    for _ in range(ppn)
-                ]
-                yield AllOf(machine.engine, [f.event for f in flows])
-            self.contrib_ready[c][node].add(size)
-
     # -- stage 2 -> 3 handoff ------------------------------------------------
-    def _root_ready(self, c: int, goff: int, size: int) -> None:
+    def _root_chunk(self, c: int, goff: int, size: int) -> None:
         """The ring delivered a reduced chunk at the root: hand it to the
         root node's ranks and stage it into this color's broadcast ring
         (position 0 delivers chunks strictly in plan order)."""
@@ -192,14 +130,7 @@ class RingPipelinedAllreduce(AllreduceInvocation):
         data = self.payload_slice(goff, size)
         if data is not None:
             self.write_result(master, goff, data)
-        self.rank_received[master].add(size)
-        self.distributor.push(node, goff, size)
-
-    def _peer_landed(self, peer: int, goff: int, size: int) -> None:
-        data = self.payload_slice(goff, size)
-        if data is not None:
-            self.write_result(peer, goff, data)
-        self.rank_received[peer].add(size)
+        self.distributor.arrive(node, goff, size)
 
     # -- per-rank coroutine ---------------------------------------------------
     def proc(self, rank: int):

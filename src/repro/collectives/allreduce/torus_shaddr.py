@@ -23,11 +23,9 @@ from __future__ import annotations
 from typing import List, Tuple
 
 from repro.collectives.allreduce.base import DOUBLE, AllreduceInvocation
-from repro.collectives.allreduce.ring import RingReduce, protocol_cores
+from repro.collectives.allreduce.ring import RingReduction
 from repro.collectives.bcast.torus_common import TorusBcastNetwork
 from repro.collectives.registry import register
-from repro.msg.color import partition_bytes, torus_colors
-from repro.msg.pipeline import ChunkPlan
 from repro.sim.resources import Store
 from repro.sim.sync import SimCounter
 from repro.telemetry.recorder import ROLE_PROTOCOL, reduce_core_role
@@ -46,24 +44,10 @@ class TorusShaddrAllreduce(AllreduceInvocation):
     def setup(self) -> None:
         machine = self.machine
         engine = machine.engine
-        params = machine.params
-        chunk = params.pipeline_width
         self.net = TorusBcastNetwork(
-            self, self.ncolors, chunk, external_root_feed=True, align=DOUBLE
+            self, self.ncolors, machine.params.pipeline_width,
+            external_root_feed=True, align=DOUBLE,
         )
-        self.colors = torus_colors(self.ncolors)
-        self.parts = partition_bytes(self.nbytes, self.ncolors, align=DOUBLE)
-        self.offsets = [sum(self.parts[:i]) for i in range(self.ncolors)]
-        root_node = machine.rank_to_node(self.root)
-        # The dedicated network-protocol core (local rank 0) per node.
-        self.proto_cores = protocol_cores(machine, self.name)
-        self.contrib_ready: List[List[SimCounter]] = [
-            [
-                SimCounter(engine, name=f"c{c}.n{n}.contrib")
-                for n in range(machine.nnodes)
-            ]
-            for c in range(self.ncolors)
-        ]
         # Result-arrival publication (master core -> worker cores).
         self.mailbox: List[Store] = [
             Store(engine, name=f"n{n}.mbox") for n in range(machine.nnodes)
@@ -82,33 +66,12 @@ class TorusShaddrAllreduce(AllreduceInvocation):
         self.net.on_chunk(
             lambda node, _c, goff, size: self.mailbox[node].put((goff, size))
         )
-        self.rings: List[RingReduce] = []
-        for c, color in enumerate(self.colors):
-            if self.parts[c] == 0:
-                continue
-            self.rings.append(
-                RingReduce(
-                    self,
-                    color,
-                    machine.network.ring_order(color, root_node),
-                    self.offsets[c],
-                    self.parts[c],
-                    chunk,
-                    self.contrib_ready[c],
-                    self.proto_cores,
-                    self.net.start,
-                    lambda goff, size, c=c: self._root_ready(c, goff, size),
-                )
-            )
-
-    def _root_ready(self, c: int, goff: int, size: int) -> None:
-        master = self.machine.node_ranks(
-            self.machine.rank_to_node(self.root)
-        )[0]
-        data = self.payload_slice(goff, size)
-        if data is not None:
-            self.write_result(master, goff, data)
-        self.net.feed_root(self.colors[c].id, size)
+        # The dedicated network-protocol core (local rank 0) per node does
+        # the ring additions; the worker cores' mapped local reduce feeds it.
+        self.reduction = RingReduction(
+            self, self.ncolors, self.net.start, self.net.feed_root,
+            staged=False,
+        )
 
     # -- per-rank coroutine --------------------------------------------------
     def proc(self, rank: int):
@@ -148,28 +111,7 @@ class TorusShaddrAllreduce(AllreduceInvocation):
             # through mapped windows), then copies the full result out of
             # the master's buffer.
             c = local - 1
-            if tel is not None:
-                tel.set_role(rank, node, reduce_core_role(c))
-            plan = ChunkPlan.build(self.parts[c], params.pipeline_width)
-            for _k, off, size in plan.slices():
-                # Map each peer buffer at every access (cached -> free).
-                for peer_local in range(machine.ppn):
-                    if peer_local != local:
-                        peer_rank = machine.node_ranks(node)[peer_local]
-                        yield from ctx.windows.map_buffer(
-                            peer_local, ("allreduce-buf", peer_rank),
-                            self.nbytes,
-                        )
-                # Sum the four local application buffers, no staging copies.
-                t0 = engine.now
-                yield from ctx.node.core_reduce(
-                    size, machine.ppn, name=f"lred.c{c}"
-                )
-                if tel is not None:
-                    tel.copied(t0, engine.now, rank, node,
-                               reduce_core_role(c), "local-reduce", size)
-                yield engine.timeout(params.flag_cost)
-                self.contrib_ready[c][node].add(size)
+            yield from self.reduction.mapped_reduce(ctx, "allreduce-buf")
             # Local broadcast: chase the master's software counters.
             total = self.net.total_chunks_per_node
             for i in range(total):

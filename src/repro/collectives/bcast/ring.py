@@ -69,9 +69,7 @@ class RingPipelinedBcast(BcastInvocation):
             rank: SimCounter(engine, name=f"r{rank}.rbc")
             for rank in range(machine.nprocs)
         }
-        self.distributor = DmaDirectPutDistributor(
-            self, len(self.chunks), self._peer_landed
-        )
+        self.distributor = DmaDirectPutDistributor(self, len(self.chunks))
         if self.nnodes > 1 and self.chunks:
             for position in range(self.nnodes - 1):
                 machine.spawn(
@@ -81,24 +79,15 @@ class RingPipelinedBcast(BcastInvocation):
     # -- intra-node landing ------------------------------------------------
     def _node_has_chunk(self, node: int, c: int) -> None:
         """Chunk ``c`` is present at ``node``: hand it to the master rank
-        and queue the DMA direct-puts to the node's peers."""
+        (the root holds it already on its own node) and queue the DMA
+        direct-puts to the node's other ranks."""
         offset, size = self.offsets[c], self.chunks[c]
-        master = self.machine.node_ranks(node)[0]
-        if master != self.root:
+        if node != self.root_node:
             data = self.payload_slice(offset, size)
             if data is not None:
-                self.write_result(master, offset, data)
-            self.rank_received[master].add(size)
-        self.distributor.push(node, offset, size)
-
-    def _peer_landed(self, peer: int, goff: int, size: int) -> None:
-        if peer == self.root:
-            # the root already owns the payload; keep its buffer pristine
-            return
-        data = self.payload_slice(goff, size)
-        if data is not None:
-            self.write_result(peer, goff, data)
-        self.rank_received[peer].add(size)
+                self.write_result(self.machine.node_ranks(node)[0], offset,
+                                  data)
+        self.distributor.arrive(node, offset, size)
 
     # -- ring --------------------------------------------------------------
     def _ring_position(self, i: int):

@@ -93,12 +93,17 @@ class TorusBcastNetwork:
         """Open the start gate (called once, at measured-window start)."""
         self.start.trigger(None)
 
-    def feed_root(self, color_id: int, nbytes: int) -> None:
-        """External producer: ``nbytes`` more of this color's partition are
-        now available at the root node (only with ``external_root_feed``)."""
+    def feed_root(self, color_id: int, goff: int, size: int) -> None:
+        """External producer: the ``size`` bytes of this color's partition
+        at message offset ``goff`` are now in the root node's master buffer
+        and may be broadcast (only with ``external_root_feed``)."""
         if not self.external_root_feed:
             raise RuntimeError("network was not built with external_root_feed")
-        self._color_received[(color_id, self.root_node)].add(nbytes)
+        data = self.inv.payload_slice(goff, size)
+        if data is not None:
+            master = self.machine.node_ranks(self.root_node)[0]
+            self.inv.write_result(master, goff, data)
+        self._color_received[(color_id, self.root_node)].add(size)
 
     # -- construction ----------------------------------------------------
     def _build(self) -> None:

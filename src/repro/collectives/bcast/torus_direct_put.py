@@ -43,22 +43,13 @@ class TorusDirectPutBcast(BcastInvocation):
             rank: SimCounter(machine.engine, name=f"r{rank}.rcvd")
             for rank in range(machine.nprocs)
         }
-        self.distributor = DmaDirectPutDistributor(
-            self, self.net.total_chunks_per_node, self._peer_landed
+        # Intra-node: the DMA chains local direct puts.
+        distributor = DmaDirectPutDistributor(
+            self, self.net.total_chunks_per_node
         )
-        self.net.on_chunk(self._distribute)
-
-    # -- intra-node: DMA chains local direct puts -------------------------
-    def _distribute(self, node: int, color_id: int, goff: int, size: int) -> None:
-        master = self.machine.node_ranks(node)[0]
-        self.rank_received[master].add(size)
-        self.distributor.push(node, goff, size)
-
-    def _peer_landed(self, peer: int, goff: int, size: int) -> None:
-        data = self.payload_slice(goff, size)
-        if data is not None:
-            self.write_result(peer, goff, data)
-        self.rank_received[peer].add(size)
+        self.net.on_chunk(
+            lambda node, _c, goff, size: distributor.arrive(node, goff, size)
+        )
 
     # -- per-rank coroutine --------------------------------------------------
     def proc(self, rank: int):

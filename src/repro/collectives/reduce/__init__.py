@@ -2,7 +2,9 @@
 
 ``MPI_Reduce`` is the allreduce (section V-C) without the broadcast stage:
 locally reduce each node's contributions, then run the multi-color
-pipelined ring reduction to the root.  The intra-node contrast carries
+pipelined ring reduction to the root — the allreduce's own reduction
+stage, :class:`repro.collectives.allreduce.ring.RingReduction`, whose
+root chunks land in the root's buffer.  The intra-node contrast carries
 over unchanged:
 
 ``reduce-torus-current``

@@ -36,7 +36,6 @@ from repro.hardware.network import NetworkBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.machine import Machine
-    from repro.msg.color import Color
 
 
 def _fit_k(nnodes: int) -> int:
@@ -102,12 +101,6 @@ class FatTreeNetwork(NetworkBackend):
                 return 2
             return 4
         return 6
-
-    def ring_order(self, color: "Color", root: int) -> List[int]:
-        """Index-order ring rotated to ``root``; the color's sign picks
-        the direction, so paired colors stream in opposite directions."""
-        n = self.nnodes
-        return [(root + color.sign * i) % n for i in range(n)]
 
     # -- routing -----------------------------------------------------------
     def _ecmp(self, color: int, src: int, dst: int) -> int:

@@ -32,6 +32,7 @@ from repro.hardware.fault_schedule import (  # noqa: F401 - re-exported
     RetryPolicy,
     TreePortFlap,
     WindowFault,
+    _check_factor,
 )
 from repro.hardware.machine import Machine
 
@@ -120,8 +121,3 @@ def jittered_proc(invocation, rank: int, jitter: JitterInjector):
     yield from jitter.delay()
     yield from invocation.proc(rank)
     yield from jitter.delay()
-
-
-def _check_factor(factor: float) -> None:
-    if not 0.0 < factor <= 1.0:
-        raise ValueError(f"factor must be in (0, 1], got {factor}")

@@ -28,7 +28,6 @@ from repro.hardware.network import NetworkBackend, register_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.machine import Machine
-    from repro.msg.color import Color
 
 
 @register_backend
@@ -73,12 +72,6 @@ class LeafSpineNetwork(NetworkBackend):
         if src == dst:
             return 0
         return 2 if self.leaf(src) == self.leaf(dst) else 4
-
-    def ring_order(self, color: "Color", root: int) -> List[int]:
-        """Index-order ring rotated to ``root``; the color's sign picks
-        the direction, so paired colors stream in opposite directions."""
-        n = self.nnodes
-        return [(root + color.sign * i) % n for i in range(n)]
 
     # -- routing -----------------------------------------------------------
     def route_channel_keys(self, color: int, src: int, dst: int

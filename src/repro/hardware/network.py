@@ -159,7 +159,8 @@ class NetworkBackend:
     """Abstract interconnect: topology, channel ownership, transfers.
 
     Subclasses provide the topology surface (:meth:`coords`,
-    :meth:`hop_distance`, :meth:`ring_order`), the routing surface
+    :meth:`hop_distance`; :meth:`ring_order` has a default), the routing
+    surface
     (:meth:`route_channel_keys` + :meth:`channel_touches` +
     :meth:`_channel_name`), and set :attr:`nnodes` in their constructor.
     The channel machinery — lazy :class:`FlowResource` creation,
@@ -207,10 +208,13 @@ class NetworkBackend:
 
         The ring collectives (allgather/gather/scatter, the allreduce's
         reduce-scatter pipeline) only need *some* Hamiltonian order per
-        color; each backend picks the one its topology makes cheap (the
-        torus snakes, switched fabrics rotate).
+        color; each backend picks the one its topology makes cheap.  The
+        torus snakes; this default, which the switched fabrics use, is the
+        index-order ring rotated to ``root``, and the color's sign picks
+        the direction, so paired colors stream in opposite directions.
         """
-        raise NotImplementedError
+        n = self.nnodes
+        return [(root + color.sign * i) % n for i in range(n)]
 
     # -- channels ---------------------------------------------------------
     def iter_channels(self) -> Iterator[Tuple[Tuple, FlowResource]]:

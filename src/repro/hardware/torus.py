@@ -143,22 +143,13 @@ class TorusNetwork(NetworkBackend):
         return ring_order(self, color, root)
 
     # -- channels -----------------------------------------------------------
-    def iter_channels(self):
-        """Yield ``(key, channel)`` for every channel created so far.
-
-        Keys are ``("line", color, dim, sign, line_id)`` for deposit-bit
-        line channels and ``("seg", color, dim, sign, src)`` for
-        point-to-point segment channels.  Channels are created lazily, so
-        the listing grows as collectives build their routes; injectors that
-        must also catch future channels register an
-        :meth:`add_channel_hook` callback.
-        """
-        yield from self._channels.items()
-
     def channel_touches(self, key: Tuple, node: int) -> bool:
         """Whether the channel under ``key`` carries traffic through ``node``.
 
-        A line channel matches when the node sits on the line (all fixed
+        Keys are ``("line", color, dim, sign, line_id)`` for deposit-bit
+        line channels and ``("seg", color, dim, sign, src)`` for
+        point-to-point segment channels.  A line channel matches when the
+        node sits on the line (all fixed
         coordinates equal); a segment channel matches when the node is the
         segment's source.
         """

@@ -10,22 +10,9 @@ payload buffers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
-
-def split_chunks(nbytes: int, chunk_bytes: int) -> List[int]:
-    """Split ``nbytes`` into pipeline chunks of at most ``chunk_bytes``."""
-    if nbytes < 0:
-        raise ValueError(f"nbytes must be >= 0, got {nbytes}")
-    if chunk_bytes <= 0:
-        raise ValueError(f"chunk_bytes must be > 0, got {chunk_bytes}")
-    if nbytes == 0:
-        return []
-    full, rest = divmod(nbytes, chunk_bytes)
-    chunks = [chunk_bytes] * full
-    if rest:
-        chunks.append(rest)
-    return chunks
+from repro.hardware.tree import split_chunks
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,27 @@ _KNOWN_FIELDS = frozenset(
 )
 
 
+def _integer(field: str, value) -> int:
+    """``value`` as an int: an int, an integral float or a numeric string.
+    A bool or a fractional float is refused rather than truncated, so a
+    client is never served the answer to a different question."""
+    if isinstance(value, bool) or (
+        isinstance(value, float) and not value.is_integer()
+    ):
+        raise QueryError(f"{field} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise QueryError(f"{field} must be an integer, got {value!r}")
+
+
+def _flag(field: str, value) -> bool:
+    """``value`` if it is a JSON boolean (``"false"`` would read as true)."""
+    if not isinstance(value, bool):
+        raise QueryError(f"{field} must be true or false, got {value!r}")
+    return value
+
+
 def normalize_query(request: dict) -> dict:
     """Canonicalize one predict request into an executable point spec.
 
@@ -151,10 +172,7 @@ def normalize_query(request: dict) -> dict:
             f"unknown collective family {family!r}; known: "
             f"{sorted(FAMILY_SPECS)}"
         )
-    try:
-        x = int(request.get("x", 0))
-    except (TypeError, ValueError):
-        raise QueryError(f"x must be an integer, got {request.get('x')!r}")
+    x = _integer("x", request.get("x", 0))
     if x < 0:
         raise QueryError(f"x must be >= 0, got {x}")
 
@@ -164,7 +182,7 @@ def normalize_query(request: dict) -> dict:
         spec[fld] = request.get(fld, default)
     for fld in _SPEC_OPTIONAL:
         if fld in request and request[fld] is not None:
-            spec[fld] = bool(request[fld])
+            spec[fld] = _flag(fld, request[fld])
 
     dims = spec["dims"]
     if isinstance(dims, str):
@@ -173,8 +191,8 @@ def normalize_query(request: dict) -> dict:
         except ValueError:
             raise QueryError(f"dims must look like 4x4x4, got {dims!r}")
     try:
-        dims = tuple(int(d) for d in dims)
-    except (TypeError, ValueError):
+        dims = tuple(_integer("dims", d) for d in dims)
+    except TypeError:
         raise QueryError(f"dims must be three integers, got {spec['dims']!r}")
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise QueryError(f"dims must be three positive integers, got {dims}")
@@ -187,17 +205,13 @@ def normalize_query(request: dict) -> dict:
             f"{spec['mode']!r}"
         )
     spec["mode"] = mode
-    spec["wrap"] = bool(spec["wrap"])
+    spec["wrap"] = _flag("wrap", spec["wrap"])
     if spec["network"] not in known_backends():
         raise QueryError(
             f"unknown network {spec['network']!r}; known: {known_backends()}"
         )
-    try:
-        spec["iters"] = int(spec["iters"])
-        spec["seed"] = int(spec["seed"])
-        spec["root"] = int(spec["root"])
-    except (TypeError, ValueError):
-        raise QueryError("iters, seed and root must be integers")
+    for fld in ("iters", "seed", "root"):
+        spec[fld] = _integer(fld, spec[fld])
     if spec["iters"] < 1:
         raise QueryError(f"iters must be >= 1, got {spec['iters']}")
     if spec["root"] != 0 and not FAMILY_SPECS[family].takes_root:
@@ -205,7 +219,7 @@ def normalize_query(request: dict) -> dict:
             f"family {family!r} takes no root (it runs at root 0); "
             f"got root={spec['root']}"
         )
-    spec["window_caching"] = bool(spec["window_caching"])
+    spec["window_caching"] = _flag("window_caching", spec["window_caching"])
 
     if spec["algorithm"] == "auto":
         fam_spec = FAMILY_SPECS[family]

@@ -272,10 +272,8 @@ def _format_value(value: float) -> str:
     return repr(float(value))
 
 
-class Counter:
-    """A monotonically increasing count, optionally labelled."""
-
-    kind = "counter"
+class _Labelled:
+    """One value per label set, guarded by the registry's lock."""
 
     def __init__(self, name: str, help_text: str, lock: threading.RLock):
         self.name = name
@@ -283,16 +281,22 @@ class Counter:
         self._lock = lock
         self._values: Dict[_LabelKey, float] = {}
 
+    def value(self, **labels) -> float:
+        with self._lock:
+            return self._values.get(_label_key(labels), 0.0)
+
+
+class Counter(_Labelled):
+    """A monotonically increasing count, optionally labelled."""
+
+    kind = "counter"
+
     def inc(self, amount: float = 1, **labels) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name} cannot decrease")
         key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
 
     def by_label(self, label: str) -> Dict[str, int]:
         """Integer counts keyed by ``label``'s value, in first-seen order
@@ -304,24 +308,14 @@ class Counter:
             }
 
 
-class Gauge:
+class Gauge(_Labelled):
     """A value that can go up and down (occupancy, sizes)."""
 
     kind = "gauge"
 
-    def __init__(self, name: str, help_text: str, lock: threading.RLock):
-        self.name = name
-        self.help = help_text
-        self._lock = lock
-        self._values: Dict[_LabelKey, float] = {}
-
     def set(self, value: float, **labels) -> None:
         with self._lock:
             self._values[_label_key(labels)] = float(value)
-
-    def value(self, **labels) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
 
 
 class Histogram:

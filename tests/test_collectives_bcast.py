@@ -72,12 +72,15 @@ class TestBcastCorrectness:
         "algorithm", ["torus-direct-put", "torus-fifo", "torus-shaddr"]
     )
     def test_nonzero_root(self, algorithm):
-        m = machine_for(algorithm, dims=(2, 2, 1))
-        # Root on a different node; local rank 0 (the torus algorithms
-        # designate the root process as that node's master).
-        run_collective(
-            m, "bcast", algorithm, 40_000, root=4, iters=1, verify=True
-        )
+        # Roots on another node: local rank 0 (the torus algorithms
+        # designate the root process as that node's master), and local
+        # rank 1, whose node's local rank 0 must still get the payload.
+        for root in (4, 5):
+            m = machine_for(algorithm, dims=(2, 2, 1))
+            run_collective(
+                m, "bcast", algorithm, 40_000, root=root, iters=1,
+                verify=True,
+            )
 
     def test_multiple_iterations_all_verified(self):
         m = machine_for("torus-shaddr")

@@ -97,10 +97,11 @@ class TestTorusBcastNetwork:
         def feeder():
             # Feed each color's partition in two halves, the second late.
             for color_id, (off, plan) in enumerate(net.plans):
-                net.feed_root(color_id, plan.total // 2)
+                net.feed_root(color_id, off, plan.total // 2)
             yield machine.engine.timeout(5000.0)
             for color_id, (off, plan) in enumerate(net.plans):
-                net.feed_root(color_id, plan.total - plan.total // 2)
+                half = plan.total // 2
+                net.feed_root(color_id, off + half, plan.total - half)
 
         def watcher(node):
             yield net.node_received[node].wait_for(net.inv.nbytes)
@@ -119,7 +120,7 @@ class TestTorusBcastNetwork:
     def test_feed_root_requires_external_mode(self):
         _machine, net = build()
         with pytest.raises(RuntimeError):
-            net.feed_root(0, 100)
+            net.feed_root(0, 0, 100)
 
     def test_single_color_schedule(self):
         machine, net = build(ncolors=1, nbytes=50_000)

@@ -138,3 +138,73 @@ def test_every_keyword_only_option_is_passed_somewhere():
         "keyword-only options no call passes (delete them, keeping the "
         "default's behaviour):\n" + "\n".join(unset)
     )
+
+
+#: AST nodes a function body needs before two copies of it count
+MIN_BODY_NODES = 30
+
+#: bodies that stay written twice on purpose, each with its reason
+ALLOWED_TWINS = {
+    frozenset({
+        "src/repro/collectives/allreduce/tree_allreduce.py:setup",
+        "src/repro/collectives/bcast/tree_dma.py:setup",
+    }): "the allreduce and bcast families share no base below "
+        "InvocationBase, and the tree operation is four lines",
+    frozenset({
+        "src/repro/collectives/allgather/base.py:node_block_range",
+        "src/repro/collectives/gather/base.py:node_block_range",
+    }): "allgather and gather share no base below InvocationBase, and "
+        "the block layout is one line",
+}
+
+
+def _body_dump(node: ast.AST):
+    """The AST dump and node count of a function body, docstring left out;
+    None for a bare ``raise NotImplementedError`` stub."""
+    body = node.body
+    if (body and isinstance(body[0], ast.Expr)
+            and isinstance(body[0].value, ast.Constant)
+            and isinstance(body[0].value.value, str)):
+        body = body[1:]
+    if len(body) == 1 and isinstance(body[0], ast.Raise):
+        exc = body[0].exc
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        if isinstance(exc, ast.Name) and exc.id == "NotImplementedError":
+            return None
+    module = ast.Module(body=body, type_ignores=[])
+    return ast.dump(module), sum(1 for _ in ast.walk(module))
+
+
+def test_no_function_body_is_defined_twice():
+    """No two functions or methods under ``src/`` have AST-identical
+    bodies of :data:`MIN_BODY_NODES` or more nodes: keep one and call
+    it, or list the pair in :data:`ALLOWED_TWINS` with a reason.
+
+    Names, arguments and docstrings do not count; line numbers and
+    comments are not in the AST.  The check sees exact copies only: a
+    near-copy that differs in one flow name or one literal passes.
+    """
+    by_body = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            dumped = _body_dump(node)
+            if dumped is None or dumped[1] < MIN_BODY_NODES:
+                continue
+            site = f"{path.relative_to(REPO_ROOT).as_posix()}:{node.name}"
+            by_body.setdefault(dumped[0], []).append((site, node.lineno))
+    twins = [
+        sorted(sites) for sites in by_body.values()
+        if len(sites) > 1
+        and frozenset(site for site, _line in sites) not in ALLOWED_TWINS
+    ]
+    assert not twins, (
+        "function bodies written more than once (keep one, or list the "
+        "set in ALLOWED_TWINS with a reason):\n" + "\n".join(
+            ", ".join(f"{site} (line {line})" for site, line in group)
+            for group in twins
+        )
+    )

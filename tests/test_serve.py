@@ -131,6 +131,29 @@ class TestNormalizeQuery:
             normalize_query({"family": "bcast", "algorithm": "tree-shaddr",
                              "x": 4096, "mode": "OCTO"})
 
+    @pytest.mark.parametrize("field, value", [
+        ("x", 4096.9), ("x", True), ("iters", 2.7), ("iters", True),
+        ("seed", 77.5), ("seed", False), ("root", True), ("root", 1.5),
+        ("dims", [2.9, 2, 2]), ("dims", [2, True, 2]),
+        ("wrap", "false"), ("wrap", 0), ("window_caching", "false"),
+        ("window_caching", 1), ("steady_state", "yes"),
+    ])
+    def test_refuses_values_it_would_have_to_truncate(self, field, value):
+        """A bool or a fractional number where an integer belongs, or a
+        non-boolean flag, is refused by name, never coerced into the
+        answer to a different question."""
+        base = {"family": "bcast", "algorithm": "tree-shaddr", "x": 4096}
+        with pytest.raises(QueryError, match=field):
+            normalize_query({**base, field: value})
+
+    def test_integral_floats_and_digit_strings_keep_their_key(self):
+        base = {"family": "bcast", "algorithm": "tree-shaddr", "x": 4096,
+                "iters": 2, "seed": 77, "dims": [2, 2, 2]}
+        loose = {**base, "x": 4096.0, "iters": "2", "seed": "77",
+                 "dims": [2.0, 2, 2]}
+        assert query_key(normalize_query(loose)) == query_key(
+            normalize_query(base))
+
     def test_unknown_algorithm_surfaces_at_normalize_time(self):
         with pytest.raises(KeyError):
             normalize_query({"family": "bcast", "algorithm": "tree-shadr",
