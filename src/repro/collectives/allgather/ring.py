@@ -131,15 +131,15 @@ class RingCurrentAllgather(_RingAllgatherBase):
         machine = self.machine
         params = machine.params
         engine = machine.engine
+        own_off = rank * self.block_bytes
+        data = self.payload_slice(own_off, self.block_bytes)
+        if data is not None:
+            self.write_result(rank, own_off, data)
         if self.block_bytes == 0 or machine.nprocs == 1:
             return
         yield engine.timeout(params.mpi_overhead)
         node = ctx.node_index
         master = machine.node_ranks(node)[0]
-        own_off = rank * self.block_bytes
-        data = self.payload_slice(own_off, self.block_bytes)
-        if data is not None:
-            self.write_result(rank, own_off, data)
         if rank == machine.node_ranks(0)[0]:
             self.start.trigger(None)
         if rank == master:
@@ -194,15 +194,15 @@ class RingShaddrAllgather(_RingAllgatherBase):
         machine = self.machine
         params = machine.params
         engine = machine.engine
+        own_off = rank * self.block_bytes
+        data = self.payload_slice(own_off, self.block_bytes)
+        if data is not None:
+            self.write_result(rank, own_off, data)
         if self.block_bytes == 0 or machine.nprocs == 1:
             return
         yield engine.timeout(params.mpi_overhead)
         node = ctx.node_index
         master = machine.node_ranks(node)[0]
-        own_off = rank * self.block_bytes
-        data = self.payload_slice(own_off, self.block_bytes)
-        if data is not None:
-            self.write_result(rank, own_off, data)
         if rank == machine.node_ranks(0)[0]:
             self.start.trigger(None)
         npeers = machine.ppn - 1

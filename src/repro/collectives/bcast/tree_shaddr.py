@@ -15,6 +15,11 @@ the process with local rank two makes an additional copy into the
 application buffer of the injection process ... The extra copy is not a
 problem as the memory bandwidth is at least twice that of the collective
 network."
+
+The paper's roles assume the root at local rank 0.  Here they count from
+the root's local rank on every node: that rank injects, the next one
+(modulo the node's four) receives, and the two after it copy, the first
+of them also into the injection process's buffer.
 """
 
 from __future__ import annotations
@@ -41,12 +46,8 @@ class TreeShaddrBcast(BcastInvocation):
 
     def setup(self) -> None:
         machine = self.machine
-        if machine.rank_to_local(self.root) != 0:
-            raise ValueError(
-                f"{self.name} expects the global root at local rank 0 "
-                f"(the injection process), got local rank "
-                f"{machine.rank_to_local(self.root)}"
-            )
+        #: the injection process's local rank, the root's on every node
+        self.lead = machine.rank_to_local(self.root)
         params = machine.params
         self.op: TreeOperation = machine.tree.operation(
             self.nbytes, params.pipeline_width
@@ -73,9 +74,11 @@ class TreeShaddrBcast(BcastInvocation):
         yield engine.timeout(params.mpi_overhead)
         node = ctx.node_index
         local = ctx.local_rank
+        # 0 injects, 1 receives, 2 and 3 copy (see the module docstring).
+        role = (local - self.lead) % machine.ppn
         nchunks = self.op.nchunks
         tel = engine.telemetry
-        if local == 0:
+        if role == 0:
             # Injection process: drives the tree from its application buffer
             # (the global root injects payload; everyone else zeros).
             if tel is not None:
@@ -93,7 +96,7 @@ class TreeShaddrBcast(BcastInvocation):
                 yield self.injector_filled[node].wait_for(nchunks)
                 if tel is not None:
                     tel.stall(t0, engine.now, rank, node, "waiting-on-counter")
-        elif local == 1:
+        elif role == 1:
             # Reception process: drains straight into its application
             # buffer and publishes the software counter.
             if tel is not None:
@@ -113,12 +116,13 @@ class TreeShaddrBcast(BcastInvocation):
                 self.sw_counter[node].add(1)
                 offset += size
         else:
-            # Copy processes: rank 2 copies to itself and to rank 0;
-            # rank 3 copies to itself only.
+            # Copy processes: role 2 copies to itself and to the
+            # injection process; role 3 copies to itself only.
             if tel is not None:
                 tel.set_role(rank, node, ROLE_COPIER)
-            reception_rank = machine.node_ranks(node)[1]
-            injection_rank = machine.node_ranks(node)[0]
+            reception_local = (self.lead + 1) % machine.ppn
+            reception_rank = machine.node_ranks(node)[reception_local]
+            injection_rank = machine.node_ranks(node)[self.lead]
             offset = 0
             for k in range(nchunks):
                 size = self.op.chunks[k]
@@ -129,14 +133,15 @@ class TreeShaddrBcast(BcastInvocation):
                         tel.stall(t0, engine.now, rank, node,
                                   "waiting-on-counter")
                     yield engine.timeout(params.flag_cost)
-                # Map the reception (and, for rank 2, the injection) buffer
+                # Map the reception (and, for role 2, the injection) buffer
                 # at every access; the window cache makes repeats free.
                 yield from ctx.windows.map_buffer(
-                    1, ("bcast-buf", reception_rank), self.nbytes
+                    reception_local, ("bcast-buf", reception_rank),
+                    self.nbytes,
                 )
-                if local == 2:
+                if role == 2:
                     yield from ctx.windows.map_buffer(
-                        0, ("bcast-buf", injection_rank), self.nbytes
+                        self.lead, ("bcast-buf", injection_rank), self.nbytes
                     )
                 t0 = engine.now
                 yield from ctx.node.core_copy(size, name=f"shaddr.l{local}")
@@ -146,7 +151,7 @@ class TreeShaddrBcast(BcastInvocation):
                 data = self.payload_slice(offset, size)
                 if data is not None:
                     self.write_result(rank, offset, data)
-                if local == 2:
+                if role == 2:
                     # The additional copy into the injection process.
                     t0 = engine.now
                     yield from ctx.node.core_copy(size, name="shaddr.inj")

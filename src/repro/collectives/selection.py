@@ -19,11 +19,14 @@ Semantics
   the message size for bcast, ``count * 8`` for the double-sum
   reductions, the per-rank block size for allgather.
 
-The bcast column reproduces the historical ``select_bcast`` exactly:
+The bcast column follows the historical ``select_bcast`` in quad mode:
 short messages take the latency-optimized shared-memory tree scheme,
 medium messages the core-specialized shared-address tree scheme, large
 messages move to the torus where six links beat the single tree link;
 SMP mode has no intra-node stage and uses the plain hardware protocols.
+The core-specialized tree scheme needs four processes per node, so dual
+mode moves from the shared-memory tree scheme straight to the
+shared-address torus scheme past 8 KiB.
 The allreduce and reduce columns encode section V-C (the shared-address
 torus schemes are quad-mode algorithms and need large messages to
 amortize the reduce-scatter pipeline); the allgather column follows the
@@ -49,6 +52,10 @@ SELECTION_TABLE: Dict[str, Tuple[ModeRule, ...]] = {
         ((1,), (
             (256 * KIB, "tree-smp"),
             (None, "torus-direct-put-smp"),
+        )),
+        ((2,), (
+            (8 * KIB, "tree-shmem"),
+            (None, "torus-shaddr"),
         )),
         (None, (
             (8 * KIB, "tree-shmem"),

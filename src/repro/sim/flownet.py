@@ -67,9 +67,15 @@ else by a full fill:
   the same.  Otherwise it refuses with no side effect and a full fill
   serves the re-solve;
 * the commit reproduces every side effect of a full re-solve in the same
-  order (``_delta_post``): the joining flow's rate, busy-integral folds,
-  the fill's load fold, and each deadline push and recursive finish of a
-  due flow, with a rate-change log for flows a nested re-solve changes.
+  order: the joining flow's rate, busy-integral folds, the fill's load
+  fold, and the post-loop's calls for the due flows and the joining flow.
+
+A re-solve's post-loop queues each flow it finds due instead of finishing
+it on the spot, and the network finishes queued flows first in, first out,
+once that post-loop has run (``_drain``).  A finish re-solves its
+component, and that re-solve queues the flows it finds due behind the
+rest, so a cascade of flows due at one instant runs in one loop, however
+long, and no re-solve runs inside another's post-loop.
 
 A capacity change and a clock rebase drop every certificate
 (``drop_certificates``).  The slow path never reads certificates, so it
@@ -91,7 +97,6 @@ per flow and records nothing.
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
 from operator import attrgetter
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -417,13 +422,14 @@ class FlowNetwork:
         #: delta re-fills tried and refused; each then fell back to a
         #: full fill
         self.delta_refusals = 0
-        #: delta re-fills that ran with due flows pending, inside a finish
-        #: cascade
+        #: delta re-fills that found due flows still waiting in the finish
+        #: queue, i.e. ran inside a finish cascade
         self.delta_cascades = 0
         self._cert_gen = 0
-        #: (flow, rate before the change) for every rate a re-solve
-        #: changes while a delta re-fill's post-loop is open; else None
-        self._rate_log: Optional[List[Tuple[Flow, float]]] = None
+        #: due flows waiting to finish, first in, first out, and whether
+        #: ``_drain`` is finishing them
+        self._due: List[Flow] = []
+        self._draining = False
         self.incremental = (not setting("REPRO_SIM_SLOWPATH")
                             if incremental is None else bool(incremental))
         self._debug = bool(setting("REPRO_SIM_DEBUG", debug))
@@ -693,6 +699,8 @@ class FlowNetwork:
         Only flows whose rate actually changed get a fresh deadline; an
         unchanged flow's previously scheduled completion stays valid, which
         keeps the event heap small when large components re-solve often.
+        Due flows are queued, and finished by :meth:`_drain` once the
+        post-loop has run, or by the drain already running.
 
         Flows are processed in creation order — a canonical order shared by
         the fast and reference paths, so event tie-breaking (and therefore
@@ -719,6 +727,8 @@ class FlowNetwork:
                 and cert.gen == self._cert_gen
             ):
                 if self._delta(flows, root, cert, joined, left):
+                    if self._due and not self._draining:
+                        self._drain()
                     return
                 self.delta_refusals += 1
         flows.sort(key=_flow_seq_key)
@@ -751,11 +761,6 @@ class FlowNetwork:
         )
         if cert is not None:
             root.cert = cert
-        log = self._rate_log
-        if log is not None:
-            for flow, old in zip(flows, old_rates):
-                if flow.rate != old:
-                    log.append((flow, old))
         for flow, old in zip(flows, old_rates):
             rate = flow.rate
             if rate != old:
@@ -770,6 +775,8 @@ class FlowNetwork:
                     continue
             if flow.remaining <= _EPS_BYTES:
                 self._schedule_completion(flow)
+        if self._due and not self._draining:
+            self._drain()
 
     def _delta(
         self,
@@ -826,18 +833,23 @@ class FlowNetwork:
             r._load = load
         due = [flow for flow in cert.due if not flow.finished]
         cert.due = due
-        if joined is not None:
-            if joined.remaining <= _EPS_BYTES:
-                cert.due = due + [joined]
-            if self._rate_log is not None and joined.rate != 0.0:
-                self._rate_log.append((joined, 0.0))
+        if joined is not None and joined.remaining <= _EPS_BYTES:
+            cert.due = due + [joined]
         root.cert = cert
         self.delta_refills += 1
         if self._debug:
             self._check_delta(flows, cert)
+        # The post-loop of a full re-solve, which visits the group in
+        # creation order and acts on each flow whose rate moved or that
+        # is due: only the joining flow's rate moved, and it is the newest.
         if due:
             self.delta_cascades += 1
-        self._delta_post(flows, due, joined)
+            for flow in due:
+                self._schedule_completion(flow)
+        if joined is not None and (
+            _rate_moved(joined.rate, 0.0) or joined.remaining <= _EPS_BYTES
+        ):
+            self._schedule_completion(joined)
         return True
 
     def _delta_plan(
@@ -997,66 +1009,6 @@ class FlowNetwork:
             if min(sat_old[i], cut) != min(sat_new[i], cut):
                 return None
         return new_hits, new_caps, rounds, joined_round
-
-    def _delta_post(
-        self, flows: List[Flow], due: List[Flow], joined: Optional[Flow]
-    ) -> None:
-        """The post-loop of a full re-solve, for a delta re-fill: the same
-        ``_schedule_completion`` calls in the same order.  ``due`` holds
-        the due flows other than ``joined``.
-
-        The full loop visits every flow of the group in creation order and
-        acts on each whose rate moved from its value before the re-solve,
-        or that is due.  After a delta re-fill only a joining flow moved,
-        so it acts on the due flows and the joining flow, until one of its
-        calls finishes a flow and the nested re-solve moves others.  Those
-        come in from the rate-change log: each member of the group ahead of
-        the cursor that a nested call changed joins the queue with its
-        rate from before the first change.
-        """
-        # Creation order (due is in it, the joining flow is the newest):
-        # a sorted list is a heap.
-        queue = [(flow.seq, flow, flow.rate) for flow in due]
-        if joined is not None:
-            queue.append((joined.seq, joined, 0.0))
-        if not queue:
-            return
-        log = self._rate_log
-        opened = log is None
-        if opened:
-            log = self._rate_log = []
-        try:
-            mark = len(log)
-            members: Optional[Set[Flow]] = None
-            queued: Set[Flow] = set()
-            while queue:
-                seq, flow, old = heappop(queue)
-                if flow.finished:
-                    continue  # the full loop would only bump its generation
-                rate = flow.rate
-                if not (
-                    rate != old and _rate_moved(rate, old)
-                    or flow.remaining <= _EPS_BYTES
-                ):
-                    continue
-                self._schedule_completion(flow)
-                if len(log) == mark:
-                    continue
-                if members is None:
-                    members = set(flows)
-                    queued.update([entry[1] for entry in queue])
-                for changed, changed_old in log[mark:]:
-                    if (
-                        changed.seq > seq
-                        and changed not in queued
-                        and changed in members
-                    ):
-                        queued.add(changed)
-                        heappush(queue, (changed.seq, changed, changed_old))
-                mark = len(log)
-        finally:
-            if opened:
-                self._rate_log = None
 
     def _check_delta(self, flows: List[Flow], cert: _Certificate) -> None:
         """Debug-mode guard: a delta re-fill left the rates, loads and
@@ -1241,11 +1193,10 @@ class FlowNetwork:
                 )
 
     def _schedule_completion(self, flow: Flow) -> None:
+        """Queue a due flow for ``_drain``, else push its deadline."""
         flow.generation += 1
-        if flow.finished:
-            return
         if flow.remaining <= _EPS_BYTES:
-            self._finish(flow)
+            self._due.append(flow)
             return
         if flow.rate <= _EPS_RATE:
             raise SimulationError(f"flow {flow.name!r} starved (rate=0)")
@@ -1257,11 +1208,27 @@ class FlowNetwork:
         if flow.finished or generation != flow.generation:
             return  # stale: rates changed since this deadline was set
         flow.advance(self.engine.now)
-        if flow.remaining <= _EPS_BYTES:
-            self._finish(flow)
-        else:
-            # Numerical slack; re-arm.
-            self._schedule_completion(flow)
+        # Due: queued and finished at once.  Else numerical slack: re-armed.
+        self._schedule_completion(flow)
+        if self._due:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Finish the queued due flows, first in, first out.
+
+        Each finish re-solves its component, and that re-solve queues the
+        flows it finds due behind the rest, so a cascade of flows due at
+        one instant runs here, in one loop.  A flow is queued once for
+        every re-solve that finds it due, and finishes the first time.
+        """
+        self._draining = True
+        try:
+            for flow in self._due:  # the list grows while this loop runs
+                if not flow.finished:
+                    self._finish(flow)
+        finally:
+            self._due.clear()
+            self._draining = False
 
     def _finish(self, flow: Flow) -> None:
         flow.finished = True

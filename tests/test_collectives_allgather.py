@@ -29,6 +29,15 @@ class TestAllgatherCorrectness:
         run_collective(m, "allgather", algorithm, 2048, iters=1, verify=True)
 
     @pytest.mark.parametrize("algorithm", ALGOS)
+    def test_single_process(self, algorithm):
+        """One rank: its own block is the whole result."""
+        m = Machine(torus_dims=(1, 1, 1), mode=Mode.SMP)
+        result = run_collective(
+            m, "allgather", algorithm, 2048, iters=1, verify=True
+        )
+        assert result.elapsed_us == 0.0
+
+    @pytest.mark.parametrize("algorithm", ALGOS)
     def test_asymmetric_torus(self, algorithm):
         m = Machine(torus_dims=(3, 2, 1), mode=Mode.QUAD)
         run_collective(m, "allgather", algorithm, 1024, iters=1, verify=True)

@@ -69,18 +69,32 @@ class TestBcastCorrectness:
         run_collective(m, "bcast", algorithm, 30_000, iters=1, verify=True)
 
     @pytest.mark.parametrize(
-        "algorithm", ["torus-direct-put", "torus-fifo", "torus-shaddr"]
+        "algorithm",
+        ["torus-direct-put", "torus-fifo", "torus-shaddr", "tree-shaddr"],
     )
     def test_nonzero_root(self, algorithm):
         # Roots on another node: local rank 0 (the torus algorithms
         # designate the root process as that node's master), and local
-        # rank 1, whose node's local rank 0 must still get the payload.
+        # rank 1, whose node's local rank 0 must still get the payload
+        # (tree-shaddr counts its roles from the root's local rank).
         for root in (4, 5):
             m = machine_for(algorithm, dims=(2, 2, 1))
             run_collective(
                 m, "bcast", algorithm, 40_000, root=root, iters=1,
                 verify=True,
             )
+
+    def test_tree_shaddr_root_off_local_zero(self):
+        """The root's local rank injects, on every node: a root at local
+        rank 1 delivers everywhere, in the time of root 0."""
+        times = [
+            run_collective(
+                Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD), "bcast",
+                "tree-shaddr", 40_000, root=root, iters=2, verify=True,
+            ).iterations_us
+            for root in (0, 1)
+        ]
+        assert times[1] == times[0]
 
     def test_multiple_iterations_all_verified(self):
         m = machine_for("torus-shaddr")
@@ -138,11 +152,6 @@ class TestBcastModeGuards:
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.DUAL)
         with pytest.raises(ValueError):
             run_collective(m, "bcast", "tree-shaddr", 1024, iters=1)
-
-    def test_tree_shaddr_requires_root_local_zero(self):
-        m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-        with pytest.raises(ValueError):
-            run_collective(m, "bcast", "tree-shaddr", 1024, root=1, iters=1)
 
     def test_unknown_algorithm(self):
         with pytest.raises(KeyError):

@@ -120,6 +120,10 @@ class TestSelectionBoundaries:
                 return "tree-smp" if nbytes <= 256 * KIB else (
                     "torus-direct-put-smp"
                 )
+            if ppn == 2:
+                return "tree-shmem" if nbytes <= 8 * KIB else (
+                    "torus-shaddr"
+                )
             if nbytes <= 8 * KIB:
                 return "tree-shmem"
             if nbytes <= 256 * KIB:
@@ -180,11 +184,6 @@ class TestSelectionBoundaries:
                 for _max, name in ladder:
                     info = algorithm_info(family, name)
                     for ppn in ppns:
-                        # tree-shaddr for ppn=2 predates the table and is
-                        # kept verbatim (quad-only class, historical
-                        # behaviour of select_bcast).
-                        if (family, name, ppn) == ("bcast", "tree-shaddr", 2):
-                            continue
                         assert info.supports_ppn(ppn), (family, name, ppn)
 
     def test_bad_inputs(self):

@@ -476,14 +476,67 @@ def test_delta_refills_serve_most_wide_torus_allreduce_resolves():
 
 def test_delta_post_loop_schedules_the_full_paths_events():
     """A delta re-fill inside a finish cascade must make the full path's
-    deadline pushes, including those for flows a nested re-solve changed
-    (the rate-change log).  A missed push moves no answer here, only the
-    number of events, so the test compares that count as well."""
+    deadline pushes: the due flows it finds still queued, then the
+    joining flow.  A missed push moves no answer here, only the number of
+    events, so the test compares that count as well."""
     point = ("bcast", "torus-shaddr", 1 << 20, (2, 2, 2))
     slow, _ = _measure_counts(SOLVERS["slowpath"], *point)
     fast, fast_net = _measure_counts(SOLVERS["incremental"], *point)
     assert fast == slow
     assert fast_net.delta_cascades > 0
+
+
+def _simultaneous_finishes(n_flows, cap, incremental, debug=False):
+    """``n_flows`` equal flows over one hub, each also on one of four
+    side resources, all at one rate: the side resources' share, or
+    ``cap`` if it is lower.  So every flow is due at one instant.
+    Returns (flow index, completion time) in completion order, and the
+    network."""
+    engine = Engine()
+    net = FlowNetwork(engine, incremental=incremental, debug=debug)
+    hub = net.add_resource("hub", 1000.0)
+    sides = [net.add_resource(f"side{i}", 50.0) for i in range(4)]
+    completions = []
+    for index in range(n_flows):
+        flow = net.transfer({hub: 1.0, sides[index % 4]: 1.0}, 4096.0,
+                            cap=cap, name=f"f{index}")
+        flow.event.on_trigger(
+            lambda _v, index=index: completions.append((index, engine.now))
+        )
+    engine.run()
+    return completions, net
+
+
+@pytest.mark.parametrize("cap", [None, 0.25])
+def test_simultaneous_finishes_cascade_in_a_loop(cap):
+    """600 flows finishing at one instant finish in one loop, not by
+    recursion: every solver setting runs at the interpreter's default
+    recursion limit, with equal completion times and order.  Bound by
+    the side resources, each finish moves every other rate and a full
+    fill serves its re-solve; bound by their caps, no rate moves and
+    delta re-fills serve the cascade."""
+    slow, _ = _simultaneous_finishes(600, cap, incremental=False)
+    fast, fast_net = _simultaneous_finishes(600, cap, incremental=True)
+    checked, _ = _simultaneous_finishes(
+        600, cap, incremental=True, debug=True)
+    assert len(slow) == 600
+    assert len({when for _index, when in slow}) == 1
+    assert fast == slow
+    assert checked == slow
+    assert (fast_net.delta_cascades > 0) == (cap is not None)
+
+
+def test_wide_allgather_cascades_answer_as_the_slowpath():
+    """allgather-ring-shaddr on a 4x4x4 torus finishes its equal blocks
+    in cascades up to 192 flows long, through some ten thousand delta
+    re-fills: the incremental path returns the slowpath's answer."""
+    machine = Machine(torus_dims=(4, 4, 4), mode=Mode.QUAD)
+    machine.flownet.configure(**SOLVERS["incremental"])
+    result = run_collective(
+        machine, "allgather", "allgather-ring-shaddr", 4096
+    )
+    assert result.elapsed_us == 2490.239058823532
+    assert machine.flownet.delta_cascades > 0
 
 
 # ---------------------------------------------------------------------------

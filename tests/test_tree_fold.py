@@ -56,8 +56,13 @@ def _cases():
             for mode in modes:
                 roots = (0,)
                 if family == "bcast":
-                    # First node and last node (local rank 0).
-                    roots = (0, (nnodes - 1) * PPN[mode])
+                    # First node and last node (local rank 0), and
+                    # roots off local rank 0: the first node's local
+                    # rank 1 and the last node's last local rank.
+                    ppn = PPN[mode]
+                    roots = (0, (nnodes - 1) * ppn)
+                    if ppn > 1:
+                        roots += (1, nnodes * ppn - 1)
                 cachings = (True, False) if algorithm == "tree-shaddr" \
                     else (True,)
                 for root in roots:
@@ -171,12 +176,11 @@ class TestFoldErrorParity:
          "dims": (3, 3, 3), "mode": "SMP", "root": 4},
         {**BASE, "root": 27 * 4},
         {**BASE, "root": -1},
-        {**BASE, "root": 5 * 4 + 1},
         {**BASE, "mode": "DUAL"},
         {**BASE, "algorithm": "tree-smp"},
     ], ids=["unknown-family", "unknown-algorithm", "allreduce-root",
             "allreduce-root-smp", "root-nprocs", "root-negative",
-            "shaddr-local-root", "shaddr-dual", "smp-quad"])
+            "shaddr-dual", "smp-quad"])
     def test_same_exception_and_message(self, spec):
         with pytest.raises(Exception) as full:
             _full_run(spec)
