@@ -24,12 +24,11 @@ def render_chart(
     height: int = 18,
     y_label: str = "MB/s",
     x_format: str = "bytes",
-    log_x: bool = True,
 ) -> str:
     """Render series as an ASCII scatter/line chart.
 
-    The x axis is log2-scaled by default (message sizes); y is linear from
-    zero to a padded maximum.
+    The x axis is log2-scaled (message sizes, element counts); y is linear
+    from zero to a padded maximum.
     """
     if not series or not x_values:
         raise ValueError("nothing to plot")
@@ -38,16 +37,12 @@ def render_chart(
     if width < 16 or height < 5:
         raise ValueError("chart too small")
 
+    lo, hi = math.log2(x_values[0]), math.log2(x_values[-1])
+
     def x_pos(x: float) -> float:
-        if log_x:
-            lo, hi = math.log2(x_values[0]), math.log2(x_values[-1])
-            v = math.log2(x)
-        else:
-            lo, hi = float(x_values[0]), float(x_values[-1])
-            v = float(x)
         if hi == lo:
             return 0.0
-        return (v - lo) / (hi - lo)
+        return (math.log2(x) - lo) / (hi - lo)
 
     y_max = max(max(s.values) for s in series)
     y_max = y_max * 1.05 if y_max > 0 else 1.0

@@ -81,10 +81,6 @@ class SweepResult:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "SweepResult":
-        return cls(**json.loads(text))
-
     def save(self, path: str) -> None:
         with open(path, "w") as handle:
             handle.write(self.to_json())

@@ -17,7 +17,7 @@ The intra-node stages are the paper's contrast:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.collectives.alltoall.base import AlltoallInvocation
 from repro.collectives.registry import register

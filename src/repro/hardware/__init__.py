@@ -41,5 +41,6 @@ __all__ = [
     "known_backends",
     "known_networks",
 ]
-# Fault injection lives in repro.hardware.faults (imported explicitly by
-# users; not re-exported to keep the failure-injection surface deliberate).
+# Fault injection lives in repro.hardware.fault_schedule (imported
+# explicitly by users; not re-exported to keep the failure-injection
+# surface deliberate).

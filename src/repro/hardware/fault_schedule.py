@@ -1,15 +1,16 @@
-"""Transient-fault timelines driven by the simulation engine.
+"""Fault timelines driven by the simulation engine.
 
-The static injectors of :mod:`repro.hardware.faults` perturb a machine once,
-before a run.  Real machines misbehave *mid-collective*: a link trains down
-for a few hundred microseconds and recovers, a node's DRAM throttles through
-a thermal event, the kernel transiently runs out of the TLB slots backing
-shared-address windows, a core servicing a software message counter stalls.
-This module models those as a :class:`FaultSchedule` — a timeline of
-:class:`Fault` windows installed into a machine's engine.  When a
-telemetry recorder is attached, each window's start and end are recorded
-as a ``fault.*`` interval, which the Chrome trace renders on its own
-fault-timeline row.
+Real machines are not uniform, and they misbehave *mid-collective*: a link
+trains down for a few hundred microseconds and recovers, a node's DRAM
+throttles through a thermal event, the kernel transiently runs out of the
+TLB slots backing shared-address windows, a core servicing a software
+message counter stalls.  This module models those as a
+:class:`FaultSchedule` — a timeline of :class:`Fault` windows installed
+into a machine's engine.  A window with ``duration=None`` never clears, so
+a schedule of such windows starting at 0 degrades a machine for a whole
+run.  When a telemetry recorder is attached, each window's start and end
+are recorded as a ``fault.*`` interval, which the Chrome trace renders on
+its own fault-timeline row.
 
 Two fault families exist:
 

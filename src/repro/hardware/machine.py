@@ -184,11 +184,6 @@ class Machine:
         self.engine.telemetry = recorder
         return recorder
 
-    def detach_telemetry(self):
-        """Detach and return the current recorder (None if absent)."""
-        recorder, self.engine.telemetry = self.engine.telemetry, None
-        return recorder
-
     # -- conveniences ------------------------------------------------------
     def spawn(self, generator, name: str = "?") -> Process:
         """Spawn a simulation process on this machine's engine."""

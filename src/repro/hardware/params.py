@@ -30,7 +30,7 @@ Key calibration reasoning (quad-mode broadcast over the torus, Fig 10):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Tuple
 
 from repro.util.units import KIB, MIB
@@ -210,7 +210,3 @@ class BGPParams:
             raise ValueError(
                 f"tlb_slot_bytes must be one of {self.tlb_slot_sizes}"
             )
-
-    def with_overrides(self, **kwargs) -> "BGPParams":
-        """Return a copy with the given fields replaced (validated)."""
-        return replace(self, **kwargs)

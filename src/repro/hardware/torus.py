@@ -93,12 +93,6 @@ class TorusNetwork(NetworkBackend):
         x, y, z = (coords[0] % lx, coords[1] % ly, coords[2] % lz)
         return x + y * lx + z * lx * ly
 
-    def neighbor(self, index: int, dim: int, sign: int) -> int:
-        """Index of the next node along ``dim`` in direction ``sign`` (+-1)."""
-        c = list(self.coords(index))
-        c[dim] = (c[dim] + sign) % self.dims[dim]
-        return self.index(tuple(c))
-
     def line_nodes(self, index: int, dim: int, sign: int) -> List[int]:
         """Nodes along the line through ``index`` in hop order (src excluded).
 

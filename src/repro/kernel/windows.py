@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Hashable, Optional, Tuple
+from typing import TYPE_CHECKING, Hashable, Optional, Tuple
 
 from repro.sim.engine import TransientFaultError
 
@@ -182,14 +182,3 @@ class ProcessWindows:
 
     def _peers_expected(self) -> int:
         return max(1, self.machine.ppn - 1)
-
-    def invalidate(self, peer: int, buffer_key: Hashable) -> None:
-        """Drop a cached mapping (e.g. the application freed the buffer)."""
-        dropped = self._cache.pop((peer, buffer_key), None)
-        if dropped is not None:
-            tel = self.machine.engine.telemetry
-            if tel is not None:
-                tel.window_event(
-                    self.machine.engine.now, self.node, peer, "unmap",
-                    dropped.slots,
-                )

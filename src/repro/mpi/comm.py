@@ -17,11 +17,10 @@ Example
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from repro.bench.harness import run_collective
 from repro.collectives.base import CollectiveResult
-from repro.collectives.registry import list_algorithms
 from repro.hardware.machine import Machine
 from repro.mpi.datatypes import DOUBLE, Datatype
 from repro.mpi.ops import SUM, ReduceOp
@@ -53,8 +52,8 @@ class Communicator:
 
         ``algorithm="auto"`` applies the BG/P message-size selection policy
         (the section-V table in :mod:`repro.collectives.selection`); any
-        registered name (see :func:`available_bcast_algorithms`) forces a
-        specific scheme.
+        registered name (see ``list_algorithms("bcast")`` in
+        :mod:`repro.collectives.registry`) forces a specific scheme.
         """
         return run_collective(
             self.machine,
@@ -177,12 +176,6 @@ class Communicator:
         (excluding the MPI software entry overhead)."""
         result = run_collective(self.machine, "barrier", algorithm)
         return result.elapsed_us - self.machine.params.mpi_overhead
-
-    # -- introspection -----------------------------------------------------
-    @staticmethod
-    def available_bcast_algorithms() -> list:
-        """Names accepted by :meth:`bcast`'s ``algorithm`` parameter."""
-        return list_algorithms("bcast")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Communicator size={self.size} machine={self.machine!r}>"

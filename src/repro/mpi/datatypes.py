@@ -18,12 +18,6 @@ class Datatype:
     def itemsize(self) -> int:
         return self.np_dtype.itemsize
 
-    def extent(self, count: int) -> int:
-        """Bytes occupied by ``count`` contiguous elements."""
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        return count * self.itemsize
-
     def __str__(self) -> str:
         return self.name
 

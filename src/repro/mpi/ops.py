@@ -1,12 +1,13 @@
-"""Reduction operations (numpy-vectorized, per the HPC-Python idiom of
-operating on whole arrays rather than element loops)."""
+"""Reduction operators.
+
+The modelled allreduces compute the paper's benchmark case, a sum of
+doubles; :meth:`~repro.mpi.comm.Communicator.allreduce` times any other
+operator by the byte volume it reduces, so an operator is its MPI name.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -14,31 +15,15 @@ class ReduceOp:
     """An MPI reduction operator."""
 
     name: str
-    #: binary ufunc combining two arrays element-wise
-    ufunc: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    #: reduction over axis 0 of a stacked array
-    reduce_stack: Callable[[np.ndarray], np.ndarray]
-
-    def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Element-wise combination of two contributions."""
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        return self.ufunc(a, b)
-
-    def reduce_all(self, stacked: np.ndarray) -> np.ndarray:
-        """Reduce an ``(nprocs, count)`` array along axis 0."""
-        if stacked.ndim != 2:
-            raise ValueError("expected a 2-D (nprocs, count) array")
-        return self.reduce_stack(stacked)
 
     def __str__(self) -> str:
         return self.name
 
 
-SUM = ReduceOp("MPI_SUM", np.add, lambda s: s.sum(axis=0))
-MAX = ReduceOp("MPI_MAX", np.maximum, lambda s: s.max(axis=0))
-MIN = ReduceOp("MPI_MIN", np.minimum, lambda s: s.min(axis=0))
-PROD = ReduceOp("MPI_PROD", np.multiply, lambda s: s.prod(axis=0))
+SUM = ReduceOp("MPI_SUM")
+MAX = ReduceOp("MPI_MAX")
+MIN = ReduceOp("MPI_MIN")
+PROD = ReduceOp("MPI_PROD")
 
 _ALL = {op.name: op for op in (SUM, MAX, MIN, PROD)}
 

@@ -97,10 +97,6 @@ class RectangleSchedule:
             f"node {node} unreachable by color {self.color.id}"
         )
 
-    def all_roles(self) -> List[NodeRole]:
-        """Roles for every node (indexed by node index)."""
-        return [self.role(n) for n in range(self.torus.nnodes)]
-
 
 def ring_order(torus: "TorusNetwork", color: Color, root: int) -> List[int]:
     """Snake (boustrophedon) ring through every node, starting at ``root``.

@@ -167,7 +167,7 @@ def normalize_query(request: dict) -> dict:
         raise QueryError(f"unknown query field(s): {sorted(unknown)}")
 
     family = request.get("family")
-    if family not in FAMILY_SPECS:
+    if not isinstance(family, str) or family not in FAMILY_SPECS:
         raise QueryError(
             f"unknown collective family {family!r}; known: "
             f"{sorted(FAMILY_SPECS)}"
@@ -176,8 +176,10 @@ def normalize_query(request: dict) -> dict:
     if x < 0:
         raise QueryError(f"x must be >= 0, got {x}")
 
-    spec = {"family": family, "algorithm": request.get("algorithm", "auto"),
-            "x": x}
+    algorithm = request.get("algorithm", "auto")
+    if not isinstance(algorithm, str):
+        raise QueryError(f"algorithm must be a name, got {algorithm!r}")
+    spec = {"family": family, "algorithm": algorithm, "x": x}
     for fld, default in _SPEC_DEFAULTS.items():
         spec[fld] = request.get(fld, default)
     for fld in _SPEC_OPTIONAL:
@@ -190,10 +192,9 @@ def normalize_query(request: dict) -> dict:
             dims = tuple(int(part) for part in dims.lower().split("x"))
         except ValueError:
             raise QueryError(f"dims must look like 4x4x4, got {dims!r}")
-    try:
-        dims = tuple(_integer("dims", d) for d in dims)
-    except TypeError:
-        raise QueryError(f"dims must be three integers, got {spec['dims']!r}")
+    if not isinstance(dims, (list, tuple)):
+        raise QueryError(f"dims must be three integers, got {dims!r}")
+    dims = tuple(_integer("dims", d) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise QueryError(f"dims must be three positive integers, got {dims}")
     spec["dims"] = dims

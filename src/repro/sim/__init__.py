@@ -12,7 +12,7 @@ exactly the primitives the BG/P models need:
   flow network: every bandwidth-sharing resource (torus links, DMA
   engines, memory ports, tree ports) is one of its
   :class:`~repro.sim.flownet.FlowResource` objects.
-* Items — :class:`~repro.sim.resources.Store` (bounded FIFO of items).
+* Items — :class:`~repro.sim.resources.Store` (unbounded FIFO of items).
 * Synchronisation — :class:`~repro.sim.sync.SimBarrier`,
   :class:`~repro.sim.sync.SimCounter` (waitable monotonic counter; the
   software *message counter* of the paper is built on it).
@@ -27,7 +27,7 @@ broken by a monotonically increasing sequence number.
 """
 
 from repro.sim.engine import Engine, Process, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout, Waitable
+from repro.sim.events import AllOf, Event, Timeout, Waitable
 from repro.sim.flownet import Flow, FlowNetwork, FlowResource
 from repro.sim.resources import Store
 from repro.sim.sync import SimBarrier, SimCounter
@@ -39,7 +39,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Waitable",
-    "AnyOf",
     "AllOf",
     "Store",
     "SimBarrier",

@@ -95,42 +95,6 @@ class Event(Waitable):
             callback(value)
 
 
-class AnyOf(Waitable):
-    """Resume when the first of several events triggers.
-
-    The resumed process receives a ``(index, value)`` tuple identifying which
-    event fired first (ties resolved by event order in ``events``).  Note the
-    remaining events are *not* cancelled — they are one-shot broadcasts and
-    other listeners may still consume them.
-    """
-
-    __slots__ = ("engine", "events")
-
-    def __init__(self, engine: "Engine", events: List[Event]):
-        if not events:
-            raise ValueError("AnyOf requires at least one event")
-        self.engine = engine
-        self.events = list(events)
-
-    def subscribe(self, process: "Process") -> None:
-        fired: dict = {"done": False}
-
-        def make_callback(index: int):
-            def callback(value: Any) -> None:
-                if not fired["done"]:
-                    fired["done"] = True
-                    # Defer through the queue so triggers arising deep inside
-                    # resource bookkeeping never re-enter process code.
-                    self.engine.call_at(
-                        self.engine.now, process.resume, (index, value)
-                    )
-
-            return callback
-
-        for i, event in enumerate(self.events):
-            event.on_trigger(make_callback(i))
-
-
 class AllOf(Waitable):
     """Resume when every event in the set has triggered.
 

@@ -1,6 +1,6 @@
 """Item-passing resource for the DES kernel.
 
-``Store`` is a bounded FIFO of Python objects with blocking put/get: the
+``Store`` is an unbounded FIFO of Python objects with a blocking get: the
 arrival mailboxes and hand-off queues of the collectives.  Bandwidth is
 not modelled here.  Every bandwidth-sharing resource (torus links, the
 DMA engine, the memory port, tree ports) is a
@@ -18,17 +18,13 @@ from repro.sim.events import Event
 
 
 class Store:
-    """Bounded FIFO of items with blocking put/get semantics."""
+    """Unbounded FIFO of items: a put never blocks, a get waits for one."""
 
-    def __init__(self, engine: Engine, capacity: int = 2**30, name: str = "store"):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, engine: Engine, name: str = "store"):
         self.engine = engine
-        self.capacity = capacity
         self.name = name
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple[Event, Any]] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -40,24 +36,16 @@ class Store:
             # Hand the item straight to the oldest waiting getter.
             getter = self._getters.popleft()
             getter.trigger(item)
-            event.trigger(None)
-        elif len(self._items) < self.capacity:
-            self._items.append(item)
-            event.trigger(None)
         else:
-            self._putters.append((event, item))
+            self._items.append(item)
+        event.trigger(None)
         return event
 
     def get(self) -> Event:
         """Return an event that fires with the oldest item."""
         event = Event(self.engine)
         if self._items:
-            item = self._items.popleft()
-            if self._putters:
-                put_event, queued = self._putters.popleft()
-                self._items.append(queued)
-                put_event.trigger(None)
-            event.trigger(item)
+            event.trigger(self._items.popleft())
         else:
             self._getters.append(event)
         return event

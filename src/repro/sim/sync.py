@@ -117,11 +117,3 @@ class SimCounter:
         else:
             self._watchers.append((threshold, event))
         return event
-
-    def reset(self, value: float = 0.0) -> None:
-        """Reset for reuse (only legal with no outstanding watchers)."""
-        if self._watchers:
-            raise RuntimeError(
-                f"cannot reset counter {self.name!r} with pending watchers"
-            )
-        self.value = float(value)

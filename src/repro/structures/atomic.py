@@ -48,13 +48,5 @@ class AtomicCounter:
         with self._lock:
             self._value = int(value)
 
-    def compare_and_swap(self, expected: int, new: int) -> bool:
-        """CAS: set to ``new`` iff currently ``expected``; return success."""
-        with self._lock:
-            if self._value == expected:
-                self._value = int(new)
-                return True
-            return False
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AtomicCounter({self.load()})"

@@ -58,11 +58,3 @@ class TestRenderChart:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             simple_chart(width=4)
-
-    def test_linear_x(self):
-        xs = [0, 50, 100]
-        text = render_chart(
-            xs, [Series("lin", [1.0, 2.0, 3.0])],
-            log_x=False, x_format="count",
-        )
-        assert "100" in text

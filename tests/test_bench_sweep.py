@@ -60,7 +60,7 @@ class TestRunSweep:
 
     def test_json_roundtrip(self):
         result = run_sweep(small_config())
-        clone = SweepResult.from_json(result.to_json())
+        clone = SweepResult(**json.loads(result.to_json()))
         assert clone.bandwidth == result.bandwidth
         assert clone.x_values == result.x_values
 

@@ -1,8 +1,16 @@
-"""Failure-injection tests: degraded hardware must slow, never corrupt."""
+"""Failure-injection tests: degraded hardware must slow, never corrupt.
 
+A machine degraded for a whole run is one with fault windows that start
+at 0 and never clear (``duration=None``); a cut to the DMA alone, which
+no fault kind models, scales the engine's flow resource directly.
+"""
+
+import numpy as np
 import pytest
 
 from repro.bench import run_collective
+from repro.bench.harness import FAMILY_SPECS
+from repro.collectives.registry import iter_algorithms
 from repro.hardware import Machine, Mode
 from repro.hardware.fault_schedule import (
     CounterStall,
@@ -13,14 +21,19 @@ from repro.hardware.fault_schedule import (
     TreePortFlap,
     WindowFault,
 )
-from repro.hardware.faults import (
-    JitterInjector,
-    degrade_node_dma,
-    degrade_node_memory,
-    degrade_torus_channels,
-    degrade_tree_port,
-    jittered_proc,
-)
+
+
+def degraded(machine, *faults):
+    """``machine`` with ``faults`` installed; each window opens when the
+    next run starts."""
+    FaultSchedule(list(faults)).install(machine)
+    return machine
+
+
+def cut_dma(machine, node, factor):
+    """Scale one node's DMA budget by ``factor`` for the machine's life."""
+    dma = machine.nodes[node].dma
+    dma.set_capacity(dma.capacity * factor)
 
 
 class TestDegradedDma:
@@ -30,11 +43,11 @@ class TestDegradedDma:
             "bcast", "torus-direct-put", 256 * 1024,
         )
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
-        degrade_node_dma(m, node=2, factor=0.25)
-        degraded = run_collective(
+        cut_dma(m, node=2, factor=0.25)
+        degraded_run = run_collective(
             m, "bcast", "torus-direct-put", 256 * 1024, verify=True
         )
-        assert degraded.elapsed_us > healthy.elapsed_us
+        assert degraded_run.elapsed_us > healthy.elapsed_us
 
     def test_shaddr_less_sensitive_to_dma_loss(self):
         """The shared-address scheme barely uses the DMA intra-node, so a
@@ -46,11 +59,11 @@ class TestDegradedDma:
             ).elapsed_us
             m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
             for node in range(m.nnodes):
-                degrade_node_dma(m, node, factor=0.5)
-            degraded = run_collective(
+                cut_dma(m, node, factor=0.5)
+            degraded_us = run_collective(
                 m, "bcast", algorithm, 512 * 1024
             ).elapsed_us
-            return degraded / healthy
+            return degraded_us / healthy
 
         assert slowdown("torus-shaddr") < slowdown("torus-direct-put")
 
@@ -61,55 +74,96 @@ class TestStragglerBackpressure:
             Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD),
             "bcast", "tree-shaddr", 512 * 1024,
         )
-        m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
-        degrade_tree_port(m, node=3, factor=0.3, direction="down")
-        degraded = run_collective(
+        m = degraded(
+            Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD),
+            TreePortFlap(node=3, factor=0.3, direction="down"),
+        )
+        degraded_run = run_collective(
             m, "bcast", "tree-shaddr", 512 * 1024, verify=True
         )
         # Not just node 3: the window backpressures everyone.
-        assert degraded.elapsed_us > 1.5 * healthy.elapsed_us
+        assert degraded_run.elapsed_us > 1.5 * healthy.elapsed_us
 
     def test_degraded_up_port_slows_injection(self):
-        m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
-        degrade_tree_port(m, node=1, factor=0.3, direction="up")
-        degraded = run_collective(
+        m = degraded(
+            Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD),
+            TreePortFlap(node=1, factor=0.3, direction="up"),
+        )
+        degraded_run = run_collective(
             m, "bcast", "tree-shaddr", 512 * 1024, verify=True
         )
         healthy = run_collective(
             Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD),
             "bcast", "tree-shaddr", 512 * 1024,
         )
-        assert degraded.elapsed_us > healthy.elapsed_us
+        assert degraded_run.elapsed_us > healthy.elapsed_us
 
 
 class TestDegradedLinks:
     def test_degrading_channels_after_first_run_slows_second(self):
         m = Machine(torus_dims=(2, 2, 1), mode=Mode.QUAD)
         first = run_collective(m, "bcast", "torus-shaddr", 512 * 1024)
-        degrade_torus_channels(m, node=0, factor=0.4)
+        degraded(m, LinkFlap(node=0, factor=0.4))
         second = run_collective(
             m, "bcast", "torus-shaddr", 512 * 1024, verify=True
         )
         assert second.elapsed_us > first.elapsed_us
 
 
+class JitterInjector:
+    """OS-noise model: random extra delays charged to ranks' cores.
+
+    Every :meth:`delay` draws a non-negative delay (exponential, mean
+    ``mean_us``) from a seeded generator, so runs stay reproducible.
+    """
+
+    def __init__(self, machine: Machine, mean_us: float, seed: int = 99):
+        if mean_us < 0:
+            raise ValueError(f"mean_us must be >= 0, got {mean_us}")
+        self.machine = machine
+        self.mean_us = mean_us
+        self._rng = np.random.default_rng(seed)
+
+    def delay(self):
+        """Sub-generator: one noise event on the calling core."""
+        if self.mean_us > 0:
+            yield self.machine.engine.timeout(
+                float(self._rng.exponential(self.mean_us))
+            )
+        else:
+            yield self.machine.engine.timeout(0.0)
+
+
+#: the natural size argument each family runs the jitter test at
+JITTER_SIZES = {"bcast": 40_000, "allreduce": 2048, "reduce": 2048,
+                "allgather": 1024, "alltoall": 512, "gather": 1024,
+                "scatter": 1024}
+
+
 class TestJitter:
-    def test_jittered_run_is_correct_and_reproducible(self):
-        from repro.collectives.bcast import TorusShaddrBcast
-        import numpy as np
+    @pytest.mark.parametrize("info", [
+        pytest.param(info, id=info.name)
+        for info in iter_algorithms() if info.data_carrying
+    ])
+    def test_jitter_verifies_and_repeats(self, info):
+        """Seeded noise on every rank's entry and exit: the run still
+        verifies bit-exact, and it repeats exactly under the same seed."""
+        spec = FAMILY_SPECS[info.family]
+        x = JITTER_SIZES[info.family]
 
         def run_with_jitter(seed):
-            m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
-            m.set_working_set(40_000 * m.ppn)
-            rng = np.random.default_rng(1)
-            payload = rng.integers(0, 256, size=40_000, dtype=np.uint8)
-            inv = TorusShaddrBcast(m, 0, 40_000, payload=payload)
+            m = Machine(torus_dims=(2, 2, 1), mode=Mode(max(info.modes)))
+            m.set_working_set(spec.working_set(m, x))
+            payload = spec.payload(m, x, np.random.default_rng(1))
+            inv = spec.build(info.cls, m, x, payload, 0, True)
             jitter = JitterInjector(m, mean_us=5.0, seed=seed)
             barrier = m.make_barrier()
 
             def rank_loop(rank):
                 yield barrier.wait()
-                yield from jittered_proc(inv, rank, jitter)
+                yield from jitter.delay()
+                yield from inv.proc(rank)
+                yield from jitter.delay()
 
             procs = [
                 m.spawn(rank_loop(r), name=f"r{r}")
@@ -145,10 +199,11 @@ class TestValidation:
     def test_bad_factor_rejected(self):
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
         for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(ValueError):
-                degrade_node_dma(m, 0, bad)
-            with pytest.raises(ValueError):
-                degrade_node_memory(m, 0, bad)
+            for fault in (NodeSlowdown(node=0, factor=bad),
+                          LinkFlap(node=0, factor=bad),
+                          TreePortFlap(node=0, factor=bad)):
+                with pytest.raises(ValueError):
+                    FaultSchedule([fault]).install(m)
 
 
 class TestInjectorPersistence:
@@ -158,7 +213,8 @@ class TestInjectorPersistence:
         m = Machine(torus_dims=(2, 1, 1), mode=Mode.QUAD)
         m.set_working_set(64 * 1024)
         baseline = m.nodes[1].mem.capacity
-        degrade_node_memory(m, node=1, factor=0.5)
+        degraded(m, NodeSlowdown(node=1, factor=0.5))
+        m.engine.run()  # opens the window, which never clears
         assert m.nodes[1].mem.capacity == pytest.approx(0.5 * baseline)
         # Regime reinstall used to silently reset the capacity; the
         # reapply hook must re-scale it.

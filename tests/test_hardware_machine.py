@@ -62,9 +62,11 @@ class TestTorusTopology:
     def test_neighbor_wraps(self):
         m = Machine(torus_dims=(4, 3, 2), mode=Mode.SMP)
         t = m.torus
-        n = t.index((3, 0, 0))
-        assert t.neighbor(n, 0, 1) == t.index((0, 0, 0))
-        assert t.neighbor(n, 0, -1) == t.index((2, 0, 0))
+        # Coordinates wrap: one step past either edge of a dimension
+        # lands on the node at its other edge.
+        assert t.index((4, 0, 0)) == t.index((0, 0, 0))
+        assert t.index((-1, 0, 0)) == t.index((3, 0, 0))
+        assert t.index((0, -1, 2)) == t.index((0, 2, 0))
 
     def test_line_nodes_excludes_source(self):
         m = Machine(torus_dims=(4, 1, 1), mode=Mode.SMP)

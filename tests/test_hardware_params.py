@@ -1,5 +1,7 @@
 """Unit tests for BGPParams and the memory model."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.hardware.memory import MemoryModel
@@ -16,10 +18,14 @@ class TestBGPParams:
         assert p.l3_bytes == 8 * MIB
 
     def test_with_overrides(self):
-        p = BGPParams().with_overrides(pipeline_width=32 * 1024)
+        base = BGPParams()
+        p = replace(base, pipeline_width=32 * 1024)
         assert p.pipeline_width == 32 * 1024
         # original untouched (frozen dataclass)
-        assert BGPParams().pipeline_width == 64 * 1024
+        assert base.pipeline_width == 64 * 1024
+        # the copy is validated like a fresh instance
+        with pytest.raises(ValueError):
+            replace(base, torus_link_bw=0.0)
 
     def test_invalid_positive_field_rejected(self):
         with pytest.raises(ValueError):

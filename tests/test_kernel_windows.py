@@ -92,14 +92,6 @@ class TestMappingCosts:
         r = run_map(w, 1, "buf", 1024, m)
         assert r["elapsed"] == 0.0
 
-    def test_invalidate_drops_cache(self):
-        m = Machine(torus_dims=(1, 1, 1), mode=Mode.QUAD)
-        w = ProcessWindows(m)
-        run_map(w, 1, "buf", 4096, m)
-        w.invalidate(1, "buf")
-        run_map(w, 1, "buf", 4096, m)
-        assert w.syscalls == 4
-
     def test_distinct_buffers_of_same_peer_thrash_slot(self):
         # One slot per peer in quad mode: alternating two different large
         # buffers of the same peer evicts each time.

@@ -1,32 +1,21 @@
 """Tests for the MPI-facing layer: datatypes, ops, Communicator."""
 
-import numpy as np
 import pytest
 
 from repro import (
     DOUBLE,
     FLOAT,
-    INT32,
     MAX,
-    MIN,
-    PROD,
     SUM,
     Communicator,
     Machine,
     Mode,
 )
+from repro.collectives.registry import list_algorithms
 from repro.mpi import datatypes, ops
 
 
 class TestDatatypes:
-    def test_extent(self):
-        assert DOUBLE.extent(10) == 80
-        assert INT32.extent(3) == 12
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            DOUBLE.extent(-1)
-
     def test_lookup(self):
         assert datatypes.lookup("MPI_DOUBLE") is DOUBLE
         with pytest.raises(KeyError):
@@ -37,25 +26,6 @@ class TestDatatypes:
 
 
 class TestOps:
-    def test_sum_combine(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([3.0, 4.0])
-        assert np.array_equal(SUM.combine(a, b), [4.0, 6.0])
-
-    def test_max_min_prod(self):
-        stacked = np.array([[1.0, 5.0], [3.0, 2.0]])
-        assert np.array_equal(MAX.reduce_all(stacked), [3.0, 5.0])
-        assert np.array_equal(MIN.reduce_all(stacked), [1.0, 2.0])
-        assert np.array_equal(PROD.reduce_all(stacked), [3.0, 10.0])
-
-    def test_combine_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            SUM.combine(np.zeros(2), np.zeros(3))
-
-    def test_reduce_all_requires_2d(self):
-        with pytest.raises(ValueError):
-            SUM.reduce_all(np.zeros(3))
-
     def test_lookup(self):
         assert ops.lookup("MPI_SUM") is SUM
         with pytest.raises(KeyError):
@@ -112,4 +82,4 @@ class TestCommunicator:
         )
 
     def test_available_algorithms_nonempty(self):
-        assert "torus-shaddr" in Communicator.available_bcast_algorithms()
+        assert "torus-shaddr" in list_algorithms("bcast")

@@ -146,6 +146,21 @@ class TestNormalizeQuery:
         with pytest.raises(QueryError, match=field):
             normalize_query({**base, field: value})
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("family", ["bcast"], "unknown collective family"),
+        ("family", {"name": "bcast"}, "unknown collective family"),
+        ("algorithm", ["tree-shaddr"], "algorithm must be a name"),
+        ("algorithm", {"name": "tree-shaddr"}, "algorithm must be a name"),
+        ("dims", {"a": 1}, "dims must be three integers"),
+        ("dims", {"x": 2, "y": 2, "z": 2}, "dims must be three integers"),
+    ])
+    def test_refuses_json_containers_by_field(self, field, value, message):
+        """A JSON list or object where a name or the geometry belongs is
+        refused by the field's name, never hashed or read by its keys."""
+        base = {"family": "bcast", "algorithm": "tree-shaddr", "x": 4096}
+        with pytest.raises(QueryError, match=message):
+            normalize_query({**base, field: value})
+
     def test_integral_floats_and_digit_strings_keep_their_key(self):
         base = {"family": "bcast", "algorithm": "tree-shaddr", "x": 4096,
                 "iters": 2, "seed": 77, "dims": [2, 2, 2]}
@@ -638,6 +653,15 @@ class TestServer:
                 assert client.ping()
                 stats = client.stats()
                 assert stats["errors"] == 3
+
+    def test_container_family_is_a_query_error_on_the_wire(self):
+        with start_background_server() as background:
+            with ServeClient(background.address) as client:
+                with pytest.raises(ServeRequestError) as refused:
+                    client.predict(family=["bcast"], algorithm="tree-shaddr",
+                                   x=4096)
+                assert refused.value.error_type == "QueryError"
+                assert "internal error" not in str(refused.value)
 
     def test_concurrent_duplicates_coalesce_to_one_simulation(self):
         service = PredictionService()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Engine, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 
 
 class TestEngineBasics:
@@ -160,32 +160,6 @@ class TestEvents:
         seen = []
         ev.on_trigger(seen.append)
         assert seen == [3]
-
-    def test_anyof_returns_first(self):
-        eng = Engine()
-        a, b = Event(eng), Event(eng)
-        got = []
-
-        def p():
-            index, value = yield AnyOf(eng, [a, b])
-            got.append((index, value, eng.now))
-
-        eng.spawn(p())
-
-        def t():
-            yield eng.timeout(2.0)
-            b.trigger("bee")
-            yield eng.timeout(2.0)
-            a.trigger("ay")
-
-        eng.spawn(t())
-        eng.run()
-        assert got == [(1, "bee", 2.0)]
-
-    def test_anyof_empty_rejected(self):
-        eng = Engine()
-        with pytest.raises(ValueError):
-            AnyOf(eng, [])
 
     def test_allof_waits_for_all(self):
         eng = Engine()

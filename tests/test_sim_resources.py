@@ -26,28 +26,6 @@ class TestStore:
         eng.run()
         assert got == [(0, 1.0), (1, 2.0), (2, 3.0)]
 
-    def test_bounded_put_blocks(self):
-        eng = Engine()
-        store = Store(eng, capacity=1)
-        log = []
-
-        def producer():
-            yield store.put("a")
-            log.append(("put-a", eng.now))
-            yield store.put("b")
-            log.append(("put-b", eng.now))
-
-        def consumer():
-            yield eng.timeout(5.0)
-            item = yield store.get()
-            log.append((item, eng.now))
-
-        eng.spawn(producer())
-        eng.spawn(consumer())
-        eng.run()
-        assert ("put-a", 0.0) in log
-        assert ("put-b", 5.0) in log
-
     def test_get_before_put_hands_off_directly(self):
         eng = Engine()
         store = Store(eng)
@@ -161,10 +139,3 @@ class TestSimCounter:
         assert counter.value == 5
         counter.set_at_least(9)
         assert counter.value == 9
-
-    def test_reset_guard(self):
-        eng = Engine()
-        counter = SimCounter(eng)
-        counter.wait_for(10)
-        with pytest.raises(RuntimeError):
-            counter.reset()

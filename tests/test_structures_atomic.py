@@ -35,13 +35,6 @@ class TestAtomicCounterBasics:
         c.store(99)
         assert c.load() == 99
 
-    def test_compare_and_swap(self):
-        c = AtomicCounter(5)
-        assert c.compare_and_swap(5, 10) is True
-        assert c.load() == 10
-        assert c.compare_and_swap(5, 20) is False
-        assert c.load() == 10
-
 
 class TestAtomicCounterThreaded:
     def test_unique_slot_reservation(self):
