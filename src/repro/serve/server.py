@@ -29,9 +29,29 @@ Requests carry an ``op`` (``predict``, ``select``, ``sweep``, ``stats``,
 ``ping``, ``shutdown``) plus the op's fields; an optional ``id`` is
 echoed back for client-side matching.  Errors come back as
 ``{"ok": false, "error": ...}`` — a malformed query never takes down the
-connection, let alone the server.  The server binds loopback by default
-(same security posture as the sweep farm: no authentication, so never
-expose it beyond hosts you trust).
+connection, let alone the server.  A line longer than
+:data:`MAX_REQUEST_BYTES` gets an error response and closes its
+connection.  The server binds loopback by default (same security
+posture as the sweep farm: no authentication, so never expose it beyond
+hosts you trust).
+
+Connections
+-----------
+
+Each connection is one :class:`asyncio.BufferedProtocol`: the transport
+reads with ``recv_into`` into one buffer the connection keeps, and the
+connection splits the lines out of it itself.  It answers its lines
+strictly in arrival order, through one task per connection that awaits
+:meth:`PredictionServer._dispatch_line` for each.  The one shortcut is a
+memo hit.  An id-less ``predict`` line is answered at once on the event
+loop, without being parsed, when the same bytes under the current
+solver mode were normalized before and their key is in the memo now.
+It does the bookkeeping a hit does on the general path (one memo hit,
+the request, tier and both latency records, a ``serve.predict`` span
+with the same attributes) and writes a response line encoded once per
+answer, byte for byte the line the general path would write.  The map
+from raw lines to keys holds at most as many lines as the memo holds
+answers, and only lines that normalized.
 """
 
 from __future__ import annotations
@@ -40,8 +60,9 @@ import asyncio
 import json
 import threading
 import time
+from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.bench.parallel import execute_points, resolve_jobs
 from repro.collectives.selection import candidate_algorithms
@@ -51,6 +72,7 @@ from repro.serve.service import (
     CachedAnswer,
     PredictionService,
     QueryError,
+    _solver_mode,
     answer_response,
 )
 from repro.telemetry.runtime import span, span_store
@@ -59,6 +81,10 @@ from repro.util.records import pickle_digest
 #: largest accepted request line (a sweep of a few thousand points fits;
 #: anything bigger is a protocol error, not a memory grab)
 MAX_REQUEST_BYTES = 8 * 1024 * 1024
+
+#: bytes a connection reads per ``recv_into``: its one read buffer,
+#: allocated when it opens and reused by every read
+_READ_BUFFER_BYTES = 64 * 1024
 
 #: errors reported to the client as a response (not server faults)
 _CLIENT_ERRORS = (QueryError, ValueError, KeyError, UnsupportedTopologyError)
@@ -97,14 +123,18 @@ class PredictionServer:
             max_workers=1, thread_name_prefix="serve-compute"
         )
         self._inflight: Dict[str, asyncio.Future] = {}
+        # (raw id-less predict line, solver mode) -> (its key, the span
+        # attributes the general path records for it), least recently
+        # hit first; read and written on the event loop only
+        self._line_keys: OrderedDict = OrderedDict()
+        self._connections: Set[asyncio.Transport] = set()
 
     # -- lifecycle --------------------------------------------------------
     async def start(self) -> Tuple[str, int]:
         self._loop = asyncio.get_running_loop()
         self._stopping = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port,
-            limit=MAX_REQUEST_BYTES,
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port,
         )
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
@@ -119,6 +149,8 @@ class PredictionServer:
             await self._stopping.wait()
         finally:
             self._server.close()
+            for transport in list(self._connections):
+                transport.close()
             await self._server.wait_closed()
             self._executor.shutdown(wait=True)
 
@@ -132,46 +164,57 @@ class PredictionServer:
         except RuntimeError:  # the loop has closed: nothing left to stop
             pass
 
-    # -- connection handling ----------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            # Only server shutdown cancels handler tasks; a cancelled
-            # connection is a closed connection, not an error to log.
-            pass
+    # -- the memo fast path ------------------------------------------------
+    def _memo_hit(self, line: bytes) -> Optional[bytes]:
+        """The encoded response to ``line`` when it is an id-less predict
+        the memo answers, else None, having counted nothing."""
+        start = time.perf_counter()
+        slot = (line, _current_solver_mode())
+        known = self._line_keys.get(slot)
+        if known is None:
+            return None
+        key, attrs = known
+        memo = self.service.memo
+        if key not in memo:
+            return None
+        answer = memo.get(key)
+        if answer is None:  # the compute thread evicted it just now
+            return None
+        self._line_keys.move_to_end(slot)
+        stats = self.service.stats
+        stats.record_request("predict")
+        with span("serve.predict", "serve", **attrs) as sp:
+            sp.set(tier="memo", coalesced=False)
+        stats.record_tier("memo")
+        stats.record_tier_latency(time.perf_counter() - start, "memo")
+        if answer.hit_line is None:
+            answer.hit_line = _encode(
+                {**answer_response(answer, "memo", key), "op": "predict"}
+            )
+        stats.record_latency(time.perf_counter() - start)
+        return answer.hit_line
 
-    async def _serve_connection(self, reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(_encode({
-                        "ok": False,
-                        "error": f"request line exceeds "
-                                 f"{MAX_REQUEST_BYTES} bytes",
-                    }))
-                    await writer.drain()
-                    break
-                if not line:
-                    break
-                response = await self._dispatch_line(line)
-                writer.write(_encode(response))
-                await writer.drain()
-                if response.get("op") == "shutdown" and response.get("ok"):
-                    self.stop()
-                    break
-        except ConnectionError:
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:
-                pass
+    async def _answer_line(self, line: bytes) -> dict:
+        """:meth:`_dispatch_line`, then map the line to its key when it is
+        an id-less predict that normalized, for :meth:`_memo_hit`."""
+        # Normalization reads the solver mode before the handler's first
+        # await, so this is the mode the key was made under.
+        mode = _current_solver_mode()
+        response = await self._dispatch_line(line)
+        if (mode is not None and self.service.use_memo
+                and response.get("op") == "predict"
+                and "key" in response and "id" not in response):
+            request = json.loads(line)
+            slot = (line, mode)
+            self._line_keys[slot] = (response["key"], {
+                "family": request.get("family"),
+                "algorithm": request.get("algorithm", "auto"),
+                "x": request.get("x"),
+            })
+            self._line_keys.move_to_end(slot)
+            while len(self._line_keys) > self.service.memo.max_entries:
+                self._line_keys.popitem(last=False)
+        return response
 
     async def _dispatch_line(self, line: bytes) -> dict:
         start = time.perf_counter()
@@ -455,6 +498,150 @@ class PredictionServer:
 
 def _encode(response: dict) -> bytes:
     return json.dumps(response, sort_keys=True).encode("ascii") + b"\n"
+
+
+def _current_solver_mode() -> Optional[str]:
+    """The solver mode a query is keyed under now; None while its
+    variable holds a value it refuses (every predict then fails)."""
+    try:
+        return _solver_mode()
+    except ValueError:
+        return None
+
+
+class _Connection(asyncio.BufferedProtocol):
+    """One client connection of a :class:`PredictionServer`.
+
+    The transport reads into one buffer allocated when the connection
+    opens; :meth:`buffer_updated` splits whole lines out of it and keeps
+    an unterminated tail for the next read.  Lines are answered in
+    arrival order: while no earlier line waits, one the memo answers is
+    answered at once, and every other line queues for one task that
+    answers the queue in order.  While the transport's write buffer is
+    over its high-water mark the connection stops reading, so a client
+    that never reads its responses cannot grow the server's memory.
+    """
+
+    def __init__(self, server: PredictionServer):
+        self._server = server
+        self._bytes = bytearray(_READ_BUFFER_BYTES)
+        self._view = memoryview(self._bytes)
+        self._tail = bytearray()
+        #: lines waiting for the task, in order; None stands for a line
+        #: over MAX_REQUEST_BYTES
+        self._queue: Deque[Optional[bytes]] = deque()
+        self._task: Optional[asyncio.Task] = None
+        self._transport: Optional[asyncio.Transport] = None
+        #: set while writing is paused; resolved when it resumes
+        self._writable: Optional[asyncio.Future] = None
+        #: no more lines will arrive (end of file, or an overlong line)
+        self._input_ended = False
+
+    # -- transport callbacks ----------------------------------------------
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self._transport = transport
+        self._server._connections.add(transport)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._server._connections.discard(self._transport)
+        self._queue.clear()
+        self._wake_writer()
+
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._view
+
+    def buffer_updated(self, nbytes: int) -> None:
+        start = 0
+        while not self._input_ended:
+            end = self._bytes.find(b"\n", start, nbytes)
+            if end < 0:
+                self._tail += self._view[start:nbytes]
+                if len(self._tail) > MAX_REQUEST_BYTES:
+                    self._take(None)
+                return
+            if self._tail:
+                self._tail += self._view[start:end]
+                line = bytes(self._tail)
+                self._tail.clear()
+            else:
+                line = self._view[start:end].tobytes()
+            start = end + 1
+            self._take(line if len(line) <= MAX_REQUEST_BYTES else None)
+
+    def eof_received(self) -> bool:
+        if self._tail:  # a last line without its newline is still a line
+            line = bytes(self._tail)
+            self._tail.clear()
+            self._take(line)
+        self._input_ended = True
+        if self._task is None:
+            self._transport.close()
+        return True  # keep the transport open to write the answers
+
+    def pause_writing(self) -> None:
+        self._writable = self._server._loop.create_future()
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._wake_writer()
+        if not self._input_ended:
+            self._transport.resume_reading()
+
+    # -- answering ----------------------------------------------------------
+    def _wake_writer(self) -> None:
+        if self._writable is not None and not self._writable.done():
+            self._writable.set_result(None)
+        self._writable = None
+
+    def _take(self, line: Optional[bytes]) -> None:
+        """Answer ``line`` now if it is a memo hit with nothing ahead of
+        it, else queue it for the task (None: an overlong line)."""
+        if line is not None and self._task is None and self._writable is None:
+            reply = self._server._memo_hit(line)
+            if reply is not None:
+                self._transport.write(reply)
+                return
+        self._queue.append(line)
+        if line is None:  # nothing after an overlong line is read
+            self._input_ended = True
+            self._tail.clear()
+            self._transport.pause_reading()
+        if self._task is None:
+            self._task = self._server._loop.create_task(self._answer_queue())
+
+    async def _answer_queue(self) -> None:
+        transport = self._transport
+        try:
+            while self._queue and not transport.is_closing():
+                reply, last = await self._reply(self._queue.popleft())
+                if transport.is_closing():  # lost while the line ran
+                    break
+                transport.write(reply)
+                if last:
+                    transport.close()
+                elif self._writable is not None:
+                    await self._writable
+        finally:
+            self._task = None
+        if self._input_ended:
+            transport.close()
+
+    async def _reply(self, line: Optional[bytes]) -> Tuple[bytes, bool]:
+        """One queued line's encoded response, and whether the connection
+        closes after it."""
+        if line is None:
+            return _encode({
+                "ok": False,
+                "error": f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+            }), True
+        reply = self._server._memo_hit(line)  # a hit that queued
+        if reply is not None:
+            return reply, False
+        response = await self._server._answer_line(line)
+        if response.get("op") == "shutdown" and response.get("ok"):
+            self._server.stop()
+            return _encode(response), True
+        return _encode(response), False
 
 
 class BackgroundServer:

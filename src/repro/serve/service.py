@@ -275,6 +275,12 @@ class CachedAnswer:
     body: Optional[dict] = field(
         default=None, init=False, repr=False, compare=False,
     )
+    #: the whole encoded response line of an id-less memo hit on this
+    #: answer, built by the server's first such hit and written as is by
+    #: every later one (an answer is memoized under one key)
+    hit_line: Optional[bytes] = field(
+        default=None, init=False, repr=False, compare=False,
+    )
 
 
 class MemoCache:
@@ -314,6 +320,10 @@ class MemoCache:
 
     def __len__(self) -> int:
         return len(self._entries)
+
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key`` is resident; counts neither a hit nor a miss."""
+        return key in self._entries
 
     def stats(self) -> Dict[str, int]:
         return {

@@ -29,17 +29,14 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, item: Any) -> Event:
-        """Return an event that fires once ``item`` is placed in the store."""
-        event = Event(self.engine)
+    def put(self, item: Any) -> None:
+        """Place ``item`` in the store at once; nothing waits on a put."""
         if self._getters:
             # Hand the item straight to the oldest waiting getter.
             getter = self._getters.popleft()
             getter.trigger(item)
         else:
             self._items.append(item)
-        event.trigger(None)
-        return event
 
     def get(self) -> Event:
         """Return an event that fires with the oldest item."""

@@ -59,7 +59,6 @@ import os
 import sys
 import threading
 import time
-import uuid
 from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -551,11 +550,13 @@ def serve_metrics_http(host: str, port: int, render: Callable[[], str]):
 # -- trace spans ---------------------------------------------------------
 
 def new_trace_id() -> str:
-    return uuid.uuid4().hex
+    """32 random lowercase hex digits."""
+    return os.urandom(16).hex()
 
 
 def new_span_id() -> str:
-    return uuid.uuid4().hex[:16]
+    """16 random lowercase hex digits."""
+    return os.urandom(8).hex()
 
 
 def mint_trace() -> Dict[str, str]:

@@ -2,7 +2,6 @@
 through the full simulated stack (local reduce, ring reduction, broadcast,
 intra-node distribution)."""
 
-import numpy as np
 import pytest
 
 from repro.bench import run_collective

@@ -5,7 +5,6 @@ DMA/core flows, FIFOs, counters, window mappings — and assert bit-exact
 delivery at every rank.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench import run_collective

@@ -32,7 +32,6 @@ from contextlib import contextmanager
 import pytest
 
 from repro.bench.farm import (
-    DEFAULT_LEASE_S,
     FarmError,
     FarmServer,
     FarmUnreachableError,

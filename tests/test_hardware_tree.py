@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware import Machine, Mode
-from repro.hardware.tree import TreeOperation, split_chunks
+from repro.hardware.tree import split_chunks
 
 
 def make(dims=(2, 2, 1), mode=Mode.SMP):

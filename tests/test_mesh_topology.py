@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench import run_collective
-from repro.collectives.bcast.torus_common import TorusBcastNetwork
 from repro.hardware import Machine, Mode
 from repro.msg import RectangleSchedule, torus_colors
 from repro.util.units import MIB

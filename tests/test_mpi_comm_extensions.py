@@ -1,7 +1,5 @@
 """Tests for the Communicator's extension-collective methods."""
 
-import pytest
-
 from repro import Communicator, Machine, Mode
 
 

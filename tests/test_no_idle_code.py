@@ -1,7 +1,7 @@
 """Guards: every function, method and class under ``src/`` has a caller
 outside its own unit tests, every keyword-only option under ``src/`` is
-set by a call, no module under ``src/`` imports a name it never uses, and
-no function body under ``src/`` is written twice.
+set by a call, no module under ``src/`` or ``tests/`` imports a name it
+never uses, and no function body under ``src/`` is written twice.
 
 A definition counts as used when its name appears anywhere else in
 ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``: as a name, an
@@ -90,6 +90,13 @@ def _exempt(path: pathlib.Path, node: ast.AST) -> bool:
     # ``http.server.BaseHTTPRequestHandler`` calls these two hooks of the
     # metrics endpoint's handler.
     if path.name == "runtime.py" and name in ("do_GET", "log_message"):
+        return True
+    # The asyncio transport calls the ``BufferedProtocol`` callbacks of
+    # the prediction server's connections.
+    if path.name == "server.py" and name in (
+            "connection_made", "connection_lost", "get_buffer",
+            "buffer_updated", "eof_received", "pause_writing",
+            "resume_writing"):
         return True
     return False
 
@@ -256,8 +263,9 @@ def _names_read(tree: ast.AST) -> set:
     return names
 
 
-def test_no_src_module_imports_a_name_it_never_uses():
-    """Every name a module under ``src/`` imports is read in it.
+def _unused_imports(scanned: str) -> list:
+    """``path:line: name`` for each name a module under ``scanned``
+    imports and never reads.
 
     ``__init__.py`` files re-export, so they are skipped; so are
     ``__future__`` imports and import lines marked ``noqa`` (an import
@@ -265,7 +273,7 @@ def test_no_src_module_imports_a_name_it_never_uses():
     """
     unused = []
     for directory, path, tree in _parsed():
-        if directory != "src" or path.name == "__init__.py":
+        if directory != scanned or path.name == "__init__.py":
             continue
         lines = path.read_text(encoding="utf-8").splitlines()
         read = _names_read(tree)
@@ -279,8 +287,23 @@ def test_no_src_module_imports_a_name_it_never_uses():
                 f"{_site(path)}:{line}: {name}"
                 for name, line in _imported_names(node) if name not in read
             )
+    return unused
+
+
+def test_no_src_module_imports_a_name_it_never_uses():
+    """Every name a module under ``src/`` imports is read in it."""
+    unused = _unused_imports("src")
     assert not unused, (
         "imports nothing in the module reads (delete them):\n"
+        + "\n".join(unused)
+    )
+
+
+def test_no_test_module_imports_a_name_it_never_uses():
+    """The same check over ``tests/``; this file is not scanned."""
+    unused = _unused_imports("tests")
+    assert not unused, (
+        "imports nothing in the test module reads (delete them):\n"
         + "\n".join(unused)
     )
 

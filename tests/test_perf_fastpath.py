@@ -13,8 +13,6 @@ Covers the tentpole invariants of the perf work:
   workloads bit-identical.
 """
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -23,10 +23,12 @@ import hashlib
 import json
 import os
 import pickle
+import socket
 import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -34,7 +36,12 @@ import pytest
 from repro.bench.harness import run_collective
 from repro.hardware.machine import Machine, Mode
 from repro.serve.client import ServeClient, ServeRequestError, parse_address
-from repro.serve.server import start_background_server
+from repro.serve import server as server_module
+from repro.serve.server import (
+    MAX_REQUEST_BYTES,
+    _encode,
+    start_background_server,
+)
 from repro.serve.service import (
     CachedAnswer,
     DiskCache,
@@ -46,7 +53,7 @@ from repro.serve.service import (
     query_key,
 )
 from repro.telemetry.manifest import compare_bench
-from repro.telemetry.runtime import parse_prometheus
+from repro.telemetry.runtime import parse_prometheus, span_store
 from repro.util.records import pickle_digest
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
@@ -723,6 +730,222 @@ class TestServer:
         background.thread.join(timeout=30)
         assert not background.thread.is_alive()
         background.stop()
+
+
+# -- the connection: framing, order, the memo fast path -------------------
+
+def _line(request: dict) -> bytes:
+    """One request line, spelled as :class:`ServeClient` spells it."""
+    return json.dumps(request, sort_keys=True).encode("ascii") + b"\n"
+
+
+@contextmanager
+def _raw_connection(address):
+    """A bare socket to a server and a reader of its response lines."""
+    with socket.create_connection(address, timeout=120) as sock:
+        with sock.makefile("rb") as responses:
+            yield sock, responses
+
+
+def _ask(connection, raw: bytes) -> bytes:
+    sock, responses = connection
+    sock.sendall(raw)
+    return responses.readline()
+
+
+class TestConnection:
+    PREDICT = {**HEADLINE[0], "op": "predict"}
+    OTHER = {**HEADLINE[0], "x": 2048, "op": "predict"}
+
+    def test_requests_in_one_send_are_answered_in_order(self):
+        with start_background_server() as background:
+            with _raw_connection(background.address) as (sock, responses):
+                sock.sendall(_line(self.PREDICT) + _line({"op": "ping"}))
+                first = json.loads(responses.readline())
+                second = json.loads(responses.readline())
+                # a hit queued behind a miss waits for it
+                sock.sendall(_line(self.PREDICT) + _line(self.OTHER)
+                             + _line(self.PREDICT))
+                batch = [json.loads(responses.readline()) for _ in range(3)]
+        assert first["tier"] == "cold" and first["op"] == "predict"
+        assert second == {"ok": True, "op": "ping", "pong": True}
+        assert [(r["x"], r["tier"]) for r in batch] == [
+            (16384, "memo"), (2048, "cold"), (16384, "memo"),
+        ]
+
+    def test_a_client_that_reads_late_gets_every_answer_in_order(
+            self, monkeypatch):
+        """Flow control: the server stops reading while its write buffer
+        is full, and every answer still arrives, in order."""
+        paused = threading.Event()
+        pause_writing = server_module._Connection.pause_writing
+
+        def noted(connection):
+            paused.set()
+            pause_writing(connection)
+
+        monkeypatch.setattr(server_module._Connection, "pause_writing", noted)
+        # some 18 MB of responses, past what the socket buffers hold
+        hits = 20000
+        line = _line(self.PREDICT)
+        with start_background_server() as background:
+            with socket.socket() as sock:
+                # a small receive window, set before it is negotiated
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+                sock.settimeout(120)
+                sock.connect(background.address)
+                with sock.makefile("rb") as responses:
+                    cold = _ask((sock, responses), line)
+                    sender = threading.Thread(
+                        target=sock.sendall,
+                        args=(line * hits + _line({"op": "ping"}),),
+                    )
+                    sender.start()
+                    assert paused.wait(timeout=60), "no back-pressure"
+                    answers = [responses.readline() for _ in range(hits + 1)]
+                    sender.join(timeout=60)
+                    assert not sender.is_alive()
+        assert json.loads(cold)["tier"] == "cold"
+        assert len(set(answers[:-1])) == 1
+        assert json.loads(answers[0])["tier"] == "memo"
+        assert json.loads(answers[-1])["pong"] is True
+
+    def test_a_request_split_over_three_sends_is_answered(self):
+        line = _line(self.PREDICT)
+        cuts = (0, len(line) // 3, 2 * len(line) // 3, len(line))
+        tiers = []
+        with start_background_server() as background:
+            with _raw_connection(background.address) as (sock, responses):
+                for _ in range(2):  # a miss, then a memo hit
+                    for start, end in zip(cuts, cuts[1:]):
+                        sock.sendall(line[start:end])
+                        time.sleep(0.05)
+                    response = json.loads(responses.readline())
+                    tiers.append(response["tier"])
+        assert tiers == ["cold", "memo"]
+        assert response["digest"] == _direct_digest(HEADLINE[0])
+
+    def test_an_overlong_line_is_refused_and_closes_the_connection(self):
+        with start_background_server() as background:
+            with _raw_connection(background.address) as (sock, responses):
+                sock.sendall(_line({"op": "ping"}))
+                sock.sendall(b"x" * (MAX_REQUEST_BYTES + 1))
+                pong = json.loads(responses.readline())
+                refusal = json.loads(responses.readline())
+                assert responses.readline() == b""  # closed by the server
+            with ServeClient(background.address) as client:
+                assert client.ping()  # the server itself lives on
+        assert pong["pong"] is True
+        assert refusal == {
+            "ok": False,
+            "error": f"request line exceeds {MAX_REQUEST_BYTES} bytes",
+        }
+
+    def test_a_memo_hit_line_is_the_general_paths_line(self):
+        with start_background_server() as background:
+            with _raw_connection(background.address) as connection:
+                cold = _ask(connection, _line(self.PREDICT))
+                hit = _ask(connection, _line(self.PREDICT))
+                # the same query spelled otherwise, and with an id
+                respelled = _ask(connection,
+                                 json.dumps(self.PREDICT).encode() + b"\n")
+                tagged = _ask(connection, _line({**self.PREDICT, "id": 7}))
+        assert json.loads(cold)["tier"] == "cold"
+        assert json.loads(hit)["tier"] == "memo"
+        assert hit == respelled
+        response = json.loads(tagged)
+        assert response.pop("id") == 7
+        assert _encode(response) == hit
+
+    def test_a_repeated_line_is_answered_without_the_dispatcher(self):
+        service = PredictionService()
+        span_store().clear()
+        with start_background_server(service) as background:
+            dispatched = []
+            dispatch = background.server._dispatch_line
+
+            async def counted(line):
+                dispatched.append(line)
+                return await dispatch(line)
+
+            background.server._dispatch_line = counted
+            with _raw_connection(background.address) as connection:
+                _ask(connection, _line(self.PREDICT))
+                fast = [_ask(connection, _line(self.PREDICT))
+                        for _ in range(3)]
+                general = _ask(connection,
+                               json.dumps(self.PREDICT).encode() + b"\n")
+                trace = json.loads(_ask(connection, _line({"op": "trace"})))
+        assert len(dispatched) == 3  # the miss, the respelled hit, trace
+        assert set(fast) == {general}
+        stats = service.stats_snapshot()
+        assert stats["tiers"] == {"memo": 4, "disk": 0, "cold": 1,
+                                  "batch": 0}
+        assert stats["requests"] == {"predict": 5, "trace": 1}
+        assert (stats["memo"]["hits"], stats["memo"]["misses"]) == (4, 1)
+        assert stats["latency"]["count"] == 6
+        assert stats["latency_by_tier"]["memo"]["count"] == 4
+        # one serve.predict span per predict, a fast hit's like any hit's
+        predicts = [item for item in trace["spans"]
+                    if item["name"] == "serve.predict"]
+        assert len(predicts) == 5
+        hit_attrs = {"family": "bcast", "algorithm": "tree-shaddr",
+                     "x": 16384, "tier": "memo", "coalesced": False}
+        assert [item["attrs"] for item in predicts[1:]] == [hit_attrs] * 4
+        assert len({item["span_id"] for item in predicts}) == 5
+        assert all(len(item["span_id"]) == 16 and len(item["trace_id"]) == 32
+                   for item in predicts)
+
+    def test_a_mapped_line_whose_answer_was_evicted_misses_once(self):
+        service = PredictionService(max_memo=1)
+        with start_background_server(service) as background:
+            with _raw_connection(background.address) as connection:
+                tiers = [
+                    json.loads(_ask(connection, _line(request)))["tier"]
+                    for request in (
+                        self.PREDICT, self.PREDICT,
+                        {**self.OTHER, "id": "evicts"},
+                        self.PREDICT,
+                    )
+                ]
+        assert tiers == ["cold", "memo", "cold", "cold"]
+        memo = service.memo.stats()
+        assert (memo["hits"], memo["misses"]) == (1, 3)
+        assert memo["evictions"] == 2
+
+    def test_flipping_the_solver_mode_gives_a_second_key(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
+        line = _line(self.PREDICT)
+        with start_background_server() as background:
+            with _raw_connection(background.address) as connection:
+                incremental = json.loads(_ask(connection, line))
+                monkeypatch.setenv("REPRO_SIM_SLOWPATH", "1")
+                slowpath = json.loads(_ask(connection, line))
+                again = json.loads(_ask(connection, line))
+        assert incremental["key"] != slowpath["key"] == again["key"]
+        assert [incremental["tier"], slowpath["tier"], again["tier"]] == [
+            "cold", "cold", "memo",
+        ]
+        assert incremental["elapsed_us"] == slowpath["elapsed_us"]
+
+    def test_a_refused_solver_variable_fails_the_request_not_the_line(
+            self, monkeypatch):
+        monkeypatch.delenv("REPRO_SIM_SLOWPATH", raising=False)
+        line = _line(self.PREDICT)
+        with start_background_server() as background:
+            with _raw_connection(background.address) as connection:
+                _ask(connection, line)
+                assert json.loads(_ask(connection, line))["tier"] == "memo"
+                monkeypatch.setenv("REPRO_SIM_SLOWPATH", "maybe")
+                refused = json.loads(_ask(connection, line))
+                pong = json.loads(_ask(connection, _line({"op": "ping"})))
+                monkeypatch.delenv("REPRO_SIM_SLOWPATH")
+                again = json.loads(_ask(connection, line))
+        assert refused["ok"] is False
+        assert refused["error_type"] == "ValueError"
+        assert "REPRO_SIM_SLOWPATH" in refused["error"]
+        assert pong["pong"] is True
+        assert again["tier"] == "memo"
 
 
 # -- client ----------------------------------------------------------------

@@ -1,7 +1,5 @@
 """Unit and property tests for the max-min fair flow network."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

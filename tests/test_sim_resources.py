@@ -14,7 +14,7 @@ class TestStore:
         def producer():
             for i in range(3):
                 yield eng.timeout(1.0)
-                yield store.put(i)
+                store.put(i)
 
         def consumer():
             for _ in range(3):
@@ -37,7 +37,7 @@ class TestStore:
 
         def producer():
             yield eng.timeout(2.0)
-            yield store.put("x")
+            store.put("x")
 
         eng.spawn(consumer())
         eng.spawn(producer())

@@ -2,8 +2,6 @@
 
 import threading
 
-import pytest
-
 from repro.structures import AtomicCounter
 
 
