@@ -23,12 +23,11 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.collectives.allgather.base import AllgatherInvocation
-from repro.collectives.common import DmaDirectPutDistributor
+from repro.collectives.common import CounterBroadcast, DmaDirectPutDistributor
 from repro.collectives.registry import register
 from repro.msg.color import torus_colors
 from repro.sim.events import AllOf, Event
-from repro.sim.resources import Store
-from repro.sim.sync import SimCounter
+from repro.telemetry.recorder import ROLE_COPIER, ROLE_PROTOCOL
 
 
 class _RingAllgatherBase(AllgatherInvocation):
@@ -53,11 +52,6 @@ class _RingAllgatherBase(AllgatherInvocation):
             for i in range(self.nnodes)
             for s in range(self.nnodes - 1)
         }
-        #: per-rank bytes of the assembled result present in its buffer
-        self.rank_received: Dict[int, SimCounter] = {
-            rank: SimCounter(engine, name=f"r{rank}.ag")
-            for rank in range(machine.nprocs)
-        }
         for position in range(self.nnodes):
             machine.spawn(
                 self._ring_position(position), name=f"ag.p{position}"
@@ -67,6 +61,28 @@ class _RingAllgatherBase(AllgatherInvocation):
     def _on_node_block(self, node: int, src_node: int) -> None:
         """A node now holds ``src_node``'s aggregated block."""
         raise NotImplementedError
+
+    def _intra_node(self, ctx, master: int):
+        """Sub-generator: rank ``ctx``'s part of its node's stages, where
+        ``master`` is the rank the ring sends from and lands in."""
+        raise NotImplementedError
+
+    # per rank -------------------------------------------------------------
+    def proc(self, rank: int):
+        ctx = self.context(rank)
+        machine = self.machine
+        own_off = rank * self.block_bytes
+        data = self.payload_slice(own_off, self.block_bytes)
+        if data is not None:
+            self.write_result(rank, own_off, data)
+        if self.block_bytes == 0 or machine.nprocs == 1:
+            return
+        yield machine.engine.timeout(machine.params.mpi_overhead)
+        if rank == machine.node_ranks(0)[0]:
+            self.start.trigger(None)
+        yield from self._intra_node(
+            ctx, machine.node_ranks(ctx.node_index)[0]
+        )
 
     # ring -----------------------------------------------------------------
     def _ring_position(self, i: int):
@@ -107,7 +123,6 @@ class _RingAllgatherBase(AllgatherInvocation):
         data = self.payload_slice(offset, size)
         if data is not None:
             self.write_result(master, offset, data)
-        self.rank_received[master].add(size)
         self._on_node_block(node, src_node)
 
 
@@ -121,46 +136,31 @@ class RingCurrentAllgather(_RingAllgatherBase):
         super().setup()
         # Every node distributes all N node blocks (including its own
         # staged one) to its peers through the DMA.
-        self.distributor = DmaDirectPutDistributor(self, self.nnodes)
+        self.distributor = DmaDirectPutDistributor(self, self.nnodes, "ag")
 
     def _on_node_block(self, node: int, src_node: int) -> None:
-        self.distributor.push(node, *self.node_block_range(src_node))
+        self.distributor.arrive(node, *self.node_block_range(src_node))
 
-    def proc(self, rank: int):
-        ctx = self.context(rank)
-        machine = self.machine
-        params = machine.params
-        engine = machine.engine
-        own_off = rank * self.block_bytes
-        data = self.payload_slice(own_off, self.block_bytes)
-        if data is not None:
-            self.write_result(rank, own_off, data)
-        if self.block_bytes == 0 or machine.nprocs == 1:
-            return
-        yield engine.timeout(params.mpi_overhead)
-        node = ctx.node_index
-        master = machine.node_ranks(node)[0]
-        if rank == machine.node_ranks(0)[0]:
-            self.start.trigger(None)
+    def _intra_node(self, ctx, master: int):
+        rank, node = ctx.rank, ctx.node_index
         if rank == master:
             # Stage the node block: DMA gathers the peers' contributions.
-            peers = machine.node_ranks(node)[1:]
+            peers = self.machine.node_ranks(node)[1:]
             if peers:
                 flows = [
                     ctx.dma.local_copy_flow(self.block_bytes, name="ag.gather")
                     for _ in peers
                 ]
-                yield AllOf(engine, [f.event for f in flows])
+                yield AllOf(self.machine.engine, [f.event for f in flows])
             node_off, node_size = self.node_block_range(node)
             block = self.payload_slice(node_off, node_size)
             if block is not None:
                 self.write_result(rank, node_off, block)
-            self.rank_received[rank].add(node_size)
+            self.distributor.received[rank].add(node_size)
             self.own_ready[node].trigger(None)
             # The staged node block is also distributed back to the peers.
             self.distributor.push(node, node_off, node_size)
-        yield self.rank_received[rank].wait_for(self.nbytes)
-        yield engine.timeout(params.dma_counter_poll)
+        yield from self.distributor.wait_landed(ctx)
 
 
 @register("allgather", shared_address=True)
@@ -171,42 +171,22 @@ class RingShaddrAllgather(_RingAllgatherBase):
 
     def setup(self) -> None:
         super().setup()
-        machine = self.machine
-        engine = machine.engine
-        #: master-published arrivals per node: list of (offset, size)
-        self.records: List[List[Tuple[int, int]]] = [
-            [] for _ in range(machine.nnodes)
-        ]
-        self.published: List[SimCounter] = [
-            machine.make_counter(name=f"n{n}.ag.pub", node=n)
-            for n in range(machine.nnodes)
-        ]
-        self.mailbox: List[Store] = [
-            Store(engine, name=f"n{n}.ag.mbox")
-            for n in range(machine.nnodes)
-        ]
+        # The master publishes every remote node block that lands in its
+        # receive buffer; the peers copy it out.
+        self.counters = CounterBroadcast(
+            self, self.nnodes - 1, "ag.mbox", "ag.pub"
+        )
 
     def _on_node_block(self, node: int, src_node: int) -> None:
-        self.mailbox[node].put(self.node_block_range(src_node))
+        self.counters.arrive(node, *self.node_block_range(src_node))
 
-    def proc(self, rank: int):
-        ctx = self.context(rank)
+    def _intra_node(self, ctx, master: int):
         machine = self.machine
-        params = machine.params
-        engine = machine.engine
-        own_off = rank * self.block_bytes
-        data = self.payload_slice(own_off, self.block_bytes)
-        if data is not None:
-            self.write_result(rank, own_off, data)
-        if self.block_bytes == 0 or machine.nprocs == 1:
-            return
-        yield engine.timeout(params.mpi_overhead)
-        node = ctx.node_index
-        master = machine.node_ranks(node)[0]
-        if rank == machine.node_ranks(0)[0]:
-            self.start.trigger(None)
-        npeers = machine.ppn - 1
+        rank, node = ctx.rank, ctx.node_index
         if rank == master:
+            tel = machine.engine.telemetry
+            if tel is not None:
+                tel.set_role(rank, node, ROLE_PROTOCOL)
             # No staging: the send flows read the peers' mapped buffers.
             # Map each peer's contribution once (cached across steps).
             for peer_local in range(1, machine.ppn):
@@ -218,16 +198,9 @@ class RingShaddrAllgather(_RingAllgatherBase):
             block = self.payload_slice(node_off, node_size)
             if block is not None:
                 self.write_result(rank, node_off, block)
-            self.rank_received[rank].add(node_size)
             self.own_ready[node].trigger(None)
             # Publish ring arrivals to the peers via the S/W counter.
-            for _ in range(self.nnodes - 1):
-                offset, size = yield self.mailbox[node].get()
-                yield engine.timeout(
-                    params.dma_counter_poll + params.flag_cost
-                )
-                self.records[node].append((offset, size))
-                self.published[node].add(1)
+            yield from self.counters.publish(node)
         else:
             # Copy the local node block pieces directly from the local
             # contributors (all buffers mapped), then chase the master's
@@ -246,15 +219,7 @@ class RingShaddrAllgather(_RingAllgatherBase):
                 pdata = self.payload_slice(poff, self.block_bytes)
                 if pdata is not None:
                     self.write_result(rank, poff, pdata)
-            for i in range(self.nnodes - 1):
-                if self.published[node].value < i + 1:
-                    yield self.published[node].wait_for(i + 1)
-                    yield engine.timeout(params.flag_cost)
-                offset, size = self.records[node][i]
-                yield from ctx.windows.map_buffer(
-                    0, ("ag-recv", master), self.nbytes
-                )
-                yield from ctx.node.core_copy(size, name="ag.remote")
-                rdata = self.payload_slice(offset, size)
-                if rdata is not None:
-                    self.write_result(rank, offset, rdata)
+            yield from self.counters.copy_out(
+                ctx, ROLE_COPIER, "shaddr.copy-out", "ag.remote",
+                (0, ("ag-recv", master), self.nbytes),
+            )

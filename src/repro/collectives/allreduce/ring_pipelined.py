@@ -27,8 +27,6 @@ from repro.collectives.allreduce.ring import RingReduction
 from repro.collectives.common import DmaDirectPutDistributor
 from repro.collectives.registry import register
 from repro.sim.events import Event
-from repro.sim.sync import SimCounter
-from repro.telemetry.recorder import ROLE_DMA_WAIT
 
 
 @register("allreduce")
@@ -44,10 +42,6 @@ class RingPipelinedAllreduce(AllreduceInvocation):
         engine = machine.engine
         self.root_node = machine.rank_to_node(self.root)
         self.start = Event(engine)
-        self.rank_received: Dict[int, SimCounter] = {
-            rank: SimCounter(engine, name=f"r{rank}.result")
-            for rank in range(machine.nprocs)
-        }
         # Stages 1 and 2: the DMA-staged local reduce and the ring
         # reduction (master core does every addition, as on the torus).
         stage = RingReduction(
@@ -57,7 +51,7 @@ class RingPipelinedAllreduce(AllreduceInvocation):
         self.offsets = stage.offsets
         self.plans = stage.plans
         self.distributor = DmaDirectPutDistributor(
-            self, sum(plan.nchunks for plan in self.plans)
+            self, sum(plan.nchunks for plan in self.plans), "result"
         )
         #: per-color broadcast ring (position 0 is the root's node)
         self.rings_order: List[List[int]] = [
@@ -135,20 +129,9 @@ class RingPipelinedAllreduce(AllreduceInvocation):
     # -- per-rank coroutine ---------------------------------------------------
     def proc(self, rank: int):
         ctx = self.context(rank)
-        machine = self.machine
-        params = machine.params
-        engine = machine.engine
         if self.count == 0:
             return
-        yield engine.timeout(params.mpi_overhead)
-        tel = engine.telemetry
-        if tel is not None:
-            tel.set_role(rank, ctx.node_index, ROLE_DMA_WAIT)
+        yield self.machine.engine.timeout(self.machine.params.mpi_overhead)
         if rank == self.root:
             self.start.trigger(None)
-        t0 = engine.now
-        yield self.rank_received[rank].wait_for(self.nbytes)
-        if tel is not None:
-            tel.stall(t0, engine.now, rank, ctx.node_index,
-                      "waiting-on-counter")
-        yield engine.timeout(params.dma_counter_poll)
+        yield from self.distributor.wait_landed(ctx)

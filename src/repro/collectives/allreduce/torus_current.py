@@ -25,15 +25,11 @@ bottleneck — the "Current (MB/s)" column of Table I.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.collectives.allreduce.base import DOUBLE, AllreduceInvocation
 from repro.collectives.allreduce.ring import RingReduction
 from repro.collectives.bcast.torus_common import TorusBcastNetwork
 from repro.collectives.common import DmaDirectPutDistributor
 from repro.collectives.registry import register
-from repro.sim.sync import SimCounter
-from repro.telemetry.recorder import ROLE_DMA_WAIT
 
 
 @register("allreduce")
@@ -52,17 +48,13 @@ class TorusCurrentAllreduce(AllreduceInvocation):
             self, self.ncolors, machine.params.pipeline_width,
             external_root_feed=True, align=DOUBLE,
         )
-        # Per-rank bytes of the final result landed in the rank's buffer.
-        self.rank_received: Dict[int, SimCounter] = {
-            rank: SimCounter(machine.engine, name=f"r{rank}.result")
-            for rank in range(machine.nprocs)
-        }
         # Stage 3 intra-node: the DMA direct-puts every arrived chunk.
-        distributor = DmaDirectPutDistributor(
-            self, self.net.total_chunks_per_node
+        self.distributor = DmaDirectPutDistributor(
+            self, self.net.total_chunks_per_node, "result"
         )
         self.net.on_chunk(
-            lambda node, _c, goff, size: distributor.arrive(node, goff, size)
+            lambda node, _c, goff, size:
+            self.distributor.arrive(node, goff, size)
         )
         # Stages 1 and 2: the DMA-staged local reduce (the "redundant
         # copies") and the ring reduction, whose master core does every
@@ -75,20 +67,9 @@ class TorusCurrentAllreduce(AllreduceInvocation):
     # -- per-rank coroutine --------------------------------------------------
     def proc(self, rank: int):
         ctx = self.context(rank)
-        machine = self.machine
-        params = machine.params
-        engine = machine.engine
         if self.count == 0:
             return
-        yield engine.timeout(params.mpi_overhead)
-        tel = engine.telemetry
-        if tel is not None:
-            tel.set_role(rank, ctx.node_index, ROLE_DMA_WAIT)
+        yield self.machine.engine.timeout(self.machine.params.mpi_overhead)
         if rank == self.root:
             self.net.open()
-        t0 = engine.now
-        yield self.rank_received[rank].wait_for(self.nbytes)
-        if tel is not None:
-            tel.stall(t0, engine.now, rank, ctx.node_index,
-                      "waiting-on-counter")
-        yield engine.timeout(params.dma_counter_poll)
+        yield from self.distributor.wait_landed(ctx)

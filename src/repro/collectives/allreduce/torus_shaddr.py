@@ -20,14 +20,11 @@ partitions assigned to them."
 
 from __future__ import annotations
 
-from typing import List, Tuple
-
 from repro.collectives.allreduce.base import DOUBLE, AllreduceInvocation
 from repro.collectives.allreduce.ring import RingReduction
 from repro.collectives.bcast.torus_common import TorusBcastNetwork
+from repro.collectives.common import CounterBroadcast
 from repro.collectives.registry import register
-from repro.sim.resources import Store
-from repro.sim.sync import SimCounter
 from repro.telemetry.recorder import ROLE_PROTOCOL, reduce_core_role
 
 
@@ -43,28 +40,16 @@ class TorusShaddrAllreduce(AllreduceInvocation):
 
     def setup(self) -> None:
         machine = self.machine
-        engine = machine.engine
         self.net = TorusBcastNetwork(
             self, self.ncolors, machine.params.pipeline_width,
             external_root_feed=True, align=DOUBLE,
         )
         # Result-arrival publication (master core -> worker cores).
-        self.mailbox: List[Store] = [
-            Store(engine, name=f"n{n}.mbox") for n in range(machine.nnodes)
-        ]
-        self.published: List[SimCounter] = [
-            machine.make_counter(name=f"n{n}.pub", node=n)
-            for n in range(machine.nnodes)
-        ]
-        self.records: List[List[Tuple[int, int]]] = [
-            [] for _ in range(machine.nnodes)
-        ]
-        self.completion: List[SimCounter] = [
-            machine.make_counter(name=f"n{n}.done", node=n)
-            for n in range(machine.nnodes)
-        ]
+        self.counters = CounterBroadcast(
+            self, self.net.total_chunks_per_node, "mbox", "pub"
+        )
         self.net.on_chunk(
-            lambda node, _c, goff, size: self.mailbox[node].put((goff, size))
+            lambda node, _c, goff, size: self.counters.arrive(node, goff, size)
         )
         # The dedicated network-protocol core (local rank 0) per node does
         # the ring additions; the worker cores' mapped local reduce feeds it.
@@ -76,60 +61,31 @@ class TorusShaddrAllreduce(AllreduceInvocation):
     # -- per-rank coroutine --------------------------------------------------
     def proc(self, rank: int):
         ctx = self.context(rank)
-        machine = self.machine
-        params = machine.params
-        engine = machine.engine
+        engine = self.machine.engine
         if self.count == 0:
             return
-        yield engine.timeout(params.mpi_overhead)
+        yield engine.timeout(self.machine.params.mpi_overhead)
         node = ctx.node_index
         local = ctx.local_rank
-        tel = engine.telemetry
         if rank == self.root:
             self.net.open()
         if local == 0:
             # Master core: runs the network protocol (the ring additions are
             # charged to this node's protocol-core resource by RingReduce)
             # and publishes result arrivals to the worker cores.
+            tel = engine.telemetry
             if tel is not None:
                 tel.set_role(rank, node, ROLE_PROTOCOL)
-            total = self.net.total_chunks_per_node
-            for _ in range(total):
-                goff, size = yield self.mailbox[node].get()
-                yield engine.timeout(
-                    params.dma_counter_poll + params.flag_cost
-                )
-                self.records[node].append((goff, size))
-                self.published[node].add(1)
-            t0 = engine.now
-            yield self.completion[node].wait_for(machine.ppn - 1)
-            if tel is not None:
-                tel.stall(t0, engine.now, rank, node, "waiting-on-counter")
+            yield from self.counters.publish(node)
+            yield from self.counters.wait_released(rank, node)
         else:
             # Worker core: owns color (local-1); locally reduces its
             # partition in pipeline chunks (accessing every local buffer
             # through mapped windows), then copies the full result out of
             # the master's buffer.
-            c = local - 1
             yield from self.reduction.mapped_reduce(ctx, "allreduce-buf")
-            # Local broadcast: chase the master's software counters.
-            total = self.net.total_chunks_per_node
-            for i in range(total):
-                if self.published[node].value < i + 1:
-                    t0 = engine.now
-                    yield self.published[node].wait_for(i + 1)
-                    if tel is not None:
-                        tel.stall(t0, engine.now, rank, node,
-                                  "waiting-on-counter")
-                    yield engine.timeout(params.flag_cost)
-                goff, size = self.records[node][i]
-                t0 = engine.now
-                yield from ctx.node.core_copy(size, name=f"lbcast.l{local}")
-                if tel is not None:
-                    tel.copied(t0, engine.now, rank, node,
-                               reduce_core_role(c), "local-bcast", size)
-                data = self.payload_slice(goff, size)
-                if data is not None:
-                    self.write_result(rank, goff, data)
-            yield engine.timeout(params.atomic_op_cost)
-            self.completion[node].add(1)
+            yield from self.counters.copy_out(
+                ctx, reduce_core_role(local - 1), "local-bcast",
+                f"lbcast.l{local}",
+            )
+            yield from self.counters.release(node)

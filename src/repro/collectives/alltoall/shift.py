@@ -87,7 +87,6 @@ class _ShiftAlltoallBase(AlltoallInvocation):
 
     # -- per-rank coroutine --------------------------------------------------
     def proc(self, rank: int):
-        ctx = self.context(rank)
         machine = self.machine
         params = machine.params
         engine = machine.engine

@@ -23,7 +23,6 @@ from repro.collectives.registry import register
 from repro.hardware.tree import split_chunks
 from repro.msg.color import torus_colors
 from repro.sim.events import Event
-from repro.sim.sync import SimCounter
 
 #: pipeline chunk size; large enough to amortize per-send DMA startup,
 #: small enough that the ring pipeline fills quickly
@@ -64,12 +63,9 @@ class RingPipelinedBcast(BcastInvocation):
             for i in range(1, self.nnodes)
             for c in range(len(self.chunks))
         }
-        #: per-rank delivered bytes
-        self.rank_received: Dict[int, SimCounter] = {
-            rank: SimCounter(engine, name=f"r{rank}.rbc")
-            for rank in range(machine.nprocs)
-        }
-        self.distributor = DmaDirectPutDistributor(self, len(self.chunks))
+        self.distributor = DmaDirectPutDistributor(
+            self, len(self.chunks), "rbc"
+        )
         if self.nnodes > 1 and self.chunks:
             for position in range(self.nnodes - 1):
                 machine.spawn(
@@ -120,11 +116,9 @@ class RingPipelinedBcast(BcastInvocation):
     # -- per-rank process --------------------------------------------------
     def proc(self, rank: int):
         machine = self.machine
-        params = machine.params
-        engine = machine.engine
         if self.nbytes == 0 or machine.nprocs == 1:
             return
-        yield engine.timeout(params.mpi_overhead)
+        yield machine.engine.timeout(machine.params.mpi_overhead)
         if rank == self.root:
             self.start.trigger(None)
             # Stage the chunks into the ring (and to this node's peers).
@@ -132,5 +126,4 @@ class RingPipelinedBcast(BcastInvocation):
                 self._node_has_chunk(self.root_node, c)
                 self.root_ready[c].trigger(None)
             return
-        yield self.rank_received[rank].wait_for(self.nbytes)
-        yield engine.timeout(params.dma_counter_poll)
+        yield from self.distributor.wait_landed(self.context(rank))

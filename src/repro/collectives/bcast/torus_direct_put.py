@@ -16,14 +16,10 @@ per node, no intra-node stage): the reference curve of Fig 10.
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.collectives.base import BcastInvocation
 from repro.collectives.bcast.torus_common import TorusBcastNetwork
 from repro.collectives.common import DmaDirectPutDistributor
 from repro.collectives.registry import register
-from repro.sim.sync import SimCounter
-from repro.telemetry.recorder import ROLE_DMA_WAIT
 
 
 @register("bcast")
@@ -35,20 +31,15 @@ class TorusDirectPutBcast(BcastInvocation):
     ncolors = 6
 
     def setup(self) -> None:
-        machine = self.machine
-        chunk = machine.params.pipeline_width
+        chunk = self.machine.params.pipeline_width
         self.net = TorusBcastNetwork(self, self.ncolors, chunk)
-        # Per-rank bytes delivered into the rank's application buffer.
-        self.rank_received: Dict[int, SimCounter] = {
-            rank: SimCounter(machine.engine, name=f"r{rank}.rcvd")
-            for rank in range(machine.nprocs)
-        }
         # Intra-node: the DMA chains local direct puts.
-        distributor = DmaDirectPutDistributor(
-            self, self.net.total_chunks_per_node
+        self.distributor = DmaDirectPutDistributor(
+            self, self.net.total_chunks_per_node, "rcvd"
         )
         self.net.on_chunk(
-            lambda node, _c, goff, size: distributor.arrive(node, goff, size)
+            lambda node, _c, goff, size:
+            self.distributor.arrive(node, goff, size)
         )
 
     # -- per-rank coroutine --------------------------------------------------
@@ -56,25 +47,14 @@ class TorusDirectPutBcast(BcastInvocation):
         ctx = self.context(rank)
         if self.nbytes == 0:
             return
-        engine = self.machine.engine
-        tel = engine.telemetry
-        if tel is not None:
-            tel.set_role(rank, ctx.node_index, ROLE_DMA_WAIT)
-        yield engine.timeout(self.machine.params.mpi_overhead)
+        yield self.machine.engine.timeout(self.machine.params.mpi_overhead)
         if rank == self.root:
             self.net.open()
             # The root's own buffer is complete, but its peers still pull
             # through the DMA; the root returns once its local reception
             # state is consistent (counter poll).
-            self.rank_received[rank].set_at_least(self.nbytes)
-        t0 = engine.now
-        yield self.rank_received[rank].wait_for(self.nbytes)
-        if tel is not None:
-            tel.stall(t0, engine.now, rank, ctx.node_index,
-                      "waiting-on-counter")
-        yield ctx.machine.engine.timeout(
-            self.machine.params.dma_counter_poll
-        )
+            self.distributor.received[rank].set_at_least(self.nbytes)
+        yield from self.distributor.wait_landed(ctx)
 
 
 @register("bcast", modes=(1,))

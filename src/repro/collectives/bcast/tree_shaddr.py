@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.collectives.base import BcastInvocation
+from repro.collectives.common import wait_published
 from repro.collectives.registry import register
 from repro.hardware.tree import TreeOperation
 from repro.sim.sync import SimCounter
@@ -52,7 +53,6 @@ class TreeShaddrBcast(BcastInvocation):
         self.op: TreeOperation = machine.tree.operation(
             self.nbytes, params.pipeline_width
         )
-        engine = machine.engine
         #: rank-1's software counter: chunks landed in its application buffer
         self.sw_counter: List[SimCounter] = [
             machine.make_counter(name=f"n{n}.swcnt", node=n)
@@ -126,13 +126,7 @@ class TreeShaddrBcast(BcastInvocation):
             offset = 0
             for k in range(nchunks):
                 size = self.op.chunks[k]
-                if self.sw_counter[node].value < k + 1:
-                    t0 = engine.now
-                    yield self.sw_counter[node].wait_for(k + 1)
-                    if tel is not None:
-                        tel.stall(t0, engine.now, rank, node,
-                                  "waiting-on-counter")
-                    yield engine.timeout(params.flag_cost)
+                yield from wait_published(ctx, self.sw_counter[node], k + 1)
                 # Map the reception (and, for role 2, the injection) buffer
                 # at every access; the window cache makes repeats free.
                 yield from ctx.windows.map_buffer(

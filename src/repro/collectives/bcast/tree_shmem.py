@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.collectives.base import BcastInvocation
+from repro.collectives.common import wait_published
 from repro.collectives.registry import register
 from repro.hardware.tree import TreeOperation
 from repro.kernel.shmem import SharedSegment
@@ -38,7 +39,6 @@ class TreeShmemBcast(BcastInvocation):
         self.op: TreeOperation = machine.tree.operation(
             self.nbytes, params.pipeline_width
         )
-        engine = machine.engine
         self.segments: List[SharedSegment] = [
             SharedSegment(machine, max(1, self.nbytes), name=f"n{n}.seg")
             for n in range(machine.nnodes)
@@ -90,13 +90,7 @@ class TreeShmemBcast(BcastInvocation):
             offset = 0
             for k in range(self.op.nchunks):
                 size = self.op.chunks[k]
-                if self.staged[node].value < k + 1:
-                    t0 = engine.now
-                    yield self.staged[node].wait_for(k + 1)
-                    if tel is not None:
-                        tel.stall(t0, engine.now, rank, node,
-                                  "waiting-on-counter")
-                    yield engine.timeout(params.flag_cost)
+                yield from wait_published(ctx, self.staged[node], k + 1)
                 yield engine.timeout(params.shmem_chunk_overhead)
                 t0 = engine.now
                 yield from ctx.node.core_copy(size, name="shmem-out")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
+from repro.collectives.common import wait_published
 from repro.collectives.registry import register
 from repro.collectives.scatter.base import ScatterInvocation
 from repro.msg.color import torus_colors
@@ -155,7 +156,6 @@ class RingShaddrScatter(_RingScatterBase):
 
     def setup(self) -> None:
         super().setup()
-        engine = self.machine.engine
         self.published: List[SimCounter] = [
             self.machine.make_counter(name=f"n{n}.s.pub", node=n)
             for n in range(self.machine.nnodes)
@@ -180,9 +180,7 @@ class RingShaddrScatter(_RingScatterBase):
             yield engine.timeout(params.dma_counter_poll + params.flag_cost)
             self.published[node].add(1)
         else:
-            if self.published[node].value < 1:
-                yield self.published[node].wait_for(1)
-                yield engine.timeout(params.flag_cost)
+            yield from wait_published(ctx, self.published[node], 1)
             yield from ctx.windows.map_buffer(
                 0, ("scatter-buf", master), self.node_block_size()
             )

@@ -554,6 +554,14 @@ class ServiceStats:
         )
         self._coalesced.inc(0)
         self._errors.inc(0)
+        self._request_latency = registry.histogram(
+            "serve_request_latency_seconds",
+            "end-to-end serve latency per request",
+        )
+        self._tier_latency = registry.histogram(
+            "serve_tier_latency_seconds",
+            "serve latency split by answering tier",
+        )
 
     def record_tier(self, tier: str) -> None:
         self._tiers.inc(tier=tier)
@@ -573,10 +581,7 @@ class ServiceStats:
         ring.append(seconds)
         if len(ring) > _LATENCY_WINDOW:
             del ring[: len(ring) - _LATENCY_WINDOW]
-        self.registry.histogram(
-            "serve_tier_latency_seconds",
-            "serve latency split by answering tier",
-        ).observe(seconds, tier=tier)
+        self._tier_latency.observe(seconds, tier=tier)
 
     def record_latency(self, seconds: float,
                        tier: Optional[str] = None) -> None:
@@ -586,10 +591,7 @@ class ServiceStats:
             self.latencies_s.append(seconds)
             if len(self.latencies_s) > _LATENCY_WINDOW:
                 del self.latencies_s[: len(self.latencies_s) - _LATENCY_WINDOW]
-            self.registry.histogram(
-                "serve_request_latency_seconds",
-                "end-to-end serve latency per request",
-            ).observe(seconds)
+            self._request_latency.observe(seconds)
             if tier is not None:
                 self._observe_tier(seconds, tier)
 

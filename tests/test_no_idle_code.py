@@ -1,7 +1,8 @@
 """Guards: every function, method and class under ``src/`` has a caller
 outside its own unit tests, every keyword-only option under ``src/`` is
 set by a call, no module under ``src/`` or ``tests/`` imports a name it
-never uses, and no function body under ``src/`` is written twice.
+never uses, no function under ``src/`` assigns a local it never reads,
+and no function body under ``src/`` is written twice.
 
 A definition counts as used when its name appears anywhere else in
 ``src/``, ``tests/``, ``benchmarks/`` or ``examples/``: as a name, an
@@ -306,6 +307,87 @@ def test_no_test_module_imports_a_name_it_never_uses():
         "imports nothing in the test module reads (delete them):\n"
         + "\n".join(unused)
     )
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_nodes(function: ast.AST):
+    """Every node of ``function`` outside the functions, lambdas and
+    classes nested in it (their assignments are their own)."""
+    pending = list(ast.iter_child_nodes(function))
+    while pending:
+        node = pending.pop()
+        yield node
+        if not isinstance(node, (*FUNCTIONS, ast.Lambda, ast.ClassDef)):
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(tree: ast.AST) -> list:
+    """``(line, function, name)``, sorted, for each plain ``name = value``
+    in a function that never reads ``name``.
+
+    A read anywhere in the function counts, in a nested function too; so
+    does ``name += value``.  ``_``-prefixed names are exempt, and so are
+    names a ``global`` or ``nonlocal`` statement declares.
+    """
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, FUNCTIONS):
+            continue
+        read = set()
+        for node in ast.walk(function):
+            if isinstance(node, ast.AugAssign):
+                read.add(getattr(node.target, "id", None))
+            elif isinstance(node, ast.Name):
+                if not isinstance(node.ctx, ast.Store):
+                    read.add(node.id)
+            elif isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+        found.extend(
+            (node.lineno, function.name, target.id)
+            for node in _own_nodes(function) if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+            and not target.id.startswith("_") and target.id not in read
+        )
+    return sorted(found)
+
+
+def test_no_src_function_assigns_a_local_it_never_reads():
+    """Every plain ``name = value`` inside a function under ``src/`` is
+    read by that function (or a function nested in it): delete the ones
+    nothing reads."""
+    unused = [
+        f"{_site(path)}:{line}: {name} in {function}"
+        for directory, path, tree in _parsed() if directory == "src"
+        for line, function, name in _unused_locals(tree)
+    ]
+    assert not unused, (
+        "locals assigned and never read (delete them):\n" + "\n".join(unused)
+    )
+
+
+def test_unused_local_guard_sees_plain_assignments_only():
+    """The guard itself: a plain assignment nothing reads is reported in
+    the function that makes it; reads in nested functions and augmented
+    assignments count, and ``_`` names and unpacking are left alone."""
+    tree = ast.parse(
+        "def outer(a):\n"
+        "    kept = a\n"
+        "    idle = a\n"
+        "    _spare = a\n"
+        "    first, second = a\n"
+        "    closed = a\n"
+        "    total = 0\n"
+        "    total += 1\n"
+        "    def inner():\n"
+        "        shadow = closed\n"
+        "        return kept\n"
+        "    return inner\n"
+    )
+    assert _unused_locals(tree) == [(3, "outer", "idle"),
+                                    (10, "inner", "shadow")]
 
 
 def _passed_keywords(tree: ast.AST) -> set:

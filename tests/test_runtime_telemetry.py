@@ -338,3 +338,14 @@ class TestServiceStatsConcurrency:
         assert by_tier["memo"]["count"] == 10
         assert by_tier["cold"]["count"] == 1
         assert by_tier["cold"]["p50_ms"] > by_tier["memo"]["p50_ms"]
+
+    def test_fresh_stats_list_both_latency_histograms_empty(self):
+        registry = MetricsRegistry()
+        ServiceStats(registry)
+        histograms = registry.snapshot()["histograms"]
+        exposition = registry.dump_metrics()
+        for name in ("serve_request_latency_seconds",
+                     "serve_tier_latency_seconds"):
+            assert histograms[name] == {}
+            assert f"# TYPE {name} histogram" in exposition
+            assert f"{name}_count" not in exposition

@@ -138,6 +138,66 @@ class TestBitIdentical:
         assert recorder.rollups() == {}
 
 
+class TestStageContract:
+    """The intra-node stages of ``repro.collectives.common`` record the
+    same things for every algorithm built on them (2x2x2 QUAD, one
+    iteration)."""
+
+    #: (family, algorithm, x, copy-out stage, bytes each peer copies out
+    #: of its node's master buffer)
+    COUNTER_BROADCASTS = [
+        ("bcast", "torus-shaddr", 64 * 1024, "shaddr.copy-out", 65536),
+        ("allreduce", "allreduce-torus-shaddr", 2048, "local-bcast", 16384),
+        # the seven other nodes' 16 KiB blocks
+        ("allgather", "allgather-ring-shaddr", 4096, "shaddr.copy-out",
+         114688),
+    ]
+
+    #: (family, algorithm, x, ranks that wait for their landed bytes)
+    DISTRIBUTORS = [
+        ("bcast", "torus-direct-put", 64 * 1024, 32),
+        ("allreduce", "allreduce-torus-current", 2048, 32),
+        ("allreduce", "allreduce-ring-pipelined", 2048, 32),
+        # the root returns as soon as it has staged its chunks
+        ("bcast", "ring-pipelined", 64 * 1024, 31),
+        ("allgather", "allgather-ring-current", 4096, 32),
+    ]
+
+    @pytest.mark.parametrize(
+        "family,algorithm,x,stage,nbytes", COUNTER_BROADCASTS,
+    )
+    def test_every_peer_copies_out_its_masters_bytes(
+            self, family, algorithm, x, stage, nbytes):
+        machine, recorder, _ = recorded_run(family, algorithm, x)
+        copied = {}
+        for event in recorder.copy_events:
+            rank, event_stage, size = event[2], event[5], event[6]
+            if event_stage == stage:
+                copied[rank] = copied.get(rank, 0) + size
+        peers = [
+            rank for rank in range(machine.nprocs)
+            if machine.rank_to_local(rank) != 0
+        ]
+        assert copied == {rank: nbytes for rank in peers}
+
+    @pytest.mark.parametrize("family,algorithm,x,nwaiting", DISTRIBUTORS)
+    def test_every_rank_waiting_for_landed_bytes_is_a_dma_wait_core(
+            self, family, algorithm, x, nwaiting):
+        _, recorder, _ = recorded_run(family, algorithm, x)
+        # The landed-bytes counters are the per-rank ones, r<rank>.<name>.
+        waiting = {
+            int(name[1:].split(".")[0])
+            for _ts, name, kind, _value, _extra in recorder.counter_events
+            if kind == "poll" and name[0] == "r" and name[1].isdigit()
+        }
+        tagged = {
+            rank for rank, role in recorder.roles.items()
+            if role == "dma-wait"
+        }
+        assert len(waiting) == nwaiting
+        assert tagged == waiting
+
+
 class TestRunManifest:
     def manifest(self, **overrides):
         fields = dict(
